@@ -1,7 +1,7 @@
-//! One-shot benchmark snapshot: scalar vs batched builders across the
-//! fig. 3/4/5 workload shapes plus the serve-throughput series, in
-//! simulated cycles *and* wall time, serialized as a JSON document
-//! (`BENCH_pr4.json` in CI).
+//! One-shot benchmark snapshot across the fig. 3/4/5 workload shapes plus
+//! the serve-throughput series, serialized as a JSON document
+//! (`BENCH_pr4.json` in CI): the simulated cycles of the pram scalar and
+//! batched cost models, and the wall time of the one build path.
 //!
 //! The committed snapshot is the regression baseline for
 //! `tools/check_bench_regression.sh`: simulated cycles are deterministic
@@ -15,7 +15,7 @@
 use std::time::Instant;
 use wfbn_bench::runner::uniform_workload;
 use wfbn_bench::serve_bench::{serve_workload, sim_serve_scaling, wall_serve_qps};
-use wfbn_core::construct::{sequential_build, sequential_build_batched, waitfree_build_batched};
+use wfbn_core::construct::waitfree_build;
 use wfbn_pram::{
     simulate_all_pairs_mi, simulate_waitfree_build, simulate_waitfree_build_batched, CostModel,
 };
@@ -109,56 +109,23 @@ fn main() {
     let (n, m) = (cfg.vars, cfg.samples);
     let data = uniform_workload(n, m, cfg.seed);
 
-    // ---- fig3 shape: construction vs cores, scalar vs batched. ----
+    // ---- fig3 shape: construction vs cores (sim: scalar vs batched model). ----
     let mut sim_scalar = Vec::new();
     let mut sim_batched = Vec::new();
-    let mut wall_scalar_ns: Vec<u128> = Vec::new();
-    let mut wall_batched_ns: Vec<u128> = Vec::new();
+    let mut wall_ns: Vec<u128> = Vec::new();
     for &p in &cfg.cores {
         let (s, _) = simulate_waitfree_build(&data, p, &model);
         let (b, _) = simulate_waitfree_build_batched(&data, p, &model);
         sim_scalar.push(s.elapsed_cycles);
         sim_batched.push(b.elapsed_cycles);
-        if p == 1 {
-            wall_scalar_ns.push(wall_ns_median(cfg.reps, || {
-                std::hint::black_box(sequential_build(&data).expect("data").table.num_entries());
-            }));
-            wall_batched_ns.push(wall_ns_median(cfg.reps, || {
-                std::hint::black_box(
-                    sequential_build_batched(&data)
-                        .expect("data")
-                        .table
-                        .num_entries(),
-                );
-            }));
-        } else {
-            wall_scalar_ns.push(wall_ns_median(cfg.reps, || {
-                std::hint::black_box(
-                    wfbn_core::construct::waitfree_build(&data, p)
-                        .expect("data")
-                        .table
-                        .num_entries(),
-                );
-            }));
-            wall_batched_ns.push(wall_ns_median(cfg.reps, || {
-                std::hint::black_box(
-                    waitfree_build_batched(&data, p)
-                        .expect("data")
-                        .table
-                        .num_entries(),
-                );
-            }));
-        }
+        wall_ns.push(wall_ns_median(cfg.reps, || {
+            std::hint::black_box(waitfree_build(&data, p).expect("data").table.num_entries());
+        }));
     }
     let sim_advantage: Vec<f64> = sim_scalar
         .iter()
         .zip(&sim_batched)
         .map(|(s, b)| s / b)
-        .collect();
-    let wall_advantage: Vec<f64> = wall_scalar_ns
-        .iter()
-        .zip(&wall_batched_ns)
-        .map(|(&s, &b)| s as f64 / b as f64)
         .collect();
     let speedup_scalar: Vec<f64> = sim_scalar.iter().map(|c| sim_scalar[0] / c).collect();
     let speedup_batched: Vec<f64> = sim_batched.iter().map(|c| sim_batched[0] / c).collect();
@@ -198,23 +165,15 @@ fn main() {
     let p8_index = cfg.cores.iter().position(|&p| p == 8);
     let acceptance_sim = p8_index.map(|i| sim_advantage[i]).unwrap_or(0.0);
     let acceptance_serve = p8_index.map(|i| serve_sim.scaling[i]).unwrap_or(0.0);
-    let acceptance_wall = cfg
-        .cores
-        .iter()
-        .position(|&p| p == 1)
-        .map(|i| wall_advantage[i])
-        .unwrap_or(0.0);
 
     let json = format!(
-        "{{\n  \"schema\": \"wfbn-bench-pr4\",\n  \"workload\": {{\"n\": {n}, \"m\": {m}, \"seed\": {seed}}},\n  \"cores\": {cores},\n  \"fig3\": {{\n    \"sim_scalar_cycles\": {ss},\n    \"sim_batched_cycles\": {sb},\n    \"sim_batched_advantage\": {sa},\n    \"wall_scalar_ns\": {ws},\n    \"wall_batched_ns\": {wb},\n    \"wall_batched_advantage\": {wa},\n    \"speedup_scalar\": {sps},\n    \"speedup_batched\": {spb}\n  }},\n  \"fig4\": {{\n    \"vars\": {f4v},\n    \"cores\": {pmax},\n    \"sim_scalar_cycles\": {f4s},\n    \"sim_batched_cycles\": {f4b}\n  }},\n  \"fig5\": {{\n    \"sim_allpairs_cycles\": {f5}\n  }},\n  \"serve\": {{\n    \"workload\": {{\"n\": {sn}, \"m\": {sm}, \"seed\": {seed}}},\n    \"readers\": {cores},\n    \"sim_cycles_per_query\": {scq:.3},\n    \"sim_qps_per_megacycle\": {sqm},\n    \"sim_scaling\": {ssc},\n    \"wall_qps\": {swq}\n  }},\n  \"acceptance\": {{\n    \"sim_p8_advantage\": {asim:.3},\n    \"wall_p1_advantage\": {awall:.3},\n    \"serve_p8_scaling\": {aserve:.3}\n  }}\n}}",
+        "{{\n  \"schema\": \"wfbn-bench-pr4\",\n  \"workload\": {{\"n\": {n}, \"m\": {m}, \"seed\": {seed}}},\n  \"cores\": {cores},\n  \"fig3\": {{\n    \"sim_scalar_cycles\": {ss},\n    \"sim_batched_cycles\": {sb},\n    \"sim_batched_advantage\": {sa},\n    \"wall_ns\": {wn},\n    \"speedup_scalar\": {sps},\n    \"speedup_batched\": {spb}\n  }},\n  \"fig4\": {{\n    \"vars\": {f4v},\n    \"cores\": {pmax},\n    \"sim_scalar_cycles\": {f4s},\n    \"sim_batched_cycles\": {f4b}\n  }},\n  \"fig5\": {{\n    \"sim_allpairs_cycles\": {f5}\n  }},\n  \"serve\": {{\n    \"workload\": {{\"n\": {sn}, \"m\": {sm}, \"seed\": {seed}}},\n    \"readers\": {cores},\n    \"sim_cycles_per_query\": {scq:.3},\n    \"sim_qps_per_megacycle\": {sqm},\n    \"sim_scaling\": {ssc},\n    \"wall_qps\": {swq}\n  }},\n  \"acceptance\": {{\n    \"sim_p8_advantage\": {asim:.3},\n    \"serve_p8_scaling\": {aserve:.3}\n  }}\n}}",
         seed = cfg.seed,
         cores = json_usize_array(&cfg.cores),
         ss = json_f64_array(&sim_scalar),
         sb = json_f64_array(&sim_batched),
         sa = json_f64_array(&sim_advantage),
-        ws = json_u128_array(&wall_scalar_ns),
-        wb = json_u128_array(&wall_batched_ns),
-        wa = json_f64_array(&wall_advantage),
+        wn = json_u128_array(&wall_ns),
         sps = json_f64_array(&speedup_scalar),
         spb = json_f64_array(&speedup_batched),
         f4v = json_usize_array(&fig4_vars),
@@ -228,7 +187,6 @@ fn main() {
         ssc = json_f64_array(&serve_sim.scaling),
         swq = json_f64_array(&serve_wall_qps),
         asim = acceptance_sim,
-        awall = acceptance_wall,
         aserve = acceptance_serve,
     );
 
@@ -237,7 +195,7 @@ fn main() {
             std::fs::write(path, format!("{json}\n")).expect("writing snapshot");
             eprintln!("snapshot written to {path}");
             eprintln!(
-                "acceptance: sim P=8 advantage {acceptance_sim:.3}x, wall P=1 advantage {acceptance_wall:.3}x, serve P=8 scaling {acceptance_serve:.3}x"
+                "acceptance: sim P=8 advantage {acceptance_sim:.3}x, serve P=8 scaling {acceptance_serve:.3}x"
             );
         }
         None => println!("{json}"),

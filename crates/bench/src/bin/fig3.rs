@@ -12,7 +12,7 @@ use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::{
     format_stage_breakdown, metrics_waitfree_report, print_host_banner, sim_striped_series,
     sim_waitfree_batched_series, sim_waitfree_series, uniform_workload, wall_striped_series,
-    wall_waitfree_batched_series, wall_waitfree_series,
+    wall_waitfree_series,
 };
 use wfbn_bench::series::{format_markdown_table, write_csvs, Series};
 
@@ -36,7 +36,6 @@ fn main() {
         }
         if args.mode.wall() {
             all.push(wall_waitfree_series(&data, &args.cores, &label, 3));
-            all.push(wall_waitfree_batched_series(&data, &args.cores, &label, 3));
             all.push(wall_striped_series(&data, &args.cores, &label, 3));
         }
     }

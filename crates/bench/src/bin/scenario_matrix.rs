@@ -30,7 +30,8 @@ use wfbn_data::Dataset;
 use wfbn_pram::{simulate_all_pairs_mi, simulate_waitfree_build_batched, CostModel};
 use wfbn_workload::{
     check_fairness, check_skew_p99, generate, replay, GeneratedWorkload, IngestEvent,
-    ReplayConfig, Scenario, ScenarioReport, WorkloadSpec, FAIRNESS_BOUND, SKEW_P99_MULTIPLE,
+    ReplayConfig, Scenario, ScenarioReport, WorkloadSpec, FAIRNESS_BOUND, MIN_SKEW_SAMPLES,
+    SKEW_P99_MULTIPLE,
 };
 
 struct Config {
@@ -131,7 +132,7 @@ struct ScenarioRow {
     sim_cycles_per_query: f64,
     replay: Option<ScenarioReport>,
     fairness_verdict: Option<Result<f64, String>>,
-    skew_verdict: Option<Result<(), String>>,
+    skew_verdict: Option<Result<bool, String>>,
 }
 
 fn json_u64_array(values: &[u64]) -> String {
@@ -147,10 +148,11 @@ fn json_gate(result: Option<&Result<f64, String>>) -> String {
     }
 }
 
-fn json_skew_gate(result: Option<&Result<(), String>>) -> String {
+fn json_skew_gate(result: Option<&Result<bool, String>>) -> String {
     match result {
         None => "\"skipped\"".to_string(),
-        Some(Ok(())) => "\"pass\"".to_string(),
+        Some(Ok(true)) => "\"pass\"".to_string(),
+        Some(Ok(false)) => "\"not judged\"".to_string(),
         Some(Err(msg)) => format!("{:?}", msg),
     }
 }
@@ -253,7 +255,7 @@ fn main() {
     }
 
     let mut rows: Vec<ScenarioRow> = Vec::new();
-    let mut uniform_p99: u64 = 0;
+    let (mut uniform_p99, mut uniform_queries) = (0u64, 0usize);
     let mut all_pass = true;
     for scenario in Scenario::MATRIX {
         let spec = spec_for(&cfg, scenario);
@@ -271,19 +273,32 @@ fn main() {
                 std::process::exit(2);
             });
             if scenario == Scenario::Uniform {
-                uniform_p99 = report.p99_ns;
+                (uniform_p99, uniform_queries) = (report.p99_ns, report.total_queries);
             }
             let fairness =
                 check_fairness(scenario, &report.served_per_reader, FAIRNESS_BOUND);
-            let skew =
-                check_skew_p99(scenario, report.p99_ns, uniform_p99, SKEW_P99_MULTIPLE);
+            let samples = report.total_queries.min(uniform_queries) as u64;
+            let skew = check_skew_p99(
+                scenario,
+                report.p99_ns,
+                uniform_p99,
+                samples,
+                SKEW_P99_MULTIPLE,
+            );
             if let Err(msg) = &fairness {
                 eprintln!("GATE FAILURE: {msg}");
                 all_pass = false;
             }
-            if let Err(msg) = &skew {
-                eprintln!("GATE FAILURE: {msg}");
-                all_pass = false;
+            match &skew {
+                Err(msg) => {
+                    eprintln!("GATE FAILURE: {msg}");
+                    all_pass = false;
+                }
+                Ok(false) => eprintln!(
+                    "{}: skew gate not judged (fewer than {MIN_SKEW_SAMPLES} queries on a side)",
+                    scenario.name()
+                ),
+                Ok(true) => {}
             }
             (Some(report), Some(fairness), Some(skew))
         };

@@ -4,10 +4,7 @@ use crate::series::Series;
 use std::time::Instant;
 use wfbn_baselines::striped::StripedLockBuilder;
 use wfbn_core::allpairs::all_pairs_mi_recorded;
-use wfbn_core::construct::{
-    waitfree_build, waitfree_build_batched, waitfree_build_batched_recorded,
-    waitfree_build_recorded,
-};
+use wfbn_core::construct::{waitfree_build, waitfree_build_recorded};
 use wfbn_core::obs::{Counter, Stage};
 use wfbn_core::{CoreMetrics, MetricsReport};
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent};
@@ -123,24 +120,6 @@ pub fn wall_waitfree_series(data: &Dataset, cores: &[usize], label: &str, reps: 
     s
 }
 
-/// Wall-clock table-construction series (wait-free, batched hot paths).
-pub fn wall_waitfree_batched_series(
-    data: &Dataset,
-    cores: &[usize],
-    label: &str,
-    reps: usize,
-) -> Series {
-    let mut s = Series::new(format!("{label} wait-free batched (wall)"));
-    for &p in cores {
-        let secs = wall_time_median(reps, || {
-            let built = waitfree_build_batched(data, p).expect("non-empty data");
-            std::hint::black_box(built.table.num_entries());
-        });
-        s.points.push((p, secs));
-    }
-    s
-}
-
 /// Wall-clock table-construction series (striped-lock, real threads).
 pub fn wall_striped_series(data: &Dataset, cores: &[usize], label: &str, reps: usize) -> Series {
     let mut s = Series::new(format!("{label} striped-lock (wall)"));
@@ -177,15 +156,6 @@ pub fn wall_allpairs_series(data: &Dataset, cores: &[usize], label: &str, reps: 
 pub fn metrics_waitfree_report(data: &Dataset, p: usize) -> MetricsReport {
     let rec = CoreMetrics::new(p);
     let built = waitfree_build_recorded(data, p, &rec).expect("non-empty data");
-    std::hint::black_box(built.table.num_entries());
-    rec.snapshot()
-}
-
-/// [`metrics_waitfree_report`] for the batched builder: the report includes
-/// the v2 batching counters (`blocks_flushed`, `keys_coalesced`).
-pub fn metrics_waitfree_batched_report(data: &Dataset, p: usize) -> MetricsReport {
-    let rec = CoreMetrics::new(p);
-    let built = waitfree_build_batched_recorded(data, p, &rec).expect("non-empty data");
     std::hint::black_box(built.table.num_entries());
     rec.snapshot()
 }
@@ -309,7 +279,6 @@ mod tests {
         let cores = [1usize, 2];
         for s in [
             wall_waitfree_series(&data, &cores, "t", 1),
-            wall_waitfree_batched_series(&data, &cores, "t", 1),
             wall_striped_series(&data, &cores, "t", 1),
             wall_allpairs_series(&data, &cores, "t", 1),
         ] {
@@ -320,7 +289,7 @@ mod tests {
     #[test]
     fn batched_metrics_report_carries_v2_counters() {
         let data = uniform_workload(8, 2_000, 5);
-        let report = metrics_waitfree_batched_report(&data, 4);
+        let report = metrics_waitfree_report(&data, 4);
         assert_eq!(report.total(Counter::RowsEncoded), 2_000);
         assert_eq!(
             report.total(Counter::Forwarded),

@@ -4,29 +4,23 @@ use crate::args::Flags;
 use crate::commands::load_csv;
 use std::io::Write;
 use std::time::Instant;
-use wfbn_core::construct::{
-    waitfree_build, waitfree_build_batched, waitfree_build_batched_recorded,
-    waitfree_build_recorded,
-};
+use wfbn_core::construct::{waitfree_build, waitfree_build_recorded};
 use wfbn_core::rebalance::imbalance;
 use wfbn_core::CoreMetrics;
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["metrics", "batched"])?;
+    let flags = Flags::parse(args, &["metrics"])?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 4)?;
     let with_metrics = flags.has_switch("metrics");
-    let batched = flags.has_switch("batched");
     let data = load_csv(&path)?;
 
     let metrics = with_metrics.then(|| CoreMetrics::new(threads));
     let start = Instant::now();
-    let built = match (&metrics, batched) {
-        (Some(rec), false) => waitfree_build_recorded(&data, threads, rec),
-        (Some(rec), true) => waitfree_build_batched_recorded(&data, threads, rec),
-        (None, false) => waitfree_build(&data, threads),
-        (None, true) => waitfree_build_batched(&data, threads),
+    let built = match &metrics {
+        Some(rec) => waitfree_build_recorded(&data, threads, rec),
+        None => waitfree_build(&data, threads),
     }
     .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
@@ -42,8 +36,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     .and_then(|()| {
         writeln!(
             w,
-            "built with {threads} wait-free thread(s){} in {:.1} ms",
-            if batched { " (batched hot paths)" } else { "" },
+            "built with {threads} wait-free thread(s) in {:.1} ms",
             elapsed.as_secs_f64() * 1e3
         )
     })
@@ -65,16 +58,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         )
     })
     .and_then(|()| {
-        if batched {
-            writeln!(
-                w,
-                "batching: {} blocks flushed, {} keys coalesced",
-                built.stats.total_blocks_flushed(),
-                built.stats.total_keys_coalesced()
-            )
-        } else {
-            Ok(())
-        }
+        writeln!(
+            w,
+            "batching: {} blocks flushed, {} keys coalesced",
+            built.stats.total_blocks_flushed(),
+            built.stats.total_keys_coalesced()
+        )
     })
     .and_then(|()| {
         writeln!(w, "partition sizes: {:?}", built.table.partition_sizes())
@@ -124,33 +113,6 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\"schema\": \"wfbn-metrics-v5\""), "{text}");
         assert!(text.contains("\"rows_encoded\""), "{text}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn batched_switch_uses_the_block_granular_builder() {
-        let dir = std::env::temp_dir().join("wfbn_cli_build_batched_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("d.csv");
-        std::fs::write(&path, "0,1\n1,0\n0,1\n1,1\n").unwrap();
-        let args: Vec<String> = [
-            "--in",
-            path.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--batched",
-            "--metrics",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let mut out = Vec::new();
-        run(&args, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("batched hot paths"), "{text}");
-        assert!(text.contains("blocks flushed"), "{text}");
-        assert!(text.contains("3 distinct state strings"), "{text}");
-        assert!(text.contains("\"blocks_flushed\""), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,7 +21,7 @@ use wfbn_serve::{serve_lines, serve_tcp, Engine, EngineConfig, LoopControl, Quer
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["metrics", "batched"])?;
+    let flags = Flags::parse(args, &["metrics"])?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 1)?;
     let batch_rows: usize = flags.get_or("batch", 4096)?;
@@ -34,7 +34,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let cfg = EngineConfig {
         builder_threads: threads,
         readers: 1,
-        batched: flags.has_switch("batched"),
         ..EngineConfig::default()
     };
 

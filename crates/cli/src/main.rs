@@ -58,7 +58,7 @@ Subcommands:
          --net NAME | --uniform N,R | --chain N,RHO | --zipf N,S
          --samples M [--seed S] [--out FILE]
   build  build the potential table from CSV and print statistics
-         --in FILE [--threads P] [--metrics] [--batched]
+         --in FILE [--threads P] [--metrics]
   mi     all-pairs mutual information screening
          --in FILE [--threads P] [--top K] [--bits] [--metrics]
   learn  structure learning
@@ -67,7 +67,7 @@ Subcommands:
   infer  exact posterior query on a repository network
          --net NAME --target VAR [--evidence V=S,V=S,...]
   serve  long-lived query service over epoch-published snapshots
-         --in FILE [--threads P] [--batch ROWS] [--batched] [--metrics]
+         --in FILE [--threads P] [--batch ROWS] [--metrics]
          [--script FILE | --listen ADDR]   (default: line protocol on stdin)
          protocol: MARGINAL/MI/CPT/EPOCH/SYNC/INGEST/STATS/QUIT, ';' fuses
   workload  deterministic serve workload scenarios with SLO gates

@@ -356,20 +356,24 @@ impl<T> Consumer<T> {
         }
     }
 
-    /// Moves every element that is currently visible into `out` (appending,
-    /// FIFO order) and returns how many were taken.
+    /// Moves the elements currently visible in **one** segment into `out`
+    /// (appending, FIFO order) and returns how many were taken — at most
+    /// [`SEG_CAP`].
     ///
-    /// The batched counterpart of a `try_pop` drain loop: the committed
-    /// length is Acquire-loaded **once per segment visit** instead of once
-    /// per element, and consumer progress is published with one store per
-    /// chunk. A return of `0` means no element was visible — as with
+    /// The block counterpart of a `try_pop` drain loop: the committed
+    /// length is Acquire-loaded once per call instead of once per element,
+    /// and consumer progress is published with one store per chunk. Stopping
+    /// at the segment's end keeps a caller's block buffer at one segment's
+    /// worth however long the backlog, so draining a core's whole backlog
+    /// never copies it into one allocation. Call again for the next segment.
+    /// A return of `0` means no element was visible — as with
     /// [`try_pop`](Self::try_pop) it does *not* mean the producer is
     /// finished; pair with [`is_closed`](Self::is_closed) for termination.
     pub fn pop_block(&mut self, out: &mut Vec<T>) -> usize {
         let mut taken = 0usize;
-        // wf-bound: backlog(segments) — per segment visit: drain the
-        // committed chunk, or follow the `next` link, or return; bounded
-        // by the segments linked at entry.
+        // wf-bound: iters(2) — the first round drains the head segment and
+        // returns unless that segment was already exhausted; then one
+        // `next` link is followed and the second round returns.
         loop {
             // SAFETY: `head` is alive until we free it below.
             let head = unsafe { self.head.as_ref() };
@@ -391,15 +395,16 @@ impl<T> Consumer<T> {
                 // loom-model: pop_block_sees_complete_prefix_under_every_schedule
                 head.consumed.store(self.idx, Ordering::Relaxed);
             }
-            if self.idx < SEG_CAP {
-                // Caught up with the producer inside this segment.
+            if self.idx < SEG_CAP || taken > 0 {
+                // Caught up with the producer inside this segment, or took
+                // this segment's tail: the next call moves on.
                 return taken;
             }
-            // Segment exhausted: move to the next one if it exists.
+            // Segment exhausted on entry: move to the next one if it exists.
             // loom-model: pop_block_sees_complete_prefix_under_every_schedule
             let next = head.next.load(Ordering::Acquire);
             let Some(next) = NonNull::new(next) else {
-                return taken;
+                return 0;
             };
             let old = self.head;
             self.head = next;
@@ -717,7 +722,19 @@ mod tests {
         let block: Vec<u64> = (0..n as u64).collect();
         tx.push_block(&block);
         let mut out = vec![999u64]; // pre-existing contents must survive
-        assert_eq!(rx.pop_block(&mut out), n);
+        // One segment per call: every full segment, then the tail.
+        let mut calls = Vec::new();
+        loop {
+            match rx.pop_block(&mut out) {
+                0 => break,
+                taken => calls.push(taken),
+            }
+        }
+        let mut expected = vec![SEG_CAP; n / SEG_CAP];
+        if n % SEG_CAP > 0 {
+            expected.push(n % SEG_CAP);
+        }
+        assert_eq!(calls, expected);
         assert_eq!(out[0], 999);
         assert_eq!(&out[1..], &block[..]);
         assert_eq!(rx.popped(), n as u64);
@@ -729,13 +746,39 @@ mod tests {
     }
 
     #[test]
+    fn pop_block_loop_returns_at_most_one_segment_per_call() {
+        // A backlog of 3·SEG_CAP + 7 starting one slot into a segment, so
+        // the first call ends at a seam short of SEG_CAP.
+        let (mut tx, mut rx) = channel();
+        tx.push(u64::MAX);
+        assert_eq!(rx.try_pop(), Some(u64::MAX));
+        let n = 3 * SEG_CAP + 7;
+        for i in 0..n as u64 {
+            tx.push(i);
+        }
+        let mut out = Vec::new();
+        let mut calls = 0;
+        loop {
+            let taken = rx.pop_block(&mut out);
+            assert!(taken <= SEG_CAP, "call {calls} took {taken}");
+            if taken == 0 {
+                break;
+            }
+            calls += 1;
+        }
+        assert_eq!(out, (0..n as u64).collect::<Vec<_>>(), "lost or reordered");
+        assert!(calls >= 4, "{calls} calls cannot cover {n} elements");
+        assert_eq!(rx.popped(), n as u64 + 1);
+    }
+
+    #[test]
     fn block_endpoints_interoperate_with_scalar_endpoints() {
         let (mut tx, mut rx) = channel();
         tx.push_block(&[1u64, 2, 3]);
         assert_eq!(rx.try_pop(), Some(1));
         tx.push(4);
         let mut out = Vec::new();
-        assert_eq!(rx.pop_block(&mut out), 3);
+        while rx.pop_block(&mut out) > 0 {}
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -757,7 +800,7 @@ mod tests {
                 let mut out = Vec::new();
                 loop {
                     let closed = rx.is_closed();
-                    rx.pop_block(&mut out);
+                    while rx.pop_block(&mut out) > 0 {}
                     if closed {
                         break;
                     }
@@ -788,8 +831,10 @@ mod tests {
         let block: Vec<Counted> = (0..SEG_CAP + 3).map(|_| Counted::new()).collect();
         tx.push_block(&block);
         let mut out = Vec::new();
+        // One call takes the first segment; the 3-element tail stays queued
+        // for the final drop.
         let taken = rx.pop_block(&mut out);
-        assert_eq!(taken, SEG_CAP + 3);
+        assert_eq!(taken, SEG_CAP);
         drop(tx);
         drop(rx);
         assert_eq!(LIVE.load(Ordering::Relaxed), SEG_CAP + 3);

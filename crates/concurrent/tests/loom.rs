@@ -218,7 +218,8 @@ fn pop_block_sees_complete_prefix_under_every_schedule() {
         let mut got = Vec::new();
         loop {
             let closed = rx.is_closed();
-            rx.pop_block(&mut got);
+            // One segment per call: keep calling until nothing is visible.
+            while rx.pop_block(&mut got) > 0 {}
             if closed {
                 break;
             }
@@ -364,9 +365,9 @@ fn next_epoch_walks_the_sequence_without_skipping() {
 
 #[test]
 fn block_to_block_transfer_is_complete_under_every_schedule() {
-    // Both endpoints batched — the exact shape of the batched stage-1 →
-    // stage-2 handoff: write-combining flush on one side, block drain on
-    // the other.
+    // Both endpoints block-granular — the exact shape of the build's
+    // stage-1 → stage-2 handoff: write-combining flush on one side, a
+    // segment-at-a-time block drain on the other.
     loom::model(|| {
         let (mut tx, mut rx) = channel::<usize>();
         let t = loom::thread::spawn(move || {
@@ -376,7 +377,15 @@ fn block_to_block_transfer_is_complete_under_every_schedule() {
         let mut got = Vec::new();
         loop {
             let closed = rx.is_closed();
-            rx.pop_block(&mut got);
+            loop {
+                let before = got.len();
+                let taken = rx.pop_block(&mut got);
+                assert!(taken <= SEG_CAP, "pop_block crossed a segment");
+                assert_eq!(got.len() - before, taken);
+                if taken == 0 {
+                    break;
+                }
+            }
             if closed {
                 break;
             }

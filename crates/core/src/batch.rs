@@ -1,10 +1,9 @@
 //! Write-combining key routing with per-destination pre-aggregation.
 //!
-//! The scalar stage-1 loop forwards every foreign key with its own
-//! `Producer::push` — one release store and one queue-slot write per
-//! occurrence. This module is the batched router the `*_batched` builders
-//! use instead, borrowing two tricks from radix-partitioning hash joins and
-//! combiner-style parallel counting:
+//! Forwarding every foreign key with its own `Producer::push` would cost one
+//! release store and one queue-slot write per occurrence. This module is the
+//! router every builder's stage 1 uses instead, borrowing two tricks from
+//! radix-partitioning hash joins and combiner-style parallel counting:
 //!
 //! * **Software write combining** — each worker keeps one small private
 //!   buffer per destination core and appends foreign keys there; only when a
@@ -37,8 +36,8 @@ use wfbn_concurrent::Producer;
 /// to a fraction of a cycle per key.
 pub const WC_CAP: usize = 64;
 
-/// A per-worker batched router: one write-combining buffer per destination
-/// core, with last-key run-length coalescing.
+/// A per-worker router: one write-combining buffer per destination core,
+/// with last-key run-length coalescing.
 ///
 /// `K` is the table key type (`u64` for the standard builders, `u128` for
 /// the wide ones). The buffer at the worker's own index stays empty — local
@@ -134,7 +133,7 @@ mod tests {
 
     fn drain(rx: &mut wfbn_concurrent::Consumer<(u64, u64)>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        rx.pop_block(&mut out);
+        while rx.pop_block(&mut out) > 0 {}
         out
     }
 

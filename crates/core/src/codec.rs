@@ -106,8 +106,8 @@ impl KeyCodec {
     /// strides drive a 4-row micro-tile: the inner loop walks one stride
     /// column across four rows at once, so the four accumulator chains are
     /// independent and the multiply-add latency that serializes the scalar
-    /// `encode` overlaps. This is the stage-1 fast path of the batched
-    /// builders.
+    /// `encode` overlaps. This is the stage-1 encoder of every parallel
+    /// builder.
     ///
     /// # Panics
     ///

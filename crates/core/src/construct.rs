@@ -10,7 +10,7 @@
 //!
 //! * **Stage 1** (Algorithm 1): each core streams its contiguous chunk of
 //!   rows, encodes each row to a key, and either applies it to its own
-//!   private table (if it owns the key) or pushes it onto the wait-free SPSC
+//!   private table (if it owns the key) or routes it to the wait-free SPSC
 //!   queue addressed to the owning core. Since a queue has exactly one
 //!   producer and one consumer, no operation in this stage can block or even
 //!   retry: every core makes progress on every step (*wait-freedom*).
@@ -21,14 +21,29 @@
 //!
 //! Total work is `O(m·n / P)` per core for encoding plus `O(m / P)` expected
 //! queue traffic — the complexities stated in the paper.
+//!
+//! # The build path
+//!
+//! Every builder in this crate — one-shot ([`waitfree_build`]), streaming
+//! ([`crate::stream`]), wide-key ([`crate::wide`]) and barrier-free
+//! ([`crate::pipeline`]) — runs the same per-core [`Worker`], which moves
+//! data a block at a time: rows are encoded [`ENC_BLOCK`] at a time with
+//! [`KeyCodec::encode_rows`], owned keys are applied with the pre-hashed
+//! [`CountTable::increment_keys`], foreign keys cross the queues as
+//! `(key, count)` runs through the write-combining [`Combiner`]
+//! (`push_block`), and stage 2 drains one queue segment per `pop_block` into
+//! [`CountTable::increment_block`]. None of this reorders arithmetic, so the
+//! table is identical to [`sequential_build`]'s, which stays a plain
+//! row-at-a-time loop to serve as the equivalence oracle.
 
 use crate::batch::Combiner;
 use crate::codec::KeyCodec;
-use crate::count_table::CountTable;
+use crate::count_table::{CountTable, Key};
 use crate::error::CoreError;
 use crate::partition::KeyPartitioner;
 use crate::potential::PotentialTable;
 use crate::stats::{BuildStats, ThreadStats};
+use std::sync::Arc;
 use wfbn_concurrent::{channel, row_chunks, Consumer, Producer, SpinBarrier};
 use wfbn_data::Dataset;
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
@@ -49,9 +64,9 @@ pub struct BuiltTable {
 /// build of a large CSV pay O(log m) growth storms per core.
 const MAX_PREALLOC_ENTRIES: u64 = 1 << 22;
 
-/// Rows per encode block in the batched builders: 256 rows × 30 binary
-/// variables ≈ 15 KiB of input and 2 KiB of keys per block — L1-resident,
-/// while amortizing the per-block loop overhead to noise.
+/// Rows per encode block: 256 rows × 30 binary variables ≈ 15 KiB of input
+/// and 2 KiB of keys per block — L1-resident, while amortizing the
+/// per-block loop overhead to noise.
 pub(crate) const ENC_BLOCK: usize = 256;
 
 pub(crate) fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
@@ -60,8 +75,8 @@ pub(crate) fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
     per_core_rows.min(per_core_keys).min(MAX_PREALLOC_ENTRIES) as usize
 }
 
-/// Builds the potential table on a single thread (the speedup baseline and
-/// the reference implementation for equivalence tests).
+/// Builds the potential table on a single thread, one row at a time — the
+/// reference implementation every parallel build is tested against.
 pub fn sequential_build(data: &Dataset) -> Result<BuiltTable, CoreError> {
     sequential_build_recorded(data, &NoopRecorder)
 }
@@ -135,36 +150,6 @@ pub fn waitfree_build_recorded<R: Recorder>(
     waitfree_build_with_recorded(data, KeyPartitioner::modulo(p), rec)
 }
 
-/// Endpoints owned by one worker thread: its producers toward every other
-/// thread (`None` at its own index) and the consumers of queues addressed to
-/// it (`None` at its own index).
-struct Endpoints {
-    producers: Vec<Option<Producer<u64>>>,
-    consumers: Vec<Option<Consumer<u64>>>,
-}
-
-/// Builds the queue matrix `Q` of Algorithm 1: one SPSC channel per ordered
-/// pair `(from, to)`, `from ≠ to`, and deals the endpoints out per thread.
-fn queue_matrix(p: usize) -> Vec<Endpoints> {
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from == to {
-                continue;
-            }
-            let (tx, rx) = channel::<u64>();
-            endpoints[from].producers[to] = Some(tx);
-            endpoints[to].consumers[from] = Some(rx);
-        }
-    }
-    endpoints
-}
-
 /// Builds the potential table with an explicit key partitioner (the thread
 /// count is the partitioner's partition count).
 pub fn waitfree_build_with(
@@ -176,12 +161,13 @@ pub fn waitfree_build_with(
 
 /// [`waitfree_build_with`] with telemetry flowing into `rec`.
 ///
-/// Worker `t` obtains the exclusive per-core handle `rec.core(t)` at spawn
-/// and reports through it only, preserving the build's single-writer-per-word
+/// Worker `t` obtains the exclusive per-core handle `rec.core(t)` and
+/// reports through it only, preserving the build's single-writer-per-word
 /// discipline for the telemetry words. Per-stage wall time (encode/route,
-/// barrier wait, drain), routing counters, the probe-length histogram, queue
-/// backlog high-water marks, segment links, and table growth events are all
-/// attributed to the core that incurred them.
+/// barrier wait, drain), routing and write-combining counters, the
+/// probe-length histogram, queue backlog high-water marks, segment links,
+/// and table growth events are all attributed to the core that incurred
+/// them.
 pub fn waitfree_build_with_recorded<R: Recorder>(
     data: &Dataset,
     partitioner: KeyPartitioner,
@@ -195,37 +181,138 @@ pub fn waitfree_build_with_recorded<R: Recorder>(
         return Err(CoreError::EmptyDataset);
     }
     let codec = KeyCodec::new(data.schema());
-    if p == 1 {
-        // Degenerate case: no queues, no barrier.
-        let mut built = sequential_build_recorded(data, rec)?;
-        if Some(&partitioner) != built.table.partitioner() {
-            let (c, _, parts) = built.table.into_parts();
-            built.table = PotentialTable::from_parts(c, partitioner, parts);
-        }
-        return Ok(built);
+    let hint = capacity_hint(data.num_samples(), codec.state_space(), p);
+    let cores = two_stage(
+        data.flat(),
+        codec.num_vars(),
+        Fresh::parts(p, hint),
+        |rows, keys| codec.encode_rows(rows, keys),
+        |key| partitioner.owner(key),
+        rec,
+    );
+    Ok(assemble(codec, partitioner, cores))
+}
+
+/// Collects per-core partitions and counters into a [`BuiltTable`].
+pub(crate) fn assemble(
+    codec: KeyCodec,
+    partitioner: KeyPartitioner,
+    cores: Vec<(Fresh<u64>, ThreadStats)>,
+) -> BuiltTable {
+    let (partitions, per_thread) = cores
+        .into_iter()
+        .map(|(part, stats)| (part.into_table(), stats))
+        .unzip();
+    BuiltTable {
+        table: PotentialTable::from_parts(codec, partitioner, partitions),
+        stats: BuildStats { per_thread },
+    }
+}
+
+/// A core's partition as it enters a build. The core opens it on its own
+/// thread, so every write to a partition — including its allocation and a
+/// copy-on-publish divergence — is made by the one core that owns it.
+pub(crate) trait Partition<K: Key>: Send {
+    /// The core's exclusive table for the rest of the build.
+    fn open(&mut self) -> &mut CountTable<K>;
+}
+
+/// A partition the build creates: allocated, pre-sized to `hint` entries, by
+/// its core, so the `P` tables fault in their pages in parallel.
+pub(crate) struct Fresh<K: Key> {
+    hint: usize,
+    table: Option<CountTable<K>>,
+}
+
+impl<K: Key> Fresh<K> {
+    /// `p` unopened partitions.
+    pub(crate) fn parts(p: usize, hint: usize) -> Vec<Self> {
+        (0..p).map(|_| Fresh { hint, table: None }).collect()
     }
 
-    let m = data.num_samples();
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    let endpoints = queue_matrix(p);
-    let hint = capacity_hint(m, codec.state_space(), p);
-    let n = codec.num_vars();
+    /// The table this partition's core built.
+    pub(crate) fn into_table(self) -> CountTable<K> {
+        self.table
+            .unwrap_or_else(|| CountTable::with_capacity(self.hint))
+    }
+}
 
-    let mut results: Vec<Option<(CountTable, ThreadStats)>> = (0..p).map(|_| None).collect();
+impl<K: Key> Partition<K> for Fresh<K> {
+    fn open(&mut self) -> &mut CountTable<K> {
+        let hint = self.hint;
+        self.table
+            .get_or_insert_with(|| CountTable::with_capacity(hint))
+    }
+}
+
+/// A persistent streaming partition, possibly shared with published
+/// snapshots: opening it diverges a shared copy (`Arc::make_mut`), so the
+/// copy-on-publish cost lands on the owning core, in parallel.
+impl<K: Key> Partition<K> for Arc<CountTable<K>> {
+    fn open(&mut self) -> &mut CountTable<K> {
+        Arc::make_mut(self)
+    }
+}
+
+/// The queue endpoints one core owns: its producers toward every other core
+/// and the consumers of the queues addressed to it (`None` at its own
+/// index). Queues carry `(key, count)` runs from the write-combining router.
+pub(crate) struct Endpoints<K> {
+    pub(crate) producers: Vec<Option<Producer<(K, u64)>>>,
+    pub(crate) consumers: Vec<Option<Consumer<(K, u64)>>>,
+}
+
+/// Builds the queue matrix `Q` of Algorithm 1: one SPSC channel per ordered
+/// pair `(from, to)`, `from ≠ to`, and deals the endpoints out per core.
+fn queue_matrix<K>(p: usize) -> Vec<Endpoints<K>> {
+    let mut endpoints: Vec<Endpoints<K>> = (0..p)
+        .map(|_| Endpoints {
+            producers: (0..p).map(|_| None).collect(),
+            consumers: (0..p).map(|_| None).collect(),
+        })
+        .collect();
+    for from in 0..p {
+        for to in 0..p {
+            if from != to {
+                let (tx, rx) = channel();
+                endpoints[from].producers[to] = Some(tx);
+                endpoints[to].consumers[from] = Some(rx);
+            }
+        }
+    }
+    endpoints
+}
+
+/// Runs `work(t, part, endpoints)` for every core `t` on its own scoped
+/// thread and returns each core's partition and counters in core order.
+///
+/// With one part there are no queues to wire and no one to race, so the
+/// calling thread runs the work directly.
+pub(crate) fn on_cores<K, T, F>(mut parts: Vec<T>, work: F) -> Vec<(T, ThreadStats)>
+where
+    K: Key,
+    T: Send,
+    F: Fn(usize, &mut T, Endpoints<K>) -> ThreadStats + Sync,
+{
+    let p = parts.len();
+    let endpoints = queue_matrix::<K>(p);
+    if p == 1 {
+        let mut part = parts.pop().expect("one part");
+        let ep = endpoints.into_iter().next().expect("one core's endpoints");
+        let stats = work(0, &mut part, ep);
+        return vec![(part, stats)];
+    }
     #[cfg(feature = "ownership-audit")]
     let build_audit = wfbn_concurrent::audit::BuildAudit::new();
     std::thread::scope(|s| {
-        let codec = &codec;
-        let partitioner = &partitioner;
-        let barrier = &barrier;
+        let work = &work;
         #[cfg(feature = "ownership-audit")]
         let build_audit = &build_audit;
-        let handles: Vec<_> = endpoints
+        let handles: Vec<_> = parts
             .into_iter()
+            .zip(endpoints)
             .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
+            .map(|(t, (mut part, ep))| {
                 std::thread::Builder::new()
                     .name(format!("wfbn-build-{t}"))
                     .spawn_scoped(s, move || {
@@ -234,426 +321,298 @@ pub fn waitfree_build_with_recorded<R: Recorder>(
                         // aborts the build with the culprits named.
                         #[cfg(feature = "ownership-audit")]
                         let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let mut table = CountTable::with_capacity(hint);
-                        let mut stats = ThreadStats::default();
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-
-                        // ---- Stage 1 (Algorithm 1) ----
-                        for row in data.row_range(chunk.start, chunk.end).chunks_exact(n) {
-                            let key = codec.encode(row);
-                            stats.rows_encoded += 1;
-                            let owner = partitioner.owner(key);
-                            if owner == t {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                stats.local_updates += 1;
-                            } else {
-                                ep.producers[owner]
-                                    .as_mut()
-                                    .expect("producer to every foreign thread")
-                                    .push(key);
-                                stats.forwarded += 1;
-                            }
-                        }
-                        let segments_linked: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        // Close this thread's outgoing queues. Not required
-                        // for correctness (the barrier already separates the
-                        // stages) but keeps the termination protocol uniform
-                        // with the pipelined variant.
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-
-                        // ---- The single synchronization step ----
-                        barrier.wait();
-                        #[cfg(feature = "ownership-audit")]
-                        wfbn_concurrent::audit::set_stage(2);
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-
-                        // ---- Stage 2 (Algorithm 2) ----
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            // Backlog visible at drain start: after the
-                            // barrier the producer is done, so this is the
-                            // head segment's share of everything it sent.
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producer is
-                            // done (post-barrier), so each pop removes one of
-                            // the finitely many committed elements.
-                            while let Some(key) = consumer.try_pop() {
-                                debug_assert_eq!(partitioner.owner(key), t);
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                stats.drained += 1;
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                        cr.add(Counter::LocalUpdates, stats.local_updates);
-                        cr.add(Counter::Forwarded, stats.forwarded);
-                        cr.add(Counter::Drained, stats.drained);
-                        cr.add(Counter::SegmentsLinked, segments_linked);
-                        cr.add(Counter::TableGrows, table.grows());
-                        stats.probes = table.probes();
-                        (table, stats)
+                        let stats = work(t, &mut part, ep);
+                        (part, stats)
                     })
                     .expect("failed to spawn build thread")
             })
             .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("build thread panicked"));
-        }
-    });
-
-    let mut partitions = Vec::with_capacity(p);
-    let mut per_thread = Vec::with_capacity(p);
-    for r in results {
-        let (table, stats) = r.expect("every thread reports");
-        partitions.push(table);
-        per_thread.push(stats);
-    }
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, partitioner, partitions),
-        stats: BuildStats { per_thread },
-    })
-}
-
-/// Builds the potential table on a single thread through the block-granular
-/// hot paths: [`KeyCodec::encode_rows`] block encoding and
-/// [`CountTable::increment_keys`] pre-hashed block application, with the
-/// table pre-sized from `m`.
-///
-/// Produces a table identical to [`sequential_build`]'s — the batched paths
-/// reorder no arithmetic, they only amortize per-element overhead — and is
-/// the wall-clock P=1 fast path the benchmarks compare against.
-pub fn sequential_build_batched(data: &Dataset) -> Result<BuiltTable, CoreError> {
-    sequential_build_batched_recorded(data, &NoopRecorder)
-}
-
-/// [`sequential_build_batched`] with telemetry flowing into core 0 of `rec`.
-pub fn sequential_build_batched_recorded<R: Recorder>(
-    data: &Dataset,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    if data.num_samples() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let codec = KeyCodec::new(data.schema());
-    let m = data.num_samples();
-    let n = codec.num_vars();
-    let mut table = CountTable::with_capacity(capacity_hint(m, codec.state_space(), 1));
-    let mut stats = ThreadStats::default();
-    let mut cr = rec.core(0);
-    let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-    let t0 = cr.now();
-    for rows in data.row_range(0, m).chunks(ENC_BLOCK * n) {
-        codec.encode_rows(rows, &mut keys);
-        table.increment_keys_probed(&keys, |probes| cr.probe_len(probes));
-        stats.rows_encoded += keys.len() as u64;
-        stats.local_updates += keys.len() as u64;
-    }
-    cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-    cr.add(Counter::RowsEncoded, stats.rows_encoded);
-    cr.add(Counter::LocalUpdates, stats.local_updates);
-    cr.add(Counter::TableGrows, table.grows());
-    stats.probes = table.probes();
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, KeyPartitioner::modulo(1), vec![table]),
-        stats: BuildStats {
-            per_thread: vec![stats],
-        },
-    })
-}
-
-/// Endpoints of the batched queue matrix: elements are `(key, count)` pairs
-/// produced by the write-combining router.
-struct BatchedEndpoints {
-    producers: Vec<Option<Producer<(u64, u64)>>>,
-    consumers: Vec<Option<Consumer<(u64, u64)>>>,
-}
-
-/// [`queue_matrix`] for the batched builders.
-fn batched_queue_matrix(p: usize) -> Vec<BatchedEndpoints> {
-    let mut endpoints: Vec<BatchedEndpoints> = (0..p)
-        .map(|_| BatchedEndpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from == to {
-                continue;
-            }
-            let (tx, rx) = channel::<(u64, u64)>();
-            endpoints[from].producers[to] = Some(tx);
-            endpoints[to].consumers[from] = Some(rx);
-        }
-    }
-    endpoints
-}
-
-/// Builds the potential table with `p` threads using the block-granular
-/// variant of the two-stage primitive: stage 1 encodes row blocks with
-/// [`KeyCodec::encode_rows`] and routes foreign keys through a per-core
-/// write-combining [`Combiner`] (flushing `(key, count)` blocks with
-/// `push_block`); stage 2 drains whole blocks with `pop_block` and applies
-/// them with the pre-hashed [`CountTable::increment_block`].
-///
-/// Exactly the same single-writer discipline, barrier placement, and result
-/// as [`waitfree_build`] — equivalence tests require the resulting tables to
-/// be identical — but with every hot path amortized over blocks.
-pub fn waitfree_build_batched(data: &Dataset, p: usize) -> Result<BuiltTable, CoreError> {
-    waitfree_build_batched_recorded(data, p, &NoopRecorder)
-}
-
-/// [`waitfree_build_batched`] with telemetry flowing into `rec`; the
-/// batched counters `blocks_flushed` / `keys_coalesced` are attributed to
-/// the producing core.
-pub fn waitfree_build_batched_recorded<R: Recorder>(
-    data: &Dataset,
-    p: usize,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    waitfree_build_with_batched_recorded(data, KeyPartitioner::modulo(p), rec)
-}
-
-/// [`waitfree_build_batched_recorded`] with an explicit key partitioner
-/// (the batched analog of [`waitfree_build_with_recorded`]).
-pub fn waitfree_build_with_batched_recorded<R: Recorder>(
-    data: &Dataset,
-    partitioner: KeyPartitioner,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    let p = partitioner.partitions();
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    if data.num_samples() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let codec = KeyCodec::new(data.schema());
-    if p == 1 {
-        // Degenerate case: no queues, no barrier, no router.
-        let mut built = sequential_build_batched_recorded(data, rec)?;
-        if Some(&partitioner) != built.table.partitioner() {
-            let (c, _, parts) = built.table.into_parts();
-            built.table = PotentialTable::from_parts(c, partitioner, parts);
-        }
-        return Ok(built);
-    }
-
-    let m = data.num_samples();
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    let endpoints = batched_queue_matrix(p);
-    let hint = capacity_hint(m, codec.state_space(), p);
-    let n = codec.num_vars();
-
-    let mut results: Vec<Option<(CountTable, ThreadStats)>> = (0..p).map(|_| None).collect();
-    #[cfg(feature = "ownership-audit")]
-    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let partitioner = &partitioner;
-        let barrier = &barrier;
-        #[cfg(feature = "ownership-audit")]
-        let build_audit = &build_audit;
-        let handles: Vec<_> = endpoints
+        handles
             .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-bbuild-{t}"))
-                    .spawn_scoped(s, move || {
-                        #[cfg(feature = "ownership-audit")]
-                        let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let mut table = CountTable::with_capacity(hint);
-                        let mut stats = ThreadStats::default();
-                        let mut cr = rec.core(t);
-                        let mut combiner = Combiner::new(p);
-                        let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-                        let t0 = cr.now();
-
-                        // ---- Stage 1 (Algorithm 1, block-granular) ----
-                        for rows in data.row_range(chunk.start, chunk.end).chunks(ENC_BLOCK * n) {
-                            codec.encode_rows(rows, &mut keys);
-                            stats.rows_encoded += keys.len() as u64;
-                            for &key in &keys {
-                                let owner = partitioner.owner(key);
-                                if owner == t {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.local_updates += 1;
-                                } else {
-                                    combiner.route(owner, key, &mut ep.producers);
-                                    stats.forwarded += 1;
-                                }
-                            }
-                        }
-                        combiner.flush_all(&mut ep.producers);
-                        stats.blocks_flushed = combiner.blocks_flushed();
-                        stats.keys_coalesced = combiner.keys_coalesced();
-                        let segments_linked: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        // Close this thread's outgoing queues (after the
-                        // final flush — nothing may follow a close).
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-
-                        // ---- The single synchronization step ----
-                        barrier.wait();
-                        #[cfg(feature = "ownership-audit")]
-                        wfbn_concurrent::audit::set_stage(2);
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-
-                        // ---- Stage 2 (Algorithm 2, block-granular) ----
-                        let mut block: Vec<(u64, u64)> = Vec::new();
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producer is
-                            // done (post-barrier); each round takes a
-                            // committed chunk and exits on the first empty
-                            // poll.
-                            loop {
-                                block.clear();
-                                if consumer.pop_block(&mut block) == 0 {
-                                    break;
-                                }
-                                table.increment_block_probed(&block, |probes| {
-                                    cr.probe_len(probes);
-                                });
-                                for &(key, count) in &block {
-                                    debug_assert_eq!(partitioner.owner(key), t);
-                                    let _ = key;
-                                    stats.drained += count;
-                                }
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                        cr.add(Counter::LocalUpdates, stats.local_updates);
-                        cr.add(Counter::Forwarded, stats.forwarded);
-                        cr.add(Counter::Drained, stats.drained);
-                        cr.add(Counter::SegmentsLinked, segments_linked);
-                        cr.add(Counter::TableGrows, table.grows());
-                        cr.add(Counter::BlocksFlushed, stats.blocks_flushed);
-                        cr.add(Counter::KeysCoalesced, stats.keys_coalesced);
-                        stats.probes = table.probes();
-                        (table, stats)
-                    })
-                    .expect("failed to spawn build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("build thread panicked"));
-        }
-    });
-
-    let mut partitions = Vec::with_capacity(p);
-    let mut per_thread = Vec::with_capacity(p);
-    for r in results {
-        let (table, stats) = r.expect("every thread reports");
-        partitions.push(table);
-        per_thread.push(stats);
-    }
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, partitioner, partitions),
-        stats: BuildStats { per_thread },
+            .map(|h| h.join().expect("build thread panicked"))
+            .collect()
     })
+}
+
+/// The two-stage primitive over `rows` (row-major, `n` states per row):
+/// core `t` encodes its contiguous chunk block by block and applies or
+/// routes every key (Algorithm 1), crosses the single barrier, then drains
+/// the queues addressed to it (Algorithm 2).
+///
+/// `encode` turns a block of whole rows into keys and `owner` names the core
+/// that owns a key; `parts[t]` is opened by core `t`. Returns each core's
+/// partition and counters for this run.
+pub(crate) fn two_stage<K, T, R>(
+    rows: &[u16],
+    n: usize,
+    parts: Vec<T>,
+    encode: impl Fn(&[u16], &mut Vec<K>) + Sync,
+    owner: impl Fn(K) -> usize + Sync,
+    rec: &R,
+) -> Vec<(T, ThreadStats)>
+where
+    K: Key,
+    T: Partition<K>,
+    R: Recorder,
+{
+    let p = parts.len();
+    let chunks = row_chunks(rows.len() / n, p);
+    let barrier = SpinBarrier::new(p);
+    on_cores(parts, |t, part, ep| {
+        let chunk = &rows[chunks[t].start * n..chunks[t].end * n];
+        barrier_core(t, chunk, n, part, ep, &barrier, &encode, &owner, rec)
+    })
+}
+
+/// One core's body of [`two_stage`].
+#[allow(clippy::too_many_arguments)]
+fn barrier_core<K: Key, R: Recorder>(
+    t: usize,
+    rows: &[u16],
+    n: usize,
+    part: &mut impl Partition<K>,
+    mut ep: Endpoints<K>,
+    barrier: &SpinBarrier,
+    encode: &impl Fn(&[u16], &mut Vec<K>),
+    owner: &impl Fn(K) -> usize,
+    rec: &R,
+) -> ThreadStats {
+    let p = ep.producers.len();
+    let mut w = Worker::new(t, p, part.open(), rec.core(t), R::ENABLED);
+    let t0 = w.now();
+
+    // ---- Stage 1 (Algorithm 1) ----
+    for block in rows.chunks(ENC_BLOCK * n) {
+        w.route_block(block, encode, owner, &mut ep.producers);
+    }
+    w.close(&mut ep.producers);
+    let t1 = w.lap(Stage::Encode, t0);
+
+    // ---- The single synchronization step (a lone core has none) ----
+    let t2 = if p > 1 {
+        barrier.wait();
+        #[cfg(feature = "ownership-audit")]
+        wfbn_concurrent::audit::set_stage(2);
+        w.lap(Stage::Barrier, t1)
+    } else {
+        t1
+    };
+
+    // ---- Stage 2 (Algorithm 2) ----
+    for consumer in ep.consumers.iter_mut().flatten() {
+        w.drain(consumer);
+    }
+    w.lap(Stage::Drain, t2);
+    w.finish()
+}
+
+/// One core's private side of a build: its table, write-combining router,
+/// block buffers, counters and telemetry handle. Every method writes only
+/// state this core owns, plus the slots of its own outgoing queues.
+pub(crate) struct Worker<'a, K: Key, C: CoreRecorder> {
+    t: usize,
+    table: &'a mut CountTable<K>,
+    combiner: Combiner<K>,
+    keys: Vec<K>,
+    local: Vec<K>,
+    block: Vec<(K, u64)>,
+    stats: ThreadStats,
+    segments_linked: u64,
+    grows_before: u64,
+    cr: C,
+    /// Sample queue depths (one Acquire load each) only when recording.
+    sample_depth: bool,
+}
+
+impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
+    /// Core `t` of `p`, writing into `table`.
+    pub(crate) fn new(
+        t: usize,
+        p: usize,
+        table: &'a mut CountTable<K>,
+        cr: C,
+        sample_depth: bool,
+    ) -> Self {
+        // Persistent tables carry counters across runs; report this run's.
+        let grows_before = table.grows();
+        Worker {
+            t,
+            table,
+            combiner: Combiner::new(p),
+            keys: Vec::with_capacity(ENC_BLOCK),
+            local: Vec::with_capacity(ENC_BLOCK),
+            block: Vec::new(),
+            stats: ThreadStats::default(),
+            segments_linked: 0,
+            grows_before,
+            cr,
+            sample_depth,
+        }
+    }
+
+    /// The recorder's clock.
+    pub(crate) fn now(&self) -> u64 {
+        self.cr.now()
+    }
+
+    /// Charges the time since `since` to `stage` and returns the clock.
+    pub(crate) fn lap(&mut self, stage: Stage, since: u64) -> u64 {
+        let now = self.cr.now();
+        self.cr.stage_ns(stage, now.saturating_sub(since));
+        now
+    }
+
+    /// Algorithm 1 on one block of whole rows: encode it, apply the keys
+    /// this core owns, and route the rest toward their owners.
+    pub(crate) fn route_block(
+        &mut self,
+        rows: &[u16],
+        encode: &impl Fn(&[u16], &mut Vec<K>),
+        owner: &impl Fn(K) -> usize,
+        producers: &mut [Option<Producer<(K, u64)>>],
+    ) {
+        encode(rows, &mut self.keys);
+        self.local.clear();
+        for &key in &self.keys {
+            let to = owner(key);
+            if to == self.t {
+                self.local.push(key);
+            } else {
+                self.combiner.route(to, key, producers);
+            }
+        }
+        let cr = &mut self.cr;
+        self.table
+            .increment_keys_probed(&self.local, |probes| cr.probe_len(probes));
+        self.stats.rows_encoded += self.keys.len() as u64;
+        self.stats.local_updates += self.local.len() as u64;
+        self.stats.forwarded += (self.keys.len() - self.local.len()) as u64;
+    }
+
+    /// Ends this core's production: ships the router's residue, then
+    /// closes the outgoing queues (nothing may follow a close).
+    pub(crate) fn close(&mut self, producers: &mut Vec<Option<Producer<(K, u64)>>>) {
+        self.combiner.flush_all(producers);
+        self.segments_linked = producers
+            .iter()
+            .flatten()
+            .map(Producer::segments_linked)
+            .sum();
+        producers.clear();
+    }
+
+    /// Algorithm 2 on one queue: applies every `(key, count)` run visible
+    /// in it, one segment per `pop_block`.
+    pub(crate) fn drain(&mut self, consumer: &mut Consumer<(K, u64)>) {
+        if self.sample_depth {
+            self.cr.queue_depth(consumer.visible_backlog());
+        }
+        // wf-bound: backlog(visible) — each round takes one committed
+        // segment chunk and the loop exits on the first empty poll; the
+        // chunks are bounded by the blocks the producer flushed.
+        loop {
+            self.block.clear();
+            if consumer.pop_block(&mut self.block) == 0 {
+                break;
+            }
+            let cr = &mut self.cr;
+            self.table
+                .increment_block_probed(&self.block, |probes| cr.probe_len(probes));
+            self.stats.drained += self.block.iter().map(|&(_, count)| count).sum::<u64>();
+        }
+    }
+
+    /// Reports this core's counters and returns them.
+    pub(crate) fn finish(mut self) -> ThreadStats {
+        let s = &mut self.stats;
+        s.blocks_flushed = self.combiner.blocks_flushed();
+        s.keys_coalesced = self.combiner.keys_coalesced();
+        s.probes = self.table.probes();
+        let cr = &mut self.cr;
+        cr.add(Counter::RowsEncoded, s.rows_encoded);
+        cr.add(Counter::LocalUpdates, s.local_updates);
+        cr.add(Counter::Forwarded, s.forwarded);
+        cr.add(Counter::Drained, s.drained);
+        cr.add(Counter::SegmentsLinked, self.segments_linked);
+        cr.add(Counter::TableGrows, self.table.grows() - self.grows_before);
+        cr.add(Counter::BlocksFlushed, s.blocks_flushed);
+        cr.add(Counter::KeysCoalesced, s.keys_coalesced);
+        self.stats
+    }
 }
 
 #[cfg(all(test, feature = "loom"))]
 mod loom_tests {
     use super::*;
-    use std::sync::Arc;
 
-    /// Model-checks the stage-1 → barrier → stage-2 handoff.
+    /// Model-checks the stage-1 → barrier → stage-2 handoff of the block
+    /// protocol: Combiner → `push_block` → barrier → `pop_block` →
+    /// `increment_block`.
     ///
-    /// `waitfree_build_with` spawns scoped std threads, which the model
-    /// checker cannot schedule, so this test runs a distilled two-core
-    /// instance of the *same protocol* — the body of the worker closure:
-    /// classify-and-forward over the real [`queue_matrix`], close the
-    /// producers, cross the real [`SpinBarrier`], drain into the real
-    /// [`CountTable`] — with loom-owned threads. Every schedule within the
-    /// preemption bound must yield the same per-partition counts.
+    /// `two_stage` spawns scoped std threads, which the model checker cannot
+    /// schedule, so this test runs the real per-core body, [`barrier_core`],
+    /// over the real [`queue_matrix`] and [`SpinBarrier`] on loom-owned
+    /// threads. Under loom a queue segment holds two elements, so core 1's
+    /// three runs toward core 0 span two segments and take two `pop_block`
+    /// calls. Every schedule within the preemption bound must yield the same
+    /// per-partition counts.
     #[test]
     fn two_stage_handoff_produces_exact_counts_under_every_schedule() {
         loom::model(|| {
             const P: usize = 2;
-            // Per-core input keys; ownership is key % 2. Core 0 forwards one
-            // key, core 1 forwards two (enough to cross a loom-sized
-            // segment boundary of the forwarding queue).
-            let inputs: [Vec<u64>; P] = [vec![0, 1, 2], vec![3, 4, 6]];
+            // One-variable rows, so a row's state is its key; ownership is
+            // key % 2. Core 0 forwards two runs; core 1 forwards four keys
+            // in three runs (the two 0s coalesce into one).
+            let inputs: [Vec<u16>; P] = [vec![1, 2, 5], vec![3, 0, 0, 2, 4]];
             let barrier = Arc::new(SpinBarrier::new(P));
-            let handles: Vec<_> = queue_matrix(P)
+            let handles: Vec<_> = queue_matrix::<u64>(P)
                 .into_iter()
                 .zip(inputs)
                 .enumerate()
-                .map(|(t, (mut ep, keys))| {
+                .map(|(t, (ep, rows))| {
                     let barrier = Arc::clone(&barrier);
                     loom::thread::spawn(move || {
-                        let mut table = CountTable::with_capacity(4);
-                        // ---- Stage 1 ----
-                        for key in keys {
-                            let owner = (key % P as u64) as usize;
-                            if owner == t {
-                                table.increment(key, 1);
-                            } else {
-                                ep.producers[owner]
-                                    .as_mut()
-                                    .expect("producer to every foreign thread")
-                                    .push(key);
-                            }
+                        let mut part = Fresh::<u64>::parts(1, 4).pop().unwrap();
+                        let encode = |rows: &[u16], keys: &mut Vec<u64>| {
+                            keys.clear();
+                            keys.extend(rows.iter().map(|&s| u64::from(s)));
+                        };
+                        let owner = |key: u64| (key % P as u64) as usize;
+                        let stats = barrier_core(
+                            t,
+                            &rows,
+                            1,
+                            &mut part,
+                            ep,
+                            &barrier,
+                            &encode,
+                            &owner,
+                            &NoopRecorder,
+                        );
+                        let table = part.into_table();
+                        for (key, _) in table.iter() {
+                            assert_eq!(owner(key), t, "drained a key we do not own");
                         }
-                        ep.producers.clear();
-                        // ---- The single synchronization step ----
-                        barrier.wait();
-                        // ---- Stage 2 ----
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            while let Some(key) = consumer.try_pop() {
-                                assert_eq!(
-                                    (key % P as u64) as usize,
-                                    t,
-                                    "drained a key we do not own"
-                                );
-                                table.increment(key, 1);
-                            }
-                        }
-                        table
+                        (table, stats)
                     })
                 })
                 .collect();
-            let mut merged: Vec<(u64, u64)> = handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap().iter().collect::<Vec<_>>())
-                .collect();
+            let mut merged = Vec::new();
+            let mut forwarded = 0;
+            let mut drained = 0;
+            for h in handles {
+                let (table, stats) = h.join().unwrap();
+                merged.extend(table.iter());
+                forwarded += stats.forwarded;
+                drained += stats.drained;
+            }
             merged.sort_unstable();
             assert_eq!(
                 merged,
-                vec![(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (6, 1)],
+                vec![(0, 2), (1, 1), (2, 2), (3, 1), (4, 1), (5, 1)],
                 "handoff lost, duplicated, or misrouted a key"
             );
+            assert_eq!((forwarded, drained), (6, 6));
         });
         assert!(
             loom::explored_interleavings() >= 2,
@@ -804,14 +763,12 @@ mod tests {
 
     #[test]
     fn batched_builds_match_scalar_builds_exactly() {
+        // The block path against the row-at-a-time oracle, with the queue
+        // conservation law: every forwarded occurrence is drained once.
         let data = uniform_data(8, 3, 5000, 11);
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        assert_eq!(
-            sequential_build_batched(&data).unwrap().table.to_sorted_vec(),
-            reference
-        );
         for p in [1usize, 2, 3, 4, 7, 8] {
-            let built = waitfree_build_batched(&data, p).unwrap();
+            let built = waitfree_build(&data, p).unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "mismatch at p={p}");
             assert_eq!(built.stats.total_rows(), 5000);
             assert_eq!(built.stats.total_forwarded(), built.stats.total_drained());
@@ -823,7 +780,7 @@ mod tests {
         let schema = Schema::new(vec![2, 3, 2]).unwrap(); // tiny state space: many runs
         let data = ZipfIndependent::new(schema, 1.5).unwrap().generate(8000, 4);
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        let built = waitfree_build_batched(&data, 4).unwrap();
+        let built = waitfree_build(&data, 4).unwrap();
         assert_eq!(built.table.to_sorted_vec(), reference);
         let s = &built.stats;
         assert!(
@@ -840,8 +797,9 @@ mod tests {
 
     #[test]
     fn scalar_build_reports_no_batch_counters() {
+        // The oracle moves no block: it neither flushes nor coalesces.
         let data = uniform_data(8, 2, 1000, 5);
-        let s = waitfree_build(&data, 4).unwrap().stats;
+        let s = sequential_build(&data).unwrap().stats;
         assert_eq!(s.total_blocks_flushed(), 0);
         assert_eq!(s.total_keys_coalesced(), 0);
     }
@@ -853,34 +811,39 @@ mod tests {
         let rows: Vec<&[u16]> = (0..997).map(|_| &[1u16, 0, 1, 1, 0, 1] as &[u16]).collect();
         let dup = Dataset::from_rows(schema.clone(), &rows).unwrap();
         assert_eq!(
-            waitfree_build_batched(&dup, 4).unwrap().table.to_sorted_vec(),
-            waitfree_build(&dup, 4).unwrap().table.to_sorted_vec()
+            waitfree_build(&dup, 4).unwrap().table.to_sorted_vec(),
+            sequential_build(&dup).unwrap().table.to_sorted_vec()
         );
         let single = Dataset::from_rows(schema, &[&[1, 0, 1, 0, 1, 0]]).unwrap();
-        let built = waitfree_build_batched(&single, 8).unwrap();
+        let built = waitfree_build(&single, 8).unwrap();
         assert_eq!(built.table.total_count(), 1);
         let tiny = uniform_data(4, 2, 3, 9);
         assert_eq!(
-            waitfree_build_batched(&tiny, 8).unwrap().table.to_sorted_vec(),
+            waitfree_build(&tiny, 8).unwrap().table.to_sorted_vec(),
             sequential_build(&tiny).unwrap().table.to_sorted_vec()
         );
     }
 
     #[test]
     fn batched_empty_and_zero_thread_errors_match_scalar() {
+        // Every partitioner reports an empty dataset the way the oracle does.
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[]).unwrap();
-        assert_eq!(
-            sequential_build_batched(&data).unwrap_err(),
-            CoreError::EmptyDataset
-        );
-        assert_eq!(
-            waitfree_build_batched(&data, 4).unwrap_err(),
-            CoreError::EmptyDataset
-        );
+        for part in [
+            KeyPartitioner::modulo(4),
+            KeyPartitioner::range(4, 8),
+            KeyPartitioner::hashed(1),
+        ] {
+            assert_eq!(
+                waitfree_build_with(&data, part).unwrap_err(),
+                CoreError::EmptyDataset,
+                "{}",
+                part.name()
+            );
+        }
         let ok = uniform_data(3, 2, 10, 1);
         assert_eq!(
-            waitfree_build_batched(&ok, 0).unwrap_err(),
+            waitfree_build_recorded(&ok, 0, &NoopRecorder).unwrap_err(),
             CoreError::ZeroThreads
         );
     }

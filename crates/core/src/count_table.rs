@@ -7,31 +7,63 @@
 //! stores — the entire point of the paper's design.
 //!
 //! Implementation: linear-probing open addressing over two parallel arrays
-//! (keys, counts) with power-of-two capacity, `mix64` slot hashing, and the
-//! all-ones key as the empty sentinel (schemas guarantee real keys are
-//! strictly below `u64::MAX`). Linear probing keeps the probe sequence
-//! within one or two cache lines, which is what makes the private-table
-//! design fast in practice.
+//! (keys, counts) with power-of-two capacity, a full-avalanche slot hash,
+//! and the all-ones key as the empty sentinel (codecs guarantee real keys
+//! are strictly below it). Linear probing keeps the probe sequence within
+//! one or two cache lines, which is what makes the private-table design fast
+//! in practice. The key type is a [`Key`]: `u64` for the primary pipeline,
+//! `u128` for the wide one ([`crate::wide`]).
 //!
 //! The table counts *probes* (slot inspections) as it works — a single local
 //! `u64` increment, cheap enough to leave always-on. The PRAM simulator
 //! charges cycle costs from these counters, and the stats surface in
 //! [`BuildStats`](crate::stats::BuildStats).
 
-/// Empty-slot sentinel. `Schema` guarantees every valid key is `< u64::MAX`.
-const EMPTY: u64 = u64::MAX;
+use wfbn_concurrent::mix64;
+
+/// A table key: a mixed-radix state-string code.
+///
+/// Implemented for `u64` (the paper's Eq. 3 key) and `u128` (wide keys for
+/// networks beyond 63 binary variables).
+pub trait Key: Copy + Ord + Send + Sync {
+    /// Empty-slot sentinel, the all-ones value. Codecs never produce it.
+    const EMPTY: Self;
+
+    /// The slot hash.
+    fn mix(self) -> u64;
+}
+
+impl Key for u64 {
+    const EMPTY: u64 = u64::MAX;
+
+    #[inline]
+    fn mix(self) -> u64 {
+        mix64(self)
+    }
+}
+
+impl Key for u128 {
+    const EMPTY: u128 = u128::MAX;
+
+    /// Two dependent `mix64` rounds, so both halves avalanche.
+    #[inline]
+    fn mix(self) -> u64 {
+        mix64((self >> 64) as u64 ^ mix64(self as u64))
+    }
+}
 
 /// Maximum load factor before growth, as (numerator, denominator).
 const MAX_LOAD: (usize, usize) = (7, 10);
 
-/// An open-addressed hash table from `u64` keys to `u64` counts.
+/// An open-addressed hash table from [`Key`]s (`u64` by default) to `u64`
+/// counts.
 ///
 /// # Examples
 ///
 /// ```
 /// use wfbn_core::CountTable;
 ///
-/// let mut t = CountTable::new();
+/// let mut t: CountTable = CountTable::new();
 /// t.increment(42, 1);
 /// t.increment(42, 2);
 /// t.increment(7, 1);
@@ -42,8 +74,8 @@ const MAX_LOAD: (usize, usize) = (7, 10);
 /// assert_eq!(t.total_count(), 4);
 /// ```
 #[derive(Debug, Clone)]
-pub struct CountTable {
-    keys: Vec<u64>,
+pub struct CountTable<K: Key = u64> {
+    keys: Vec<K>,
     counts: Vec<u64>,
     /// Number of occupied slots.
     len: usize,
@@ -55,13 +87,13 @@ pub struct CountTable {
     grows: u64,
 }
 
-impl Default for CountTable {
+impl<K: Key> Default for CountTable<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CountTable {
+impl<K: Key> CountTable<K> {
     /// Initial capacity for `new()` (slots).
     const INITIAL_CAPACITY: usize = 16;
 
@@ -78,7 +110,7 @@ impl CountTable {
             .next_power_of_two()
             .max(Self::INITIAL_CAPACITY);
         Self {
-            keys: vec![EMPTY; slots],
+            keys: vec![K::EMPTY; slots],
             counts: vec![0; slots],
             len: 0,
             mask: slots - 1,
@@ -118,8 +150,8 @@ impl CountTable {
     }
 
     #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        (wfbn_concurrent::mix64(key) as usize) & self.mask
+    fn slot_of(&self, key: K) -> usize {
+        (key.mix() as usize) & self.mask
     }
 
     /// Reports the key and count words of `slot` to the ownership auditor.
@@ -127,7 +159,7 @@ impl CountTable {
     #[inline]
     fn record_slot(&self, slot: usize) {
         use core::mem::size_of;
-        wfbn_concurrent::audit::record_write((&raw const self.keys[slot]).cast(), size_of::<u64>());
+        wfbn_concurrent::audit::record_write((&raw const self.keys[slot]).cast(), size_of::<K>());
         wfbn_concurrent::audit::record_write(
             (&raw const self.counts[slot]).cast(),
             size_of::<u64>(),
@@ -138,11 +170,11 @@ impl CountTable {
     ///
     /// # Panics
     ///
-    /// Panics if `key == u64::MAX` (the reserved sentinel) — unreachable for
-    /// keys produced by a validated [`KeyCodec`](crate::codec::KeyCodec).
+    /// Panics if `key` is the all-ones sentinel — unreachable for keys
+    /// produced by a validated [`KeyCodec`](crate::codec::KeyCodec).
     #[inline]
-    pub fn increment(&mut self, key: u64, by: u64) {
-        assert_ne!(key, EMPTY, "key u64::MAX is reserved");
+    pub fn increment(&mut self, key: K, by: u64) {
+        assert!(key != K::EMPTY, "the all-ones key is reserved");
         if (self.len + 1) * MAX_LOAD.1 > self.keys.len() * MAX_LOAD.0 {
             self.grow();
         }
@@ -156,7 +188,7 @@ impl CountTable {
                 self.record_slot(slot);
                 return;
             }
-            if k == EMPTY {
+            if k == K::EMPTY {
                 self.keys[slot] = key;
                 self.counts[slot] = by;
                 self.len += 1;
@@ -177,14 +209,14 @@ impl CountTable {
     /// attributed to this increment (they land in the histogram's tail
     /// bucket, making growth spikes visible).
     #[inline]
-    pub fn increment_probed(&mut self, key: u64, by: u64) -> u64 {
+    pub fn increment_probed(&mut self, key: K, by: u64) -> u64 {
         let before = self.probes;
         self.increment(key, by);
         self.probes - before
     }
 
     /// Grows until `additional` more *distinct* keys fit under the load
-    /// limit. Called once per block by the batched paths so the slot mask is
+    /// limit. Called once per block by the block paths so the slot mask is
     /// stable across the whole block (no mid-block rehash), and usable as
     /// the rows-based capacity hint for streaming tables.
     pub fn reserve(&mut self, additional: usize) {
@@ -196,7 +228,7 @@ impl CountTable {
     /// Applies a block of `(key, by)` pairs, equivalent to calling
     /// [`increment`](Self::increment) for each pair in order.
     ///
-    /// The batched stage-2 fast path: capacity for the whole block is
+    /// The stage-2 fast path: capacity for the whole block is
     /// reserved up front (one load check per block instead of one per key,
     /// and a stable mask), then each 16-pair tile is **pre-hashed** — slot
     /// indices computed and their cache lines prefetched — before any
@@ -205,41 +237,40 @@ impl CountTable {
     ///
     /// # Panics
     ///
-    /// Panics if any key is `u64::MAX` (the reserved sentinel).
-    pub fn increment_block(&mut self, block: &[(u64, u64)]) {
+    /// Panics if any key is the all-ones sentinel.
+    pub fn increment_block(&mut self, block: &[(K, u64)]) {
         self.increment_block_probed(block, |_| {});
     }
 
     /// Like [`increment_block`](Self::increment_block), but calls `probe`
     /// with the slot-inspection count of every applied pair — exactly one
     /// call per pair, so the observability layer's probe histogram keeps its
-    /// one-entry-per-increment mass invariant on the batched path.
-    pub fn increment_block_probed(&mut self, block: &[(u64, u64)], probe: impl FnMut(u64)) {
+    /// one-entry-per-increment mass invariant on the block path.
+    pub fn increment_block_probed(&mut self, block: &[(K, u64)], probe: impl FnMut(u64)) {
         self.apply_block_probed(block, probe);
     }
 
     /// Applies a block of keys, each incrementing its count by 1 —
-    /// `increment_block` without materializing `(key, 1)` pairs. The
-    /// sequential batched build feeds [`KeyCodec::encode_rows`]
-    /// (crate::codec::KeyCodec::encode_rows) output straight in.
+    /// `increment_block` without materializing `(key, 1)` pairs. Stage 1 of
+    /// the build feeds each block's locally owned keys straight in.
     ///
     /// # Panics
     ///
-    /// Panics if any key is `u64::MAX` (the reserved sentinel).
-    pub fn increment_keys(&mut self, keys: &[u64]) {
+    /// Panics if any key is the all-ones sentinel.
+    pub fn increment_keys(&mut self, keys: &[K]) {
         self.apply_block_probed(keys, |_| {});
     }
 
     /// [`increment_keys`](Self::increment_keys) with one `probe` callback
     /// per key, mirroring
     /// [`increment_block_probed`](Self::increment_block_probed).
-    pub fn increment_keys_probed(&mut self, keys: &[u64], probe: impl FnMut(u64)) {
+    pub fn increment_keys_probed(&mut self, keys: &[K], probe: impl FnMut(u64)) {
         self.apply_block_probed(keys, probe);
     }
 
     /// Shared reserve → pre-hash → probe engine behind the block entry
     /// points; monomorphized per item shape ( bare key or `(key, by)` pair).
-    fn apply_block_probed<I: BlockItem>(&mut self, block: &[I], mut probe: impl FnMut(u64)) {
+    fn apply_block_probed<I: BlockItem<K>>(&mut self, block: &[I], mut probe: impl FnMut(u64)) {
         /// Pre-hash tile width: long enough to cover the prefetch latency,
         /// short enough that the tile's slots stay in the L1 miss queue.
         const TILE: usize = 16;
@@ -248,7 +279,7 @@ impl CountTable {
         for chunk in block.chunks(TILE) {
             for (i, item) in chunk.iter().enumerate() {
                 let key = item.key();
-                assert_ne!(key, EMPTY, "key u64::MAX is reserved");
+                assert!(key != K::EMPTY, "the all-ones key is reserved");
                 let slot = self.slot_of(key);
                 slots[i] = slot;
                 prefetch_slot(&self.keys[slot]);
@@ -265,7 +296,7 @@ impl CountTable {
                         self.counts[slot] += by;
                         break;
                     }
-                    if k == EMPTY {
+                    if k == K::EMPTY {
                         self.keys[slot] = key;
                         self.counts[slot] = by;
                         self.len += 1;
@@ -282,14 +313,14 @@ impl CountTable {
 
     /// Returns `key`'s count (0 if absent).
     #[inline]
-    pub fn get(&self, key: u64) -> u64 {
+    pub fn get(&self, key: K) -> u64 {
         let mut slot = self.slot_of(key);
         loop {
             let k = self.keys[slot];
             if k == key {
                 return self.counts[slot];
             }
-            if k == EMPTY {
+            if k == K::EMPTY {
                 return 0;
             }
             slot = (slot + 1) & self.mask;
@@ -297,7 +328,7 @@ impl CountTable {
     }
 
     /// `true` if `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
+    pub fn contains(&self, key: K) -> bool {
         self.get(key) != 0 || {
             // A key could in principle be present with count 0 (inserted via
             // increment(k, 0)); resolve precisely.
@@ -307,7 +338,7 @@ impl CountTable {
                 if k == key {
                     return true;
                 }
-                if k == EMPTY {
+                if k == K::EMPTY {
                     return false;
                 }
                 slot = (slot + 1) & self.mask;
@@ -318,7 +349,7 @@ impl CountTable {
     fn grow(&mut self) {
         self.grows += 1;
         let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_slots]);
+        let old_keys = std::mem::replace(&mut self.keys, vec![K::EMPTY; new_slots]);
         let old_counts = std::mem::replace(&mut self.counts, vec![0; new_slots]);
         // The old arrays go back to the allocator below; a later allocation
         // owned by another core may reuse their addresses.
@@ -336,12 +367,12 @@ impl CountTable {
         self.mask = new_slots - 1;
         self.len = 0;
         for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key != EMPTY {
+            if key != K::EMPTY {
                 // Re-insert without the load check (capacity is sufficient).
                 let mut slot = self.slot_of(key);
                 loop {
                     self.probes += 1;
-                    if self.keys[slot] == EMPTY {
+                    if self.keys[slot] == K::EMPTY {
                         self.keys[slot] = key;
                         self.counts[slot] = count;
                         self.len += 1;
@@ -356,16 +387,16 @@ impl CountTable {
     }
 
     /// Iterates over `(key, count)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (K, u64)> + '_ {
         self.keys
             .iter()
             .zip(&self.counts)
-            .filter(|(&k, _)| k != EMPTY)
+            .filter(|(&k, _)| k != K::EMPTY)
             .map(|(&k, &c)| (k, c))
     }
 
     /// Merges all entries of `other` into `self`.
-    pub fn merge_from(&mut self, other: &CountTable) {
+    pub fn merge_from(&mut self, other: &CountTable<K>) {
         for (k, c) in other.iter() {
             self.increment(k, c);
         }
@@ -373,8 +404,8 @@ impl CountTable {
 
     /// Drains this table into a sorted `(key, count)` vector (test helper;
     /// sorting makes results comparable across implementations).
-    pub fn to_sorted_vec(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.iter().collect();
+    pub fn to_sorted_vec(&self) -> Vec<(K, u64)> {
+        let mut v: Vec<(K, u64)> = self.iter().collect();
         v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
@@ -383,16 +414,16 @@ impl CountTable {
 /// Item shape accepted by the block engine: a bare key (count 1) or an
 /// explicit `(key, count)` pair. Private — the public surface stays the
 /// concrete `increment_keys*` / `increment_block*` methods.
-trait BlockItem: Copy {
+trait BlockItem<K>: Copy {
     /// The table key.
-    fn key(&self) -> u64;
+    fn key(&self) -> K;
     /// The count delta.
     fn by(&self) -> u64;
 }
 
-impl BlockItem for u64 {
+impl<K: Key> BlockItem<K> for K {
     #[inline(always)]
-    fn key(&self) -> u64 {
+    fn key(&self) -> K {
         *self
     }
     #[inline(always)]
@@ -401,9 +432,9 @@ impl BlockItem for u64 {
     }
 }
 
-impl BlockItem for (u64, u64) {
+impl<K: Key> BlockItem<K> for (K, u64) {
     #[inline(always)]
-    fn key(&self) -> u64 {
+    fn key(&self) -> K {
         self.0
     }
     #[inline(always)]
@@ -415,7 +446,7 @@ impl BlockItem for (u64, u64) {
 /// Hints the cache to pull `p`'s line; a no-op off x86-64 and under Miri
 /// (which does not model caches and may reject hint intrinsics).
 #[inline(always)]
-pub(crate) fn prefetch_slot<T>(p: *const T) {
+fn prefetch_slot<T>(p: *const T) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     // SAFETY: _mm_prefetch is a pure performance hint with no memory effects;
     // it is defined for any address value.
@@ -427,7 +458,7 @@ pub(crate) fn prefetch_slot<T>(p: *const T) {
 }
 
 #[cfg(feature = "ownership-audit")]
-impl Drop for CountTable {
+impl<K: Key> Drop for CountTable<K> {
     fn drop(&mut self) {
         // Release the table's words from the shadow map so a reused
         // allocation cannot be mistaken for a cross-core conflict.
@@ -442,8 +473,8 @@ impl Drop for CountTable {
     }
 }
 
-impl FromIterator<(u64, u64)> for CountTable {
-    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
+impl<K: Key> FromIterator<(K, u64)> for CountTable<K> {
+    fn from_iter<I: IntoIterator<Item = (K, u64)>>(iter: I) -> Self {
         let mut t = CountTable::new();
         for (k, c) in iter {
             t.increment(k, c);
@@ -500,7 +531,7 @@ mod tests {
 
     #[test]
     fn zero_increment_inserts_key() {
-        let mut t = CountTable::new();
+        let mut t: CountTable = CountTable::new();
         t.increment(5, 0);
         assert_eq!(t.get(5), 0);
         assert!(t.contains(5));
@@ -560,7 +591,7 @@ mod tests {
 
     #[test]
     fn large_counts_do_not_wrap() {
-        let mut t = CountTable::new();
+        let mut t: CountTable = CountTable::new();
         t.increment(1, u64::MAX / 2);
         t.increment(1, u64::MAX / 4);
         assert_eq!(t.get(1), u64::MAX / 2 + u64::MAX / 4);

@@ -62,18 +62,14 @@ pub use allpairs::{all_pairs_mi, all_pairs_mi_recorded, MiMatrix};
 pub use codec::KeyCodec;
 pub use batch::Combiner;
 pub use construct::{
-    sequential_build, sequential_build_batched, sequential_build_batched_recorded,
-    sequential_build_recorded, waitfree_build, waitfree_build_batched,
-    waitfree_build_batched_recorded, waitfree_build_recorded, BuiltTable,
+    sequential_build, sequential_build_recorded, waitfree_build, waitfree_build_recorded,
+    BuiltTable,
 };
-pub use count_table::CountTable;
+pub use count_table::{CountTable, Key};
 pub use error::CoreError;
 pub use marginal::{marginalize, marginalize_recorded, MarginalTable};
 pub use partition::KeyPartitioner;
-pub use pipeline::{
-    pipelined_build, pipelined_build_batched, pipelined_build_batched_recorded,
-    pipelined_build_recorded,
-};
+pub use pipeline::{pipelined_build, pipelined_build_recorded};
 pub use potential::PotentialTable;
 pub use stats::BuildStats;
 

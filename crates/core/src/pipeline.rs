@@ -9,7 +9,7 @@
 //! arrives, since its owning thread is the unique writer of its partition
 //! either way.
 //!
-//! The pipelined builder interleaves, on every thread, (a) encoding a batch
+//! The pipelined builder interleaves, on every thread, (a) encoding a block
 //! of its own rows with (b) opportunistically draining whatever foreign keys
 //! have already arrived. There is no barrier at all; a thread finishes when
 //! its rows are exhausted *and* every incoming queue is closed and empty.
@@ -22,24 +22,15 @@
 //! two variants are within noise of each other, matching the paper's
 //! analysis that one barrier costs `O(P)` — negligible against `O(mn/P)`.
 
-use crate::batch::Combiner;
 use crate::codec::KeyCodec;
-use crate::construct::{capacity_hint, BuiltTable, ENC_BLOCK};
-use crate::count_table::CountTable;
+use crate::construct::{
+    assemble, capacity_hint, on_cores, BuiltTable, Fresh, Partition, Worker, ENC_BLOCK,
+};
 use crate::error::CoreError;
 use crate::partition::KeyPartitioner;
-use crate::potential::PotentialTable;
-use crate::stats::{BuildStats, ThreadStats};
-use wfbn_concurrent::{channel, row_chunks, Consumer, Producer};
+use wfbn_concurrent::{row_chunks, Consumer};
 use wfbn_data::Dataset;
-use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
-
-/// Rows encoded between queue-drain sweeps.
-///
-/// Larger batches amortize the sweep over more useful work; smaller batches
-/// bound the latency before a forwarded key is applied (and hence queue
-/// memory). 256 rows keeps both effects second-order.
-const BATCH: usize = 256;
+use wfbn_obs::{NoopRecorder, Recorder, Stage};
 
 /// Builds the potential table with `p` threads, overlapping the two stages.
 ///
@@ -84,12 +75,17 @@ pub fn pipelined_build_with(
 
 /// [`pipelined_build_with`] with telemetry flowing into `rec`.
 ///
-/// Stage attribution for the barrier-free schedule: the produce loop —
-/// encoding interleaved with opportunistic drains — is charged to
-/// [`Stage::Encode`], and the termination drain (after this core's rows are
-/// exhausted) to [`Stage::Drain`]; [`Stage::Barrier`] stays zero because no
-/// barrier exists. Event counters (rows, routed/drained keys, probe
-/// histogram, queue depths) are exact regardless of the overlap.
+/// Each core runs the same block-granular [`Worker`] as the two-stage
+/// build, but sweeps its incoming queues after every encoded block instead
+/// of waiting at a barrier. Stage attribution for the barrier-free
+/// schedule: the produce loop — block encoding interleaved with
+/// opportunistic drains — is charged to [`Stage::Encode`], and the
+/// termination drain (after this core's rows are exhausted) to
+/// [`Stage::Drain`]; [`Stage::Barrier`] stays zero because no barrier
+/// exists. The router is flushed *before* the outgoing producers are
+/// dropped — mandatory under the close-then-drain termination protocol, or
+/// peers would observe `closed` while combined keys still sat in this
+/// worker's private buffers.
 pub fn pipelined_build_with_recorded<R: Recorder>(
     data: &Dataset,
     partitioner: KeyPartitioner,
@@ -99,402 +95,58 @@ pub fn pipelined_build_with_recorded<R: Recorder>(
     if p == 0 {
         return Err(CoreError::ZeroThreads);
     }
-    if data.num_samples() == 0 {
+    let m = data.num_samples();
+    if m == 0 {
         return Err(CoreError::EmptyDataset);
     }
-    if p == 1 {
-        return crate::construct::waitfree_build_with_recorded(data, partitioner, rec);
-    }
-
     let codec = KeyCodec::new(data.schema());
-    let m = data.num_samples();
     let n = codec.num_vars();
     let chunks = row_chunks(m, p);
+    let encode = |rows: &[u16], keys: &mut Vec<u64>| codec.encode_rows(rows, keys);
+    let owner = |key| partitioner.owner(key);
+    let parts = Fresh::parts(p, capacity_hint(m, codec.state_space(), p));
+    let cores = on_cores(parts, |t, part, mut ep| {
+        // The pipelined variant has one logical stage: core `t` is the sole
+        // writer of partition `t` and of its outgoing queue slots for the
+        // whole run, so every write is audited under stage 1.
+        let mut w = Worker::new(t, p, part.open(), rec.core(t), R::ENABLED);
+        let t0 = w.now();
 
-    // Queue matrix, dealt out per thread (same wiring as the two-stage build).
-    struct Endpoints {
-        producers: Vec<Option<Producer<u64>>>,
-        consumers: Vec<Option<Consumer<u64>>>,
-    }
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from != to {
-                let (tx, rx) = channel::<u64>();
-                endpoints[from].producers[to] = Some(tx);
-                endpoints[to].consumers[from] = Some(rx);
+        // Interleave block production with opportunistic draining.
+        for block in data
+            .row_range(chunks[t].start, chunks[t].end)
+            .chunks(ENC_BLOCK * n)
+        {
+            w.route_block(block, &encode, &owner, &mut ep.producers);
+            for consumer in ep.consumers.iter_mut().flatten() {
+                w.drain(consumer);
             }
         }
-    }
 
-    let hint = capacity_hint(m, codec.state_space(), p);
-
-    let mut results: Vec<Option<(CountTable, ThreadStats)>> = (0..p).map(|_| None).collect();
-    #[cfg(feature = "ownership-audit")]
-    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let partitioner = &partitioner;
-        #[cfg(feature = "ownership-audit")]
-        let build_audit = &build_audit;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-pipe-{t}"))
-                    .spawn_scoped(s, move || {
-                        // The pipelined variant has one logical stage: core
-                        // `t` is the sole writer of partition `t` and of its
-                        // outgoing queue slots for the whole run, so every
-                        // write is audited under stage 1.
-                        #[cfg(feature = "ownership-audit")]
-                        let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let mut table = CountTable::with_capacity(hint);
-                        let mut stats = ThreadStats::default();
-                        let mut rows = data.row_range(chunk.start, chunk.end).chunks_exact(n);
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-
-                        // Interleave production with opportunistic draining.
-                        'produce: loop {
-                            for _ in 0..BATCH {
-                                let Some(row) = rows.next() else {
-                                    break 'produce;
-                                };
-                                let key = codec.encode(row);
-                                stats.rows_encoded += 1;
-                                let owner = partitioner.owner(key);
-                                if owner == t {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.local_updates += 1;
-                                } else {
-                                    ep.producers[owner]
-                                        .as_mut()
-                                        .expect("producer to foreign thread")
-                                        .push(key);
-                                    stats.forwarded += 1;
-                                }
-                            }
-                            for consumer in ep.consumers.iter_mut().flatten() {
-                                if R::ENABLED {
-                                    cr.queue_depth(consumer.visible_backlog());
-                                }
-                                // wf-bound: backlog(visible) — exits on the
-                                // first empty poll; each pop removes one
-                                // committed element, at most the rows the
-                                // peers forward.
-                                while let Some(key) = consumer.try_pop() {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.drained += 1;
-                                }
-                            }
-                        }
-
-                        // Done producing: close outgoing queues so peers can
-                        // terminate, then drain the remainder.
-                        let segments_linked: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                        let mut open: Vec<Consumer<u64>> =
-                            ep.consumers.drain(..).flatten().collect();
-                        // wf-bound: peers-close(P) — every peer closes its
-                        // queues when its own finite encode ends, so each of
-                        // the P-1 consumers is retained only finitely often.
-                        while !open.is_empty() {
-                            open.retain_mut(|consumer| {
-                                // Order matters: observe `closed` *before*
-                                // the final drain, so a producer that pushed
-                                // then closed cannot slip an element past us.
-                                let closed = consumer.is_closed();
-                                if R::ENABLED {
-                                    cr.queue_depth(consumer.visible_backlog());
-                                }
-                                // wf-bound: backlog(visible) — each pop
-                                // removes one committed element; the peer
-                                // stops pushing once closed.
-                                while let Some(key) = consumer.try_pop() {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.drained += 1;
-                                }
-                                !closed
-                            });
-                            if !open.is_empty() {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t1));
-                        cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                        cr.add(Counter::LocalUpdates, stats.local_updates);
-                        cr.add(Counter::Forwarded, stats.forwarded);
-                        cr.add(Counter::Drained, stats.drained);
-                        cr.add(Counter::SegmentsLinked, segments_linked);
-                        cr.add(Counter::TableGrows, table.grows());
-                        stats.probes = table.probes();
-                        (table, stats)
-                    })
-                    .expect("failed to spawn pipeline thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("pipeline thread panicked"));
-        }
-    });
-
-    let mut partitions = Vec::with_capacity(p);
-    let mut per_thread = Vec::with_capacity(p);
-    for r in results {
-        let (table, stats) = r.expect("every thread reports");
-        partitions.push(table);
-        per_thread.push(stats);
-    }
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, partitioner, partitions),
-        stats: BuildStats { per_thread },
-    })
-}
-
-/// Batched pipelined build: the barrier-free schedule with the block-granular
-/// hot paths of [`waitfree_build_batched`](crate::construct::waitfree_build_batched).
-///
-/// Rows are encoded [`ENC_BLOCK`] at a time with [`KeyCodec::encode_rows`],
-/// foreign keys go through a per-destination write-combining [`Combiner`]
-/// (flushed as `(key, count)` blocks via `push_block`), and drain sweeps use
-/// `pop_block` plus one batched table application per block. Produces exactly
-/// the same table as every other builder.
-pub fn pipelined_build_batched(data: &Dataset, p: usize) -> Result<BuiltTable, CoreError> {
-    pipelined_build_batched_recorded(data, p, &NoopRecorder)
-}
-
-/// [`pipelined_build_batched`] with telemetry flowing into `rec`.
-pub fn pipelined_build_batched_recorded<R: Recorder>(
-    data: &Dataset,
-    p: usize,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    pipelined_build_with_batched_recorded(data, KeyPartitioner::modulo(p), rec)
-}
-
-/// Batched pipelined build with an explicit partitioner and telemetry.
-///
-/// Stage attribution mirrors [`pipelined_build_with_recorded`]: the produce
-/// loop (block encode + route + opportunistic block drains) is charged to
-/// [`Stage::Encode`], the termination drain to [`Stage::Drain`]. The router
-/// is flushed *before* the outgoing producers are dropped — mandatory under
-/// the close-then-drain termination protocol, or peers would observe `closed`
-/// while combined keys still sat in this worker's private buffers.
-pub fn pipelined_build_with_batched_recorded<R: Recorder>(
-    data: &Dataset,
-    partitioner: KeyPartitioner,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    let p = partitioner.partitions();
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    if data.num_samples() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    if p == 1 {
-        return crate::construct::waitfree_build_with_batched_recorded(data, partitioner, rec);
-    }
-
-    let codec = KeyCodec::new(data.schema());
-    let m = data.num_samples();
-    let n = codec.num_vars();
-    let chunks = row_chunks(m, p);
-
-    // Same wiring as the scalar pipeline, but the queues carry `(key, count)`
-    // pairs produced by the write-combining router.
-    struct Endpoints {
-        producers: Vec<Option<Producer<(u64, u64)>>>,
-        consumers: Vec<Option<Consumer<(u64, u64)>>>,
-    }
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from != to {
-                let (tx, rx) = channel::<(u64, u64)>();
-                endpoints[from].producers[to] = Some(tx);
-                endpoints[to].consumers[from] = Some(rx);
+        // Done producing: ship the router's residue and close the outgoing
+        // queues so peers can terminate, then drain the remainder.
+        w.close(&mut ep.producers);
+        let t1 = w.lap(Stage::Encode, t0);
+        let mut open: Vec<Consumer<(u64, u64)>> = ep.consumers.drain(..).flatten().collect();
+        // wf-bound: peers-close(P) — every peer flushes its combiner and
+        // closes when its finite encode ends, so each of the P-1 consumers
+        // is retained only finitely often.
+        while !open.is_empty() {
+            open.retain_mut(|consumer| {
+                // Order matters: observe `closed` *before* the final drain,
+                // so a flush-then-close cannot slip a block past us.
+                let closed = consumer.is_closed();
+                w.drain(consumer);
+                !closed
+            });
+            if !open.is_empty() {
+                std::hint::spin_loop();
             }
         }
-    }
-
-    let hint = capacity_hint(m, codec.state_space(), p);
-
-    let mut results: Vec<Option<(CountTable, ThreadStats)>> = (0..p).map(|_| None).collect();
-    #[cfg(feature = "ownership-audit")]
-    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let partitioner = &partitioner;
-        #[cfg(feature = "ownership-audit")]
-        let build_audit = &build_audit;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-bpipe-{t}"))
-                    .spawn_scoped(s, move || {
-                        #[cfg(feature = "ownership-audit")]
-                        let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let mut table = CountTable::with_capacity(hint);
-                        let mut stats = ThreadStats::default();
-                        let mut combiner = Combiner::new(p);
-                        let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-                        let mut block: Vec<(u64, u64)> = Vec::new();
-                        let rows = data.row_range(chunk.start, chunk.end);
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-
-                        // Interleave block production with opportunistic
-                        // block draining. The trailing chunk is still a whole
-                        // number of rows (the range length is a multiple of n).
-                        for row_block in rows.chunks(ENC_BLOCK * n) {
-                            codec.encode_rows(row_block, &mut keys);
-                            stats.rows_encoded += keys.len() as u64;
-                            for &key in &keys {
-                                let owner = partitioner.owner(key);
-                                if owner == t {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.local_updates += 1;
-                                } else {
-                                    combiner.route(owner, key, &mut ep.producers);
-                                    stats.forwarded += 1;
-                                }
-                            }
-                            for consumer in ep.consumers.iter_mut().flatten() {
-                                if R::ENABLED {
-                                    cr.queue_depth(consumer.visible_backlog());
-                                }
-                                // wf-bound: backlog(visible) — each round
-                                // takes a committed chunk; exits on the first
-                                // empty poll.
-                                loop {
-                                    block.clear();
-                                    if consumer.pop_block(&mut block) == 0 {
-                                        break;
-                                    }
-                                    table.increment_block_probed(&block, |probes| {
-                                        cr.probe_len(probes);
-                                    });
-                                    for &(key, count) in &block {
-                                        debug_assert_eq!(partitioner.owner(key), t);
-                                        let _ = key;
-                                        stats.drained += count;
-                                    }
-                                }
-                            }
-                        }
-
-                        // Done producing: ship the router's residue, then
-                        // close outgoing queues so peers can terminate.
-                        combiner.flush_all(&mut ep.producers);
-                        stats.blocks_flushed = combiner.blocks_flushed();
-                        stats.keys_coalesced = combiner.keys_coalesced();
-                        let segments_linked: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                        let mut open: Vec<Consumer<(u64, u64)>> =
-                            ep.consumers.drain(..).flatten().collect();
-                        // wf-bound: peers-close(P) — every peer flushes its
-                        // combiner and closes when its finite encode ends, so
-                        // each consumer is retained only finitely often.
-                        while !open.is_empty() {
-                            open.retain_mut(|consumer| {
-                                // Observe `closed` *before* the final drain so
-                                // a flush-then-close cannot slip a block past.
-                                let closed = consumer.is_closed();
-                                if R::ENABLED {
-                                    cr.queue_depth(consumer.visible_backlog());
-                                }
-                                // wf-bound: backlog(visible) — each round
-                                // takes a committed chunk; the peer stops
-                                // pushing once closed.
-                                loop {
-                                    block.clear();
-                                    if consumer.pop_block(&mut block) == 0 {
-                                        break;
-                                    }
-                                    table.increment_block_probed(&block, |probes| {
-                                        cr.probe_len(probes);
-                                    });
-                                    for &(key, count) in &block {
-                                        debug_assert_eq!(partitioner.owner(key), t);
-                                        let _ = key;
-                                        stats.drained += count;
-                                    }
-                                }
-                                !closed
-                            });
-                            if !open.is_empty() {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t1));
-                        cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                        cr.add(Counter::LocalUpdates, stats.local_updates);
-                        cr.add(Counter::Forwarded, stats.forwarded);
-                        cr.add(Counter::Drained, stats.drained);
-                        cr.add(Counter::SegmentsLinked, segments_linked);
-                        cr.add(Counter::TableGrows, table.grows());
-                        cr.add(Counter::BlocksFlushed, stats.blocks_flushed);
-                        cr.add(Counter::KeysCoalesced, stats.keys_coalesced);
-                        stats.probes = table.probes();
-                        (table, stats)
-                    })
-                    .expect("failed to spawn pipeline thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("pipeline thread panicked"));
-        }
+        w.lap(Stage::Drain, t1);
+        w.finish()
     });
-
-    let mut partitions = Vec::with_capacity(p);
-    let mut per_thread = Vec::with_capacity(p);
-    for r in results {
-        let (table, stats) = r.expect("every thread reports");
-        partitions.push(table);
-        per_thread.push(stats);
-    }
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, partitioner, partitions),
-        stats: BuildStats { per_thread },
-    })
+    Ok(assemble(codec, partitioner, cores))
 }
 
 #[cfg(test)]
@@ -551,7 +203,7 @@ mod tests {
         let data = UniformIndependent::new(Schema::uniform(9, 2).unwrap()).generate(7000, 19);
         let reference = waitfree_build(&data, 4).unwrap().table.to_sorted_vec();
         for p in [1usize, 2, 3, 4, 6, 8] {
-            let built = pipelined_build_batched(&data, p).unwrap();
+            let built = pipelined_build(&data, p).unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "p={p}");
             assert_eq!(built.stats.total_rows(), 7000);
             assert_eq!(built.stats.total_forwarded(), built.stats.total_drained());
@@ -564,7 +216,7 @@ mod tests {
         let schema = Schema::new(vec![4, 4, 4, 4]).unwrap();
         let data = ZipfIndependent::new(schema, 2.0).unwrap().generate(5000, 3);
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        let built = pipelined_build_batched(&data, 4).unwrap();
+        let built = pipelined_build(&data, 4).unwrap();
         assert_eq!(built.table.to_sorted_vec(), reference);
         // Zipf(2.0) over 256 states produces long duplicate runs: the router
         // must have merged some and flushed at least one block per stats law.
@@ -578,24 +230,25 @@ mod tests {
 
     #[test]
     fn batched_pipeline_tiny_inputs_terminate() {
+        // Seven of eight cores produce nothing and must still terminate,
+        // under a partitioner that sends the one key to the last core.
         let schema = Schema::uniform(3, 2).unwrap();
-        let data = Dataset::from_rows(schema, &[&[0, 1, 0]]).unwrap();
-        let built = pipelined_build_batched(&data, 8).unwrap();
+        let data = Dataset::from_rows(schema, &[&[1, 1, 1]]).unwrap();
+        let built = pipelined_build_with(&data, KeyPartitioner::range(8, 8)).unwrap();
         assert_eq!(built.table.total_count(), 1);
+        assert_eq!(built.table.partitions()[7].len(), 1);
     }
 
     #[test]
     fn batched_pipeline_errors_mirror_two_stage() {
         let schema = Schema::uniform(3, 2).unwrap();
         let empty = Dataset::from_rows(schema, &[]).unwrap();
-        assert_eq!(
-            pipelined_build_batched(&empty, 2).unwrap_err(),
-            CoreError::EmptyDataset
-        );
-        assert_eq!(
-            pipelined_build_batched(&empty, 0).unwrap_err(),
-            CoreError::ZeroThreads
-        );
+        for part in [KeyPartitioner::modulo(1), KeyPartitioner::hashed(3)] {
+            assert_eq!(
+                pipelined_build_with(&empty, part).unwrap_err(),
+                crate::construct::waitfree_build_with(&empty, part).unwrap_err()
+            );
+        }
     }
 
     #[test]

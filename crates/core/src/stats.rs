@@ -20,13 +20,28 @@ pub struct ThreadStats {
     /// Hash-table slot probes performed by this thread (stages 1+2).
     pub probes: u64,
     /// Write-combining buffer flushes (`push_block` calls) performed by this
-    /// thread's batched router; 0 on every scalar path.
+    /// thread's router; 0 for the sequential oracle.
     pub blocks_flushed: u64,
-    /// Forwarded occurrences the batched router coalesced into an open
-    /// `(key, count)` run instead of shipping as their own element; 0 on
-    /// every scalar path. Counted inside `forwarded`, so elements actually
-    /// enqueued = `forwarded − keys_coalesced`.
+    /// Forwarded occurrences the router coalesced into an open
+    /// `(key, count)` run instead of shipping as their own element; 0 for
+    /// the sequential oracle. Counted inside `forwarded`, so elements
+    /// actually enqueued = `forwarded − keys_coalesced`.
     pub keys_coalesced: u64,
+}
+
+impl ThreadStats {
+    /// Adds one streaming batch's counters to this running total. `probes`
+    /// is the persistent table's cumulative count, so it is taken, not
+    /// summed.
+    pub(crate) fn accumulate(&mut self, batch: &ThreadStats) {
+        self.rows_encoded += batch.rows_encoded;
+        self.local_updates += batch.local_updates;
+        self.forwarded += batch.forwarded;
+        self.drained += batch.drained;
+        self.blocks_flushed += batch.blocks_flushed;
+        self.keys_coalesced += batch.keys_coalesced;
+        self.probes = batch.probes;
+    }
 }
 
 /// Aggregated statistics from one construction run.
@@ -62,12 +77,12 @@ impl BuildStats {
         self.per_thread.iter().map(|t| t.drained).sum()
     }
 
-    /// Total write-combining flushes across threads (0 for scalar builds).
+    /// Total write-combining flushes across threads (0 for the oracle).
     pub fn total_blocks_flushed(&self) -> u64 {
         self.per_thread.iter().map(|t| t.blocks_flushed).sum()
     }
 
-    /// Total coalesced occurrences across threads (0 for scalar builds).
+    /// Total coalesced occurrences across threads (0 for the oracle).
     pub fn total_keys_coalesced(&self) -> u64 {
         self.per_thread.iter().map(|t| t.keys_coalesced).sum()
     }

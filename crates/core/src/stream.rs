@@ -9,18 +9,16 @@
 //! invariant (core `p` is the unique writer of partition `p`) holds across
 //! the whole stream, so no locking is ever needed between batches either.
 
-use crate::batch::Combiner;
 use crate::codec::KeyCodec;
-use crate::construct::{capacity_hint, BuiltTable, ENC_BLOCK};
+use crate::construct::{capacity_hint, two_stage, BuiltTable};
 use crate::count_table::CountTable;
 use crate::error::CoreError;
 use crate::partition::KeyPartitioner;
 use crate::potential::PotentialTable;
 use crate::stats::{BuildStats, ThreadStats};
 use std::sync::Arc;
-use wfbn_concurrent::{channel, row_chunks, Consumer, Producer, SpinBarrier};
 use wfbn_data::{Dataset, Schema};
-use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
+use wfbn_obs::{NoopRecorder, Recorder};
 
 /// Builds a potential table from a stream of dataset batches.
 ///
@@ -49,7 +47,7 @@ pub struct StreamingBuilder {
     /// Persistent per-core partitions, `Arc`-shared with every published
     /// snapshot. While no snapshot holds a reference, `Arc::make_mut`
     /// mutates in place (zero copies); after a [`snapshot`](Self::snapshot)
-    /// the next absorb diverges only the partitions it touches
+    /// the next absorb diverges each partition inside its owning worker
     /// (copy-on-publish), leaving the published table immutable forever.
     tables: Vec<Arc<CountTable>>,
     stats: BuildStats,
@@ -118,6 +116,13 @@ impl StreamingBuilder {
     /// [`absorb`](Self::absorb) with telemetry flowing into `rec`; repeated
     /// calls accumulate into the same recorder, so a whole stream's per-stage
     /// breakdown lands in one report.
+    ///
+    /// Each worker thread takes its persistent table for the duration of
+    /// the batch (the same exclusive-ownership invariant as the one-shot
+    /// build) and hands it back afterwards. A partition still shared with a
+    /// published snapshot diverges inside its worker via `Arc::make_mut` —
+    /// copy-on-publish, paid by the owning core in parallel, never by a
+    /// reader.
     pub fn absorb_recorded<R: Recorder>(
         &mut self,
         batch: &Dataset,
@@ -132,345 +137,18 @@ impl StreamingBuilder {
         if m == 0 {
             return Ok(());
         }
-        let p = self.tables.len();
-        if p == 1 {
-            let table = Arc::make_mut(&mut self.tables[0]);
-            let st = &mut self.stats.per_thread[0];
-            let mut cr = rec.core(0);
-            let t0 = cr.now();
-            let grows_before = table.grows();
-            let mut rows = 0u64;
-            for row in batch.rows() {
-                let probes = table.increment_probed(self.codec.encode(row), 1);
-                cr.probe_len(probes);
-                st.rows_encoded += 1;
-                st.local_updates += 1;
-                rows += 1;
-            }
-            cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-            cr.add(Counter::RowsEncoded, rows);
-            cr.add(Counter::LocalUpdates, rows);
-            cr.add(Counter::TableGrows, table.grows() - grows_before);
-            st.probes = table.probes();
-            self.rows_absorbed += m as u64;
-            return Ok(());
-        }
-
-        let chunks = row_chunks(m, p);
-        let barrier = SpinBarrier::new(p);
         let codec = &self.codec;
-        let partitioner = &self.partitioner;
-        let n = codec.num_vars();
-
-        // Queue matrix for this batch.
-        struct Endpoints {
-            producers: Vec<Option<Producer<u64>>>,
-            consumers: Vec<Option<Consumer<u64>>>,
-        }
-        let mut endpoints: Vec<Endpoints> = (0..p)
-            .map(|_| Endpoints {
-                producers: (0..p).map(|_| None).collect(),
-                consumers: (0..p).map(|_| None).collect(),
-            })
-            .collect();
-        for from in 0..p {
-            for to in 0..p {
-                if from != to {
-                    let (tx, rx) = channel::<u64>();
-                    endpoints[from].producers[to] = Some(tx);
-                    endpoints[to].consumers[from] = Some(rx);
-                }
-            }
-        }
-
-        // Move the persistent tables into the worker threads and collect
-        // them back afterwards (each thread exclusively owns its table for
-        // the duration — the same invariant as the one-shot build). A
-        // partition still shared with a published snapshot diverges here via
-        // `Arc::make_mut` — copy-on-publish, paid by the writer, never by a
-        // reader.
-        let tables = std::mem::take(&mut self.tables);
-        let mut results: Vec<Option<(Arc<CountTable>, ThreadStats)>> =
-            (0..p).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let barrier = &barrier;
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .zip(tables)
-                .enumerate()
-                .map(|(t, (mut ep, mut shared))| {
-                    let chunk = chunks[t];
-                    std::thread::Builder::new()
-                        .name(format!("wfbn-stream-{t}"))
-                        .spawn_scoped(s, move || {
-                            let mut stats = ThreadStats::default();
-                            let table = Arc::make_mut(&mut shared);
-                            let mut cr = rec.core(t);
-                            let t0 = cr.now();
-                            // The persistent table's counters are cumulative
-                            // across batches; record this batch's delta.
-                            let grows_before = table.grows();
-                            for row in batch.row_range(chunk.start, chunk.end).chunks_exact(n) {
-                                let key = codec.encode(row);
-                                stats.rows_encoded += 1;
-                                let owner = partitioner.owner(key);
-                                if owner == t {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.local_updates += 1;
-                                } else {
-                                    ep.producers[owner]
-                                        .as_mut()
-                                        .expect("producer exists")
-                                        .push(key);
-                                    stats.forwarded += 1;
-                                }
-                            }
-                            let segments_linked: u64 = ep
-                                .producers
-                                .iter()
-                                .flatten()
-                                .map(Producer::segments_linked)
-                                .sum();
-                            ep.producers.clear();
-                            let t1 = cr.now();
-                            cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                            barrier.wait();
-                            let t2 = cr.now();
-                            cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-                            for consumer in ep.consumers.iter_mut().flatten() {
-                                if R::ENABLED {
-                                    cr.queue_depth(consumer.visible_backlog());
-                                }
-                                // wf-bound: backlog(visible) — the producers
-                                // are done (post-barrier), so each pop removes
-                                // one of the finitely many committed elements.
-                                while let Some(key) = consumer.try_pop() {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.drained += 1;
-                                }
-                            }
-                            cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                            cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                            cr.add(Counter::LocalUpdates, stats.local_updates);
-                            cr.add(Counter::Forwarded, stats.forwarded);
-                            cr.add(Counter::Drained, stats.drained);
-                            cr.add(Counter::SegmentsLinked, segments_linked);
-                            cr.add(Counter::TableGrows, table.grows() - grows_before);
-                            (shared, stats)
-                        })
-                        .expect("failed to spawn stream thread")
-                })
-                .collect();
-            for (t, h) in handles.into_iter().enumerate() {
-                results[t] = Some(h.join().expect("stream thread panicked"));
-            }
-        });
-
-        self.tables = Vec::with_capacity(p);
-        for (t, r) in results.into_iter().enumerate() {
-            let (table, st) = r.expect("every thread reports");
-            let agg = &mut self.stats.per_thread[t];
-            agg.rows_encoded += st.rows_encoded;
-            agg.local_updates += st.local_updates;
-            agg.forwarded += st.forwarded;
-            agg.drained += st.drained;
-            agg.probes = table.probes();
-            self.tables.push(table);
-        }
-        self.rows_absorbed += m as u64;
-        Ok(())
-    }
-
-    /// [`absorb`](Self::absorb) on the block-granular hot paths: rows are
-    /// encoded [`ENC_BLOCK`] at a time, foreign keys go through the
-    /// write-combining [`Combiner`] and cross the queues as `(key, count)`
-    /// blocks, and stage 2 drains with `pop_block` + one batched table
-    /// application per block. Result is identical to [`absorb`](Self::absorb)
-    /// — batched and scalar absorbs may be mixed freely within one stream.
-    pub fn absorb_batched(&mut self, batch: &Dataset) -> Result<(), CoreError> {
-        self.absorb_batched_recorded(batch, &NoopRecorder)
-    }
-
-    /// [`absorb_batched`](Self::absorb_batched) with telemetry flowing into
-    /// `rec`.
-    pub fn absorb_batched_recorded<R: Recorder>(
-        &mut self,
-        batch: &Dataset,
-        rec: &R,
-    ) -> Result<(), CoreError> {
-        if batch.schema() != &self.schema {
-            return Err(CoreError::BadVariableSet {
-                reason: "batch schema differs from the builder's schema",
-            });
-        }
-        let m = batch.num_samples();
-        if m == 0 {
-            return Ok(());
-        }
-        let p = self.tables.len();
-        let n = self.codec.num_vars();
-        if p == 1 {
-            let table = Arc::make_mut(&mut self.tables[0]);
-            let st = &mut self.stats.per_thread[0];
-            let codec = &self.codec;
-            let mut cr = rec.core(0);
-            let t0 = cr.now();
-            let grows_before = table.grows();
-            let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-            let mut rows = 0u64;
-            for row_block in batch.row_range(0, m).chunks(ENC_BLOCK * n) {
-                codec.encode_rows(row_block, &mut keys);
-                table.increment_keys_probed(&keys, |probes| {
-                    cr.probe_len(probes);
-                });
-                rows += keys.len() as u64;
-            }
-            st.rows_encoded += rows;
-            st.local_updates += rows;
-            cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-            cr.add(Counter::RowsEncoded, rows);
-            cr.add(Counter::LocalUpdates, rows);
-            cr.add(Counter::TableGrows, table.grows() - grows_before);
-            st.probes = table.probes();
-            self.rows_absorbed += m as u64;
-            return Ok(());
-        }
-
-        let chunks = row_chunks(m, p);
-        let barrier = SpinBarrier::new(p);
-        let codec = &self.codec;
-        let partitioner = &self.partitioner;
-
-        // Queue matrix for this batch, carrying combined `(key, count)` pairs.
-        struct Endpoints {
-            producers: Vec<Option<Producer<(u64, u64)>>>,
-            consumers: Vec<Option<Consumer<(u64, u64)>>>,
-        }
-        let mut endpoints: Vec<Endpoints> = (0..p)
-            .map(|_| Endpoints {
-                producers: (0..p).map(|_| None).collect(),
-                consumers: (0..p).map(|_| None).collect(),
-            })
-            .collect();
-        for from in 0..p {
-            for to in 0..p {
-                if from != to {
-                    let (tx, rx) = channel::<(u64, u64)>();
-                    endpoints[from].producers[to] = Some(tx);
-                    endpoints[to].consumers[from] = Some(rx);
-                }
-            }
-        }
-
-        let tables = std::mem::take(&mut self.tables);
-        let mut results: Vec<Option<(Arc<CountTable>, ThreadStats)>> =
-            (0..p).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let barrier = &barrier;
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .zip(tables)
-                .enumerate()
-                .map(|(t, (mut ep, mut shared))| {
-                    let chunk = chunks[t];
-                    std::thread::Builder::new()
-                        .name(format!("wfbn-bstream-{t}"))
-                        .spawn_scoped(s, move || {
-                            let mut stats = ThreadStats::default();
-                            let table = Arc::make_mut(&mut shared);
-                            let mut combiner = Combiner::new(p);
-                            let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-                            let mut cr = rec.core(t);
-                            let t0 = cr.now();
-                            let grows_before = table.grows();
-                            for row_block in
-                                batch.row_range(chunk.start, chunk.end).chunks(ENC_BLOCK * n)
-                            {
-                                codec.encode_rows(row_block, &mut keys);
-                                stats.rows_encoded += keys.len() as u64;
-                                for &key in &keys {
-                                    let owner = partitioner.owner(key);
-                                    if owner == t {
-                                        let probes = table.increment_probed(key, 1);
-                                        cr.probe_len(probes);
-                                        stats.local_updates += 1;
-                                    } else {
-                                        combiner.route(owner, key, &mut ep.producers);
-                                        stats.forwarded += 1;
-                                    }
-                                }
-                            }
-                            combiner.flush_all(&mut ep.producers);
-                            stats.blocks_flushed = combiner.blocks_flushed();
-                            stats.keys_coalesced = combiner.keys_coalesced();
-                            let segments_linked: u64 = ep
-                                .producers
-                                .iter()
-                                .flatten()
-                                .map(Producer::segments_linked)
-                                .sum();
-                            ep.producers.clear();
-                            let t1 = cr.now();
-                            cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                            barrier.wait();
-                            let t2 = cr.now();
-                            cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-                            let mut block: Vec<(u64, u64)> = Vec::new();
-                            for consumer in ep.consumers.iter_mut().flatten() {
-                                if R::ENABLED {
-                                    cr.queue_depth(consumer.visible_backlog());
-                                }
-                                // wf-bound: backlog(visible) — the producers
-                                // are done (post-barrier); each round takes a
-                                // committed chunk, exiting on the first empty
-                                // poll.
-                                loop {
-                                    block.clear();
-                                    if consumer.pop_block(&mut block) == 0 {
-                                        break;
-                                    }
-                                    table.increment_block_probed(&block, |probes| {
-                                        cr.probe_len(probes);
-                                    });
-                                    for &(key, count) in &block {
-                                        debug_assert_eq!(partitioner.owner(key), t);
-                                        let _ = key;
-                                        stats.drained += count;
-                                    }
-                                }
-                            }
-                            cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                            cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                            cr.add(Counter::LocalUpdates, stats.local_updates);
-                            cr.add(Counter::Forwarded, stats.forwarded);
-                            cr.add(Counter::Drained, stats.drained);
-                            cr.add(Counter::SegmentsLinked, segments_linked);
-                            cr.add(Counter::TableGrows, table.grows() - grows_before);
-                            cr.add(Counter::BlocksFlushed, stats.blocks_flushed);
-                            cr.add(Counter::KeysCoalesced, stats.keys_coalesced);
-                            (shared, stats)
-                        })
-                        .expect("failed to spawn stream thread")
-                })
-                .collect();
-            for (t, h) in handles.into_iter().enumerate() {
-                results[t] = Some(h.join().expect("stream thread panicked"));
-            }
-        });
-
-        self.tables = Vec::with_capacity(p);
-        for (t, r) in results.into_iter().enumerate() {
-            let (table, st) = r.expect("every thread reports");
-            let agg = &mut self.stats.per_thread[t];
-            agg.rows_encoded += st.rows_encoded;
-            agg.local_updates += st.local_updates;
-            agg.forwarded += st.forwarded;
-            agg.drained += st.drained;
-            agg.blocks_flushed += st.blocks_flushed;
-            agg.keys_coalesced += st.keys_coalesced;
-            agg.probes = table.probes();
+        let partitioner = self.partitioner;
+        let cores = two_stage(
+            batch.flat(),
+            codec.num_vars(),
+            std::mem::take(&mut self.tables),
+            |rows, keys| codec.encode_rows(rows, keys),
+            |key| partitioner.owner(key),
+            rec,
+        );
+        for ((table, st), agg) in cores.into_iter().zip(&mut self.stats.per_thread) {
+            agg.accumulate(&st);
             self.tables.push(table);
         }
         self.rows_absorbed += m as u64;
@@ -637,7 +315,7 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let mut b = StreamingBuilder::new(&schema, threads).unwrap();
             for batch in &batches {
-                b.absorb_batched(batch).unwrap();
+                b.absorb(batch).unwrap();
             }
             let built = b.finish().unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "threads={threads}");
@@ -648,6 +326,8 @@ mod tests {
 
     #[test]
     fn mixed_scalar_and_batched_absorbs_compose() {
+        // Absorbs interleaved with published snapshots: each absorb diverges
+        // the shared partitions inside its workers, and no snapshot moves.
         let schema = Schema::uniform(8, 2).unwrap();
         let gen = UniformIndependent::new(schema.clone());
         let (a, b, c) = (
@@ -661,10 +341,23 @@ mod tests {
             .to_sorted_vec();
         let mut builder = StreamingBuilder::new(&schema, 4).unwrap();
         builder.absorb(&a).unwrap();
-        builder.absorb_batched(&b).unwrap();
+        let first = builder.snapshot().unwrap();
+        builder.absorb(&b).unwrap();
+        let second = builder.snapshot().unwrap();
         builder.absorb(&c).unwrap();
         let built = builder.finish().unwrap();
         assert_eq!(built.table.to_sorted_vec(), reference);
+        assert_eq!(
+            first.to_sorted_vec(),
+            sequential_build(&a).unwrap().table.to_sorted_vec()
+        );
+        assert_eq!(
+            second.to_sorted_vec(),
+            sequential_build(&concat(&[&a, &b]))
+                .unwrap()
+                .table
+                .to_sorted_vec()
+        );
         assert_eq!(built.stats.total_rows(), 4_500);
     }
 
@@ -674,7 +367,7 @@ mod tests {
         let gen = UniformIndependent::new(schema.clone());
         let batch = gen.generate(4_096, 7);
         let mut hinted = StreamingBuilder::with_capacity_hint(&schema, 2, 4_096).unwrap();
-        hinted.absorb_batched(&batch).unwrap();
+        hinted.absorb(&batch).unwrap();
         let snap = hinted.snapshot().unwrap();
         assert_eq!(snap.total_count(), 4_096);
         assert_eq!(
@@ -692,11 +385,11 @@ mod tests {
         let other = Schema::uniform(4, 3).unwrap();
         let empty = Dataset::from_rows(schema.clone(), &[]).unwrap();
         let bad = UniformIndependent::new(other).generate(10, 1);
-        let mut b = StreamingBuilder::new(&schema, 2).unwrap();
-        b.absorb_batched(&empty).unwrap();
+        let mut b = StreamingBuilder::new(&schema, 1).unwrap();
+        b.absorb(&empty).unwrap();
         assert!(matches!(b.snapshot(), Err(CoreError::EmptyDataset)));
         assert!(matches!(
-            b.absorb_batched(&bad),
+            b.absorb(&bad),
             Err(CoreError::BadVariableSet { .. })
         ));
     }

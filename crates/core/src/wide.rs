@@ -3,29 +3,21 @@
 //!
 //! The paper's motivation is scaling structure learning to "networks with
 //! hundreds of nodes"; the mixed-radix key of Eq. 3 outgrows a `u64` at 64
-//! binary variables. This module re-instantiates the pipeline over `u128`
-//! keys — codec, open-addressed count table, the two-stage wait-free build,
-//! and marginalization — supporting up to 127 binary variables (or any
-//! arity mix whose state-space product fits `u128`).
+//! binary variables. This module supplies the one `u128`-specific piece,
+//! the [`WideCodec`], and runs the crate's generic count table
+//! ([`CountTable<u128>`]) and two-stage build over it, plus a dense
+//! marginalization — supporting up to 127 binary variables (or any arity
+//! mix whose state-space product fits `u128`).
 //!
 //! Because [`wfbn_data::Schema`] deliberately enforces the 64-bit bound for
 //! the primary pipeline, the wide path accepts raw row-major state buffers
-//! plus an explicit arity list. Everything else (algorithms, invariants,
-//! statistics) mirrors the 64-bit implementation, and the tests pin the two
-//! against each other on inputs both can represent.
+//! plus an explicit arity list. The tests pin it against the 64-bit build on
+//! inputs both can represent.
 
+use crate::construct::{capacity_hint, two_stage, Fresh};
+use crate::count_table::CountTable;
 use crate::error::CoreError;
-use wfbn_concurrent::{channel, mix64, row_chunks, Consumer, Producer, SpinBarrier};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
-
-/// Empty-slot sentinel of the wide count table.
-const EMPTY: u128 = u128::MAX;
-
-/// Full-avalanche mix of a `u128` (two dependent `mix64` rounds).
-#[inline]
-fn mix128(x: u128) -> u64 {
-    mix64((x >> 64) as u64 ^ mix64(x as u64))
-}
 
 /// Mixed-radix codec over `u128` keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,201 +106,11 @@ impl WideCodec {
     }
 }
 
-/// Open-addressed `u128 → u64` count table (the wide partition type).
-#[derive(Debug, Clone)]
-pub struct WideCountTable {
-    keys: Vec<u128>,
-    counts: Vec<u64>,
-    len: usize,
-    mask: usize,
-    /// Total slot inspections (instrumentation, mirrors `CountTable`).
-    probes: u64,
-    /// Growth (rehash) events (instrumentation).
-    grows: u64,
-}
-
-impl Default for WideCountTable {
-    fn default() -> Self {
-        Self::with_capacity(16)
-    }
-}
-
-impl WideCountTable {
-    /// Creates a table sized for roughly `entries` keys.
-    pub fn with_capacity(entries: usize) -> Self {
-        let slots = (entries.max(1) * 10 / 7 + 1).next_power_of_two().max(16);
-        Self {
-            keys: vec![EMPTY; slots],
-            counts: vec![0; slots],
-            len: 0,
-            mask: slots - 1,
-            probes: 0,
-            grows: 0,
-        }
-    }
-
-    /// Total slot inspections since construction.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Number of growth (rehash) events since construction.
-    pub fn grows(&self) -> u64 {
-        self.grows
-    }
-
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Adds `by` to `key`'s count.
-    pub fn increment(&mut self, key: u128, by: u64) {
-        assert_ne!(key, EMPTY, "key u128::MAX is reserved");
-        if (self.len + 1) * 10 > self.keys.len() * 7 {
-            self.grow();
-        }
-        let mut slot = (mix128(key) as usize) & self.mask;
-        loop {
-            self.probes += 1;
-            let k = self.keys[slot];
-            if k == key {
-                self.counts[slot] += by;
-                return;
-            }
-            if k == EMPTY {
-                self.keys[slot] = key;
-                self.counts[slot] = by;
-                self.len += 1;
-                return;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    /// Like [`increment`](Self::increment), returning the probe-count delta
-    /// (mirrors `CountTable::increment_probed`; feeds the probe histogram).
-    #[inline]
-    pub fn increment_probed(&mut self, key: u128, by: u64) -> u64 {
-        let before = self.probes;
-        self.increment(key, by);
-        self.probes - before
-    }
-
-    /// Grows until `additional` more distinct keys fit under the load limit
-    /// (mirrors `CountTable::reserve`; called once per block so the slot
-    /// mask stays stable across the whole block).
-    pub fn reserve(&mut self, additional: usize) {
-        while (self.len + additional) * 10 > self.keys.len() * 7 {
-            self.grow();
-        }
-    }
-
-    /// Applies a block of `(key, by)` pairs, equivalent to calling
-    /// [`increment`](Self::increment) per pair but with the batched engine:
-    /// one reserve up front, then per 16-pair tile a pre-hash + prefetch
-    /// pass followed by the probe pass (mirrors
-    /// `CountTable::increment_block`).
-    pub fn increment_block(&mut self, block: &[(u128, u64)]) {
-        self.increment_block_probed(block, |_| {});
-    }
-
-    /// [`increment_block`](Self::increment_block) reporting each pair's
-    /// probe-count delta through `probe` (feeds the probe histogram).
-    pub fn increment_block_probed(&mut self, block: &[(u128, u64)], mut probe: impl FnMut(u64)) {
-        const TILE: usize = 16;
-        self.reserve(block.len());
-        let mut slots = [0usize; TILE];
-        for chunk in block.chunks(TILE) {
-            for (i, &(key, _)) in chunk.iter().enumerate() {
-                assert_ne!(key, EMPTY, "key u128::MAX is reserved");
-                let slot = (mix128(key) as usize) & self.mask;
-                slots[i] = slot;
-                crate::count_table::prefetch_slot(&self.keys[slot]);
-                crate::count_table::prefetch_slot(&self.counts[slot]);
-            }
-            for (i, &(key, by)) in chunk.iter().enumerate() {
-                let before = self.probes;
-                let mut slot = slots[i];
-                loop {
-                    self.probes += 1;
-                    let k = self.keys[slot];
-                    if k == key {
-                        self.counts[slot] += by;
-                        break;
-                    }
-                    if k == EMPTY {
-                        self.keys[slot] = key;
-                        self.counts[slot] = by;
-                        self.len += 1;
-                        break;
-                    }
-                    slot = (slot + 1) & self.mask;
-                }
-                probe(self.probes - before);
-            }
-        }
-    }
-
-    /// Returns `key`'s count (0 if absent).
-    pub fn get(&self, key: u128) -> u64 {
-        let mut slot = (mix128(key) as usize) & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return self.counts[slot];
-            }
-            if k == EMPTY {
-                return 0;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        self.grows += 1;
-        let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_slots]);
-        let old_counts = std::mem::replace(&mut self.counts, vec![0; new_slots]);
-        self.mask = new_slots - 1;
-        self.len = 0;
-        for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key != EMPTY {
-                let mut slot = (mix128(key) as usize) & self.mask;
-                loop {
-                    self.probes += 1;
-                    if self.keys[slot] == EMPTY {
-                        self.keys[slot] = key;
-                        self.counts[slot] = count;
-                        self.len += 1;
-                        break;
-                    }
-                    slot = (slot + 1) & self.mask;
-                }
-            }
-        }
-    }
-
-    /// Iterates `(key, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u128, u64)> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.counts)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &c)| (k, c))
-    }
-}
-
 /// A wide potential table: the wide codec plus `P` partitions.
 #[derive(Debug, Clone)]
 pub struct WidePotentialTable {
     codec: WideCodec,
-    partitions: Vec<WideCountTable>,
+    partitions: Vec<CountTable<u128>>,
 }
 
 impl WidePotentialTable {
@@ -326,14 +128,14 @@ impl WidePotentialTable {
     pub fn total_count(&self) -> u64 {
         self.partitions
             .iter()
-            .flat_map(WideCountTable::iter)
+            .flat_map(CountTable::iter)
             .map(|(_, c)| c)
             .sum()
     }
 
     /// Distinct state strings observed.
     pub fn num_entries(&self) -> usize {
-        self.partitions.iter().map(WideCountTable::len).sum()
+        self.partitions.iter().map(CountTable::len).sum()
     }
 
     /// Count of one key.
@@ -344,11 +146,7 @@ impl WidePotentialTable {
 
     /// All entries, key-sorted (test comparisons).
     pub fn to_sorted_vec(&self) -> Vec<(u128, u64)> {
-        let mut v: Vec<(u128, u64)> = self
-            .partitions
-            .iter()
-            .flat_map(WideCountTable::iter)
-            .collect();
+        let mut v: Vec<(u128, u64)> = self.partitions.iter().flat_map(CountTable::iter).collect();
         v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
@@ -438,9 +236,11 @@ pub fn waitfree_build_wide(
     waitfree_build_wide_recorded(states, arities, threads, &NoopRecorder)
 }
 
-/// [`waitfree_build_wide`] with telemetry: per-core stage timers, row/route
-/// counters, probe-length histograms, and queue depth high-water marks, all
-/// written through single-writer per-core recorder handles.
+/// [`waitfree_build_wide`] with telemetry: per-core stage timers, routing
+/// and write-combining counters, probe-length histograms, and queue depth
+/// high-water marks, all written through single-writer per-core recorder
+/// handles. The build is the crate's one two-stage path, over `u128` keys
+/// owned by `key % threads`.
 pub fn waitfree_build_wide_recorded<R: Recorder>(
     states: &[u16],
     arities: &[u16],
@@ -461,283 +261,24 @@ pub fn waitfree_build_wide_recorded<R: Recorder>(
     if m == 0 {
         return Err(CoreError::EmptyDataset);
     }
-    let p = threads;
-    if p == 1 {
-        let mut cr = rec.core(0);
-        let t0 = cr.now();
-        let mut table = WideCountTable::with_capacity(m.min(1 << 16));
-        for row in states.chunks_exact(n) {
-            let probes = table.increment_probed(codec.encode(row), 1);
-            cr.probe_len(probes);
-        }
-        cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-        cr.add(Counter::RowsEncoded, m as u64);
-        cr.add(Counter::LocalUpdates, m as u64);
-        cr.add(Counter::TableGrows, table.grows());
-        return Ok(WidePotentialTable {
-            codec,
-            partitions: vec![table],
-        });
-    }
-
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    struct Endpoints {
-        producers: Vec<Option<Producer<u128>>>,
-        consumers: Vec<Option<Consumer<u128>>>,
-    }
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from != to {
-                let (tx, rx) = channel::<u128>();
-                endpoints[from].producers[to] = Some(tx);
-                endpoints[to].consumers[from] = Some(rx);
-            }
-        }
-    }
-
-    let mut results: Vec<Option<WideCountTable>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let barrier = &barrier;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-wide-{t}"))
-                    .spawn_scoped(s, move || {
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-                        let mut local = 0u64;
-                        let mut forwarded = 0u64;
-                        let mut table = WideCountTable::with_capacity((m / p + 1).min(1 << 16));
-                        for row in states[chunk.start * n..chunk.end * n].chunks_exact(n) {
-                            let key = codec.encode(row);
-                            let owner = (key % p as u128) as usize;
-                            if owner == t {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                local += 1;
-                            } else {
-                                ep.producers[owner]
-                                    .as_mut()
-                                    .expect("producer exists")
-                                    .push(key);
-                                forwarded += 1;
-                            }
-                        }
-                        let segments: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                        barrier.wait();
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-                        let mut drained = 0u64;
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producers are
-                            // done (post-barrier), so each pop removes one of
-                            // the finitely many committed elements.
-                            while let Some(key) = consumer.try_pop() {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                drained += 1;
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, (chunk.end - chunk.start) as u64);
-                        cr.add(Counter::LocalUpdates, local);
-                        cr.add(Counter::Forwarded, forwarded);
-                        cr.add(Counter::Drained, drained);
-                        cr.add(Counter::SegmentsLinked, segments);
-                        cr.add(Counter::TableGrows, table.grows());
-                        table
-                    })
-                    .expect("failed to spawn wide build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("wide build thread panicked"));
-        }
-    });
-
+    let space = u64::try_from(codec.state_space()).unwrap_or(u64::MAX);
+    let cores = two_stage(
+        states,
+        n,
+        Fresh::parts(threads, capacity_hint(m, space, threads)),
+        |rows, keys| {
+            keys.clear();
+            keys.extend(rows.chunks_exact(n).map(|row| codec.encode(row)));
+        },
+        |key| (key % threads as u128) as usize,
+        rec,
+    );
     Ok(WidePotentialTable {
         codec,
-        partitions: results.into_iter().map(|r| r.expect("reported")).collect(),
-    })
-}
-
-/// [`waitfree_build_wide`] on the block-granular hot paths: foreign keys go
-/// through the write-combining [`Combiner`](crate::batch::Combiner) (flushed
-/// as `(key, count)` blocks via `push_block`), and stage 2 drains with
-/// `pop_block` + one batched table application per block. Produces exactly
-/// the same table as the scalar wide build.
-pub fn waitfree_build_wide_batched(
-    states: &[u16],
-    arities: &[u16],
-    threads: usize,
-) -> Result<WidePotentialTable, CoreError> {
-    waitfree_build_wide_batched_recorded(states, arities, threads, &NoopRecorder)
-}
-
-/// [`waitfree_build_wide_batched`] with telemetry flowing into `rec`,
-/// including the v2 batching counters ([`Counter::BlocksFlushed`],
-/// [`Counter::KeysCoalesced`]).
-pub fn waitfree_build_wide_batched_recorded<R: Recorder>(
-    states: &[u16],
-    arities: &[u16],
-    threads: usize,
-    rec: &R,
-) -> Result<WidePotentialTable, CoreError> {
-    if threads == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    if threads == 1 {
-        // One partition: nothing crosses a queue, so there is nothing to
-        // batch — the scalar wide build is already the whole hot path.
-        return waitfree_build_wide_recorded(states, arities, threads, rec);
-    }
-    let codec = WideCodec::new(arities)?;
-    let n = codec.num_vars();
-    if states.len() % n != 0 {
-        return Err(CoreError::BadVariableSet {
-            reason: "state buffer is not a whole number of rows",
-        });
-    }
-    let m = states.len() / n;
-    if m == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let p = threads;
-
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    struct Endpoints {
-        producers: Vec<Option<Producer<(u128, u64)>>>,
-        consumers: Vec<Option<Consumer<(u128, u64)>>>,
-    }
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from != to {
-                let (tx, rx) = channel::<(u128, u64)>();
-                endpoints[from].producers[to] = Some(tx);
-                endpoints[to].consumers[from] = Some(rx);
-            }
-        }
-    }
-
-    let mut results: Vec<Option<WideCountTable>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let barrier = &barrier;
-        let handles: Vec<_> = endpoints
+        partitions: cores
             .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-bwide-{t}"))
-                    .spawn_scoped(s, move || {
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-                        let mut local = 0u64;
-                        let mut forwarded = 0u64;
-                        let mut combiner = crate::batch::Combiner::<u128>::new(p);
-                        let mut table = WideCountTable::with_capacity((m / p + 1).min(1 << 16));
-                        for row in states[chunk.start * n..chunk.end * n].chunks_exact(n) {
-                            let key = codec.encode(row);
-                            let owner = (key % p as u128) as usize;
-                            if owner == t {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                local += 1;
-                            } else {
-                                combiner.route(owner, key, &mut ep.producers);
-                                forwarded += 1;
-                            }
-                        }
-                        combiner.flush_all(&mut ep.producers);
-                        let segments: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                        barrier.wait();
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-                        let mut drained = 0u64;
-                        let mut block: Vec<(u128, u64)> = Vec::new();
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producers are
-                            // done (post-barrier); each round takes a
-                            // committed chunk, exiting on the first empty
-                            // poll.
-                            loop {
-                                block.clear();
-                                if consumer.pop_block(&mut block) == 0 {
-                                    break;
-                                }
-                                table.increment_block_probed(&block, |probes| {
-                                    cr.probe_len(probes);
-                                });
-                                for &(key, count) in &block {
-                                    debug_assert_eq!((key % p as u128) as usize, t);
-                                    let _ = key;
-                                    drained += count;
-                                }
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, (chunk.end - chunk.start) as u64);
-                        cr.add(Counter::LocalUpdates, local);
-                        cr.add(Counter::Forwarded, forwarded);
-                        cr.add(Counter::Drained, drained);
-                        cr.add(Counter::SegmentsLinked, segments);
-                        cr.add(Counter::TableGrows, table.grows());
-                        cr.add(Counter::BlocksFlushed, combiner.blocks_flushed());
-                        cr.add(Counter::KeysCoalesced, combiner.keys_coalesced());
-                        table
-                    })
-                    .expect("failed to spawn wide build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("wide build thread panicked"));
-        }
-    });
-
-    Ok(WidePotentialTable {
-        codec,
-        partitions: results.into_iter().map(|r| r.expect("reported")).collect(),
+            .map(|(part, _)| part.into_table())
+            .collect(),
     })
 }
 
@@ -872,11 +413,15 @@ mod tests {
             x = wfbn_concurrent::mix64(x);
             states.push((x % 3) as u16);
         }
-        let reference = waitfree_build_wide(&states, &arities, 1)
-            .unwrap()
-            .to_sorted_vec();
+        // 3^50 states: beyond the u64 oracle, so count rows directly.
+        let codec = WideCodec::new(&arities).unwrap();
+        let mut counts = std::collections::BTreeMap::new();
+        for row in states.chunks_exact(50) {
+            *counts.entry(codec.encode(row)).or_insert(0u64) += 1;
+        }
+        let reference: Vec<(u128, u64)> = counts.into_iter().collect();
         for p in [1usize, 2, 4, 8] {
-            let b = waitfree_build_wide_batched(&states, &arities, p)
+            let b = waitfree_build_wide(&states, &arities, p)
                 .unwrap()
                 .to_sorted_vec();
             assert_eq!(b, reference, "p={p}");
@@ -885,25 +430,26 @@ mod tests {
 
     #[test]
     fn batched_wide_build_errors_mirror_scalar() {
+        // The single-core path validates like the threaded one.
         let arities = vec![2u16; 10];
         assert!(matches!(
-            waitfree_build_wide_batched(&[], &arities, 2),
+            waitfree_build_wide(&[], &arities, 1),
             Err(CoreError::EmptyDataset)
         ));
         assert!(matches!(
-            waitfree_build_wide_batched(&[0, 1, 0], &arities, 2),
+            waitfree_build_wide(&[0, 1, 0], &arities, 1),
             Err(CoreError::BadVariableSet { .. })
         ));
         assert!(matches!(
-            waitfree_build_wide_batched(&[0; 10], &arities, 0),
-            Err(CoreError::ZeroThreads)
+            waitfree_build_wide(&[0; 10], &[2, 1], 1),
+            Err(CoreError::VariableOutOfRange { .. })
         ));
     }
 
     #[test]
     fn wide_block_increment_matches_scalar_increments() {
-        let mut scalar = WideCountTable::default();
-        let mut batched = WideCountTable::default();
+        let mut scalar = CountTable::<u128>::default();
+        let mut batched = CountTable::<u128>::default();
         let mut x = 5u64;
         let mut block = Vec::new();
         for _ in 0..5_000 {
@@ -923,7 +469,7 @@ mod tests {
 
     #[test]
     fn wide_count_table_matches_reference_counts() {
-        let mut t = WideCountTable::default();
+        let mut t = CountTable::<u128>::default();
         let mut reference = std::collections::HashMap::new();
         let mut x = 1u64;
         for _ in 0..20_000 {

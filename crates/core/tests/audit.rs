@@ -3,8 +3,9 @@
 #![cfg(feature = "ownership-audit")]
 
 use wfbn_concurrent::audit;
-use wfbn_core::construct::{sequential_build, waitfree_build, waitfree_build_batched};
-use wfbn_core::pipeline::{pipelined_build, pipelined_build_batched};
+use wfbn_core::construct::{sequential_build, waitfree_build};
+use wfbn_core::pipeline::pipelined_build;
+use wfbn_core::stream::StreamingBuilder;
 use wfbn_core::CountTable;
 use wfbn_data::{Generator, Schema, UniformIndependent, ZipfIndependent};
 
@@ -46,11 +47,13 @@ fn pipelined_build_passes_the_audit() {
     assert_eq!(built.table.to_sorted_vec(), reference);
 }
 
-/// The batched builders move data in `push_block` chunks through the
+/// Every builder moves data in `push_block` chunks through the
 /// write-combining buffers: every word of a flushed block must still have
 /// exactly one writer per stage. Skew maximizes coalescing, and 20k rows
 /// force multi-segment blocks, so a flush that strayed onto a foreign
-/// segment or a combiner buffer shared between cores would panic here.
+/// segment or a combiner buffer shared between cores would panic here. The
+/// streaming builder runs the same workers over persistent tables, with a
+/// snapshot held across absorbs so each core diverges its shared partition.
 #[test]
 fn batched_block_flushes_stay_single_writer() {
     let uniform = UniformIndependent::new(Schema::uniform(10, 2).unwrap()).generate(20_000, 1);
@@ -61,14 +64,23 @@ fn batched_block_flushes_stay_single_writer() {
         let reference = sequential_build(data).unwrap().table.to_sorted_vec();
         for p in [2usize, 4, 7] {
             assert_eq!(
-                waitfree_build_batched(data, p).unwrap().table.to_sorted_vec(),
+                waitfree_build(data, p).unwrap().table.to_sorted_vec(),
                 reference,
-                "batched two-stage p={p}"
+                "two-stage p={p}"
             );
             assert_eq!(
-                pipelined_build_batched(data, p).unwrap().table.to_sorted_vec(),
+                pipelined_build(data, p).unwrap().table.to_sorted_vec(),
                 reference,
-                "batched pipelined p={p}"
+                "pipelined p={p}"
+            );
+            let mut stream = StreamingBuilder::new(data.schema(), p).unwrap();
+            stream.absorb(data).unwrap();
+            let snapshot = stream.snapshot().unwrap();
+            stream.absorb(data).unwrap();
+            assert_eq!(snapshot.to_sorted_vec(), reference, "streaming p={p}");
+            assert_eq!(
+                stream.finish().unwrap().table.total_count(),
+                2 * data.num_samples() as u64
             );
         }
     }
@@ -79,7 +91,7 @@ fn batched_block_flushes_stay_single_writer() {
 #[test]
 fn shared_partition_is_reported_as_violation() {
     let build = audit::BuildAudit::new();
-    let mut table = CountTable::new();
+    let mut table: CountTable = CountTable::new();
     {
         let _core0 = audit::enter(&build, 0);
         table.increment(17, 1);

@@ -80,7 +80,7 @@ pub enum Counter {
     /// Entries moved between partitions by a rebalance pass (§IV-C).
     RebalanceMoves = 9,
     /// Write-combining buffer flushes: `push_block` calls made by this
-    /// core's batched stage-1 router (zero on every scalar path).
+    /// core's stage-1 router (zero for the sequential oracle).
     BlocksFlushed = 10,
     /// Foreign key occurrences absorbed into an open `(key, count)` run by
     /// the per-destination combiner instead of being shipped as their own

@@ -48,8 +48,6 @@ pub struct EngineConfig {
     pub readers: usize,
     /// Maximum admitted-but-unpublished batches before admission blocks.
     pub queue_capacity: u64,
-    /// Use the batched (write-combining) absorption path.
-    pub batched: bool,
 }
 
 impl Default for EngineConfig {
@@ -58,7 +56,6 @@ impl Default for EngineConfig {
             builder_threads: 1,
             readers: 1,
             queue_capacity: 64,
-            batched: false,
         }
     }
 }
@@ -168,7 +165,6 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
             .collect();
 
         let wrec = Arc::clone(&rec);
-        let batched = cfg.batched;
         let writer = std::thread::Builder::new()
             .name("wfbn-serve-writer".into())
             .spawn(move || {
@@ -179,11 +175,7 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
                 loop {
                     match admission.try_pop() {
                         Some(batch) => {
-                            if batched {
-                                builder.absorb_batched_recorded(&batch, &*wrec)?;
-                            } else {
-                                builder.absorb_recorded(&batch, &*wrec)?;
-                            }
+                            builder.absorb_recorded(&batch, &*wrec)?;
                             // Copy-on-publish: O(P) Arc bumps, no table copy.
                             // `_or_empty`: a shard engine's slice of a batch
                             // may hold zero rows, but its epoch must still

@@ -234,7 +234,6 @@ fn adversarial_partition_soak_pins_only_exact_prefixes() {
         builder_threads: 2, // all rows forward to partition 0's owner
         readers: 2,
         queue_capacity: 256,
-        ..EngineConfig::default()
     };
     let (mut engine, mut readers) = Engine::start(&schema, &cfg).expect("engine");
     let mut prober = readers.pop().expect("reader");

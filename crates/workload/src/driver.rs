@@ -36,8 +36,6 @@ pub struct ReplayConfig {
     pub partitions: usize,
     /// Admission-queue capacity (batches admitted but unpublished).
     pub queue_capacity: u64,
-    /// Use the batched (write-combining) absorption path.
-    pub batched: bool,
 }
 
 impl Default for ReplayConfig {
@@ -45,7 +43,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             partitions: 2,
             queue_capacity: 8,
-            batched: false,
         }
     }
 }
@@ -112,7 +109,6 @@ pub fn replay(
         builder_threads: config.partitions,
         readers: readers_n,
         queue_capacity: config.queue_capacity,
-        batched: config.batched,
     };
     let metrics = Arc::new(CoreMetrics::new(cfg.cores()));
     let (mut engine, readers) =

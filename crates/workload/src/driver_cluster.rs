@@ -57,7 +57,6 @@ pub fn replay_cluster(
         builder_threads: config.partitions,
         readers: 1,
         queue_capacity: config.queue_capacity,
-        batched: config.batched,
     };
     let ccfg = ClusterConfig {
         shards,

@@ -11,7 +11,9 @@
 //!   uniform baseline measured in the same run. This is the SLO form of
 //!   the paper's claim: partition skew may cost throughput, but it must
 //!   not collapse reader-side latency, because readers scan immutable
-//!   snapshots and never contend with the writer.
+//!   snapshots and never contend with the writer. A p99 over a few dozen
+//!   wall-clock samples is noise, so the gate judges only when both sides
+//!   served at least [`MIN_SKEW_SAMPLES`] queries.
 
 use crate::scenario::Scenario;
 
@@ -22,6 +24,10 @@ pub const FAIRNESS_BOUND: f64 = 3.0;
 /// scenarios. Generous on purpose: the gate exists to catch collapse
 /// (starvation, livelock, quadratic rescans), not noise.
 pub const SKEW_P99_MULTIPLE: f64 = 20.0;
+
+/// Queries each side of the skew comparison must have served before its
+/// p99 is judged.
+pub const MIN_SKEW_SAMPLES: u64 = 100;
 
 /// Checks the reader-fairness SLO; returns the max/min ratio on success.
 ///
@@ -76,20 +82,28 @@ pub fn check_fairness(
 }
 
 /// Checks the skewed-p99 SLO against the uniform baseline from the same
-/// run. Non-gated scenarios and a degenerate (zero) baseline pass
+/// run, where `samples` is the fewer queries either side served.
+///
+/// Returns `Ok(false)` when a gated scenario cannot be judged because
+/// `samples` is below [`MIN_SKEW_SAMPLES`]; callers report that instead of
+/// a verdict. Non-gated scenarios and a degenerate (zero) baseline pass
 /// trivially — the latter means the clock's resolution swallowed the
 /// baseline, and no meaningful multiple exists.
 pub fn check_skew_p99(
     scenario: Scenario,
     p99_ns: u64,
     uniform_p99_ns: u64,
+    samples: u64,
     multiple: f64,
-) -> Result<(), String> {
-    if !scenario.skew_gated() || uniform_p99_ns == 0 {
-        return Ok(());
+) -> Result<bool, String> {
+    if !scenario.skew_gated() {
+        return Ok(true);
+    }
+    if samples < MIN_SKEW_SAMPLES {
+        return Ok(false);
     }
     let limit = uniform_p99_ns as f64 * multiple;
-    if p99_ns as f64 > limit {
+    if uniform_p99_ns > 0 && p99_ns as f64 > limit {
         return Err(format!(
             "latency gate failed: scenario '{}' p99 {}ns exceeds {:.0}x \
              uniform baseline {}ns (limit {:.0}ns)",
@@ -100,7 +114,7 @@ pub fn check_skew_p99(
             limit
         ));
     }
-    Ok(())
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -136,14 +150,25 @@ mod tests {
 
     #[test]
     fn skew_gate_only_applies_to_gated_scenarios() {
+        let n = MIN_SKEW_SAMPLES;
         // hot-query is expensive by design — never compared to uniform.
-        check_skew_p99(Scenario::HotQuery, 1_000_000, 10, 20.0).unwrap();
+        assert_eq!(check_skew_p99(Scenario::HotQuery, 1_000_000, 10, n, 20.0), Ok(true));
         // zipf within the multiple passes…
-        check_skew_p99(Scenario::Zipf, 150, 10, 20.0).unwrap();
+        assert_eq!(check_skew_p99(Scenario::Zipf, 150, 10, n, 20.0), Ok(true));
         // …and beyond it fails, naming the scenario.
-        let err = check_skew_p99(Scenario::Zipf, 500, 10, 20.0).unwrap_err();
+        let err = check_skew_p99(Scenario::Zipf, 500, 10, n, 20.0).unwrap_err();
         assert!(err.contains("'zipf'"), "{err}");
         // A zero baseline cannot define a multiple.
-        check_skew_p99(Scenario::Burst, 500, 0, 20.0).unwrap();
+        assert_eq!(check_skew_p99(Scenario::Burst, 500, 0, n, 20.0), Ok(true));
+    }
+
+    #[test]
+    fn skew_gate_does_not_judge_small_samples() {
+        // Even a 50x regression is not judged on too few queries.
+        assert_eq!(
+            check_skew_p99(Scenario::Zipf, 500, 10, MIN_SKEW_SAMPLES - 1, 20.0),
+            Ok(false)
+        );
+        assert!(check_skew_p99(Scenario::Zipf, 500, 10, MIN_SKEW_SAMPLES, 20.0).is_err());
     }
 }

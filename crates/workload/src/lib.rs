@@ -43,7 +43,9 @@ pub mod scenario;
 
 pub use driver::{replay, ReplayConfig, ScenarioReport};
 pub use driver_cluster::replay_cluster;
-pub use gates::{check_fairness, check_skew_p99, FAIRNESS_BOUND, SKEW_P99_MULTIPLE};
+pub use gates::{
+    check_fairness, check_skew_p99, FAIRNESS_BOUND, MIN_SKEW_SAMPLES, SKEW_P99_MULTIPLE,
+};
 pub use scenario::{
     generate, GeneratedWorkload, IngestEvent, Query, Scenario, WorkloadError, WorkloadSpec,
 };

@@ -9,7 +9,7 @@
 use wfbn_workload::scenario::STARVED_READER;
 use wfbn_workload::{
     check_fairness, check_skew_p99, generate, replay, ReplayConfig, Scenario, WorkloadSpec,
-    FAIRNESS_BOUND, SKEW_P99_MULTIPLE,
+    FAIRNESS_BOUND, MIN_SKEW_SAMPLES, SKEW_P99_MULTIPLE,
 };
 
 fn small(scenario: Scenario) -> WorkloadSpec {
@@ -60,7 +60,13 @@ fn skew_gate_negative_control_names_the_scenario() {
     // A synthetic 100x regression over the uniform baseline must fail for
     // every gated scenario and pass for ungated ones.
     for scenario in Scenario::MATRIX {
-        let result = check_skew_p99(scenario, 100_000, 1_000, SKEW_P99_MULTIPLE);
+        let result = check_skew_p99(
+            scenario,
+            100_000,
+            1_000,
+            MIN_SKEW_SAMPLES,
+            SKEW_P99_MULTIPLE,
+        );
         if scenario.skew_gated() {
             let err = result.expect_err("gated scenario must fail a 100x regression");
             assert!(

@@ -1,9 +1,9 @@
-//! Batched-vs-scalar equivalence: the block-granular hot paths (write-
-//! combining routing, `push_block`/`pop_block` transfer, combiner
-//! pre-aggregation, batched table application) are pure performance
-//! transformations — on every input, at every thread count, they must
-//! produce *byte-identical* tables and MI surfaces indistinguishable to
-//! 1e-12 from the scalar builders.
+//! Block-path equivalence: every builder runs the block-granular path
+//! (write-combining routing, `push_block`/`pop_block` transfer, combiner
+//! pre-aggregation, block table application), which is a pure performance
+//! transformation — on every input, at every thread count, it must produce
+//! tables *byte-identical* to the row-at-a-time `sequential_build` oracle
+//! and MI surfaces indistinguishable from the oracle's to 1e-12.
 //!
 //! Deterministic cases pin the seams the property tests may miss: block
 //! sizes straddling the SPSC segment capacity (`SEG_CAP − 1`, `SEG_CAP`,
@@ -13,17 +13,14 @@
 use proptest::prelude::*;
 use wfbn_concurrent::spsc::{channel, SEG_CAP};
 use wfbn_core::allpairs::all_pairs_mi;
-use wfbn_core::construct::{
-    sequential_build, sequential_build_batched, waitfree_build, waitfree_build_batched,
-};
-use wfbn_core::pipeline::pipelined_build_batched;
+use wfbn_core::construct::{sequential_build, waitfree_build};
+use wfbn_core::pipeline::pipelined_build;
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::wide::{waitfree_build_wide, waitfree_build_wide_batched};
+use wfbn_core::wide::{waitfree_build_wide, WideCodec};
 use wfbn_core::CountTable;
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent, ZipfIndependent};
 
-/// The acceptance grid from the issue: every batched path must agree with
-/// its scalar twin at each of these thread counts.
+/// The thread counts every builder must agree with the oracle at.
 const CORES: [usize; 4] = [1, 2, 4, 8];
 
 /// A random schema of 1–6 variables with arities 2–5.
@@ -63,26 +60,21 @@ proptest! {
         let p = CORES[pi];
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
         prop_assert_eq!(
-            sequential_build_batched(&data).unwrap().table.to_sorted_vec(),
+            waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
             reference.clone(),
-            "sequential batched"
+            "two-stage at p={}", p
         );
         prop_assert_eq!(
-            waitfree_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+            pipelined_build(&data, p).unwrap().table.to_sorted_vec(),
             reference.clone(),
-            "two-stage batched at p={}", p
-        );
-        prop_assert_eq!(
-            pipelined_build_batched(&data, p).unwrap().table.to_sorted_vec(),
-            reference.clone(),
-            "pipelined batched at p={}", p
+            "pipelined at p={}", p
         );
         let mut stream = StreamingBuilder::new(data.schema(), p).unwrap();
-        stream.absorb_batched(&data).unwrap();
+        stream.absorb(&data).unwrap();
         prop_assert_eq!(
             stream.finish().unwrap().table.to_sorted_vec(),
             reference,
-            "streaming batched at p={}", p
+            "streaming at p={}", p
         );
     }
 
@@ -92,12 +84,12 @@ proptest! {
         pi in 0usize..CORES.len(),
     ) {
         let p = CORES[pi];
-        let scalar = waitfree_build(&data, p).unwrap().table;
-        let batched = waitfree_build_batched(&data, p).unwrap().table;
-        let mi_scalar = all_pairs_mi(&scalar, 1);
-        let mi_batched = all_pairs_mi(&batched, 1);
+        let oracle = sequential_build(&data).unwrap().table;
+        let built = waitfree_build(&data, p).unwrap().table;
+        let mi_oracle = all_pairs_mi(&oracle, 1);
+        let mi_built = all_pairs_mi(&built, p);
         prop_assert!(
-            mi_scalar.max_abs_diff(&mi_batched) < 1e-12,
+            mi_oracle.max_abs_diff(&mi_built) < 1e-12,
             "MI drifted at p={}", p
         );
     }
@@ -189,12 +181,12 @@ fn builds_agree_at_row_counts_straddling_seg_cap() {
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
         for p in CORES {
             assert_eq!(
-                waitfree_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+                waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
                 reference,
                 "two-stage m={m} p={p}"
             );
             assert_eq!(
-                pipelined_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+                pipelined_build(&data, p).unwrap().table.to_sorted_vec(),
                 reference,
                 "pipelined m={m} p={p}"
             );
@@ -214,15 +206,15 @@ fn batched_builds_survive_heavy_skew() {
     let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
     for p in CORES {
         assert_eq!(
-            waitfree_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+            waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
             reference,
             "p={p}"
         );
     }
 }
 
-/// The 128-bit wide build's batched twin must agree with the scalar wide
-/// build across the same thread grid, beyond the u64 key space.
+/// The 128-bit wide build must agree with a direct count of its encoded
+/// rows across the same thread grid, beyond the u64 key space.
 #[test]
 fn wide_batched_matches_wide_scalar() {
     let n = 80;
@@ -234,12 +226,15 @@ fn wide_batched_matches_wide_scalar() {
         states.push((x & 1) as u16);
     }
     let arities = vec![2u16; n];
-    let reference = waitfree_build_wide(&states, &arities, 1)
-        .unwrap()
-        .to_sorted_vec();
+    let codec = WideCodec::new(&arities).unwrap();
+    let mut counts = std::collections::BTreeMap::new();
+    for row in states.chunks_exact(n) {
+        *counts.entry(codec.encode(row)).or_insert(0u64) += 1;
+    }
+    let reference: Vec<(u128, u64)> = counts.into_iter().collect();
     for p in CORES {
-        let batched = waitfree_build_wide_batched(&states, &arities, p).unwrap();
-        assert_eq!(batched.to_sorted_vec(), reference, "p={p}");
-        assert_eq!(batched.total_count(), m as u64);
+        let built = waitfree_build_wide(&states, &arities, p).unwrap();
+        assert_eq!(built.to_sorted_vec(), reference, "p={p}");
+        assert_eq!(built.total_count(), m as u64);
     }
 }

@@ -9,13 +9,10 @@
 //! (and panics on violation), so this suite doubles as the strict-mode CI
 //! gate.
 
-use wfbn_core::construct::{
-    sequential_build_recorded, waitfree_build, waitfree_build_batched_recorded,
-    waitfree_build_recorded,
-};
+use wfbn_core::construct::{sequential_build_recorded, waitfree_build, waitfree_build_recorded};
 use wfbn_core::marginal::marginalize_recorded;
 use wfbn_core::obs::{Counter, Stage, PROBE_BUCKETS};
-use wfbn_core::pipeline::{pipelined_build_batched_recorded, pipelined_build_recorded};
+use wfbn_core::pipeline::pipelined_build_recorded;
 use wfbn_core::rebalance::rebalance_recorded;
 use wfbn_core::stream::StreamingBuilder;
 use wfbn_core::wide::waitfree_build_wide_recorded;
@@ -76,16 +73,18 @@ fn routed_plus_local_equals_table_inserts() {
     let rec = CoreMetrics::new(4);
     let built = waitfree_build_recorded(&data, 4, &rec).unwrap();
     let report = rec.snapshot();
-    // local + drained is exactly the number of table increments, which must
-    // equal both the total count and the paper's m.
+    // local + drained is exactly the occurrence mass applied to the tables,
+    // which must equal both the total count and the paper's m.
     assert_eq!(
         report.total(Counter::LocalUpdates) + report.total(Counter::Drained),
         built.table.total_count()
     );
-    // The probe histogram records one sample per increment.
+    // The probe histogram records one sample per increment; a coalesced
+    // run is one increment carrying several occurrences.
     assert_eq!(
         report.probe_hist_mass(),
         report.total(Counter::LocalUpdates) + report.total(Counter::Drained)
+            - report.total(Counter::KeysCoalesced)
     );
 }
 
@@ -224,8 +223,8 @@ fn probe_histogram_buckets_cover_all_mass() {
     assert!(report.total(Counter::Probes) >= report.probe_hist_mass());
 }
 
-/// The extra laws the batched (write-combining) paths must satisfy on top
-/// of [`assert_build_conservation`].
+/// The extra laws the write-combining router must satisfy on top of
+/// [`assert_build_conservation`].
 fn assert_batch_accounting(report: &MetricsReport, label: &str) {
     let forwarded = report.total(Counter::Forwarded);
     let coalesced = report.total(Counter::KeysCoalesced);
@@ -274,14 +273,14 @@ fn batched_builders_balance_with_block_accounting() {
     let data = workload(14, m, 11);
     for p in [2usize, 3, 4, 8] {
         let rec = CoreMetrics::new(p);
-        let built = waitfree_build_batched_recorded(&data, p, &rec).unwrap();
+        let built = waitfree_build_recorded(&data, p, &rec).unwrap();
         assert_eq!(built.table.total_count(), m as u64);
         let report = rec.snapshot();
         assert_build_conservation(&report, m as u64, &format!("batched waitfree p={p}"));
         assert_batch_accounting(&report, &format!("batched waitfree p={p}"));
 
         let rec = CoreMetrics::new(p);
-        pipelined_build_batched_recorded(&data, p, &rec).unwrap();
+        pipelined_build_recorded(&data, p, &rec).unwrap();
         let report = rec.snapshot();
         assert_build_conservation(&report, m as u64, &format!("batched pipelined p={p}"));
         assert_batch_accounting(&report, &format!("batched pipelined p={p}"));
@@ -296,7 +295,7 @@ fn batched_coalescing_on_skew_preserves_count_mass() {
     let schema = Schema::new(vec![3, 3, 3, 3]).unwrap();
     let data = ZipfIndependent::new(schema, 1.8).unwrap().generate(8_000, 29);
     let rec = CoreMetrics::new(4);
-    let built = waitfree_build_batched_recorded(&data, 4, &rec).unwrap();
+    let built = waitfree_build_recorded(&data, 4, &rec).unwrap();
     assert_eq!(built.table.total_count(), 8_000);
     let report = rec.snapshot();
     assert!(
@@ -313,9 +312,10 @@ fn batched_coalescing_on_skew_preserves_count_mass() {
 
 #[test]
 fn scalar_paths_report_zero_batch_counters() {
+    // The row-at-a-time oracle neither flushes nor coalesces.
     let data = workload(12, 3_000, 19);
-    let rec = CoreMetrics::new(4);
-    waitfree_build_recorded(&data, 4, &rec).unwrap();
+    let rec = CoreMetrics::new(1);
+    sequential_build_recorded(&data, &rec).unwrap();
     let report = rec.snapshot();
     assert_eq!(report.total(Counter::BlocksFlushed), 0);
     assert_eq!(report.total(Counter::KeysCoalesced), 0);
@@ -330,7 +330,7 @@ fn batched_streaming_absorbs_accumulate_into_one_balanced_report() {
     let rec = CoreMetrics::new(3);
     let mut builder = StreamingBuilder::with_capacity_hint(&schema, 3, 4_500).unwrap();
     for batch in &batches {
-        builder.absorb_batched_recorded(batch, &rec).unwrap();
+        builder.absorb_recorded(batch, &rec).unwrap();
     }
     assert_eq!(builder.rows_absorbed(), 4_500);
     let report = rec.snapshot();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the benchmark snapshot (BENCH_pr4.json by default): the
-# scalar-vs-batched build sweep over the fig. 3/4/5 workload shapes plus the
-# serve-throughput-vs-readers series (simulated cycles + wall time). The
+# scalar-vs-batched cost-model sweep and the build's wall time over the
+# fig. 3/4/5 workload shapes, plus the serve-throughput-vs-readers series
+# (simulated cycles + wall time). The
 # simulated series are deterministic — same dataset, same cost model, same
 # numbers on any host — which is what lets tools/check_bench_regression.sh
 # gate on them. Wall numbers are host-dependent context, never gated on.
