@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for all-pairs mutual information (Figure 5
-//! at laptop scale), including the pair-parallel vs fused-scan ablation.
+//! at laptop scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wfbn_core::allpairs::{all_pairs_mi, all_pairs_mi_fused};
+use wfbn_core::allpairs::all_pairs_mi;
 use wfbn_core::construct::waitfree_build;
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::{Generator, Schema, UniformIndependent};
@@ -19,20 +19,9 @@ fn bench_allpairs(c: &mut Criterion) {
     for &n in &[16usize, 24, 32] {
         let t = table(n, 20_000);
         for &p in &[1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("pair-parallel-p{p}"), n),
-                &t,
-                |b, t| {
-                    b.iter(|| black_box(all_pairs_mi(t, p).get(0, 1)));
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("fused-scan-p{p}"), n),
-                &t,
-                |b, t| {
-                    b.iter(|| black_box(all_pairs_mi_fused(t, p).get(0, 1)));
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(format!("p{p}"), n), &t, |b, t| {
+                b.iter(|| black_box(all_pairs_mi(t, p).get(0, 1)));
+            });
         }
     }
     group.finish();

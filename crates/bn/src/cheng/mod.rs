@@ -105,8 +105,9 @@ pub struct ChengLearner {
     pub epsilon: f64,
     /// CI decision rule for thickening/thinning.
     pub ci_test: CiTest,
-    /// Worker threads for table construction, marginalization and all-pairs
-    /// MI.
+    /// Worker threads for table construction, all-pairs MI and packing the
+    /// snapshot each CI phase scans; the CI tests themselves run on the
+    /// calling thread.
     pub threads: usize,
     /// Largest conditioning-set size tried during separation search.
     pub max_condition_size: usize,

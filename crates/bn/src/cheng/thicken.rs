@@ -6,13 +6,20 @@
 //! current graph and the edge is added. Pairs that *can* be separated stay
 //! edgeless, and their separating set is recorded for orientation.
 
-use crate::cheng::separate::{record_sepset, try_separate};
+use crate::cheng::separate::{pack, record_sepset, separate};
 use crate::cheng::SepSets;
 use crate::ci::CiTest;
 use crate::graph::Ug;
 use wfbn_core::potential::PotentialTable;
 
 /// Runs the thickening phase; returns the number of edges added.
+///
+/// Packs `table` once, on `threads` workers; every CI test of the phase
+/// scans that snapshot on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn thicken(
     graph: &mut Ug,
@@ -24,18 +31,10 @@ pub fn thicken(
     sepsets: &mut SepSets,
     ci_tests: &mut usize,
 ) -> usize {
+    let packed = pack(table, threads);
     let mut added = 0;
     for &(x, y) in deferred {
-        match try_separate(
-            graph,
-            table,
-            x,
-            y,
-            test,
-            threads,
-            max_condition_size,
-            ci_tests,
-        ) {
+        match separate(graph, &packed, x, y, test, max_condition_size, ci_tests) {
             Some(z) => record_sepset(sepsets, x, y, z),
             None => {
                 graph

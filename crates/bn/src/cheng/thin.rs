@@ -9,13 +9,20 @@
 //! The scan iterates to a fixpoint: removing one redundant edge can expose
 //! another (Cheng et al. run a comparable re-examination).
 
-use crate::cheng::separate::{record_sepset, try_separate};
+use crate::cheng::separate::{pack, record_sepset, separate};
 use crate::cheng::SepSets;
 use crate::ci::CiTest;
 use crate::graph::Ug;
 use wfbn_core::potential::PotentialTable;
 
 /// Runs the thinning phase; returns the number of edges removed.
+///
+/// Packs `table` once, on `threads` workers; every CI test of the phase
+/// scans that snapshot on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn thin(
     graph: &mut Ug,
@@ -26,6 +33,7 @@ pub fn thin(
     sepsets: &mut SepSets,
     ci_tests: &mut usize,
 ) -> usize {
+    let packed = pack(table, threads);
     let mut removed_total = 0;
     loop {
         let mut removed_this_round = 0;
@@ -36,16 +44,7 @@ pub fn thin(
                 graph.add_edge(x, y).expect("restoring a removed edge");
                 continue;
             }
-            match try_separate(
-                graph,
-                table,
-                x,
-                y,
-                test,
-                threads,
-                max_condition_size,
-                ci_tests,
-            ) {
+            match separate(graph, &packed, x, y, test, max_condition_size, ci_tests) {
                 Some(z) => {
                     record_sepset(sepsets, x, y, z);
                     removed_this_round += 1;

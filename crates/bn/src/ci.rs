@@ -1,8 +1,10 @@
 //! Conditional-independence tests, computed through the paper's primitives.
 //!
 //! Every test here is a thin decision rule on top of the same measurement:
-//! the conditional mutual information `I(X; Y | Z)` estimated from the
-//! distributed potential table by parallel marginalization ([`cmi`]).
+//! the conditional mutual information `I(X; Y | Z)` estimated from a
+//! [`PackedTable`] snapshot of the potential table ([`cmi`]). A learner
+//! packs the table once and runs all of its tests on the snapshot; each
+//! test scans it on the calling thread.
 //!
 //! * [`CiTest::MiThreshold`] — Cheng et al.'s rule: dependent iff
 //!   `I > ε` (the paper's "pre-defined threshold").
@@ -18,31 +20,20 @@
 
 use wfbn_core::entropy::conditional_mutual_information;
 use wfbn_core::error::CoreError;
-use wfbn_core::marginal::marginalize;
-use wfbn_core::potential::PotentialTable;
+use wfbn_core::marginal::PackedTable;
 
-/// Estimates `I(X; Y | Z)` (nats) from the potential table with `threads`
-/// parallel scanners.
+/// Estimates `I(X; Y | Z)` (nats) from a packed snapshot of the potential
+/// table.
 ///
-/// `z` may be empty (plain mutual information). Variables must be distinct.
-pub fn cmi(
-    table: &PotentialTable,
-    x: usize,
-    y: usize,
-    z: &[usize],
-    threads: usize,
-) -> Result<f64, CoreError> {
+/// `z` may be empty (plain mutual information). Variables must be distinct
+/// and in range.
+pub fn cmi(table: &PackedTable, x: usize, y: usize, z: &[usize]) -> Result<f64, CoreError> {
     let mut order: Vec<usize> = Vec::with_capacity(2 + z.len());
     order.push(x);
     order.push(y);
     order.extend_from_slice(z);
-    let mut sorted = order.clone();
-    sorted.sort_unstable();
-    // Distinctness is enforced by validate_vars inside marginalize
-    // (strictly increasing ⇒ no duplicates).
-    let joint = marginalize(table, &sorted, threads)?;
-    let arranged = joint.reorder(&order);
-    Ok(conditional_mutual_information(&arranged))
+    let joint = table.marginalize(&order)?;
+    Ok(conditional_mutual_information(&joint))
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
@@ -170,13 +161,12 @@ impl CiTest {
     /// Runs the test for `X = x`, `Y = y` given `Z = z`.
     pub fn run(
         &self,
-        table: &PotentialTable,
+        table: &PackedTable,
         x: usize,
         y: usize,
         z: &[usize],
-        threads: usize,
     ) -> Result<CiOutcome, CoreError> {
-        let i = cmi(table, x, y, z, threads)?;
+        let i = cmi(table, x, y, z)?;
         let m = table.total_count() as f64;
         match *self {
             CiTest::MiThreshold { epsilon } => Ok(CiOutcome {
@@ -209,9 +199,9 @@ mod tests {
     use crate::repository;
     use wfbn_core::construct::waitfree_build;
 
-    fn table_for(net: &crate::network::BayesNet, m: usize, seed: u64) -> PotentialTable {
+    fn table_for(net: &crate::network::BayesNet, m: usize, seed: u64) -> PackedTable {
         let data = net.sample(m, seed);
-        waitfree_build(&data, 4).unwrap().table
+        PackedTable::pack(&waitfree_build(&data, 4).unwrap().table, 2).unwrap()
     }
 
     #[test]
@@ -258,10 +248,10 @@ mod tests {
         let net = repository::sprinkler();
         let t = table_for(&net, 30_000, 1);
         // Cloudy and Rain are directly linked: strongly dependent.
-        let g = CiTest::GTest { alpha: 0.01 }.run(&t, 0, 2, &[], 2).unwrap();
+        let g = CiTest::GTest { alpha: 0.01 }.run(&t, 0, 2, &[]).unwrap();
         assert!(g.dependent, "{g:?}");
         let mi = CiTest::MiThreshold { epsilon: 0.01 }
-            .run(&t, 0, 2, &[], 2)
+            .run(&t, 0, 2, &[])
             .unwrap();
         assert!(mi.dependent, "{mi:?}");
     }
@@ -271,12 +261,10 @@ mod tests {
         let net = repository::sprinkler();
         let t = table_for(&net, 60_000, 2);
         // Sprinkler ⟂ Rain | Cloudy (fork at Cloudy).
-        let out = CiTest::GTest { alpha: 0.01 }
-            .run(&t, 1, 2, &[0], 2)
-            .unwrap();
+        let out = CiTest::GTest { alpha: 0.01 }.run(&t, 1, 2, &[0]).unwrap();
         assert!(!out.dependent, "{out:?}");
         // ... but marginally dependent (common cause).
-        let out = CiTest::GTest { alpha: 0.01 }.run(&t, 1, 2, &[], 2).unwrap();
+        let out = CiTest::GTest { alpha: 0.01 }.run(&t, 1, 2, &[]).unwrap();
         assert!(out.dependent, "{out:?}");
     }
 
@@ -286,7 +274,7 @@ mod tests {
         let t = table_for(&net, 60_000, 3);
         // Sprinkler and Rain given WetGrass AND Cloudy: explaining-away.
         let opened = CiTest::GTest { alpha: 0.01 }
-            .run(&t, 1, 2, &[0, 3], 2)
+            .run(&t, 1, 2, &[0, 3])
             .unwrap();
         assert!(opened.dependent, "{opened:?}");
     }
@@ -301,7 +289,7 @@ mod tests {
         // critical value with margin (re-tuned for the vendored RNG stream).
         let small = table_for(&net, 500, 7);
         let g_small = CiTest::GTest { alpha: 0.001 }
-            .run(&small, 0, 1, &[], 2)
+            .run(&small, 0, 1, &[])
             .unwrap();
         assert!(
             !g_small.dependent,
@@ -313,8 +301,8 @@ mod tests {
     fn cmi_wrapper_rejects_bad_vars() {
         let net = repository::sprinkler();
         let t = table_for(&net, 1_000, 5);
-        assert!(cmi(&t, 0, 0, &[], 1).is_err()); // duplicate
-        assert!(cmi(&t, 0, 9, &[], 1).is_err()); // out of range
-        assert!(cmi(&t, 0, 1, &[0], 1).is_err()); // z overlaps x
+        assert!(cmi(&t, 0, 0, &[]).is_err()); // duplicate
+        assert!(cmi(&t, 0, 9, &[]).is_err()); // out of range
+        assert!(cmi(&t, 0, 1, &[0]).is_err()); // z overlaps x
     }
 }

@@ -64,5 +64,5 @@ pub use epoch::{epoch_channel, EpochPublisher, EpochReader};
 pub use hash::{mix64, FxBuildHasher, FxHasher};
 pub use pad::CachePadded;
 pub use partition::{pair_count, pairs_for_thread, row_chunks, RowChunk};
-pub use scope::run_on_threads;
+pub use scope::{run_on_threads, run_on_threads_with};
 pub use spsc::{channel, Consumer, Producer, SEG_CAP};

@@ -29,17 +29,50 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    assert!(p > 0, "need at least one thread");
-    if p == 1 {
-        return vec![f(0)];
+    run_on_threads_with(vec![(); p], |t, ()| f(t))
+}
+
+/// [`run_on_threads`] with one caller-built input per thread: runs
+/// `f(t, inputs[t])` on `inputs.len()` parallel threads, moving each input
+/// into its thread, and returns the results in thread-index order.
+///
+/// This is how workers fill disjoint `&mut` regions of a buffer the caller
+/// allocated up front — memory that then lives in the caller's allocator
+/// arena rather than in one per worker thread.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty, or propagates a panic from any worker
+/// thread.
+///
+/// # Examples
+///
+/// ```
+/// use wfbn_concurrent::run_on_threads_with;
+/// let mut buf = vec![0u32; 6];
+/// let (a, b) = buf.split_at_mut(2);
+/// run_on_threads_with(vec![a, b], |t, part| part.fill(t as u32 + 1));
+/// assert_eq!(buf, [1, 1, 2, 2, 2, 2]);
+/// ```
+pub fn run_on_threads_with<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    assert!(!inputs.is_empty(), "need at least one thread");
+    if inputs.len() == 1 {
+        return inputs.into_iter().map(|input| f(0, input)).collect();
     }
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..p)
-            .map(|t| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(t, input)| {
                 let f = &f;
                 std::thread::Builder::new()
                     .name(format!("wfbn-worker-{t}"))
-                    .spawn_scoped(s, move || f(t))
+                    .spawn_scoped(s, move || f(t, input))
                     .expect("failed to spawn worker thread")
             })
             .collect();

@@ -2,35 +2,27 @@
 //! (paper Algorithm 4).
 //!
 //! Cheng et al.'s first phase evaluates `I(Xᵢ; Xⱼ)` for **every** pair of
-//! variables. Algorithm 4 deals the `n(n−1)/2` pairs round-robin over the
-//! `P` cores; for each of its pairs a core computes the pairwise joint
-//! `P(x, y)` by scanning the potential table, derives both singleton
-//! marginals from the joint (the paper's optimization eliminating two of the
-//! three marginalization passes), and evaluates Equation 1.
+//! variables. For each pair the paper computes the pairwise joint
+//! `P(x, y)`, derives both singleton marginals from the joint (its
+//! optimization eliminating two of the three marginalization passes), and
+//! evaluates Equation 1.
 //!
-//! Two schedules are provided:
-//!
-//! * [`all_pairs_mi`] — pair-parallel (the paper's Algorithm 4): each core
-//!   handles a disjoint set of pairs and scans all partitions for each pair.
-//!   Decoding cost: 2 divide/mod per entry per pair ⇒ `O(E · n²)` total
-//!   work for `E` table entries.
-//! * [`all_pairs_mi_fused`] — table-parallel extension: each core scans its
-//!   own partitions *once*, decodes the full state string per entry
-//!   (`O(n)`), and updates the joints of **all** pairs in registers/L1
-//!   (`O(n²)` updates per entry, but no repeated division). The fused
-//!   schedule additionally re-reads each table entry once instead of
-//!   `n(n−1)/2` times. Same asymptotics, different constants; both appear
-//!   in the ablation bench.
-//!
-//! Both produce identical results (up to floating-point associativity,
-//! which the tests bound at 1e-12) and both return a symmetric
-//! [`MiMatrix`].
+//! The paper's Algorithm 4 deals the `n(n−1)/2` pairs over the cores, and
+//! each pair rescans the whole table: `n(n−1)/2` passes, each decoding two
+//! variables per entry with a divide and a modulo. [`all_pairs_mi`] instead
+//! parallelizes over the table: each core walks its own partitions once, in
+//! bounded tiles. A tile's entries are decoded once into bit fields (the
+//! layout of [`PackedTable`](crate::marginal::PackedTable)), then every
+//! pair's joint absorbs the tile with a shift and a mask per variable. The
+//! per-core joints merge by exact integer sums, so the matrix is
+//! bit-identical to evaluating each pair on `marginalize(&[i, j])`, at any
+//! thread count. (The PRAM simulator in `wfbn-pram` still models the
+//! paper's pair-parallel schedule.)
 
 use crate::entropy::mutual_information;
-use crate::error::CoreError;
-use crate::marginal::marginalize;
+use crate::marginal::{MarginalTable, PackLayout, TILE};
 use crate::potential::PotentialTable;
-use wfbn_concurrent::{pair_count, pairs_for_thread, run_on_threads};
+use wfbn_concurrent::{pair_count, run_on_threads_with};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
 /// Symmetric matrix of pairwise mutual information values (nats).
@@ -107,8 +99,7 @@ impl MiMatrix {
     }
 }
 
-/// Computes all-pairs MI with the paper's pair-parallel schedule
-/// (Algorithm 4) on `threads` threads.
+/// Computes all-pairs MI on `threads` threads.
 ///
 /// # Examples
 ///
@@ -127,56 +118,15 @@ pub fn all_pairs_mi(table: &PotentialTable, threads: usize) -> MiMatrix {
     all_pairs_mi_recorded(table, threads, &NoopRecorder)
 }
 
-/// [`all_pairs_mi`] with telemetry: each thread attributes its wall time to
-/// [`Stage::Marginal`] and counts the pairs it evaluated
-/// ([`Counter::PairsScanned`]) and the table entries those per-pair scans
-/// touched ([`Counter::EntriesScanned`] — every pair rescans the whole
-/// table under this schedule, which is exactly the `O(E·n²)` constant the
-/// fused schedule removes).
+/// [`all_pairs_mi`] with telemetry: each scan thread attributes its wall
+/// time to [`Stage::Marginal`] and counts the entries it packed under
+/// [`Counter::EntriesScanned`] (each entry once per call); the merging core
+/// records the `n(n−1)/2` evaluated pairs under [`Counter::PairsScanned`].
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
 pub fn all_pairs_mi_recorded<R: Recorder>(
-    table: &PotentialTable,
-    threads: usize,
-    rec: &R,
-) -> MiMatrix {
-    assert!(threads > 0, "need at least one thread");
-    let n = table.codec().num_vars();
-    let entries = table.num_entries() as u64;
-    let mut matrix = MiMatrix::zeroed(n);
-    let per_thread = run_on_threads(threads, |t| {
-        let mut cr = rec.core(t);
-        let t0 = cr.now();
-        let mut local: Vec<(usize, usize, f64)> = Vec::new();
-        for (i, j) in pairs_for_thread(n, t, threads) {
-            // Each pair's marginalization runs sequentially inside its
-            // owning thread (threads=1): the parallelism is across pairs.
-            let pair = marginalize(table, &[i, j], 1).expect("pair vars are valid by construction");
-            local.push((i, j, mutual_information(&pair)));
-        }
-        cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
-        cr.add(Counter::PairsScanned, local.len() as u64);
-        cr.add(Counter::EntriesScanned, local.len() as u64 * entries);
-        local
-    });
-    for thread_results in per_thread {
-        for (i, j, mi) in thread_results {
-            matrix.set(i, j, mi);
-        }
-    }
-    matrix
-}
-
-/// Computes all-pairs MI with the fused table-parallel schedule: one scan of
-/// the table per thread, all pairwise joints accumulated simultaneously.
-pub fn all_pairs_mi_fused(table: &PotentialTable, threads: usize) -> MiMatrix {
-    all_pairs_mi_fused_recorded(table, threads, &NoopRecorder)
-}
-
-/// [`all_pairs_mi_fused`] with telemetry: each scan thread attributes its
-/// wall time to [`Stage::Marginal`] and counts the entries it decoded
-/// ([`Counter::EntriesScanned`] — each entry is read once, unlike the
-/// pair-parallel schedule); the merging core additionally records the
-/// `n(n−1)/2` evaluated pairs under [`Counter::PairsScanned`].
-pub fn all_pairs_mi_fused_recorded<R: Recorder>(
     table: &PotentialTable,
     threads: usize,
     rec: &R,
@@ -184,117 +134,131 @@ pub fn all_pairs_mi_fused_recorded<R: Recorder>(
     assert!(threads > 0, "need at least one thread");
     let codec = table.codec();
     let n = codec.num_vars();
-    let total = table.total_count();
+    let layout = PackLayout::new(codec);
     let p = table.num_partitions();
     let t = threads.min(p);
 
-    // Layout of the fused accumulator: for pair index q = flat(i,j) a block
-    // of r_i·r_j cells at offset[q].
-    let mut offsets = Vec::with_capacity(pair_count(n));
-    let mut cells = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            offsets.push(cells);
-            cells += (codec.arity(i) * codec.arity(j)) as usize;
+    // The joint of the q-th pair (i, j), in `iter_pairs` order, occupies
+    // cells offsets[q]..offsets[q + 1], laid out like `marginalize(&[i, j])`.
+    let mut offsets = Vec::with_capacity(pair_count(n) + 1);
+    offsets.push(0);
+    for (i, fi) in layout.fields.iter().enumerate() {
+        for fj in &layout.fields[i + 1..] {
+            offsets.push(offsets[offsets.len() - 1] + (fi.arity * fj.arity) as usize);
         }
     }
-    let flat = |i: usize, j: usize| i * (2 * n - i - 1) / 2 + (j - i - 1);
+    let cells = offsets[offsets.len() - 1];
 
-    let partials = run_on_threads(t, |tid| {
+    // Each thread's joints and tile buffer come from the calling thread, so
+    // their memory goes back to its allocator when the call returns.
+    let mut partials = vec![vec![0u64; cells]; t];
+    let mut tiles = vec![vec![0u64; layout.words * TILE]; t];
+    let inputs: Vec<_> = partials.iter_mut().zip(&mut tiles).collect();
+    run_on_threads_with(inputs, |tid, (joints, words)| {
         let mut cr = rec.core(tid);
         let t0 = cr.now();
+        let mut counts = [0u64; TILE];
+        let mut entries = (tid..p).step_by(t).flat_map(|i| table.partition(i).iter());
         let mut scanned = 0u64;
-        let mut acc = vec![0u64; cells];
-        let mut digits = vec![0u64; n];
-        let mut part_idx = tid;
-        while part_idx < p {
-            for (key, count) in table.partition(part_idx).iter() {
-                scanned += 1;
-                // Decode the full state string once.
-                let mut rest = key;
-                for (d, jj) in digits.iter_mut().zip(0..n) {
-                    let r = codec.arity(jj);
-                    *d = rest % r;
-                    rest /= r;
-                }
-                // Update every pair's joint cell.
-                for i in 0..n {
-                    let ri = codec.arity(i);
-                    for j in (i + 1)..n {
-                        let cell = digits[j] * ri + digits[i];
-                        acc[offsets[flat(i, j)] + cell as usize] += count;
-                    }
-                }
-            }
-            part_idx += t;
+        let mut len = layout.pack(&mut entries, TILE, words, &mut counts);
+        while len > 0 {
+            scanned += len as u64;
+            accumulate_tile(&layout, &offsets, words, &counts[..len], joints);
+            len = layout.pack(&mut entries, TILE, words, &mut counts);
         }
         cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
         cr.add(Counter::EntriesScanned, scanned);
-        acc
     });
 
-    // Merge partials, then evaluate MI per pair.
-    let mut acc = vec![0u64; cells];
-    for partial in &partials {
-        for (a, b) in acc.iter_mut().zip(partial) {
+    // Merge the partial joints (exact integer sums), then evaluate each pair.
+    let (joints, rest) = partials.split_first_mut().expect("at least one thread");
+    for partial in rest {
+        for (a, b) in joints.iter_mut().zip(partial.iter()) {
             *a += b;
         }
     }
+    let total = table.total_count();
     let mut matrix = MiMatrix::zeroed(n);
+    let mut q = 0;
     for i in 0..n {
         for j in (i + 1)..n {
-            let q = flat(i, j);
-            let block_len = (codec.arity(i) * codec.arity(j)) as usize;
-            let block = &acc[offsets[q]..offsets[q] + block_len];
-            let pair = crate::marginal::MarginalTable::from_raw_parts(
+            let pair = MarginalTable::from_raw_parts(
                 vec![i, j],
                 vec![codec.arity(i), codec.arity(j)],
-                block.to_vec(),
+                joints[offsets[q]..offsets[q + 1]].to_vec(),
                 total,
             );
             matrix.set(i, j, mutual_information(&pair));
+            q += 1;
         }
     }
-    // The merge/evaluate step runs on the calling thread after the scan
-    // threads have joined, so reusing core 0's handle stays single-writer.
+    // The merge runs on the calling thread after the scan threads have
+    // joined, so reusing core 0's handle stays single-writer.
     let mut cr = rec.core(0);
     cr.add(Counter::PairsScanned, pair_count(n) as u64);
     matrix
 }
 
-/// Convenience wrapper: validates inputs and returns a `Result` rather than
-/// panicking (library-boundary entry point used by the `bn` crate).
-pub fn try_all_pairs_mi(table: &PotentialTable, threads: usize) -> Result<MiMatrix, CoreError> {
-    if threads == 0 {
-        return Err(CoreError::ZeroThreads);
+/// Adds one packed tile (`words` holds `TILE`-long columns) into every
+/// pair's joint: pair by pair, so the inner loop reads two columns with a
+/// fixed shift and mask and scatters into one small, L1-resident joint.
+fn accumulate_tile(
+    layout: &PackLayout,
+    offsets: &[usize],
+    words: &[u64],
+    counts: &[u64],
+    joints: &mut [u64],
+) {
+    let len = counts.len();
+    let mut q = 0;
+    for (i, fi) in layout.fields.iter().enumerate() {
+        let col_i = &words[fi.word * TILE..][..len];
+        for fj in &layout.fields[i + 1..] {
+            let col_j = &words[fj.word * TILE..][..len];
+            let joint = &mut joints[offsets[q]..offsets[q + 1]];
+            for ((&wi, &wj), &count) in col_i.iter().zip(col_j).zip(counts) {
+                let x = (wi >> fi.shift) & fi.mask;
+                let y = (wj >> fj.shift) & fj.mask;
+                joint[(y * fi.arity + x) as usize] += count;
+            }
+            q += 1;
+        }
     }
-    if table.total_count() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    Ok(all_pairs_mi(table, threads))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::marginal::marginalize;
     use wfbn_data::{CorrelatedChain, Dataset, Generator, Schema, UniformIndependent};
 
     fn build_for_tests(data: &Dataset, p: usize) -> PotentialTable {
         crate::construct::waitfree_build(data, p).unwrap().table
     }
 
+    /// Per-pair oracle: the paper's formulation, one `marginalize` per pair.
+    fn per_pair_oracle(table: &PotentialTable, i: usize, j: usize) -> f64 {
+        mutual_information(&marginalize(table, &[i, j], 1).unwrap())
+    }
+
     #[test]
     fn pairwise_schedules_agree() {
-        let schema = Schema::new(vec![2, 3, 2, 4, 2, 3]).unwrap();
-        let data = CorrelatedChain::new(schema, 0.6)
-            .unwrap()
-            .generate(8_000, 21);
-        let table = build_for_tests(&data, 3);
-        let a = all_pairs_mi(&table, 1);
-        let b = all_pairs_mi(&table, 4);
-        let c = all_pairs_mi_fused(&table, 3);
-        assert!(a.max_abs_diff(&b) < 1e-12);
-        assert!(a.max_abs_diff(&c) < 1e-12);
+        // Mixed arities, 1–4 threads over 3 partitions (4 is clamped), and
+        // tables both smaller and larger than one tile.
+        let schema = Schema::new(vec![2, 3, 2, 4, 2, 3, 5]).unwrap();
+        for rows in [300, 8_000] {
+            let data = CorrelatedChain::new(schema.clone(), 0.6)
+                .unwrap()
+                .generate(rows, 21);
+            let table = build_for_tests(&data, 3);
+            assert!(rows < 1_000 || table.num_entries() > TILE);
+            for threads in [1, 2, 4] {
+                let mi = all_pairs_mi(&table, threads);
+                for (i, j, v) in mi.iter_pairs() {
+                    assert_eq!(v, per_pair_oracle(&table, i, j), "({i},{j}) at P={threads}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -376,17 +340,5 @@ mod tests {
         assert_eq!(pairs.len(), pair_count(7));
         let unique: std::collections::HashSet<_> = pairs.iter().collect();
         assert_eq!(unique.len(), pairs.len());
-    }
-
-    #[test]
-    fn try_variant_validates() {
-        let schema = Schema::uniform(3, 2).unwrap();
-        let data = UniformIndependent::new(schema).generate(100, 1);
-        let table = build_for_tests(&data, 2);
-        assert!(matches!(
-            try_all_pairs_mi(&table, 0),
-            Err(CoreError::ZeroThreads)
-        ));
-        assert!(try_all_pairs_mi(&table, 2).is_ok());
     }
 }

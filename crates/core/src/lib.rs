@@ -67,7 +67,7 @@ pub use construct::{
 };
 pub use count_table::{CountTable, Key};
 pub use error::CoreError;
-pub use marginal::{marginalize, marginalize_recorded, MarginalTable};
+pub use marginal::{marginalize, marginalize_recorded, MarginalTable, PackedTable};
 pub use partition::KeyPartitioner;
 pub use pipeline::{pipelined_build, pipelined_build_recorded};
 pub use potential::PotentialTable;

@@ -14,17 +14,30 @@
 //! partials are summed at the end ("merge" step of Algorithm 3). No thread
 //! ever reads another's partition — the cache-friendliness claim of the
 //! paper.
+//!
+//! A caller that marginalizes one table many times (the learner's CI tests)
+//! first takes a [`PackedTable`]: every entry decoded once into bit fields,
+//! so each later marginal costs a shift and a mask per variable and entry
+//! instead of a divide and a modulo, over dense arrays instead of hash
+//! slots.
 
 use crate::codec::KeyCodec;
+use crate::count_table::CountTable;
 use crate::error::CoreError;
 use crate::potential::PotentialTable;
-use wfbn_concurrent::run_on_threads;
+use core::ops::Range;
+use wfbn_concurrent::{run_on_threads, run_on_threads_with};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
 /// Refuse to materialize marginal tables above this many cells (2^28 cells
 /// = 2 GiB of counts); marginals in structure learning are tiny (pairs and
 /// triples), so hitting this indicates a caller bug.
 const MAX_MARGINAL_CELLS: u64 = 1 << 28;
+
+/// Entries per tile of a packed scan: a tile's cell indices (in
+/// [`PackedTable::marginalize`]) or packed words (in all-pairs MI) stay in
+/// L1 while every variable's field is folded in.
+pub(crate) const TILE: usize = 512;
 
 /// A dense marginal count table over an ordered set of variables.
 ///
@@ -76,6 +89,18 @@ impl MarginalTable {
             counts: vec![0; cells as usize],
             total,
         })
+    }
+
+    /// [`zeroed`](Self::zeroed) over `order`, any permutation of a valid
+    /// variable set: validated in sorted order, so it fails exactly where
+    /// `zeroed` on the sorted set would.
+    fn zeroed_in_order(codec: &KeyCodec, order: &[usize], total: u64) -> Result<Self, CoreError> {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        let mut out = Self::zeroed(codec, &sorted, total)?;
+        out.vars = order.to_vec();
+        out.arities = order.iter().map(|&v| codec.arity(v)).collect();
+        Ok(out)
     }
 
     /// The variables this marginal ranges over (strictly increasing).
@@ -421,7 +446,7 @@ pub fn marginalize_many_recorded<R: Recorder>(
 /// Algorithm 3); returns the number of entries scanned.
 fn accumulate_partition(
     codec: &KeyCodec,
-    part: &crate::count_table::CountTable,
+    part: &CountTable,
     vars: &[usize],
     out: &mut MarginalTable,
 ) -> u64 {
@@ -432,6 +457,232 @@ fn accumulate_partition(
         scanned += 1;
     }
     scanned
+}
+
+/// Where one variable's state sits in a packed entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Field {
+    /// Which of the entry's words holds the field.
+    pub(crate) word: usize,
+    /// Bit offset of the field within that word.
+    pub(crate) shift: u32,
+    /// `2^width − 1`.
+    pub(crate) mask: u64,
+    /// The variable's arity `r_v`.
+    pub(crate) arity: u64,
+}
+
+/// The bit-field layout of a packed entry: variable `v` takes the next
+/// `⌈log₂ r_v⌉` bits of the current word, or starts a new word when they
+/// would straddle one, so every field reads back with one shift and mask.
+#[derive(Debug, Clone)]
+pub(crate) struct PackLayout {
+    /// One field per variable, in variable order.
+    pub(crate) fields: Vec<Field>,
+    /// Words per packed entry.
+    pub(crate) words: usize,
+}
+
+impl PackLayout {
+    pub(crate) fn new(codec: &KeyCodec) -> Self {
+        let mut fields = Vec::with_capacity(codec.num_vars());
+        let (mut word, mut offset) = (0, 0);
+        for v in 0..codec.num_vars() {
+            let arity = codec.arity(v);
+            // ⌈log₂ r⌉ is the bit length of r − 1 (r ≥ 2, so at least 1).
+            let width = u64::BITS - (arity - 1).leading_zeros();
+            if offset + width > u64::BITS {
+                word += 1;
+                offset = 0;
+            }
+            fields.push(Field {
+                word,
+                shift: offset,
+                mask: (1 << width) - 1,
+                arity,
+            });
+            offset += width;
+        }
+        Self {
+            fields,
+            words: word + 1,
+        }
+    }
+
+    /// Decodes each `(key, count)` of `entries` once — one divide and modulo
+    /// per variable (Eq. 4) — and stores it word-major: word `w` of the
+    /// `e`-th entry at `words[w * stride + e]`, its count at `counts[e]`.
+    /// Returns the number of entries packed (at most `stride`).
+    pub(crate) fn pack(
+        &self,
+        entries: impl Iterator<Item = (u64, u64)>,
+        stride: usize,
+        words: &mut [u64],
+        counts: &mut [u64],
+    ) -> usize {
+        let mut len = 0;
+        for (e, (key, count)) in entries.take(stride).enumerate() {
+            let (mut rest, mut word, mut bits) = (key, 0, 0u64);
+            for f in &self.fields {
+                if f.word != word {
+                    words[word * stride + e] = bits;
+                    (word, bits) = (f.word, 0);
+                }
+                bits |= (rest % f.arity) << f.shift;
+                rest /= f.arity;
+            }
+            words[word * stride + e] = bits;
+            counts[e] = count;
+            len = e + 1;
+        }
+        len
+    }
+}
+
+/// A read-only snapshot of a [`PotentialTable`] for repeated
+/// marginalization.
+///
+/// Packing decodes every entry once into bit fields (see `PackLayout`):
+/// variable `v` gets `⌈log₂ r_v⌉` bits, no field straddles a `u64` word, and
+/// each block of entries stores its words word-major with the counts
+/// alongside. [`marginalize`](Self::marginalize) then folds a tile of
+/// entries one variable at a time with a shift, a mask and a multiply-add
+/// over a dense column — the per-entry divide and modulo of
+/// [`marginalize`] and the hash table's empty slots are paid once, at
+/// packing.
+///
+/// # Examples
+///
+/// ```
+/// use wfbn_core::construct::sequential_build;
+/// use wfbn_core::marginal::{marginalize, PackedTable};
+/// use wfbn_data::{Dataset, Schema};
+///
+/// let schema = Schema::new(vec![2, 3, 2]).unwrap();
+/// let d = Dataset::from_rows(schema, &[&[0, 2, 1], &[1, 2, 0], &[1, 0, 0]]).unwrap();
+/// let table = sequential_build(&d).unwrap().table;
+/// let packed = PackedTable::pack(&table, 1).unwrap();
+/// // Any variable order; same table as marginalizing sorted and reordering.
+/// let m = packed.marginalize(&[2, 0]).unwrap();
+/// assert_eq!(m, marginalize(&table, &[0, 2], 1).unwrap().reorder(&[2, 0]));
+/// assert_eq!(m.count(&[0, 1]), 2); // X₂ = 0, X₀ = 1
+/// ```
+#[derive(Debug, Clone)]
+pub struct PackedTable {
+    codec: KeyCodec,
+    layout: PackLayout,
+    total: u64,
+    /// One block of entries per packing thread. Block `r` keeps its counts
+    /// at `counts[r]` and its words, column after column, at
+    /// `words[layout.words * r.start..layout.words * r.end]`.
+    blocks: Vec<Range<usize>>,
+    words: Vec<u64>,
+    counts: Vec<u64>,
+}
+
+impl PackedTable {
+    /// Packs `table` on `threads` workers (clamped to the number of
+    /// partitions), each decoding whole partitions into a block of its own.
+    /// The calling thread allocates every block, so the snapshot's memory
+    /// comes back to its allocator when the snapshot is dropped.
+    pub fn pack(table: &PotentialTable, threads: usize) -> Result<Self, CoreError> {
+        if threads == 0 {
+            return Err(CoreError::ZeroThreads);
+        }
+        let codec = table.codec();
+        let layout = PackLayout::new(codec);
+        let p = table.num_partitions();
+        let t = threads.min(p);
+        let parts = |tid: usize| (tid..p).step_by(t).map(|i| table.partition(i));
+        let mut blocks = Vec::with_capacity(t);
+        let mut start = 0;
+        for tid in 0..t {
+            let len: usize = parts(tid).map(CountTable::len).sum();
+            blocks.push(start..start + len);
+            start += len;
+        }
+        let mut words = vec![0; layout.words * start];
+        let mut counts = vec![0; start];
+        let mut regions = Vec::with_capacity(t);
+        let (mut words_rest, mut counts_rest) = (&mut words[..], &mut counts[..]);
+        for block in &blocks {
+            let (w, w_rest) =
+                core::mem::take(&mut words_rest).split_at_mut(layout.words * block.len());
+            let (c, c_rest) = core::mem::take(&mut counts_rest).split_at_mut(block.len());
+            regions.push((w, c));
+            (words_rest, counts_rest) = (w_rest, c_rest);
+        }
+        run_on_threads_with(regions, |tid, (w, c)| {
+            let len = c.len();
+            let packed = layout.pack(parts(tid).flat_map(CountTable::iter), len, w, c);
+            debug_assert_eq!(packed, len);
+        });
+        Ok(Self {
+            codec: codec.clone(),
+            layout,
+            total: table.total_count(),
+            blocks,
+            words,
+            counts,
+        })
+    }
+
+    /// The key codec of the packed table's schema.
+    pub fn codec(&self) -> &KeyCodec {
+        &self.codec
+    }
+
+    /// Total observations `m` in the packed table.
+    pub fn total_count(&self) -> u64 {
+        self.total
+    }
+
+    /// Number of packed entries (distinct state strings).
+    pub fn num_entries(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// The marginal over `order`, in that order: byte-identical to
+    /// `marginalize(table, sorted, _)?.reorder(order)`, and failing with the
+    /// same [`CoreError`] where that would.
+    ///
+    /// `order` is any arrangement of distinct in-range variables. The scan
+    /// runs on the calling thread.
+    pub fn marginalize(&self, order: &[usize]) -> Result<MarginalTable, CoreError> {
+        let mut out = MarginalTable::zeroed_in_order(&self.codec, order, self.total)?;
+        // Each variable's field and its stride in the output's mixed radix.
+        let mut stride = 1;
+        let terms: Vec<(Field, u64)> = order
+            .iter()
+            .map(|&v| {
+                let f = self.layout.fields[v];
+                let term = (f, stride);
+                stride *= f.arity;
+                term
+            })
+            .collect();
+        let mut cells = [0u64; TILE];
+        for block in &self.blocks {
+            let words = &self.words[self.layout.words * block.start..];
+            let counts = &self.counts[block.clone()];
+            let len = counts.len();
+            for start in (0..len).step_by(TILE) {
+                let end = len.min(start + TILE);
+                let cells = &mut cells[..end - start];
+                cells.fill(0);
+                for (f, stride) in &terms {
+                    let column = &words[f.word * len..][start..end];
+                    for (cell, &w) in cells.iter_mut().zip(column) {
+                        *cell += ((w >> f.shift) & f.mask) * stride;
+                    }
+                }
+                for (&cell, &count) in cells.iter().zip(&counts[start..end]) {
+                    out.counts[cell as usize] += count;
+                }
+            }
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -686,5 +937,55 @@ mod tests {
         let arbitrary = PotentialTable::from_parts_unpartitioned(codec, parts);
         let got = marginalize(&arbitrary, &[1, 3], 3).unwrap();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn pack_layout_widths_and_word_breaks() {
+        // 2 → 1 bit, 3 → 2 bits, 4 → 2 bits, 5 → 3 bits, 40 000 → 16 bits.
+        let schema = Schema::new(vec![2, 3, 4, 5, 40_000]).unwrap();
+        let layout = PackLayout::new(&KeyCodec::new(&schema));
+        let placed: Vec<(usize, u32, u64)> = layout
+            .fields
+            .iter()
+            .map(|f| (f.word, f.shift, f.mask))
+            .collect();
+        assert_eq!(
+            placed,
+            [(0, 0, 1), (0, 1, 3), (0, 3, 3), (0, 5, 7), (0, 8, 0xffff)]
+        );
+        assert_eq!(layout.words, 1);
+        // 40 ternary variables take 80 bits: 32 fit the first word exactly,
+        // and the 33rd starts the second instead of straddling.
+        let layout = PackLayout::new(&KeyCodec::new(&Schema::uniform(40, 3).unwrap()));
+        assert_eq!(layout.words, 2);
+        assert_eq!((layout.fields[31].word, layout.fields[31].shift), (0, 62));
+        assert_eq!((layout.fields[32].word, layout.fields[32].shift), (1, 0));
+    }
+
+    #[test]
+    fn packed_table_matches_the_hash_table_scan() {
+        let schema = Schema::new(vec![2, 3, 2, 4, 2]).unwrap();
+        let data = CorrelatedChain::new(schema, 0.6)
+            .unwrap()
+            .generate(4_000, 17);
+        let t = table(&data, 3);
+        assert!(matches!(
+            PackedTable::pack(&t, 0),
+            Err(CoreError::ZeroThreads)
+        ));
+        for threads in [1, 2, 3, 8] {
+            let packed = PackedTable::pack(&t, threads).unwrap();
+            assert_eq!(packed.num_entries(), t.num_entries());
+            assert_eq!(packed.total_count(), 4_000);
+            for order in [vec![4], vec![3, 1], vec![0, 2, 4], vec![4, 0, 3, 1]] {
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                let expected = marginalize(&t, &sorted, 1).unwrap().reorder(&order);
+                assert_eq!(packed.marginalize(&order).unwrap(), expected);
+            }
+            assert!(packed.marginalize(&[]).is_err());
+            assert!(packed.marginalize(&[1, 1]).is_err());
+            assert!(packed.marginalize(&[0, 5]).is_err());
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! marginalization consistency, and information-theoretic inequalities.
 
 use proptest::prelude::*;
-use wfbn_core::allpairs::{all_pairs_mi, all_pairs_mi_fused};
+use wfbn_core::allpairs::all_pairs_mi;
 use wfbn_core::construct::{sequential_build, waitfree_build, waitfree_build_with};
 use wfbn_core::entropy::{conditional_mutual_information, entropy, mutual_information};
-use wfbn_core::marginal::marginalize;
+use wfbn_core::marginal::{marginalize, PackedTable};
 use wfbn_core::partition::KeyPartitioner;
 use wfbn_core::pipeline::pipelined_build;
 use wfbn_core::rebalance::rebalance;
@@ -38,6 +38,40 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
         .prop_map(move |rows| {
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
             Dataset::from_rows(schema.clone(), &refs).unwrap()
+        })
+    })
+}
+
+/// Schemas for the packed snapshot: mixed small arities (one word), 40
+/// ternary variables (80 bits: two words), or a 16-bit field (arity > 256).
+fn packing_schema_strategy() -> impl Strategy<Value = Schema> {
+    (0usize..3, schema_strategy()).prop_map(|(kind, small)| match kind {
+        0 => small,
+        1 => Schema::uniform(40, 3).unwrap(),
+        _ => Schema::new(vec![2, 40_000, 3, 2, 2]).unwrap(),
+    })
+}
+
+/// A dataset of 1–300 rows on a packing schema, and a variable order of
+/// 0–6 entries drawn slightly past `n`, so empty, duplicate and
+/// out-of-range orders occur beside valid ones.
+fn packing_case_strategy() -> impl Strategy<Value = (Dataset, Vec<usize>)> {
+    packing_schema_strategy().prop_flat_map(|schema| {
+        let n = schema.num_vars();
+        let arities: Vec<u16> = schema.arities().to_vec();
+        let rows = prop::collection::vec(
+            prop::collection::vec(0u16..u16::MAX, n).prop_map(move |mut row| {
+                for (s, &r) in row.iter_mut().zip(&arities) {
+                    *s %= r;
+                }
+                row
+            }),
+            1..=300,
+        );
+        let order = prop::collection::vec(0usize..n + 2, 0..=6);
+        (rows, order).prop_map(move |(rows, order)| {
+            let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+            (Dataset::from_rows(schema.clone(), &refs).unwrap(), order)
         })
     })
 }
@@ -193,11 +227,28 @@ proptest! {
     fn all_pairs_schedules_agree_on_random_data(data in dataset_strategy(), p in 1usize..=4) {
         prop_assume!(data.num_vars() >= 2);
         let table = waitfree_build(&data, p).unwrap().table;
-        let pairwise = all_pairs_mi(&table, p);
-        let fused = all_pairs_mi_fused(&table, p);
-        prop_assert!(pairwise.max_abs_diff(&fused) < 1e-12);
-        // Spot-check against a direct computation for the (0, 1) pair.
-        let direct = mutual_information(&marginalize(&table, &[0, 1], 1).unwrap());
-        prop_assert!((pairwise.get(0, 1) - direct).abs() < 1e-12);
+        for threads in [1usize, 2, 4] {
+            let mi = all_pairs_mi(&table, threads);
+            for (i, j, v) in mi.iter_pairs() {
+                let oracle = mutual_information(&marginalize(&table, &[i, j], 1).unwrap());
+                prop_assert_eq!(v, oracle, "pair ({}, {}) at {} threads", i, j, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_marginals_equal_sorted_marginals_reordered(
+        case in packing_case_strategy(),
+        p in 0usize..3,
+        threads in 1usize..=4,
+    ) {
+        let (data, order) = case;
+        let table = waitfree_build(&data, [1, 2, 4][p]).unwrap().table;
+        let packed = PackedTable::pack(&table, threads).unwrap();
+        prop_assert_eq!(packed.num_entries(), table.num_entries());
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        let oracle = marginalize(&table, &sorted, 1).map(|m| m.reorder(&order));
+        prop_assert_eq!(packed.marginalize(&order), oracle);
     }
 }

@@ -4,8 +4,10 @@
 //! input, across workloads and thread counts.
 
 use wfbn_baselines::{all_builders, AtomicArrayBuilder, TableBuilder};
-use wfbn_core::allpairs::{all_pairs_mi, all_pairs_mi_fused_recorded, all_pairs_mi_recorded};
+use wfbn_core::allpairs::all_pairs_mi_recorded;
 use wfbn_core::construct::{sequential_build, sequential_build_recorded, waitfree_build_recorded};
+use wfbn_core::entropy::mutual_information;
+use wfbn_core::marginal::marginalize;
 use wfbn_core::CoreMetrics;
 use wfbn_data::{CorrelatedChain, Dataset, Generator, Schema, UniformIndependent, ZipfIndependent};
 
@@ -118,23 +120,21 @@ fn instrumented_builders_agree_with_the_uninstrumented_reference() {
 }
 
 #[test]
-fn instrumented_mi_schedules_agree_within_1e_12() {
+fn instrumented_all_pairs_mi_equals_the_per_pair_oracle_exactly() {
     let schema = Schema::new(vec![2, 3, 2, 4, 2, 3]).unwrap();
     let data = CorrelatedChain::new(schema, 0.6).unwrap().generate(8_000, 21);
     let table = wfbn_core::construct::waitfree_build(&data, 3).unwrap().table;
-    let bare = all_pairs_mi(&table, 1);
     for threads in [1usize, 2, 4] {
         let rec = CoreMetrics::new(threads);
-        let pairwise = all_pairs_mi_recorded(&table, threads, &rec);
-        let fused = all_pairs_mi_fused_recorded(&table, threads, &rec);
-        assert!(
-            bare.max_abs_diff(&pairwise) < 1e-12,
-            "pair-parallel drifted under CoreMetrics at {threads} threads"
-        );
-        assert!(
-            bare.max_abs_diff(&fused) < 1e-12,
-            "fused drifted under CoreMetrics at {threads} threads"
-        );
+        let mi = all_pairs_mi_recorded(&table, threads, &rec);
+        for (i, j, v) in mi.iter_pairs() {
+            let pair = marginalize(&table, &[i, j], 1).unwrap();
+            assert_eq!(
+                v,
+                mutual_information(&pair),
+                "pair ({i},{j}) drifted from the per-pair oracle under CoreMetrics at {threads} threads"
+            );
+        }
     }
 }
 

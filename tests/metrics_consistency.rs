@@ -9,6 +9,7 @@
 //! (and panics on violation), so this suite doubles as the strict-mode CI
 //! gate.
 
+use wfbn_core::allpairs::all_pairs_mi_recorded;
 use wfbn_core::construct::{sequential_build_recorded, waitfree_build, waitfree_build_recorded};
 use wfbn_core::marginal::marginalize_recorded;
 use wfbn_core::obs::{Counter, Stage, PROBE_BUCKETS};
@@ -181,6 +182,29 @@ fn marginalization_scans_every_entry_exactly_once() {
         assert_eq!(
             report.total(Counter::EntriesScanned),
             entries,
+            "threads={threads}"
+        );
+        assert!(report.stage_total_ns(Stage::Marginal) > 0);
+    }
+}
+
+#[test]
+fn all_pairs_scans_every_entry_once_and_counts_every_pair() {
+    let data = workload(12, 5_000, 43);
+    let table = waitfree_build(&data, 4).unwrap().table;
+    let entries = table.num_entries() as u64;
+    for threads in [1usize, 2, 4] {
+        let rec = CoreMetrics::new(threads);
+        all_pairs_mi_recorded(&table, threads, &rec);
+        let report = rec.snapshot();
+        assert_eq!(
+            report.total(Counter::EntriesScanned),
+            entries,
+            "threads={threads}: one all-pairs call reads each entry once"
+        );
+        assert_eq!(
+            report.total(Counter::PairsScanned),
+            12 * 11 / 2,
             "threads={threads}"
         );
         assert!(report.stage_total_ns(Stage::Marginal) > 0);
