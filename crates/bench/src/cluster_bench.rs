@@ -19,7 +19,7 @@ use std::time::Instant;
 use wfbn_cluster::{Cluster, ClusterConfig};
 use wfbn_data::Dataset;
 use wfbn_pram::{simulate_cluster_marginal, simulate_waitfree_build_batched, CostModel};
-use wfbn_serve::EngineConfig;
+use wfbn_serve::{EngineConfig, QueryEndpoint};
 
 /// Deterministic shard-scaling series over `shards` cluster sizes.
 #[derive(Debug, Clone)]

@@ -20,7 +20,7 @@ use crate::runner::uniform_workload;
 use std::time::Instant;
 use wfbn_data::Dataset;
 use wfbn_pram::{simulate_all_pairs_mi, simulate_waitfree_build_batched, CostModel};
-use wfbn_serve::{Engine, EngineConfig};
+use wfbn_serve::{Engine, EngineConfig, QueryEndpoint};
 
 /// Deterministic serve-throughput series over `readers` endpoint counts.
 #[derive(Debug, Clone)]

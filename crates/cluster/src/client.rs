@@ -5,9 +5,10 @@
 //! outright, so the entire cross-shard query path stays single-writer by
 //! construction. Answering a cache-missing scope is
 //!
-//! 1. one **fan-out**: the same scope list is marginalized against every
-//!    shard's snapshot in the pinned cut (one partition scan per shard,
-//!    batched over the scopes exactly as the single-node reader batches);
+//! 1. one **fan-out**: each scope is marginalized against every shard's
+//!    packed snapshot of the pinned cut — each shard table packed once per
+//!    cut epoch, on the cut's first miss, exactly as the single-node reader
+//!    packs its one table ([`MarginalCache::answer`]);
 //! 2. `S` **partial merges** per scope: shard partials count *disjoint*
 //!    observation sets (the router gives every key exactly one owner), so
 //!    [`MarginalTable::merge_shard`] — elementwise count sums plus a total
@@ -19,14 +20,11 @@
 //! wire protocol over it — cluster responses are byte-for-byte single-node
 //! responses over the same counts.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use wfbn_concurrent::cluster_epoch::{ClusterCut, ClusterReader};
-use wfbn_core::entropy::mutual_information;
-use wfbn_core::marginal::marginalize_many_recorded;
 use wfbn_core::{MarginalTable, PotentialTable};
 use wfbn_obs::{CoreRecorder, Counter, Recorder};
-use wfbn_serve::{cpt_rows, CptRow, MarginalCache, QueryEndpoint, ServeError};
+use wfbn_serve::{MarginalCache, QueryEndpoint, ServeError};
 
 /// A cluster-level query endpoint answering against pinned cluster cuts;
 /// see the [module docs](self).
@@ -87,126 +85,24 @@ impl<R: Recorder> ClusterClient<R> {
         }
         pinned
     }
-
-    /// Answers a fused group of marginal queries against one pinned cluster
-    /// cut; the cross-shard counterpart of
-    /// [`QueryReader::answer_batch`](wfbn_serve::QueryReader::answer_batch)
-    /// with the same contract (scopes strictly increasing, cache-missing
-    /// scopes deduplicated, one partition scan per shard).
-    pub fn answer_batch(
-        &mut self,
-        scopes: &[&[usize]],
-    ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
-        let (epoch, cut) = self.pin().ok_or(ServeError::NothingPublished)?;
-        if scopes.is_empty() {
-            return Ok((epoch, Vec::new()));
-        }
-        let mut core = self.rec.core(self.core);
-        let t0 = core.now();
-
-        let mut hits = 0u64;
-        let mut missing: Vec<&[usize]> = Vec::new();
-        for &scope in scopes {
-            if self.cache.get(scope).is_some() {
-                hits += 1;
-            } else if !missing.contains(&scope) {
-                missing.push(scope);
-            }
-        }
-        let misses = scopes.len() as u64 - hits;
-
-        let mut fresh: HashMap<&[usize], Arc<MarginalTable>> = HashMap::new();
-        if !missing.is_empty() {
-            // One fan-out covers every missing scope on every shard.
-            core.add(Counter::QueryFanOuts, 1);
-            let (first, rest) = cut.split_first().expect("a cut has at least one shard");
-            let mut merged = marginalize_many_recorded(first, &missing, &*self.rec, self.core)?;
-            core.add(Counter::PartialMerges, missing.len() as u64);
-            for shard_table in rest {
-                let partials =
-                    marginalize_many_recorded(shard_table, &missing, &*self.rec, self.core)?;
-                for (m, p) in merged.iter_mut().zip(&partials) {
-                    m.merge_shard(p)?;
-                }
-                core.add(Counter::PartialMerges, missing.len() as u64);
-            }
-            for (&scope, marginal) in missing.iter().zip(merged) {
-                let marginal = Arc::new(marginal);
-                self.cache.insert(scope, Arc::clone(&marginal));
-                fresh.insert(scope, marginal);
-            }
-        }
-        let answers = scopes
-            .iter()
-            .map(|&scope| {
-                // `fresh` backstops the cache's wholesale capacity flush.
-                self.cache
-                    .get(scope)
-                    .or_else(|| fresh.get(scope))
-                    .map(Arc::clone)
-                    .expect("every scope was cached or just merged")
-            })
-            .collect();
-
-        let elapsed = core.now().saturating_sub(t0);
-        let per_query = elapsed / scopes.len() as u64;
-        for _ in scopes {
-            core.query_latency(per_query);
-        }
-        core.add(Counter::QueriesServed, scopes.len() as u64);
-        core.add(Counter::CacheHits, hits);
-        core.add(Counter::CacheMisses, misses);
-        Ok((epoch, answers))
-    }
-
-    /// Merged cross-shard marginal over `scope` at the newest cluster epoch.
-    pub fn marginal(&mut self, scope: &[usize]) -> Result<(u64, Arc<MarginalTable>), ServeError> {
-        let (epoch, mut answers) = self.answer_batch(&[scope])?;
-        Ok((epoch, answers.pop().expect("one answer for one scope")))
-    }
-
-    /// Mutual information `I(X_i; X_j)` in nats at the newest cluster epoch,
-    /// computed from the merged pairwise joint exactly as the offline path.
-    pub fn mi(&mut self, i: usize, j: usize) -> Result<(u64, f64), ServeError> {
-        if i == j {
-            return Err(ServeError::Protocol(format!("MI of X{i} with itself")));
-        }
-        let scope = [i.min(j), i.max(j)];
-        let (epoch, pair) = self.marginal(&scope)?;
-        Ok((epoch, mutual_information(&pair)))
-    }
-
-    /// Conditional probability table `P(X_x | parents)` at the newest
-    /// cluster epoch; row layout identical to the single-node reader's.
-    #[allow(clippy::type_complexity)]
-    pub fn cpt(
-        &mut self,
-        x: usize,
-        parents: &[usize],
-    ) -> Result<(u64, Vec<usize>, Vec<CptRow>), ServeError> {
-        if parents.contains(&x) {
-            return Err(ServeError::Protocol(format!("X{x} cannot be its own parent")));
-        }
-        let mut scope: Vec<usize> = parents.to_vec();
-        scope.sort_unstable();
-        scope.dedup();
-        if scope.len() != parents.len() {
-            return Err(ServeError::Protocol("duplicate parent variable".into()));
-        }
-        let sorted_parents = scope.clone();
-        scope.push(x);
-        scope.sort_unstable();
-        let (epoch, joint) = self.marginal(&scope)?;
-        Ok((epoch, sorted_parents, cpt_rows(&joint, x)))
-    }
 }
 
+/// Answers against one pinned cluster cut: each cache-missing scope is read
+/// from every shard's packed snapshot and the partials merged.
 impl<R: Recorder> QueryEndpoint for ClusterClient<R> {
     fn answer_batch(
         &mut self,
         scopes: &[&[usize]],
     ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
-        ClusterClient::answer_batch(self, scopes)
+        let (epoch, cut) = self.pin().ok_or(ServeError::NothingPublished)?;
+        let (answers, computed) = self.cache.answer(&cut, scopes, &*self.rec, self.core)?;
+        if computed > 0 {
+            // One fan-out covers every missing scope on every shard.
+            let mut core = self.rec.core(self.core);
+            core.add(Counter::QueryFanOuts, 1);
+            core.add(Counter::PartialMerges, (cut.len() * computed) as u64);
+        }
+        Ok((epoch, answers))
     }
 
     fn published(&self) -> u64 {
@@ -223,7 +119,7 @@ mod tests {
     use crate::router::{Cluster, ClusterConfig};
     use wfbn_data::Schema;
     use wfbn_obs::{CoreMetrics, Counter};
-    use wfbn_serve::{EndpointSession, Engine, EngineConfig, ServeError};
+    use wfbn_serve::{EndpointSession, Engine, EngineConfig, QueryEndpoint, ServeError};
     use std::sync::Arc;
 
     fn ingest(n_vars: usize, rows: &[&[u16]]) -> (Schema, Vec<Vec<u16>>) {

@@ -15,11 +15,11 @@
 //! ever reads another's partition — the cache-friendliness claim of the
 //! paper.
 //!
-//! A caller that marginalizes one table many times (the learner's CI tests)
-//! first takes a [`PackedTable`]: every entry decoded once into bit fields,
-//! so each later marginal costs a shift and a mask per variable and entry
-//! instead of a divide and a modulo, over dense arrays instead of hash
-//! slots.
+//! A caller that marginalizes one table many times (the learner's CI tests,
+//! a serving reader's cache misses within one epoch) first takes a
+//! [`PackedTable`]: every entry decoded once into bit fields, so each later
+//! marginal costs a shift and a mask per variable and entry instead of a
+//! divide and a modulo, over dense arrays instead of hash slots.
 
 use crate::codec::KeyCodec;
 use crate::count_table::CountTable;
@@ -392,54 +392,6 @@ pub fn marginalize_recorded<R: Recorder>(
         out.absorb(partial);
     }
     Ok(out)
-}
-
-/// Computes the marginals over several variable sets in **one** scan of the
-/// potential table.
-///
-/// This is the batched-query form of [`marginalize`]: where `k` separate
-/// calls walk every stored entry `k` times, this walks them once and
-/// accumulates each entry into all `k` dense outputs. Scopes may repeat;
-/// outputs come back in scope order. Used by the serving layer to answer a
-/// batch of same-epoch queries with a single pass.
-pub fn marginalize_many(
-    table: &PotentialTable,
-    scopes: &[&[usize]],
-) -> Result<Vec<MarginalTable>, CoreError> {
-    marginalize_many_recorded(table, scopes, &NoopRecorder, 0)
-}
-
-/// [`marginalize_many`] with telemetry attributed to core `core` (the
-/// serving reader's slot): wall time lands in [`Stage::Marginal`] and each
-/// stored entry counts once under [`Counter::EntriesScanned`] no matter how
-/// many scopes it feeds.
-pub fn marginalize_many_recorded<R: Recorder>(
-    table: &PotentialTable,
-    scopes: &[&[usize]],
-    rec: &R,
-    core: usize,
-) -> Result<Vec<MarginalTable>, CoreError> {
-    let codec = table.codec();
-    let total = table.total_count();
-    let mut outs: Vec<MarginalTable> = scopes
-        .iter()
-        .map(|vars| MarginalTable::zeroed(codec, vars, total))
-        .collect::<Result<_, _>>()?;
-    let mut cr = rec.core(core);
-    let t0 = cr.now();
-    let mut scanned = 0u64;
-    for part in table.partitions() {
-        for (key, count) in part.iter() {
-            for (out, vars) in outs.iter_mut().zip(scopes) {
-                let idx = codec.marginal_key(key, vars) as usize;
-                out.counts[idx] += count;
-            }
-            scanned += 1;
-        }
-    }
-    cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
-    cr.add(Counter::EntriesScanned, scanned);
-    Ok(outs)
 }
 
 /// Scans one partition into a partial marginal (the per-core loop body of
@@ -847,24 +799,6 @@ mod tests {
         assert!(matches!(
             marginalize(&t, &[0], 0),
             Err(CoreError::ZeroThreads)
-        ));
-    }
-
-    #[test]
-    fn marginalize_many_matches_individual_calls() {
-        let schema = Schema::new(vec![2, 3, 2, 4, 2]).unwrap();
-        let data = UniformIndependent::new(schema).generate(5_000, 31);
-        let t = table(&data, 4);
-        let scopes: Vec<&[usize]> = vec![&[0], &[1, 3], &[0, 2, 4], &[1, 3]];
-        let fused = marginalize_many(&t, &scopes).unwrap();
-        assert_eq!(fused.len(), scopes.len());
-        for (got, vars) in fused.iter().zip(&scopes) {
-            let single = marginalize(&t, vars, 1).unwrap();
-            assert_eq!(got, &single, "vars={vars:?}");
-        }
-        assert!(matches!(
-            marginalize_many(&t, &[&[0][..], &[9][..]]),
-            Err(CoreError::VariableOutOfRange { .. })
         ));
     }
 

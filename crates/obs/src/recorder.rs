@@ -92,7 +92,8 @@ pub enum Counter {
     /// Serving-cache lookups answered from the reader's scope-keyed
     /// marginal cache.
     CacheHits = 13,
-    /// Serving-cache lookups that missed and required a partition scan.
+    /// Serving-cache lookups that missed and required a scan of the
+    /// epoch's packed snapshot.
     CacheMisses = 14,
     /// Table snapshots this core (the serving writer) published as epochs.
     EpochsPublished = 15,

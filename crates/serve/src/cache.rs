@@ -1,26 +1,41 @@
-//! Per-reader, scope-keyed marginal cache, invalidated on epoch advance.
+//! Per-endpoint marginal cache and packed epoch snapshot, both invalidated
+//! on epoch advance.
 //!
-//! Every cache is owned by exactly one [`QueryReader`](crate::reader) — no
-//! sharing, no locks, no invalidation protocol beyond "the epoch moved".
-//! Correctness is trivial by construction: a cached marginal is valid
-//! precisely for the snapshot it was computed from, and the reader flushes
-//! the whole map the moment it pins a newer epoch. Under a write-heavy feed
-//! the cache degenerates to a no-op (every pin flushes); under a read-heavy
-//! feed it converts repeated scopes into O(1) lookups.
+//! Every cache is owned by exactly one query endpoint — a
+//! [`QueryReader`](crate::reader) or the cluster tier's fan-out client — so
+//! there is no sharing, no lock, and no invalidation protocol beyond "the
+//! epoch moved". Correctness is trivial by construction: a cached marginal
+//! and the packed snapshot are valid precisely for the epoch they were
+//! computed from, and the endpoint flushes both the moment it pins a newer
+//! epoch. Under a write-heavy feed the marginal map degenerates to a no-op
+//! (every pin flushes); under a read-heavy feed it converts repeated scopes
+//! into O(1) lookups.
+//!
+//! A miss is answered from a [`PackedTable`] of each table of the pinned
+//! epoch, packed on the epoch's first miss on the endpoint's own thread
+//! (one packing thread runs inline: no spawn, no wait) and kept until the
+//! epoch moves. Each entry's divide and modulo per variable is then paid
+//! once per epoch, and every missing scope costs one shift-and-mask scan of
+//! dense arrays. The capacity flush clears only the marginals; the snapshot
+//! stays for the rest of its epoch.
 
+use crate::ServeError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wfbn_core::MarginalTable;
+use wfbn_core::{CoreError, MarginalTable, PackedTable, PotentialTable};
+use wfbn_obs::{CoreRecorder, Counter, Recorder, Stage};
 
 /// Default bound on cached scopes per reader (see [`MarginalCache::insert`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Scope-keyed marginal cache for one reader; see the [module docs](self).
+/// Scope-keyed marginal cache for one endpoint; see the [module docs](self).
 pub struct MarginalCache {
-    /// Epoch the cached entries were computed from.
+    /// Epoch the cached entries and the snapshot were computed from.
     epoch: u64,
     map: HashMap<Box<[usize]>, Arc<MarginalTable>>,
     capacity: usize,
+    /// One packed snapshot per table of `epoch`; empty until its first miss.
+    packed: Vec<PackedTable>,
 }
 
 impl MarginalCache {
@@ -35,6 +50,7 @@ impl MarginalCache {
             epoch: 0,
             map: HashMap::new(),
             capacity: capacity.max(1),
+            packed: Vec::new(),
         }
     }
 
@@ -53,10 +69,12 @@ impl MarginalCache {
         self.map.is_empty()
     }
 
-    /// Rebinds the cache to `epoch`, flushing every entry if it moved.
+    /// Rebinds the cache to `epoch`, flushing every entry and dropping the
+    /// packed snapshot if it moved.
     pub fn refresh(&mut self, epoch: u64) {
         if epoch != self.epoch {
             self.map.clear();
+            self.packed = Vec::new();
             self.epoch = epoch;
         }
     }
@@ -76,6 +94,106 @@ impl MarginalCache {
             self.map.clear();
         }
         self.map.insert(scope.into(), marginal);
+    }
+
+    /// Answers a fused group of `scopes` at the cache's epoch, whose table
+    /// is the sum of `tables` (one table on a single node, one per shard of
+    /// a cluster cut). Returns the answers in request order and the number
+    /// of distinct scopes computed.
+    ///
+    /// Scopes must be strictly increasing variable lists. Cached scopes are
+    /// hits; each distinct missing scope is marginalized on every table's
+    /// packed snapshot, the partials are summed with
+    /// [`MarginalTable::merge_shard`], and the result is cached. Core `core`
+    /// of `rec` records packing and scans under [`Stage::Marginal`], the
+    /// packed entries read under [`Counter::EntriesScanned`] (all of them,
+    /// once per missing scope), and per query a latency sample, a
+    /// `queries_served` and a cache hit or miss.
+    pub fn answer<R: Recorder>(
+        &mut self,
+        tables: &[Arc<PotentialTable>],
+        scopes: &[&[usize]],
+        rec: &R,
+        core: usize,
+    ) -> Result<(Vec<Arc<MarginalTable>>, usize), ServeError> {
+        if scopes.is_empty() {
+            return Ok((Vec::new(), 0));
+        }
+        let mut cr = rec.core(core);
+        let t0 = cr.now();
+
+        let mut hits = 0u64;
+        let mut missing: Vec<&[usize]> = Vec::new();
+        for &scope in scopes {
+            if self.map.contains_key(scope) {
+                hits += 1;
+            } else if !missing.contains(&scope) {
+                missing.push(scope);
+            }
+        }
+        let fresh = self.compute(tables, &missing, &mut cr)?;
+        // Every answer is taken before the inserts, whose capacity flush
+        // could otherwise drop a hit of this very group.
+        let answers = scopes
+            .iter()
+            .map(|&scope| match missing.iter().position(|&m| m == scope) {
+                Some(k) => Arc::clone(&fresh[k]),
+                None => Arc::clone(&self.map[scope]),
+            })
+            .collect();
+        for (&scope, marginal) in missing.iter().zip(fresh) {
+            self.insert(scope, marginal);
+        }
+
+        let per_query = cr.now().saturating_sub(t0) / scopes.len() as u64;
+        for _ in scopes {
+            cr.query_latency(per_query);
+        }
+        cr.add(Counter::QueriesServed, scopes.len() as u64);
+        cr.add(Counter::CacheHits, hits);
+        cr.add(Counter::CacheMisses, scopes.len() as u64 - hits);
+        Ok((answers, missing.len()))
+    }
+
+    /// The marginal over each of `missing`, summed over `tables`, from the
+    /// epoch's packed snapshots (packed here on the epoch's first miss).
+    fn compute<C: CoreRecorder>(
+        &mut self,
+        tables: &[Arc<PotentialTable>],
+        missing: &[&[usize]],
+        cr: &mut C,
+    ) -> Result<Vec<Arc<MarginalTable>>, ServeError> {
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        let t0 = cr.now();
+        if self.packed.is_empty() {
+            self.packed = tables
+                .iter()
+                .map(|table| PackedTable::pack(table, 1))
+                .collect::<Result<_, _>>()?;
+        }
+        let (first, rest) = self
+            .packed
+            .split_first()
+            .ok_or(ServeError::NothingPublished)?;
+        let entries: usize = self.packed.iter().map(PackedTable::num_entries).sum();
+        let mut scanned = 0u64;
+        let fresh = missing
+            .iter()
+            .map(|&scope| {
+                first.codec().validate_vars(scope)?;
+                let mut merged = first.marginalize(scope)?;
+                for shard in rest {
+                    merged.merge_shard(&shard.marginalize(scope)?)?;
+                }
+                scanned += entries as u64;
+                Ok(Arc::new(merged))
+            })
+            .collect::<Result<Vec<_>, CoreError>>();
+        cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
+        cr.add(Counter::EntriesScanned, scanned);
+        Ok(fresh?)
     }
 }
 
@@ -128,5 +246,32 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&[2]).is_some());
         assert!(cache.get(&[0]).is_none());
+    }
+
+    #[test]
+    fn the_snapshot_outlives_a_capacity_flush_but_not_an_epoch() {
+        let schema = Schema::uniform(3, 2).unwrap();
+        let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1], &[1, 0, 1]]).unwrap();
+        let tables = [Arc::new(sequential_build(&data).unwrap().table)];
+        let rec = wfbn_obs::NoopRecorder;
+        let mut cache = MarginalCache::with_capacity(2);
+        cache.refresh(1);
+        for scope in [&[0][..], &[1], &[2], &[0, 2]] {
+            let (answers, computed) = cache.answer(&tables, &[scope], &rec, 0).unwrap();
+            assert_eq!(computed, 1);
+            assert_eq!(*answers[0], marginalize(&tables[0], scope, 1).unwrap());
+            assert_eq!(cache.packed.len(), 1, "packed once for the epoch");
+        }
+        // The third scope flushed the map; the snapshot stayed.
+        assert_eq!(cache.len(), 2);
+        cache.refresh(2);
+        assert!(
+            cache.packed.is_empty(),
+            "an epoch advance drops the snapshot"
+        );
+        // Scopes are refused as the hash-table scan refused them.
+        assert!(cache.answer(&tables, &[&[2, 0]], &rec, 0).is_err());
+        assert!(cache.answer(&tables, &[&[3]], &rec, 0).is_err());
+        assert!(cache.is_empty());
     }
 }

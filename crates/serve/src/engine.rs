@@ -333,6 +333,7 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryEndpoint;
     use wfbn_core::construct::sequential_build;
 
     fn batch(schema: &Schema, rows: &[&[u16]]) -> Dataset {

@@ -21,11 +21,12 @@
 //!   the difference is the backlog the admission gate blocks on. Both
 //!   counters are single-writer words — no read-modify-write anywhere.
 //! * **Queries** never lock and never block the writer: a reader pins the
-//!   newest published epoch (draining its private lane), then scans the
+//!   newest published epoch (draining its private lane), then reads the
 //!   pinned snapshot. A per-reader scope-keyed [`cache::MarginalCache`]
-//!   (invalidated on epoch advance) and request batching via
-//!   [`wfbn_core::marginal::marginalize_many`] keep repeated and fused
-//!   queries from rescanning the table.
+//!   (invalidated on epoch advance) keeps repeated and fused queries from
+//!   rescanning, and answers every miss from a
+//!   [`wfbn_core::PackedTable`] of the epoch, packed on the reader's own
+//!   thread at the epoch's first miss and dropped at the next pin.
 //!
 //! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v5`): the writer
 //! records `epochs_published` and admission-queue depth on core 0, reader
@@ -48,7 +49,7 @@ pub mod server;
 
 pub use cache::MarginalCache;
 pub use engine::{Engine, EngineConfig};
-pub use query::Request;
+pub use query::{IngestRows, Request};
 pub use reader::{cpt_rows, CptRow, QueryReader};
 pub use server::{
     serve_lines, serve_tcp, EndpointSession, LoopControl, QueryEndpoint, ReaderSession, Session,

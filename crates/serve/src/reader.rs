@@ -3,24 +3,21 @@
 //! A reader owns three things outright — its epoch lane, its marginal cache,
 //! and its telemetry core — so the entire query path is single-writer by
 //! construction. Pinning an epoch is a bounded drain of the private lane
-//! (wait-free); answering a query is a scan of the pinned immutable
-//! snapshot; nothing a reader does can block the writer or another reader.
+//! (wait-free); answering a query reads the pinned immutable snapshot;
+//! nothing a reader does can block the writer or another reader.
 //!
-//! Request batching: [`QueryReader::answer_batch`] deduplicates the scopes
-//! of a fused request group and computes every cache-missing marginal in
-//! **one** pass over the table's partitions
-//! ([`wfbn_core::marginal::marginalize_many_recorded`]), so a batch of `k`
-//! same-scope queries costs one scan, not `k`.
+//! Request batching: [`QueryEndpoint::answer_batch`] deduplicates the scopes
+//! of a fused request group and computes every cache-missing marginal from
+//! the epoch's packed snapshot ([`MarginalCache::answer`]), packed once on
+//! the epoch's first miss and dropped when the reader pins a newer epoch.
+//! A batch of `k` same-scope queries costs one scan, not `k`.
 
 use crate::cache::MarginalCache;
-use crate::ServeError;
-use std::collections::HashMap;
+use crate::{QueryEndpoint, ServeError};
 use std::sync::Arc;
 use wfbn_concurrent::epoch::EpochReader;
-use wfbn_core::entropy::mutual_information;
-use wfbn_core::marginal::marginalize_many_recorded;
-use wfbn_obs::{CoreRecorder, Counter, Recorder};
 use wfbn_core::{MarginalTable, PotentialTable};
+use wfbn_obs::{CoreRecorder, Counter, Recorder};
 
 /// One row of a conditional probability table: a parent-state assignment
 /// (in sorted-parent order) and `P(x | parents)` over the child's states.
@@ -92,115 +89,25 @@ impl<R: Recorder> QueryReader<R> {
         }
         pinned
     }
+}
 
-    /// Answers a fused group of marginal queries against one pinned epoch.
-    ///
-    /// Returns the epoch served and one marginal per requested scope, in
-    /// request order. Scopes must be strictly increasing variable lists
-    /// (the potential-table codec's canonical form). Cache-missing scopes
-    /// are deduplicated and computed in a single partition scan.
-    pub fn answer_batch(
+impl<R: Recorder> QueryEndpoint for QueryReader<R> {
+    fn answer_batch(
         &mut self,
         scopes: &[&[usize]],
     ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
         let (epoch, table) = self.pin().ok_or(ServeError::NothingPublished)?;
-        if scopes.is_empty() {
-            return Ok((epoch, Vec::new()));
-        }
-        let mut core = self.rec.core(self.core);
-        let t0 = core.now();
-
-        let mut hits = 0u64;
-        let mut missing: Vec<&[usize]> = Vec::new();
-        for &scope in scopes {
-            if self.cache.get(scope).is_some() {
-                hits += 1;
-            } else if !missing.contains(&scope) {
-                missing.push(scope);
-            }
-        }
-        let misses = scopes.len() as u64 - hits;
-
-        // One scan over the table's partitions covers every missing scope.
-        let mut fresh: HashMap<&[usize], Arc<MarginalTable>> = HashMap::new();
-        if !missing.is_empty() {
-            let computed = marginalize_many_recorded(&table, &missing, &*self.rec, self.core)?;
-            for (&scope, marginal) in missing.iter().zip(computed) {
-                let marginal = Arc::new(marginal);
-                self.cache.insert(scope, Arc::clone(&marginal));
-                fresh.insert(scope, marginal);
-            }
-        }
-        let answers = scopes
-            .iter()
-            .map(|&scope| {
-                // `fresh` backstops the cache's wholesale capacity flush.
-                self.cache
-                    .get(scope)
-                    .or_else(|| fresh.get(scope))
-                    .map(Arc::clone)
-                    .expect("every scope was cached or just computed")
-            })
-            .collect();
-
-        let elapsed = core.now().saturating_sub(t0);
-        let per_query = elapsed / scopes.len() as u64;
-        for _ in scopes {
-            core.query_latency(per_query);
-        }
-        core.add(Counter::QueriesServed, scopes.len() as u64);
-        core.add(Counter::CacheHits, hits);
-        core.add(Counter::CacheMisses, misses);
+        let tables = std::slice::from_ref(&table);
+        let (answers, _) = self.cache.answer(tables, scopes, &*self.rec, self.core)?;
         Ok((epoch, answers))
     }
 
-    /// Marginal table over `scope` (strictly increasing variables) at the
-    /// newest published epoch.
-    pub fn marginal(&mut self, scope: &[usize]) -> Result<(u64, Arc<MarginalTable>), ServeError> {
-        let (epoch, mut answers) = self.answer_batch(&[scope])?;
-        Ok((epoch, answers.pop().expect("one answer for one scope")))
+    fn published(&self) -> u64 {
+        QueryReader::published(self)
     }
 
-    /// Mutual information `I(X_i; X_j)` in nats at the newest published
-    /// epoch. Computed exactly as the offline path (`wfbn mi`): pairwise
-    /// joint counts, then Eq. 1 — identical counts give an identical value.
-    pub fn mi(&mut self, i: usize, j: usize) -> Result<(u64, f64), ServeError> {
-        if i == j {
-            return Err(ServeError::Protocol(format!("MI of X{i} with itself")));
-        }
-        let scope = [i.min(j), i.max(j)];
-        let (epoch, pair) = self.marginal(&scope)?;
-        let value = mutual_information(&pair);
-        // The joint is symmetric in (i, j): I(X_i; X_j) needs no reorder.
-        Ok((epoch, value))
-    }
-
-    /// Conditional probability table `P(X_x | parents)` at the newest
-    /// published epoch.
-    ///
-    /// Returns the epoch, the parent variables in sorted order (the order
-    /// of [`CptRow::parent_states`]), and one row per parent configuration
-    /// in mixed-radix order (first sorted parent varies fastest).
-    #[allow(clippy::type_complexity)]
-    pub fn cpt(
-        &mut self,
-        x: usize,
-        parents: &[usize],
-    ) -> Result<(u64, Vec<usize>, Vec<CptRow>), ServeError> {
-        if parents.contains(&x) {
-            return Err(ServeError::Protocol(format!("X{x} cannot be its own parent")));
-        }
-        let mut scope: Vec<usize> = parents.to_vec();
-        scope.sort_unstable();
-        scope.dedup();
-        if scope.len() != parents.len() {
-            return Err(ServeError::Protocol("duplicate parent variable".into()));
-        }
-        let sorted_parents = scope.clone();
-        scope.push(x);
-        scope.sort_unstable();
-        let (epoch, joint) = self.marginal(&scope)?;
-        Ok((epoch, sorted_parents, cpt_rows(&joint, x)))
+    fn pinned_epoch(&self) -> u64 {
+        QueryReader::pinned_epoch(self)
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`serve_lines`] pumps a `BufRead` of protocol lines through it, writing
 //! one `OK`/`ERR` response line per request clause. Consecutive query
 //! clauses on one line are answered as a fused batch against a single
-//! pinned epoch — same-scope clauses share one partition scan.
+//! pinned epoch — same-scope clauses share one snapshot scan.
 //!
 //! [`serve_tcp`] accepts connections sequentially on a
 //! [`std::net::TcpListener`] and runs [`serve_lines`] over each; `QUIT`
@@ -15,14 +15,14 @@
 
 use crate::engine::Engine;
 use crate::query::{parse_line, Request};
-use crate::reader::{cpt_rows, QueryReader};
+use crate::reader::{cpt_rows, CptRow, QueryReader};
 use crate::ServeError;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use wfbn_core::entropy::{mutual_information, nats_to_bits};
 use wfbn_core::MarginalTable;
-use wfbn_data::{Dataset, Schema};
+use wfbn_data::Schema;
 use wfbn_obs::{CoreMetrics, Recorder};
 
 /// Why [`serve_lines`] returned.
@@ -42,8 +42,12 @@ pub enum LoopControl {
 /// cross-shard marginals, so both speak the identical wire protocol
 /// through [`EndpointSession`].
 pub trait QueryEndpoint {
-    /// Answers a fused group of marginal queries against one pinned epoch;
-    /// see [`QueryReader::answer_batch`] for the contract.
+    /// Answers a fused group of marginal queries against one pinned epoch.
+    ///
+    /// Returns the epoch served and one marginal per requested scope, in
+    /// request order. Scopes must be strictly increasing variable lists
+    /// (the potential-table codec's canonical form). Cache-missing scopes
+    /// are deduplicated and each is read from the epoch's packed snapshot.
     fn answer_batch(
         &mut self,
         scopes: &[&[usize]],
@@ -52,22 +56,52 @@ pub trait QueryEndpoint {
     fn published(&self) -> u64;
     /// The epoch currently pinned (0 before the first publication).
     fn pinned_epoch(&self) -> u64;
-}
 
-impl<R: Recorder> QueryEndpoint for QueryReader<R> {
-    fn answer_batch(
+    /// Marginal table over `scope` (strictly increasing variables) at the
+    /// newest published epoch.
+    fn marginal(&mut self, scope: &[usize]) -> Result<(u64, Arc<MarginalTable>), ServeError> {
+        let (epoch, mut answers) = self.answer_batch(&[scope])?;
+        Ok((epoch, answers.pop().expect("one answer for one scope")))
+    }
+
+    /// Mutual information `I(X_i; X_j)` in nats at the newest published
+    /// epoch. Computed exactly as the offline path (`wfbn mi`): pairwise
+    /// joint counts, then Eq. 1 — identical counts give an identical value.
+    fn mi(&mut self, i: usize, j: usize) -> Result<(u64, f64), ServeError> {
+        if i == j {
+            return Err(ServeError::Protocol(format!("MI of X{i} with itself")));
+        }
+        let (epoch, pair) = self.marginal(&[i.min(j), i.max(j)])?;
+        // The joint is symmetric in (i, j): I(X_i; X_j) needs no reorder.
+        Ok((epoch, mutual_information(&pair)))
+    }
+
+    /// Conditional probability table `P(X_x | parents)` at the newest
+    /// published epoch.
+    ///
+    /// Returns the epoch, the parent variables in sorted order (the order
+    /// of [`CptRow::parent_states`]), and one row per parent configuration
+    /// in mixed-radix order (first sorted parent varies fastest).
+    #[allow(clippy::type_complexity)]
+    fn cpt(
         &mut self,
-        scopes: &[&[usize]],
-    ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
-        QueryReader::answer_batch(self, scopes)
-    }
-
-    fn published(&self) -> u64 {
-        QueryReader::published(self)
-    }
-
-    fn pinned_epoch(&self) -> u64 {
-        QueryReader::pinned_epoch(self)
+        x: usize,
+        parents: &[usize],
+    ) -> Result<(u64, Vec<usize>, Vec<CptRow>), ServeError> {
+        if parents.contains(&x) {
+            return Err(ServeError::Protocol(format!("X{x} cannot be its own parent")));
+        }
+        let mut scope: Vec<usize> = parents.to_vec();
+        scope.sort_unstable();
+        scope.dedup();
+        if scope.len() != parents.len() {
+            return Err(ServeError::Protocol("duplicate parent variable".into()));
+        }
+        let sorted_parents = scope.clone();
+        scope.push(x);
+        scope.sort_unstable();
+        let (epoch, joint) = self.marginal(&scope)?;
+        Ok((epoch, sorted_parents, cpt_rows(&joint, x)))
     }
 }
 
@@ -309,7 +343,7 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
     }
 
     /// Handles one non-query request, appending its response line(s).
-    fn answer_control(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn answer_control(&mut self, req: Request, out: &mut Vec<String>) {
         match req {
             Request::Epoch => {
                 out.push(format!(
@@ -337,14 +371,15 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
                 }
             }
             Request::Ingest(rows) => {
-                let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-                let admitted = Dataset::from_rows(self.queries.schema().clone(), &refs)
+                let len = rows.len();
+                let admitted = rows
+                    .into_dataset(self.queries.schema().clone())
                     .map_err(|e| e.to_string())
                     .and_then(|batch| {
                         self.engine.submit(batch).map_err(|e| e.to_string())
                     });
                 match admitted {
-                    Ok(n) => out.push(format!("OK INGEST rows={} batch={n}", rows.len())),
+                    Ok(n) => out.push(format!("OK INGEST rows={len} batch={n}")),
                     Err(msg) => out.push(format!("ERR {msg}")),
                 }
             }
@@ -375,11 +410,14 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
                         let pending = std::mem::take(&mut run);
                         self.answer_run(&pending, out);
                     }
-                    self.answer_control(&other, out);
-                    match other {
-                        Request::Quit => return LoopControl::Quit,
-                        Request::Shutdown => return LoopControl::Shutdown,
-                        _ => {}
+                    let control = match other {
+                        Request::Quit => LoopControl::Quit,
+                        Request::Shutdown => LoopControl::Shutdown,
+                        _ => LoopControl::Eof,
+                    };
+                    self.answer_control(other, out);
+                    if control != LoopControl::Eof {
+                        return control;
                     }
                 }
             }
@@ -452,6 +490,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use wfbn_data::Dataset;
     use wfbn_obs::NoopRecorder;
 
     fn session() -> Session<NoopRecorder> {

@@ -12,7 +12,7 @@ use wfbn_core::construct::sequential_build;
 use wfbn_core::entropy::mutual_information;
 use wfbn_core::marginalize;
 use wfbn_data::{CorrelatedChain, Dataset, Generator, Schema};
-use wfbn_serve::{Engine, EngineConfig};
+use wfbn_serve::{Engine, EngineConfig, QueryEndpoint};
 
 const VARS: usize = 6;
 const BATCHES: usize = 12;
@@ -303,4 +303,160 @@ fn adversarial_partition_soak_pins_only_exact_prefixes() {
     expect.sort_unstable();
     assert_eq!(final_table.to_sorted_vec(), expect);
     assert_eq!(counts.iter().sum::<u64>(), total as u64);
+}
+
+// ---------------------------------------------------------------------------
+// Packed epoch snapshots: a cache miss reads the pinned epoch's packed
+// snapshot, which must always be the snapshot of *that* epoch.
+// ---------------------------------------------------------------------------
+
+/// Offline marginal over `scope` of the first `e` batches.
+fn offline_marginal(
+    schema: &Schema,
+    batches: &[Dataset],
+    e: usize,
+    scope: &[usize],
+) -> wfbn_core::MarginalTable {
+    marginalize(&offline_prefix(schema, batches, e), scope, 1).expect("offline marginal")
+}
+
+#[test]
+fn a_scope_asked_again_after_an_epoch_advance_reads_the_new_epoch() {
+    let (schema, batches) = workload();
+    let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+    let reader = &mut readers[0];
+    let scope = [1usize, 3, 4];
+    for (k, batch) in batches.iter().take(3).enumerate() {
+        engine.submit(batch.clone()).unwrap();
+        engine.sync().unwrap();
+        // Twice per epoch: the first packs the epoch's snapshot, the second
+        // is a cache hit; both must be this epoch's counts.
+        for _ in 0..2 {
+            let (epoch, served) = reader.marginal(&scope).unwrap();
+            assert_eq!(epoch, k as u64 + 1);
+            assert_eq!(*served, offline_marginal(&schema, &batches, k + 1, &scope));
+        }
+        // A different scope after the hit is a miss on the same snapshot.
+        let (_, pair) = reader.marginal(&[0, 5]).unwrap();
+        assert_eq!(*pair, offline_marginal(&schema, &batches, k + 1, &[0, 5]));
+    }
+    engine.finish().unwrap();
+}
+
+#[test]
+fn a_fused_group_answers_every_scope_as_the_offline_marginal() {
+    let (schema, batches) = workload();
+    let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+    let reader = &mut readers[0];
+    // Duplicates, overlaps, and one to four variables.
+    let scopes: [&[usize]; 8] = [
+        &[0],
+        &[0, 1],
+        &[0],
+        &[1, 2, 3],
+        &[0, 1],
+        &[2, 3, 4, 5],
+        &[5],
+        &[0, 2, 4],
+    ];
+    for (k, batch) in batches.iter().take(2).enumerate() {
+        engine.submit(batch.clone()).unwrap();
+        engine.sync().unwrap();
+        // Warm one scope so the group mixes hits and misses.
+        reader.marginal(&[0, 1]).unwrap();
+        let (epoch, answers) = reader.answer_batch(&scopes).unwrap();
+        assert_eq!(epoch, k as u64 + 1);
+        assert_eq!(answers.len(), scopes.len());
+        for (scope, served) in scopes.iter().zip(&answers) {
+            assert_eq!(
+                **served,
+                offline_marginal(&schema, &batches, k + 1, scope),
+                "epoch {epoch}, scope {scope:?}"
+            );
+        }
+    }
+    // The same group as one protocol line gives the same counts.
+    let mut session = wfbn_serve::ReaderSession::new(readers.pop().unwrap(), schema.clone());
+    let mut out = Vec::new();
+    session.handle_query_line(
+        "MARGINAL 0; MARGINAL 1 0; MARGINAL 0; MARGINAL 3 2 1",
+        &mut out,
+    );
+    let counts = |scope: &[usize]| {
+        let m = offline_marginal(&schema, &batches, 2, scope);
+        let cells: Vec<String> = (0..m.num_cells())
+            .map(|i| m.count_at(i).to_string())
+            .collect();
+        cells.join(",")
+    };
+    assert_eq!(
+        out[0],
+        format!("OK MARGINAL e=2 scope=0 total=300 counts={}", counts(&[0]))
+    );
+    assert_eq!(
+        out[1],
+        format!(
+            "OK MARGINAL e=2 scope=0,1 total=300 counts={}",
+            counts(&[0, 1])
+        )
+    );
+    assert_eq!(out[2], out[0]);
+    assert_eq!(
+        out[3],
+        format!(
+            "OK MARGINAL e=2 scope=1,2,3 total=300 counts={}",
+            counts(&[1, 2, 3])
+        )
+    );
+    engine.finish().unwrap();
+}
+
+#[test]
+fn a_capacity_flush_mid_epoch_keeps_answering_from_the_epoch() {
+    // Ten variables give 375 scopes of two to four variables, more than the
+    // reader's 256-scope cache holds, so one epoch flushes it.
+    let schema = Schema::uniform(10, 2).unwrap();
+    let chain = CorrelatedChain::new(schema.clone(), 0.7).unwrap();
+    let data = chain.generate(1_200, 5);
+    let batches: Vec<Dataset> = (0..2)
+        .map(|b| {
+            Dataset::from_flat_unchecked(
+                schema.clone(),
+                data.row_range(b * 600, (b + 1) * 600).to_vec(),
+            )
+        })
+        .collect();
+    let mut scopes: Vec<Vec<usize>> = Vec::new();
+    for a in 0..10 {
+        for b in a + 1..10 {
+            scopes.push(vec![a, b]);
+            for c in b + 1..10 {
+                scopes.push(vec![a, b, c]);
+                scopes.extend((c + 1..10).map(|d| vec![a, b, c, d]));
+            }
+        }
+    }
+    assert_eq!(scopes.len(), 375);
+
+    let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+    let reader = &mut readers[0];
+    for (k, batch) in batches.iter().enumerate() {
+        engine.submit(batch.clone()).unwrap();
+        engine.sync().unwrap();
+        let offline = offline_prefix(&schema, &batches, k + 1);
+        let mut flushed = false;
+        for scope in scopes.iter().chain(&scopes[..20]) {
+            let before = reader.cache_len();
+            let (epoch, served) = reader.marginal(scope).unwrap();
+            flushed |= reader.cache_len() < before;
+            assert_eq!(epoch, k as u64 + 1);
+            assert_eq!(
+                *served,
+                marginalize(&offline, scope, 1).unwrap(),
+                "scope {scope:?}"
+            );
+        }
+        assert!(flushed, "epoch {}: the cache never reached capacity", k + 1);
+    }
+    engine.finish().unwrap();
 }

@@ -15,7 +15,7 @@ use wfbn_concurrent::audit::{enter, BuildAudit};
 use wfbn_concurrent::epoch_channel;
 use wfbn_data::{Dataset, Schema};
 use wfbn_obs::{CoreMetrics, CoreRecorder, Counter, Recorder};
-use wfbn_serve::{Engine, EngineConfig};
+use wfbn_serve::{Engine, EngineConfig, QueryEndpoint};
 
 #[test]
 fn publish_pin_query_cycle_is_single_writer_clean() {

@@ -24,7 +24,7 @@ use wfbn_cluster::{Cluster, ClusterConfig};
 use wfbn_core::entropy::mutual_information;
 use wfbn_core::{marginalize, waitfree_build, MarginalTable};
 use wfbn_data::{Dataset, Schema};
-use wfbn_serve::EngineConfig;
+use wfbn_serve::{EngineConfig, QueryEndpoint};
 
 const VARS: usize = 5;
 const ARITY: u16 = 3;

@@ -382,7 +382,7 @@ fn merged_reports_add_up() {
 
 use std::sync::Arc;
 use wfbn_obs::{LAT_BUCKETS, LAT_BUCKET_UPPER_NS};
-use wfbn_serve::{Engine, EngineConfig};
+use wfbn_serve::{Engine, EngineConfig, QueryEndpoint};
 
 /// Runs a recorded engine with two readers issuing *different* query
 /// counts, so the per-reader laws are tested on asymmetric traffic.
@@ -487,6 +487,48 @@ fn v4_json_report_carries_the_new_sections() {
     }
 }
 
+/// A reader answers cache misses from its epoch's packed snapshot and counts
+/// every packed entry once per distinct missing scope: k such scopes over an
+/// N-entry epoch record exactly k·N, however the scopes are fused, and hits
+/// and repeats within a fused group read nothing.
+#[test]
+fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
+    let schema = Schema::uniform(8, 2).unwrap();
+    let data = UniformIndependent::new(schema.clone()).generate(3_000, 5);
+    let cfg = EngineConfig::default();
+    let rec = Arc::new(CoreMetrics::new(cfg.cores()));
+    let (mut engine, mut readers) =
+        Engine::start_recorded(&schema, &cfg, Arc::clone(&rec)).unwrap();
+    engine.submit(data).unwrap();
+    engine.sync().unwrap();
+    let reader = &mut readers[0];
+    let (_, table) = reader.pin().unwrap();
+    let n = table.num_entries() as u64;
+    let scanned = || rec.snapshot().cores[cfg.reader_core(0)].counter(Counter::EntriesScanned);
+
+    // One fused group: 3 distinct scopes, one of them twice.
+    let group: [&[usize]; 4] = [&[0, 1], &[2], &[0, 1], &[3, 5, 7]];
+    reader.answer_batch(&group).unwrap();
+    assert_eq!(scanned(), 3 * n);
+    // Hits read nothing; two more distinct misses, one line each.
+    reader.answer_batch(&group).unwrap();
+    reader.marginal(&[4]).unwrap();
+    reader.mi(6, 7).unwrap();
+    assert_eq!(scanned(), 5 * n);
+    engine.finish().unwrap();
+
+    let report = rec.snapshot();
+    let reader_core = &report.cores[cfg.reader_core(0)];
+    // The repeat inside the first group is a miss that reads nothing.
+    assert_eq!(reader_core.counter(Counter::CacheMisses), 6);
+    assert_eq!(reader_core.counter(Counter::CacheHits), 4);
+    assert!(
+        reader_core.stage(Stage::Marginal) > 0,
+        "packing and scans are timed"
+    );
+    report.validate().expect("serve laws hold");
+}
+
 // ---------------------------------------------------------------------------
 // PR 9 — cluster conservation laws, driven through a real sharded cluster.
 // ---------------------------------------------------------------------------
@@ -524,6 +566,14 @@ fn cluster_counters_obey_the_cluster_conservation_laws() {
         cluster.submit_rows(chunk).unwrap();
     }
     cluster.sync().unwrap();
+    // Every shard's entries, read once per missing scope.
+    let cut_entries: u64 = clients[0]
+        .pin()
+        .unwrap()
+        .1
+        .iter()
+        .map(|shard| shard.num_entries() as u64)
+        .sum();
     // Asymmetric fan-out traffic, as in the serve replay above.
     for (t, budget) in [(0usize, 9usize), (1, 5)] {
         for q in 0..budget {
@@ -550,6 +600,11 @@ fn cluster_counters_obey_the_cluster_conservation_laws() {
             core.counter(Counter::PartialMerges),
             2 * core.counter(Counter::QueryFanOuts),
             "client {i}: one partial per shard per fan-out"
+        );
+        assert_eq!(
+            core.counter(Counter::EntriesScanned),
+            core.counter(Counter::QueryFanOuts) * cut_entries,
+            "client {i}: one scope per fan-out reads every shard's snapshot once"
         );
     }
     merged.validate().expect("cluster laws hold on the merged report");
