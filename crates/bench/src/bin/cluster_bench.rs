@@ -1,140 +1,61 @@
-//! One-shot cluster snapshot: fan-out query throughput versus shard count,
-//! in simulated cycles *and* wall time, serialized as a JSON document
-//! (`BENCH_pr9.json` in CI).
+//! Cluster shard scaling: fan-out query cost versus shard count, in
+//! simulated cycles *and* wall time, on the cluster workload of the
+//! simulated-cost baseline ([`wfbn_bench::snapshot`]).
 //!
-//! The committed snapshot is the regression baseline for
-//! `tools/check_bench_regression.sh` (schema `wfbn-bench-pr9`): simulated
-//! cycles are deterministic, so any >10% drift is a real model/algorithm
-//! change, and the acceptance value `cluster_s8_scaling` (sim throughput at
-//! S=8 relative to S=1) is gated at the 3x floor. Wall numbers are recorded
-//! for context but never gated on — they depend on the host.
+//! The sim series is deterministic; its cycles and the S = 8 scaling floor
+//! are checked against `crates/bench/sim_baseline.txt` by `cargo test`.
+//! The wall series runs a real cluster per shard count and is context only
+//! — it depends on the host.
 //!
-//! Usage: `cluster_bench [--out FILE] [--samples M] [--vars N] [--seed S]
-//! [--shards LIST] [--cores-per-shard P] [--queries Q] [--sim-only]`.
+//! Usage: `cluster_bench [--queries Q]` (wall queries per shard count,
+//! default 64).
 
 use wfbn_bench::cluster_bench::{sim_cluster_scaling, wall_cluster_qps};
 use wfbn_bench::runner::uniform_workload;
+use wfbn_bench::snapshot::{CLUSTER_SAMPLES, CLUSTER_VARS, CORES_PER_SHARD, SEED, SHARDS};
 use wfbn_pram::CostModel;
 
-struct Config {
-    out: Option<String>,
-    samples: usize,
-    vars: usize,
-    seed: u64,
-    shards: Vec<usize>,
-    cores_per_shard: usize,
-    queries: usize,
-    sim_only: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            out: None,
-            // Big enough that the shard scan dominates the hop + merge
-            // overhead (the regime the cluster tier exists for), small
-            // enough that the wall pass stays cheap on one host.
-            samples: 30_000,
-            vars: 20,
-            seed: 42,
-            shards: vec![1, 2, 4, 8],
-            cores_per_shard: 2,
-            queries: 64,
-            sim_only: false,
-        }
-    }
-}
-
-fn parse_args() -> Config {
-    let mut cfg = Config::default();
+fn parse_args() -> Result<usize, String> {
+    let mut queries = 64;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            })
-        };
         match flag.as_str() {
-            "--out" => cfg.out = Some(value("--out")),
-            "--samples" | "-m" => cfg.samples = value("--samples").parse().expect("usize"),
-            "--vars" | "-n" => cfg.vars = value("--vars").parse().expect("usize"),
-            "--seed" => cfg.seed = value("--seed").parse().expect("u64"),
-            "--queries" => cfg.queries = value("--queries").parse().expect("usize"),
-            "--cores-per-shard" => {
-                cfg.cores_per_shard = value("--cores-per-shard").parse().expect("usize");
+            "--queries" => {
+                let raw = it.next().ok_or("--queries expects a value")?;
+                queries = match raw.parse() {
+                    Ok(q) if q > 0 => q,
+                    _ => return Err(format!("invalid value {raw:?} for --queries")),
+                };
             }
-            "--shards" | "-s" => {
-                cfg.shards = value("--shards")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("usize"))
-                    .collect();
-            }
-            "--sim-only" => cfg.sim_only = true,
             other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
+                return Err(format!(
+                    "unknown flag {other:?} (usage: cluster_bench [--queries Q])"
+                ))
             }
         }
     }
-    cfg
-}
-
-fn json_f64_array(values: &[f64]) -> String {
-    let parts: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
-    format!("[{}]", parts.join(","))
-}
-
-fn json_usize_array(values: &[usize]) -> String {
-    let parts: Vec<String> = values.iter().map(usize::to_string).collect();
-    format!("[{}]", parts.join(","))
+    Ok(queries)
 }
 
 fn main() {
-    let cfg = parse_args();
-    let model = CostModel::default();
-    let data = uniform_workload(cfg.vars, cfg.samples, cfg.seed);
+    let queries = parse_args().unwrap_or_else(|e| {
+        eprintln!("cluster_bench: {e}");
+        std::process::exit(2);
+    });
+    let data = uniform_workload(CLUSTER_VARS, CLUSTER_SAMPLES, SEED);
+    let sim = sim_cluster_scaling(&data, &SHARDS, CORES_PER_SHARD, &CostModel::default());
+    let wall_qps = wall_cluster_qps(&data, &SHARDS, queries);
 
-    let sim = sim_cluster_scaling(&data, &cfg.shards, cfg.cores_per_shard, &model);
-    let wall_qps = if cfg.sim_only {
-        vec![0.0; cfg.shards.len()]
-    } else {
-        wall_cluster_qps(&data, &cfg.shards, cfg.queries)
-    };
-
-    let s8 = cfg
-        .shards
-        .iter()
-        .position(|&s| s == 8)
-        .map(|i| sim.scaling[i])
-        .unwrap_or(0.0);
-
-    let json = format!(
-        "{{\n  \"schema\": \"wfbn-bench-pr9\",\n  \"workload\": {{\"n\": {n}, \"m\": {m}, \"seed\": {seed}, \"cores_per_shard\": {cps}}},\n  \"shards\": {shards},\n  \"sim_cycles_per_query\": {cycles},\n  \"sim_scaling\": {scaling},\n  \"wall_qps\": {wall},\n  \"acceptance\": {{\n    \"cluster_s8_scaling\": {s8:.3}\n  }}\n}}",
-        n = cfg.vars,
-        m = cfg.samples,
-        seed = cfg.seed,
-        cps = cfg.cores_per_shard,
-        shards = json_usize_array(&cfg.shards),
-        cycles = json_f64_array(&sim.cycles_per_query),
-        scaling = json_f64_array(&sim.scaling),
-        wall = json_f64_array(&wall_qps),
+    println!(
+        "# Cluster fan-out vs shards (n = {CLUSTER_VARS}, m = {CLUSTER_SAMPLES}, \
+         {CORES_PER_SHARD} cores/shard, seed {SEED})\n"
     );
-
-    if s8 < 3.0 {
-        eprintln!("cluster_bench: FAIL cluster_s8_scaling {s8:.3} < 3.0");
-        if cfg.out.is_none() {
-            println!("{json}");
-        }
-        std::process::exit(1);
-    }
-
-    match &cfg.out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).expect("writing snapshot");
-            eprintln!("snapshot written to {path}");
-            eprintln!("acceptance: cluster S=8 scaling {s8:.3}x (gate >= 3.0)");
-        }
-        None => println!("{json}"),
+    println!("| shards | sim cycles/query | sim scaling | wall queries/s |");
+    println!("|-------:|-----------------:|------------:|---------------:|");
+    for (i, s) in SHARDS.iter().enumerate() {
+        println!(
+            "| {s} | {:.1} | {:.3} | {:.0} |",
+            sim.cycles_per_query[i], sim.scaling[i], wall_qps[i]
+        );
     }
 }

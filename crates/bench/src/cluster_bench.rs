@@ -3,8 +3,8 @@
 //!
 //! Two modes, mirroring the rest of the harness:
 //!
-//! * **sim** — the deterministic series CI gates on
-//!   (`cluster_s8_scaling` in `BENCH_pr9.json`). A fan-out marginal scans
+//! * **sim** — the deterministic series the simulated-cost baseline
+//!   checks (`floor.cluster_s8_scaling` in [`crate::snapshot`]). A fan-out marginal scans
 //!   `E/S` entries per shard in parallel and pays dispatch + two network
 //!   hops + an `S`-way partial merge ([`wfbn_pram::simulate_cluster_marginal`]);
 //!   throughput is the inverse of that closed-loop latency, so the series
@@ -36,8 +36,8 @@ pub struct SimClusterSeries {
 /// table, `cores_per_shard` cores per shard.
 ///
 /// Deterministic: same dataset, shape, and cost model give the same numbers
-/// on any host, which is what lets `tools/check_bench_regression.sh` gate
-/// on the series.
+/// on any host, which is what lets the simulated-cost baseline
+/// ([`crate::snapshot`]) check the series.
 pub fn sim_cluster_scaling(
     data: &Dataset,
     shards: &[usize],

@@ -20,6 +20,7 @@ pub mod cluster_bench;
 pub mod runner;
 pub mod series;
 pub mod serve_bench;
+pub mod snapshot;
 
 pub use args::HarnessArgs;
 pub use runner::{wall_time_median, Mode};

@@ -3,7 +3,8 @@
 //!
 //! Two modes, mirroring the rest of the harness:
 //!
-//! * **sim** — deterministic capacity model, the series CI gates on. A
+//! * **sim** — deterministic capacity model, the series the simulated-cost
+//!   baseline ([`crate::snapshot`]) checks. A
 //!   marginal query is a full scan of the table's entries, so its cost is
 //!   the simulator's single-core all-pairs sweep divided by the number of
 //!   pairs it answers. Readers share *nothing mutable* — each owns its
@@ -37,8 +38,8 @@ pub struct SimServeSeries {
 /// Models query throughput for each reader count on `data`'s table.
 ///
 /// Deterministic: same dataset and cost model give the same numbers on any
-/// host, which is what lets `tools/check_bench_regression.sh` gate on the
-/// series.
+/// host, which is what lets the simulated-cost baseline
+/// ([`crate::snapshot`]) check the series.
 pub fn sim_serve_scaling(data: &Dataset, readers: &[usize], model: &CostModel) -> SimServeSeries {
     let (_, table) = simulate_waitfree_build_batched(data, 1, model);
     let n = data.num_vars();

@@ -9,10 +9,11 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses the argument list. Flags whose name appears in `switches`
-    /// take no value; all others take exactly one.
-    pub fn parse(args: &[String], switches: &[&str]) -> Result<Self, String> {
-        let mut values = HashMap::new();
+    /// Parses the argument list. Each flag in `values` takes exactly one
+    /// value and each in `switches` takes none; any other flag is an error,
+    /// so a removed or misspelled flag is never silently ignored.
+    pub fn parse(args: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut found_values = HashMap::new();
         let mut found_switches = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -22,15 +23,25 @@ impl Flags {
             let name = flag.trim_start_matches("--").to_string();
             if switches.contains(&name.as_str()) {
                 found_switches.push(name);
-            } else {
+            } else if values.contains(&name.as_str()) {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("--{name} expects a value"))?;
-                values.insert(name, value.clone());
+                found_values.insert(name, value.clone());
+            } else {
+                let known: Vec<String> = values
+                    .iter()
+                    .chain(switches)
+                    .map(|f| format!("--{f}"))
+                    .collect();
+                return Err(format!(
+                    "unknown flag --{name} (known: {})",
+                    known.join(" ")
+                ));
             }
         }
         Ok(Self {
-            values,
+            values: found_values,
             switches: found_switches,
         })
     }
@@ -69,9 +80,11 @@ impl Flags {
 mod tests {
     use super::*;
 
+    const VALUES: &[&str] = &["in", "threads"];
+
     fn parse(s: &str, switches: &[&str]) -> Result<Flags, String> {
         let args: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Flags::parse(&args, switches)
+        Flags::parse(&args, VALUES, switches)
     }
 
     #[test]
@@ -82,6 +95,16 @@ mod tests {
         assert!(f.has_switch("bits"));
         assert!(!f.has_switch("other"));
         assert_eq!(f.get_or::<usize>("missing", 7).unwrap(), 7);
+    }
+
+    #[test]
+    fn undeclared_flags_are_rejected_by_name() {
+        let err = parse("--in data.csv --batched 1", &["bits"]).err().unwrap();
+        assert!(err.starts_with("unknown flag --batched"), "{err}");
+        assert!(err.contains("--threads") && err.contains("--bits"), "{err}");
+        // A bare undeclared flag is unknown, not a missing value.
+        let err = parse("--batched", &[]).err().unwrap();
+        assert!(err.starts_with("unknown flag --batched"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use wfbn_core::CoreMetrics;
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["metrics"])?;
+    let flags = Flags::parse(args, &["in", "threads"], &["metrics"])?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 4)?;
     let with_metrics = flags.has_switch("metrics");

@@ -33,7 +33,13 @@ use wfbn_workload::{
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["negative-control"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "shards", "threads", "rows", "batches", "queries", "readers", "seed", "scenario",
+        ],
+        &["negative-control"],
+    )?;
     let w = |e: std::io::Error| e.to_string();
 
     let shards: usize = flags.get_or("shards", 2)?;

@@ -27,7 +27,11 @@ fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        args,
+        &["samples", "seed", "net", "uniform", "chain", "zipf", "out"],
+        &[],
+    )?;
     let samples: usize = flags.get_or("samples", 10_000)?;
     let seed: u64 = flags.get_or("seed", 42)?;
 

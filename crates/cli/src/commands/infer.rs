@@ -29,7 +29,7 @@ fn parse_evidence(spec: &str) -> Result<Vec<(usize, u16)>, String> {
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["net", "target", "evidence"], &[])?;
     let net = network_by_name(&flags.require::<String>("net")?)?;
     let target: usize = flags.require("target")?;
     let evidence = parse_evidence(flags.get("evidence").unwrap_or(""))?;

@@ -16,7 +16,11 @@ use wfbn_data::Dataset;
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["fit"])?;
+    let flags = Flags::parse(
+        args,
+        &["in", "threads", "epsilon", "alpha", "method"],
+        &["fit"],
+    )?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 4)?;
     let epsilon: f64 = flags.get_or("epsilon", 0.005)?;

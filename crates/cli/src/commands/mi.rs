@@ -10,7 +10,7 @@ use wfbn_core::CoreMetrics;
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["bits", "metrics"])?;
+    let flags = Flags::parse(args, &["in", "threads", "top"], &["bits", "metrics"])?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 4)?;
     let top: usize = flags.get_or("top", 20)?;

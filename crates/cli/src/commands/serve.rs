@@ -21,7 +21,11 @@ use wfbn_serve::{serve_lines, serve_tcp, Engine, EngineConfig, LoopControl, Quer
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["metrics"])?;
+    let flags = Flags::parse(
+        args,
+        &["in", "threads", "batch", "listen", "script"],
+        &["metrics"],
+    )?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 1)?;
     let batch_rows: usize = flags.get_or("batch", 4096)?;

@@ -24,7 +24,13 @@ use wfbn_workload::{
 
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["list", "emit", "run"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "scenario", "rows", "batches", "queries", "readers", "seed", "out", "threads", "shards",
+        ],
+        &["list", "emit", "run"],
+    )?;
     let w = |e: std::io::Error| e.to_string();
 
     if flags.has_switch("list") {

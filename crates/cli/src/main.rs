@@ -183,6 +183,19 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_flags_are_errors_not_ignored() {
+        // `--batched` was removed from `build`; it must not be accepted silently.
+        let err = run_to_string(&["build", "--in", "x.csv", "--batched", "1"]).unwrap_err();
+        assert!(err.starts_with("unknown flag --batched"), "{err}");
+        for cmd in [
+            "gen", "build", "mi", "learn", "infer", "serve", "workload", "cluster",
+        ] {
+            let err = run_to_string(&[cmd, "--bogus", "1"]).unwrap_err();
+            assert!(err.starts_with("unknown flag --bogus"), "{cmd}: {err}");
+        }
+    }
+
+    #[test]
     fn error_paths_are_reported() {
         assert!(run_to_string(&["gen", "--samples", "10"])
             .unwrap_err()

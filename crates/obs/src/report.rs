@@ -907,6 +907,19 @@ mod tests {
         for s in Stage::ALL {
             assert!(json.contains(&format!("\"{}\"", s.name())), "{}", s.name());
         }
+        for key in [
+            "totals",
+            "stage_ns_total",
+            "stage_ns_max",
+            "probe_hist",
+            "p50_le_ns",
+            "p99_le_ns",
+            "serving_cores",
+            "served_min",
+            "served_max",
+        ] {
+            assert!(json.contains(&format!("\"{key}\":")), "{key}");
+        }
         assert!(json.contains("\"per_core\""));
         assert!(json.contains("\"queue_hwm_max\""));
         assert!(json.contains("\">32\""));

@@ -139,8 +139,9 @@ mod tests {
 
     #[test]
     fn query_throughput_scales_at_least_3x_from_1_to_8_shards() {
-        // The BENCH_pr9 gate: sim query throughput (1/latency) must scale
-        // ≥3× from S=1 to S=8 at fixed cores per shard.
+        // The `floor.cluster_s8_scaling` rule of the simulated-cost baseline:
+        // sim query throughput (1/latency) must scale ≥3× from S=1 to S=8 at
+        // fixed cores per shard.
         let model = CostModel::default();
         let t = table(20, 60_000, 4);
         let series = simulate_cluster_scaling(&t, &[0, 7], &[1, 2, 4, 8], 2, &model);

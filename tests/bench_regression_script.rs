@@ -1,159 +1,167 @@
-//! Satellite 4 — `tools/check_bench_regression.sh` input validation.
+//! Input validation of the simulated-cost baseline checker.
 //!
-//! The pr7 (scenario-matrix) and pr9 (cluster shard-scaling) baseline
-//! layouts are parsed with grep/sed/awk, so CI runs them without a JSON
-//! parser; the price is that the script must reject malformed inputs
-//! *itself*, loudly and before it spends a cargo build. These tests feed
-//! broken baselines to each dispatch-table branch and check the contract:
-//! parse errors exit non-zero with a "malformed" diagnostic, a missing
-//! baseline is a clean skip (exit zero), and both happen fast because no
-//! regeneration is attempted.
+//! `crates/bench/sim_baseline.txt` is judged by [`wfbn_bench::snapshot`]:
+//! [`Snapshot::parse`] rejects a garbled file before any value is
+//! regenerated, and [`check`] names every key that is missing, extra or out
+//! of bounds. These tests break the committed baseline in the ways the
+//! scenario-matrix (`pr7_*`) and cluster shard-scaling (`pr9_*`) baselines
+//! used to be broken — emptied series, torn series, a missing acceptance
+//! value, stray workload parameters — and check that each one fails and
+//! names the offending key or line. The committed file stands in for a
+//! fresh measurement, so no simulation runs here;
+//! `crates/bench/tests/sim_baseline.rs` is the test that regenerates.
 
-use std::path::Path;
-use std::process::{Command, Output};
+use wfbn_bench::snapshot::{check, Snapshot};
 
-fn repo_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/integration sits two levels below the repo root")
+const COMMITTED: &str = include_str!("../crates/bench/sim_baseline.txt");
+
+fn committed() -> Snapshot {
+    Snapshot::parse(COMMITTED).expect("the committed baseline parses")
 }
 
-fn run_checker(baseline: &Path) -> Output {
-    Command::new("bash")
-        .arg(repo_root().join("tools/check_bench_regression.sh"))
-        .arg(baseline)
-        .current_dir(repo_root())
-        .output()
-        .expect("bash is available")
+/// The committed baseline without the lines whose key satisfies `drop`.
+fn without(drop: impl Fn(&str) -> bool) -> (Snapshot, Vec<String>) {
+    let mut kept = String::new();
+    let mut dropped = Vec::new();
+    for line in COMMITTED.lines() {
+        let key = line.split_whitespace().next().unwrap_or("");
+        if !line.starts_with('#') && drop(key) {
+            dropped.push(key.to_string());
+        } else {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+    }
+    assert!(!dropped.is_empty(), "the filter matched no committed key");
+    (
+        Snapshot::parse(&kept).expect("a subset still parses"),
+        dropped,
+    )
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(name);
-    std::fs::write(&path, contents).expect("writing temp baseline");
-    path
+/// The committed text with `key`'s line replaced by `line`.
+fn replace_line(key: &str, line: &str) -> String {
+    let mut text = String::new();
+    let mut found = false;
+    for old in COMMITTED.lines() {
+        if old.split_whitespace().next() == Some(key) {
+            text.push_str(line);
+            found = true;
+        } else {
+            text.push_str(old);
+        }
+        text.push('\n');
+    }
+    assert!(found, "{key} is not a committed key");
+    text
+}
+
+fn assert_violations_name(violations: &[String], keys: &[String], reason: &str) {
+    assert_eq!(violations.len(), keys.len(), "{violations:?}");
+    for key in keys {
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.starts_with(&format!("{key}:")) && v.contains(reason)),
+            "no `{reason}` violation names {key}: {violations:?}"
+        );
+    }
 }
 
 #[test]
 fn pr7_baseline_missing_scenarios_is_rejected_as_malformed() {
-    let path = write_temp(
-        "wfbn_pr7_no_scenarios.json",
-        "{\n  \"schema\": \"wfbn-bench-pr7\",\n  \"workload\": {\"rows\": 2000, \"batches\": 20, \"queries\": 400, \"readers\": 4, \"seed\": 42},\n  \"scenarios\": []\n}\n",
-    );
-    let out = run_checker(&path);
-    assert!(!out.status.success(), "empty scenario list must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
+    let (baseline, dropped) = without(|key| key.starts_with("matrix."));
+    // Six scenarios, each a fingerprint and a cycles value.
+    assert_eq!(dropped.len(), 12, "{dropped:?}");
+    let violations = check(&baseline, &committed());
+    assert_violations_name(&violations, &dropped, "missing from the baseline");
 }
 
 #[test]
 fn pr7_baseline_with_mismatched_series_is_rejected_as_malformed() {
-    // Five names but four fingerprints: the per-scenario triple is torn.
-    let mut doc = String::from(
-        "{\n  \"schema\": \"wfbn-bench-pr7\",\n  \"workload\": {\"rows\": 100, \"batches\": 4, \"queries\": 40, \"readers\": 2, \"seed\": 1},\n  \"scenarios\": [\n",
+    // The burst scenario keeps its cycles value but loses its fingerprint:
+    // the per-scenario pair is torn.
+    let (baseline, dropped) = without(|key| key == "matrix.burst.fingerprint");
+    let violations = check(&baseline, &committed());
+    assert_violations_name(&violations, &dropped, "missing from the baseline");
+
+    // A fingerprint cut to fewer than 16 hex digits is torn within its line.
+    let text = replace_line(
+        "matrix.burst.fingerprint",
+        "matrix.burst.fingerprint fcbf0cce8893274",
     );
-    for (i, name) in ["uniform", "zipf", "burst", "wide-sparse", "hot-query"]
-        .iter()
-        .enumerate()
-    {
-        doc.push_str(&format!("    {{\"name\": \"{name}\""));
-        if i != 2 {
-            doc.push_str(&format!(", \"fingerprint\": \"{i:016x}\""));
-        }
-        doc.push_str(&format!(", \"sim_cycles_per_query\": {}.0}},\n", 100 + i));
-    }
-    doc.push_str("  ]\n}\n");
-    let path = write_temp("wfbn_pr7_torn_series.json", &doc);
-    let out = run_checker(&path);
-    assert!(!out.status.success(), "torn series must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("names=5 fingerprints=4"),
-        "diagnostic should count the torn series: {stderr}"
-    );
+    let err = Snapshot::parse(&text).expect_err("a 15-digit fingerprint must fail");
+    assert!(err.contains("matrix.burst.fingerprint"), "{err}");
+    assert!(err.contains("malformed value"), "{err}");
 }
 
 #[test]
 fn pr7_baseline_without_workload_params_is_rejected_before_regenerating() {
-    let path = write_temp(
-        "wfbn_pr7_no_workload.json",
-        "{\n  \"schema\": \"wfbn-bench-pr7\",\n  \"scenarios\": [\n    {\"name\": \"uniform\", \"fingerprint\": \"00000000deadbeef\", \"sim_cycles_per_query\": 123.0}\n  ]\n}\n",
-    );
-    let start = std::time::Instant::now();
-    let out = run_checker(&path);
-    assert!(!out.status.success(), "missing workload params must fail");
-    // The contract that keeps this suite cheap: malformed baselines are
-    // rejected by the parse stage, never by a cargo run. A full
-    // regeneration takes tens of seconds; the parse stage, milliseconds.
-    assert!(
-        start.elapsed().as_secs() < 10,
-        "malformed baseline should fail fast, took {:?}",
-        start.elapsed()
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
+    // The workload shapes are constants of the snapshot module, so a
+    // baseline that carries its own parameters — the retired JSON layout,
+    // or a `workload.*` line — is refused by the parse stage, before the
+    // checker spends any simulation.
+    let json = "{\n  \"schema\": \"wfbn-bench-pr7\",\n  \"scenarios\": [\n    \
+                {\"name\": \"uniform\", \"fingerprint\": \"00000000deadbeef\", \
+                \"sim_cycles_per_query\": 123.0}\n  ]\n}\n";
+    let err = Snapshot::parse(json).expect_err("the JSON layout must fail");
+    assert!(err.contains("line 1"), "{err}");
+
+    let text = format!("{COMMITTED}workload.rows 2000\n");
+    let err = Snapshot::parse(&text).expect_err("a workload line must fail");
+    assert!(err.contains("workload.rows"), "{err}");
+    assert!(err.contains("has no rule"), "{err}");
 }
 
 #[test]
 fn pr9_baseline_with_torn_shard_series_is_rejected_as_malformed() {
-    // Four shard counts but three cycle entries: the series is torn.
-    let path = write_temp(
-        "wfbn_pr9_torn_series.json",
-        "{\n  \"schema\": \"wfbn-bench-pr9\",\n  \"workload\": {\"n\": 20, \"m\": 30000, \"seed\": 42, \"cores_per_shard\": 2},\n  \"shards\": [1,2,4,8],\n  \"sim_cycles_per_query\": [900000.0,460000.0,230000.0],\n  \"acceptance\": {\"cluster_s8_scaling\": 7.5}\n}\n",
-    );
-    let out = run_checker(&path);
-    assert!(!out.status.success(), "torn shard series must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("shards=4 cycles=3"),
-        "diagnostic should count the torn series: {stderr}"
-    );
-}
+    // Four shard counts measured, three cycle entries committed.
+    let (baseline, dropped) = without(|key| key == "cluster.cycles_per_query.s8");
+    let violations = check(&baseline, &committed());
+    assert_violations_name(&violations, &dropped, "missing from the baseline");
 
-#[test]
-fn pr9_baseline_without_workload_params_is_rejected_before_regenerating() {
-    // No cores_per_shard: the workload cannot be regenerated faithfully, so
-    // the parse stage must refuse before any cargo build is spent.
-    let path = write_temp(
-        "wfbn_pr9_no_workload.json",
-        "{\n  \"schema\": \"wfbn-bench-pr9\",\n  \"workload\": {\"n\": 20, \"m\": 30000, \"seed\": 42},\n  \"shards\": [1,2,4,8],\n  \"sim_cycles_per_query\": [900000.0,460000.0,230000.0,120000.0],\n  \"acceptance\": {\"cluster_s8_scaling\": 7.5}\n}\n",
-    );
-    let start = std::time::Instant::now();
-    let out = run_checker(&path);
-    assert!(!out.status.success(), "missing cores_per_shard must fail");
-    assert!(
-        start.elapsed().as_secs() < 10,
-        "malformed pr9 baseline should fail fast, took {:?}",
-        start.elapsed()
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("BENCH_PR9_OUT"),
-        "diagnostic should name the re-baseline recipe: {stderr}"
+    // The other tear: the baseline holds a shard count no longer measured.
+    let text = format!("{COMMITTED}cluster.cycles_per_query.s16 61339.375\n");
+    let baseline = Snapshot::parse(&text).expect("an extra cycles key parses");
+    let violations = check(&baseline, &committed());
+    assert_violations_name(
+        &violations,
+        &["cluster.cycles_per_query.s16".to_string()],
+        "extra key",
     );
 }
 
 #[test]
 fn pr9_baseline_without_acceptance_value_is_rejected_as_malformed() {
-    let path = write_temp(
-        "wfbn_pr9_no_acceptance.json",
-        "{\n  \"schema\": \"wfbn-bench-pr9\",\n  \"workload\": {\"n\": 20, \"m\": 30000, \"seed\": 42, \"cores_per_shard\": 2},\n  \"shards\": [1,2],\n  \"sim_cycles_per_query\": [900000.0,460000.0]\n}\n",
+    let (baseline, dropped) = without(|key| key == "floor.cluster_s8_scaling");
+    let violations = check(&baseline, &committed());
+    assert_violations_name(&violations, &dropped, "missing from the baseline");
+
+    // A committed acceptance value below the floor fails as well, even
+    // when the fresh run clears it.
+    let text = replace_line("floor.cluster_s8_scaling", "floor.cluster_s8_scaling 2.900");
+    let baseline = Snapshot::parse(&text).expect("a low floor still parses");
+    let violations = check(&baseline, &committed());
+    assert_violations_name(
+        &violations,
+        &["floor.cluster_s8_scaling".to_string()],
+        "baseline 2.900 is below the floor",
     );
-    let out = run_checker(&path);
-    assert!(!out.status.success(), "missing cluster_s8_scaling must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("malformed"), "stderr: {stderr}");
 }
 
 #[test]
-fn missing_baseline_is_a_clean_skip() {
-    let path = std::env::temp_dir().join("wfbn_pr7_does_not_exist.json");
-    let _ = std::fs::remove_file(&path);
-    let out = run_checker(&path);
-    assert!(out.status.success(), "missing baseline must skip, not fail");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("skipping"), "stdout: {stdout}");
+fn pr9_baseline_without_workload_params_is_rejected_before_regenerating() {
+    // Cores per shard is a constant of the snapshot module; a baseline
+    // line that tries to set it has no rule and is refused by the parse.
+    let text = format!("{COMMITTED}cluster.cores_per_shard 2\n");
+    let err = Snapshot::parse(&text).expect_err("a workload line must fail");
+    assert!(err.contains("cluster.cores_per_shard"), "{err}");
+    assert!(err.contains("has no rule"), "{err}");
+
+    // A shard entry without its value is refused the same way, naming the
+    // line.
+    let text = replace_line("cluster.cycles_per_query.s8", "cluster.cycles_per_query.s8");
+    let err = Snapshot::parse(&text).expect_err("a value-less line must fail");
+    assert!(err.contains("cluster.cycles_per_query.s8"), "{err}");
+    assert!(err.contains("expected `key value`"), "{err}");
 }
