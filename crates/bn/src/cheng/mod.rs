@@ -31,6 +31,9 @@ pub use separate::try_separate;
 pub use thicken::thicken;
 pub use thin::thin;
 
+use thicken::thicken_packed;
+use thin::thin_packed;
+
 use crate::ci::CiTest;
 use crate::graph::Ug;
 use crate::pdag::PDag;
@@ -39,6 +42,7 @@ use std::collections::HashMap;
 use wfbn_core::allpairs::{all_pairs_mi, MiMatrix};
 use wfbn_core::construct::waitfree_build;
 use wfbn_core::error::CoreError;
+use wfbn_core::marginal::PackedTable;
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::Dataset;
 
@@ -81,6 +85,10 @@ pub struct PhaseStats {
     pub thinning_removed: usize,
     /// Conditional-independence tests executed in phases 2–3.
     pub ci_tests: usize,
+    /// Passes over the packed table that those tests made: one per
+    /// separation search whose tests collapse from the joint over its cut,
+    /// one per test otherwise.
+    pub ci_scans: usize,
 }
 
 /// Everything the learner produces.
@@ -106,8 +114,10 @@ pub struct ChengLearner {
     /// CI decision rule for thickening/thinning.
     pub ci_test: CiTest,
     /// Worker threads for table construction, all-pairs MI and packing the
-    /// snapshot each CI phase scans; the CI tests themselves run on the
-    /// calling thread.
+    /// one snapshot a learn's CI phases share. The CI tests run on the
+    /// calling thread: each separation search scans the snapshot once, for
+    /// the joint over its pair and candidate cut, and its tests collapse
+    /// their joints from that one.
     pub threads: usize,
     /// Largest conditioning-set size tried during separation search.
     pub max_condition_size: usize,
@@ -152,30 +162,25 @@ impl ChengLearner {
             }
         }
 
-        // ---- Phase 2: thickening. ----
-        let added = thicken(
+        // ---- Phases 2–3 scan one snapshot of the table. ----
+        let packed = PackedTable::pack(table, self.threads)?;
+        stats.thickening_added = thicken_packed(
             &mut graph,
             &deferred,
-            table,
+            &packed,
             self.ci_test,
-            self.threads,
             self.max_condition_size,
             &mut sepsets,
-            &mut stats.ci_tests,
+            &mut stats,
         );
-        stats.thickening_added = added;
-
-        // ---- Phase 3: thinning. ----
-        let removed = thin(
+        stats.thinning_removed = thin_packed(
             &mut graph,
-            table,
+            &packed,
             self.ci_test,
-            self.threads,
             self.max_condition_size,
             &mut sepsets,
-            &mut stats.ci_tests,
+            &mut stats,
         );
-        stats.thinning_removed = removed;
 
         // ---- Orientation. ----
         let cpdag = orient(&graph, &sepsets);

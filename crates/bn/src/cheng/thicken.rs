@@ -7,15 +7,18 @@
 //! edgeless, and their separating set is recorded for orientation.
 
 use crate::cheng::separate::{pack, record_sepset, separate};
-use crate::cheng::SepSets;
+use crate::cheng::{PhaseStats, SepSets};
 use crate::ci::CiTest;
 use crate::graph::Ug;
+use wfbn_core::marginal::PackedTable;
 use wfbn_core::potential::PotentialTable;
 
 /// Runs the thickening phase; returns the number of edges added.
 ///
-/// Packs `table` once, on `threads` workers; every CI test of the phase
-/// scans that snapshot on the calling thread.
+/// Packs `table` once, on `threads` workers. Each deferred pair's
+/// separation search then scans that snapshot once on the calling thread,
+/// for the joint over the pair and its candidate cut, and every CI test of
+/// the search collapses its joint from that one.
 ///
 /// # Panics
 ///
@@ -32,9 +35,34 @@ pub fn thicken(
     ci_tests: &mut usize,
 ) -> usize {
     let packed = pack(table, threads);
+    let mut stats = PhaseStats::default();
+    let added = thicken_packed(
+        graph,
+        deferred,
+        &packed,
+        test,
+        max_condition_size,
+        sepsets,
+        &mut stats,
+    );
+    *ci_tests += stats.ci_tests;
+    added
+}
+
+/// [`thicken`] on a snapshot the caller packed; counts its tests and scans
+/// into `stats`.
+pub(crate) fn thicken_packed(
+    graph: &mut Ug,
+    deferred: &[(usize, usize)],
+    packed: &PackedTable,
+    test: CiTest,
+    max_condition_size: usize,
+    sepsets: &mut SepSets,
+    stats: &mut PhaseStats,
+) -> usize {
     let mut added = 0;
     for &(x, y) in deferred {
-        match separate(graph, &packed, x, y, test, max_condition_size, ci_tests) {
+        match separate(graph, packed, x, y, test, max_condition_size, stats) {
             Some(z) => record_sepset(sepsets, x, y, z),
             None => {
                 graph

@@ -10,15 +10,18 @@
 //! another (Cheng et al. run a comparable re-examination).
 
 use crate::cheng::separate::{pack, record_sepset, separate};
-use crate::cheng::SepSets;
+use crate::cheng::{PhaseStats, SepSets};
 use crate::ci::CiTest;
 use crate::graph::Ug;
+use wfbn_core::marginal::PackedTable;
 use wfbn_core::potential::PotentialTable;
 
 /// Runs the thinning phase; returns the number of edges removed.
 ///
-/// Packs `table` once, on `threads` workers; every CI test of the phase
-/// scans that snapshot on the calling thread.
+/// Packs `table` once, on `threads` workers. Each edge's separation search
+/// then scans that snapshot once on the calling thread, for the joint over
+/// the pair and its candidate cut, and every CI test of the search
+/// collapses its joint from that one.
 ///
 /// # Panics
 ///
@@ -34,6 +37,29 @@ pub fn thin(
     ci_tests: &mut usize,
 ) -> usize {
     let packed = pack(table, threads);
+    let mut stats = PhaseStats::default();
+    let removed = thin_packed(
+        graph,
+        &packed,
+        test,
+        max_condition_size,
+        sepsets,
+        &mut stats,
+    );
+    *ci_tests += stats.ci_tests;
+    removed
+}
+
+/// [`thin`] on a snapshot the caller packed; counts its tests and scans
+/// into `stats`.
+pub(crate) fn thin_packed(
+    graph: &mut Ug,
+    packed: &PackedTable,
+    test: CiTest,
+    max_condition_size: usize,
+    sepsets: &mut SepSets,
+    stats: &mut PhaseStats,
+) -> usize {
     let mut removed_total = 0;
     loop {
         let mut removed_this_round = 0;
@@ -44,7 +70,7 @@ pub fn thin(
                 graph.add_edge(x, y).expect("restoring a removed edge");
                 continue;
             }
-            match separate(graph, &packed, x, y, test, max_condition_size, ci_tests) {
+            match separate(graph, packed, x, y, test, max_condition_size, stats) {
                 Some(z) => {
                     record_sepset(sepsets, x, y, z);
                     removed_this_round += 1;

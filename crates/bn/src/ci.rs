@@ -1,10 +1,13 @@
 //! Conditional-independence tests, computed through the paper's primitives.
 //!
 //! Every test here is a thin decision rule on top of the same measurement:
-//! the conditional mutual information `I(X; Y | Z)` estimated from a
-//! [`PackedTable`] snapshot of the potential table ([`cmi`]). A learner
-//! packs the table once and runs all of its tests on the snapshot; each
-//! test scans it on the calling thread.
+//! the conditional mutual information `I(X; Y | Z)` of a joint marginal
+//! over `(X, Y, Z…)` ([`CiTest::decide`]). [`CiTest::run`] takes that joint
+//! from a [`PackedTable`] snapshot of the potential table ([`cmi`] is the
+//! bare measurement). The learner packs the table once per learn and scans
+//! it once per separation search, for the joint over the pair and its whole
+//! candidate cut; each test of the search collapses its own joint from that
+//! one ([`MarginalTable::collapse`]) and decides on it.
 //!
 //! * [`CiTest::MiThreshold`] — Cheng et al.'s rule: dependent iff
 //!   `I > ε` (the paper's "pre-defined threshold").
@@ -20,7 +23,7 @@
 
 use wfbn_core::entropy::conditional_mutual_information;
 use wfbn_core::error::CoreError;
-use wfbn_core::marginal::PackedTable;
+use wfbn_core::marginal::{MarginalTable, PackedTable};
 
 /// Estimates `I(X; Y | Z)` (nats) from a packed snapshot of the potential
 /// table.
@@ -28,12 +31,16 @@ use wfbn_core::marginal::PackedTable;
 /// `z` may be empty (plain mutual information). Variables must be distinct
 /// and in range.
 pub fn cmi(table: &PackedTable, x: usize, y: usize, z: &[usize]) -> Result<f64, CoreError> {
+    Ok(conditional_mutual_information(&joint(table, x, y, z)?))
+}
+
+/// The joint marginal over `(x, y, z…)`, in that order: one scan of `table`.
+fn joint(table: &PackedTable, x: usize, y: usize, z: &[usize]) -> Result<MarginalTable, CoreError> {
     let mut order: Vec<usize> = Vec::with_capacity(2 + z.len());
     order.push(x);
     order.push(y);
     order.extend_from_slice(z);
-    let joint = table.marginalize(&order)?;
-    Ok(conditional_mutual_information(&joint))
+    table.marginalize(&order)
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
@@ -158,7 +165,8 @@ pub struct CiOutcome {
 }
 
 impl CiTest {
-    /// Runs the test for `X = x`, `Y = y` given `Z = z`.
+    /// Runs the test for `X = x`, `Y = y` given `Z = z`: one scan of
+    /// `table` for their joint, then [`decide`](Self::decide).
     pub fn run(
         &self,
         table: &PackedTable,
@@ -166,28 +174,39 @@ impl CiTest {
         y: usize,
         z: &[usize],
     ) -> Result<CiOutcome, CoreError> {
-        let i = cmi(table, x, y, z)?;
-        let m = table.total_count() as f64;
+        Ok(self.decide(&joint(table, x, y, z)?))
+    }
+
+    /// Decides the test on `joint`, a marginal over `(X, Y, Z₁, …, Z_k)` in
+    /// that order. The G-test's degrees of freedom come from the joint's
+    /// arities and `m` from its total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joint` has fewer than two variables.
+    pub fn decide(&self, joint: &MarginalTable) -> CiOutcome {
+        let i = conditional_mutual_information(joint);
+        let m = joint.total() as f64;
         match *self {
-            CiTest::MiThreshold { epsilon } => Ok(CiOutcome {
+            CiTest::MiThreshold { epsilon } => CiOutcome {
                 cmi: i,
                 g_statistic: 2.0 * m * i,
                 p_value: 1.0,
                 dependent: i > epsilon,
-            }),
+            },
             CiTest::GTest { alpha } => {
-                let codec = table.codec();
-                let df_pair = (codec.arity(x) - 1) * (codec.arity(y) - 1);
-                let df_cond: u64 = z.iter().map(|&v| codec.arity(v)).product();
+                let r = joint.arities();
+                let df_pair = (r[0] - 1) * (r[1] - 1);
+                let df_cond: u64 = r[2..].iter().product();
                 let df = (df_pair * df_cond).max(1);
                 let g = 2.0 * m * i;
                 let p = chi_square_sf(g, df);
-                Ok(CiOutcome {
+                CiOutcome {
                     cmi: i,
                     g_statistic: g,
                     p_value: p,
                     dependent: p < alpha,
-                })
+                }
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 use wfbn_bn::cheng::ChengLearner;
-use wfbn_bn::{repository, BayesNet};
+use wfbn_bn::{repository, BayesNet, LearnResult};
 
 /// `(name, network, rows, seed)` of every golden case.
 fn cases() -> Vec<(&'static str, BayesNet, usize, u64)> {
@@ -21,15 +21,20 @@ fn cases() -> Vec<(&'static str, BayesNet, usize, u64)> {
     ]
 }
 
-/// One case's learn, rendered with every map sorted so the text repeats.
-fn render(name: &str, net: &BayesNet, rows: usize, seed: u64, threads: usize) -> String {
+/// One case's learn at `threads`.
+fn learn(net: &BayesNet, rows: usize, seed: u64, threads: usize) -> LearnResult {
     let learner = ChengLearner {
         threads,
         ..ChengLearner::default()
     };
-    let r = learner
+    learner
         .learn(&net.sample(rows, seed))
-        .expect("golden learn succeeds");
+        .expect("golden learn succeeds")
+}
+
+/// One case's learn, rendered with every map sorted so the text repeats.
+fn render(name: &str, net: &BayesNet, rows: usize, seed: u64, threads: usize) -> String {
+    let r = learn(net, rows, seed, threads);
     let s = r.stats;
     let mut out = format!("{name} rows={rows} seed={seed}\n");
     writeln!(
@@ -64,7 +69,7 @@ fn render(name: &str, net: &BayesNet, rows: usize, seed: u64, threads: usize) ->
 #[test]
 fn learner_output_matches_the_golden_file_at_every_thread_count() {
     let golden = include_str!("golden/learner.txt");
-    for threads in [1, 2] {
+    for threads in [1, 2, 4] {
         let got: String = cases()
             .iter()
             .map(|(name, net, rows, seed)| render(name, net, *rows, *seed, threads))
@@ -84,4 +89,21 @@ fn learner_output_matches_the_golden_file_at_every_thread_count() {
             );
         }
     }
+}
+
+#[test]
+fn separation_searches_share_one_scan_across_their_tests() {
+    // Not in the golden render: the scan count is how the tests are
+    // computed, not what the learner answers.
+    let (_, net, rows, seed) = cases()
+        .into_iter()
+        .find(|c| c.0 == "alarm_like")
+        .expect("alarm_like is a golden case");
+    let s = learn(&net, rows, seed, 2).stats;
+    assert!(
+        s.ci_scans > 0 && s.ci_scans < s.ci_tests / 2,
+        "ci_scans={} ci_tests={}",
+        s.ci_scans,
+        s.ci_tests
+    );
 }

@@ -69,12 +69,13 @@ fn learn_cheng(
     let result = learner.learn(data).map_err(|e| e.to_string())?;
     writeln!(
         out,
-        "phases: {} drafted, {} deferred, {} thickened, {} thinned ({} CI tests)",
+        "phases: {} drafted, {} deferred, {} thickened, {} thinned ({} CI tests, {} table scans)",
         result.stats.draft_edges,
         result.stats.deferred_pairs,
         result.stats.thickening_added,
         result.stats.thinning_removed,
-        result.stats.ci_tests
+        result.stats.ci_tests,
+        result.stats.ci_scans
     )
     .map_err(|e| e.to_string())?;
     for (u, v) in result.cpdag.directed_edges() {

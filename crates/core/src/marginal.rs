@@ -178,6 +178,11 @@ impl MarginalTable {
     /// joint P(x, y) once, then *derive* P(x) and P(y) from it instead of
     /// rescanning the potential table.
     ///
+    /// The source cells are walked in order with an odometer over their
+    /// digits: each digit moves the destination index by its stride in the
+    /// kept mixed radix (0 for a summed-out digit), so no cell pays a divide
+    /// or a modulo.
+    ///
     /// # Panics
     ///
     /// Panics if `keep` is empty, out of range, or not strictly increasing.
@@ -191,26 +196,31 @@ impl MarginalTable {
         let kept_arities: Vec<u64> = keep.iter().map(|&k| self.arities[k]).collect();
         let cells: u64 = kept_arities.iter().product();
         let mut counts = vec![0u64; cells as usize];
-        // For each source cell, compute the destination index by extracting
-        // the kept digits.
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
+        let mut strides = vec![0usize; self.arities.len()];
+        let mut stride = 1;
+        for &k in keep {
+            strides[k] = stride;
+            stride *= self.arities[k] as usize;
+        }
+        // The first digit runs fastest: one row of it per odometer step
+        // over the others, whose destination offset is `base`.
+        let row_len = self.arities[0] as usize;
+        let (first, rest) = strides.split_first().expect("a marginal has variables");
+        let mut digits = vec![0u64; rest.len()];
+        let mut base = 0;
+        for row in self.counts.chunks_exact(row_len) {
+            for (i, &c) in row.iter().enumerate() {
+                counts[base + i * first] += c;
             }
-            let mut rest = idx as u64;
-            let mut dst = 0u64;
-            let mut dst_stride = 1u64;
-            let mut keep_iter = keep.iter().peekable();
-            for (pos, &r) in self.arities.iter().enumerate() {
-                let digit = rest % r;
-                rest /= r;
-                if keep_iter.peek() == Some(&&pos) {
-                    keep_iter.next();
-                    dst += digit * dst_stride;
-                    dst_stride *= r;
+            for ((d, &r), &s) in digits.iter_mut().zip(&self.arities[1..]).zip(rest) {
+                *d += 1;
+                base += s;
+                if *d < r {
+                    break;
                 }
+                *d = 0;
+                base -= s * r as usize;
             }
-            counts[dst as usize] += c;
         }
         MarginalTable {
             vars: kept_vars,
@@ -920,6 +930,56 @@ mod tests {
             assert!(packed.marginalize(&[]).is_err());
             assert!(packed.marginalize(&[1, 1]).is_err());
             assert!(packed.marginalize(&[0, 5]).is_err());
+        }
+    }
+
+    /// The divide-and-modulo `collapse` the odometer replaced: each source
+    /// cell's kept digits are extracted one `%` and `/` at a time.
+    fn collapse_by_division(m: &MarginalTable, keep: &[usize]) -> MarginalTable {
+        let arities: Vec<u64> = keep.iter().map(|&k| m.arities[k]).collect();
+        let mut counts = vec![0u64; arities.iter().product::<u64>() as usize];
+        for (idx, &c) in m.counts.iter().enumerate() {
+            let (mut rest, mut dst, mut dst_stride) = (idx as u64, 0, 1);
+            for (pos, &r) in m.arities.iter().enumerate() {
+                let digit = rest % r;
+                rest /= r;
+                if keep.contains(&pos) {
+                    dst += digit * dst_stride;
+                    dst_stride *= r;
+                }
+            }
+            counts[dst as usize] += c;
+        }
+        let vars = keep.iter().map(|&k| m.vars[k]).collect();
+        MarginalTable::from_raw_parts(vars, arities, counts, m.total)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn odometer_collapse_equals_the_division_collapse(
+            arities in proptest::collection::vec(1u64..=5, 1..=6),
+            keep_mask in 1u32..64,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = arities.len();
+            let cells: u64 = arities.iter().product();
+            // Pseudo-random counts, zeros included, from a small LCG.
+            let mut state = seed;
+            let counts: Vec<u64> = (0..cells)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (state >> 33) % 7
+                })
+                .collect();
+            let total = counts.iter().sum();
+            let m = MarginalTable::from_raw_parts((10..10 + n).collect(), arities, counts, total);
+            let mut keep: Vec<usize> = (0..n).filter(|&i| keep_mask & (1 << i) != 0).collect();
+            if keep.is_empty() {
+                keep.push(n - 1);
+            }
+            proptest::prop_assert_eq!(m.collapse(&keep), collapse_by_division(&m, &keep));
         }
     }
 }

@@ -251,4 +251,36 @@ proptest! {
         let oracle = marginalize(&table, &sorted, 1).map(|m| m.reorder(&order));
         prop_assert_eq!(packed.marginalize(&order), oracle);
     }
+
+    #[test]
+    fn cut_joint_collapses_to_every_subset_marginal(
+        data in dataset_strategy(),
+        picks in prop::collection::vec(any::<usize>(), 2..=6),
+        threads in 1usize..=3,
+    ) {
+        // A pair x, y and a cut of up to four further variables, all
+        // distinct, drawn from the schema in a random order.
+        let n = data.schema().num_vars();
+        let mut order: Vec<usize> = Vec::new();
+        for pick in &picks {
+            let mut free: Vec<usize> = (0..n).filter(|v| !order.contains(v)).collect();
+            if free.is_empty() {
+                break;
+            }
+            order.push(free.swap_remove(pick % free.len()));
+        }
+        prop_assume!(order.len() >= 2);
+        let table = waitfree_build(&data, 2).unwrap().table;
+        let packed = PackedTable::pack(&table, threads).unwrap();
+        let joint = packed.marginalize(&order).unwrap();
+        let cut = order.len() - 2;
+        for mask in 0u32..1 << cut {
+            let keep: Vec<usize> = [0, 1]
+                .into_iter()
+                .chain((0..cut).filter(|i| mask & (1 << i) != 0).map(|i| i + 2))
+                .collect();
+            let vars: Vec<usize> = keep.iter().map(|&k| order[k]).collect();
+            prop_assert_eq!(joint.collapse(&keep), packed.marginalize(&vars).unwrap());
+        }
+    }
 }
