@@ -19,7 +19,7 @@ pub struct HarnessArgs {
     /// scaled-down defaults.
     pub paper_scale: bool,
     /// Also run one instrumented pass and emit the per-stage/per-core
-    /// metrics report (JSON, schema `wfbn-metrics-v5`).
+    /// metrics report (JSON, schema `wfbn-metrics-v6`).
     pub metrics: bool,
     /// Optional directory to write CSV series into.
     pub out_dir: Option<String>,
@@ -130,7 +130,7 @@ Options:
   --seed         N      workload RNG seed (default 42)
   --paper-scale         use the paper's full sizes (0.1M/1M/10M samples)
   --metrics             run one instrumented pass and emit the per-stage
-                        per-core metrics report (JSON, wfbn-metrics-v5)
+                        per-core metrics report (JSON, wfbn-metrics-v6)
   --out          DIR    also write CSV series into DIR
   --help, -h            print this help";
 

@@ -79,6 +79,8 @@ impl Flags {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     const VALUES: &[&str] = &["in", "threads"];
 
@@ -114,5 +116,56 @@ mod tests {
         let f = parse("--threads x", &[]).unwrap();
         assert!(f.get_or::<usize>("threads", 1).is_err());
         assert!(f.require::<usize>("absent").is_err());
+    }
+
+    /// Pieces an adversarial argument is glued from.
+    const PIECES: [&str; 14] = [
+        "--", "-", "in", "threads", "bits", "x", "4", "=", " ", "", "é", "\u{0}", "\u{feff}",
+        "--in",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_argument_vectors_never_panic(
+            args in vec(vec(0usize..PIECES.len(), 0..5), 0..8),
+            bytes in vec(any::<u8>(), 0..24),
+        ) {
+            let mut args: Vec<String> = args
+                .iter()
+                .map(|picks| picks.iter().map(|&k| PIECES[k]).collect())
+                .collect();
+            args.push(String::from_utf8_lossy(&bytes).into_owned());
+            for switches in [&[][..], &["bits"][..]] {
+                if let Ok(f) = Flags::parse(&args, VALUES, switches) {
+                    let _ = f.get_or::<usize>("threads", 1);
+                    let _ = f.require::<String>("in");
+                }
+            }
+        }
+
+        #[test]
+        fn printed_flags_parse_back(
+            values in vec((0usize..VALUES.len(), vec(0usize..PIECES.len(), 0..4)), 0..4),
+            bits in any::<bool>(),
+        ) {
+            let mut args = Vec::new();
+            let mut expected = HashMap::new();
+            for (flag, picks) in &values {
+                let value: String = picks.iter().map(|&k| PIECES[k]).collect();
+                args.push(format!("--{}", VALUES[*flag]));
+                args.push(value.clone());
+                expected.insert(VALUES[*flag], value);
+            }
+            if bits {
+                args.push("--bits".into());
+            }
+            let f = Flags::parse(&args, VALUES, &["bits"]).unwrap();
+            for flag in VALUES {
+                prop_assert_eq!(f.get(flag), expected.get(flag).map(String::as_str));
+            }
+            prop_assert_eq!(f.has_switch("bits"), bits);
+        }
     }
 }

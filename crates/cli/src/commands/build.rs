@@ -5,7 +5,6 @@ use crate::commands::load_csv;
 use std::io::Write;
 use std::time::Instant;
 use wfbn_core::construct::{waitfree_build, waitfree_build_recorded};
-use wfbn_core::rebalance::imbalance;
 use wfbn_core::CoreMetrics;
 
 /// Runs the subcommand.
@@ -54,7 +53,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             "key traffic: {:.1}% forwarded between cores; drain imbalance {:.2}; partition imbalance {:.2}",
             100.0 * built.stats.forward_fraction(),
             built.stats.drain_imbalance(),
-            imbalance(&built.table)
+            built.table.imbalance()
         )
     })
     .and_then(|()| {
@@ -111,7 +110,7 @@ mod tests {
         let mut out = Vec::new();
         run(&args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": \"wfbn-metrics-v5\""), "{text}");
+        assert!(text.contains("\"schema\": \"wfbn-metrics-v6\""), "{text}");
         assert!(text.contains("\"rows_encoded\""), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

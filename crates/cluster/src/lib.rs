@@ -24,7 +24,7 @@
 //!   *stalled* cluster epoch naming the shard — bounded by the coordinator's
 //!   yield budget — never as a hang.
 //!
-//! Telemetry flows into [`wfbn_obs`] schema `wfbn-metrics-v5`: the router
+//! Telemetry flows into [`wfbn_obs`] schema `wfbn-metrics-v6`: the router
 //! core counts `batches_routed`/`shard_batches_routed`, the coordinator core
 //! `cluster_epochs_published`, and each client core `query_fan_outs` and
 //! `partial_merges`, with the cluster conservation laws checked by

@@ -40,7 +40,6 @@ use crate::batch::Combiner;
 use crate::codec::KeyCodec;
 use crate::count_table::{CountTable, Key};
 use crate::error::CoreError;
-use crate::partition::KeyPartitioner;
 use crate::potential::PotentialTable;
 use crate::stats::{BuildStats, ThreadStats};
 use std::sync::Arc;
@@ -112,7 +111,7 @@ pub fn sequential_build_recorded<R: Recorder>(
     cr.add(Counter::TableGrows, table.grows());
     stats.probes = table.probes();
     Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, KeyPartitioner::modulo(1), vec![table]),
+        table: PotentialTable::from_parts(codec, vec![table]),
         stats: BuildStats {
             per_thread: vec![stats],
         },
@@ -120,7 +119,7 @@ pub fn sequential_build_recorded<R: Recorder>(
 }
 
 /// Builds the potential table with `p` threads using the paper's wait-free
-/// two-stage primitive and its `key % P` partitioner.
+/// two-stage primitive, core `key % P` owning each key.
 ///
 /// # Examples
 ///
@@ -137,29 +136,7 @@ pub fn waitfree_build(data: &Dataset, p: usize) -> Result<BuiltTable, CoreError>
     waitfree_build_recorded(data, p, &NoopRecorder)
 }
 
-/// [`waitfree_build`] with telemetry flowing into `rec` (core `t` of the
-/// recorder receives worker `t`'s events).
-pub fn waitfree_build_recorded<R: Recorder>(
-    data: &Dataset,
-    p: usize,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    waitfree_build_with_recorded(data, KeyPartitioner::modulo(p), rec)
-}
-
-/// Builds the potential table with an explicit key partitioner (the thread
-/// count is the partitioner's partition count).
-pub fn waitfree_build_with(
-    data: &Dataset,
-    partitioner: KeyPartitioner,
-) -> Result<BuiltTable, CoreError> {
-    waitfree_build_with_recorded(data, partitioner, &NoopRecorder)
-}
-
-/// [`waitfree_build_with`] with telemetry flowing into `rec`.
+/// [`waitfree_build`] with telemetry flowing into `rec`.
 ///
 /// Worker `t` obtains the exclusive per-core handle `rec.core(t)` and
 /// reports through it only, preserving the build's single-writer-per-word
@@ -168,12 +145,11 @@ pub fn waitfree_build_with(
 /// probe-length histogram, queue backlog high-water marks, segment links,
 /// and table growth events are all attributed to the core that incurred
 /// them.
-pub fn waitfree_build_with_recorded<R: Recorder>(
+pub fn waitfree_build_recorded<R: Recorder>(
     data: &Dataset,
-    partitioner: KeyPartitioner,
+    p: usize,
     rec: &R,
 ) -> Result<BuiltTable, CoreError> {
-    let p = partitioner.partitions();
     if p == 0 {
         return Err(CoreError::ZeroThreads);
     }
@@ -187,24 +163,19 @@ pub fn waitfree_build_with_recorded<R: Recorder>(
         codec.num_vars(),
         Fresh::parts(p, hint),
         |rows, keys| codec.encode_rows(rows, keys),
-        |key| partitioner.owner(key),
         rec,
     );
-    Ok(assemble(codec, partitioner, cores))
+    Ok(assemble(codec, cores))
 }
 
 /// Collects per-core partitions and counters into a [`BuiltTable`].
-pub(crate) fn assemble(
-    codec: KeyCodec,
-    partitioner: KeyPartitioner,
-    cores: Vec<(Fresh<u64>, ThreadStats)>,
-) -> BuiltTable {
+pub(crate) fn assemble(codec: KeyCodec, cores: Vec<(Fresh<u64>, ThreadStats)>) -> BuiltTable {
     let (partitions, per_thread) = cores
         .into_iter()
         .map(|(part, stats)| (part.into_table(), stats))
         .unzip();
     BuiltTable {
-        table: PotentialTable::from_parts(codec, partitioner, partitions),
+        table: PotentialTable::from_parts(codec, partitions),
         stats: BuildStats { per_thread },
     }
 }
@@ -339,15 +310,14 @@ where
 /// routes every key (Algorithm 1), crosses the single barrier, then drains
 /// the queues addressed to it (Algorithm 2).
 ///
-/// `encode` turns a block of whole rows into keys and `owner` names the core
-/// that owns a key; `parts[t]` is opened by core `t`. Returns each core's
-/// partition and counters for this run.
+/// `encode` turns a block of whole rows into keys, which core
+/// [`Key::owner`] applies; `parts[t]` is opened by core `t`. Returns each
+/// core's partition and counters for this run.
 pub(crate) fn two_stage<K, T, R>(
     rows: &[u16],
     n: usize,
     parts: Vec<T>,
     encode: impl Fn(&[u16], &mut Vec<K>) + Sync,
-    owner: impl Fn(K) -> usize + Sync,
     rec: &R,
 ) -> Vec<(T, ThreadStats)>
 where
@@ -360,7 +330,7 @@ where
     let barrier = SpinBarrier::new(p);
     on_cores(parts, |t, part, ep| {
         let chunk = &rows[chunks[t].start * n..chunks[t].end * n];
-        barrier_core(t, chunk, n, part, ep, &barrier, &encode, &owner, rec)
+        barrier_core(t, chunk, n, part, ep, &barrier, &encode, rec)
     })
 }
 
@@ -374,7 +344,6 @@ fn barrier_core<K: Key, R: Recorder>(
     mut ep: Endpoints<K>,
     barrier: &SpinBarrier,
     encode: &impl Fn(&[u16], &mut Vec<K>),
-    owner: &impl Fn(K) -> usize,
     rec: &R,
 ) -> ThreadStats {
     let p = ep.producers.len();
@@ -383,7 +352,7 @@ fn barrier_core<K: Key, R: Recorder>(
 
     // ---- Stage 1 (Algorithm 1) ----
     for block in rows.chunks(ENC_BLOCK * n) {
-        w.route_block(block, encode, owner, &mut ep.producers);
+        w.route_block(block, encode, &mut ep.producers);
     }
     w.close(&mut ep.producers);
     let t1 = w.lap(Stage::Encode, t0);
@@ -468,13 +437,13 @@ impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
         &mut self,
         rows: &[u16],
         encode: &impl Fn(&[u16], &mut Vec<K>),
-        owner: &impl Fn(K) -> usize,
         producers: &mut [Option<Producer<(K, u64)>>],
     ) {
         encode(rows, &mut self.keys);
         self.local.clear();
+        let p = producers.len();
         for &key in &self.keys {
-            let to = owner(key);
+            let to = key.owner(p);
             if to == self.t {
                 self.local.push(key);
             } else {
@@ -577,7 +546,6 @@ mod loom_tests {
                             keys.clear();
                             keys.extend(rows.iter().map(|&s| u64::from(s)));
                         };
-                        let owner = |key: u64| (key % P as u64) as usize;
                         let stats = barrier_core(
                             t,
                             &rows,
@@ -586,12 +554,11 @@ mod loom_tests {
                             ep,
                             &barrier,
                             &encode,
-                            &owner,
                             &NoopRecorder,
                         );
                         let table = part.into_table();
                         for (key, _) in table.iter() {
-                            assert_eq!(owner(key), t, "drained a key we do not own");
+                            assert_eq!(key.owner(P), t, "drained a key we do not own");
                         }
                         (table, stats)
                     })
@@ -648,21 +615,6 @@ mod tests {
             let built = waitfree_build(&data, p).unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "mismatch at p={p}");
             assert_eq!(built.table.total_count(), 5000);
-        }
-    }
-
-    #[test]
-    fn equivalence_holds_for_all_partitioners() {
-        let data = uniform_data(10, 2, 3000, 5);
-        let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        let space = 1u64 << 10;
-        for part in [
-            KeyPartitioner::modulo(4),
-            KeyPartitioner::range(4, space),
-            KeyPartitioner::hashed(4),
-        ] {
-            let built = waitfree_build_with(&data, part).unwrap();
-            assert_eq!(built.table.to_sorted_vec(), reference, "{}", part.name());
         }
     }
 
@@ -740,11 +692,12 @@ mod tests {
     #[test]
     fn every_key_lands_in_its_owning_partition() {
         let data = uniform_data(9, 2, 5000, 13);
-        let built = waitfree_build(&data, 4).unwrap();
-        let part = *built.table.partitioner().unwrap();
-        for (p_idx, t) in built.table.partitions().iter().enumerate() {
-            for (key, _) in t.iter() {
-                assert_eq!(part.owner(key), p_idx);
+        for p in [1usize, 3, 4] {
+            let built = waitfree_build(&data, p).unwrap();
+            for (p_idx, t) in built.table.partitions().iter().enumerate() {
+                for (key, _) in t.iter() {
+                    assert_eq!(key.owner(p), p_idx);
+                }
             }
         }
     }
@@ -826,19 +779,15 @@ mod tests {
 
     #[test]
     fn batched_empty_and_zero_thread_errors_match_scalar() {
-        // Every partitioner reports an empty dataset the way the oracle does.
+        // Every thread count reports an empty dataset the way the oracle
+        // does.
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[]).unwrap();
-        for part in [
-            KeyPartitioner::modulo(4),
-            KeyPartitioner::range(4, 8),
-            KeyPartitioner::hashed(1),
-        ] {
+        for p in [1usize, 4] {
             assert_eq!(
-                waitfree_build_with(&data, part).unwrap_err(),
+                waitfree_build_recorded(&data, p, &NoopRecorder).unwrap_err(),
                 CoreError::EmptyDataset,
-                "{}",
-                part.name()
+                "p={p}"
             );
         }
         let ok = uniform_data(3, 2, 10, 1);

@@ -31,6 +31,12 @@ pub trait Key: Copy + Ord + Send + Sync {
 
     /// The slot hash.
     fn mix(self) -> u64;
+
+    /// The core that owns this key among `p`: `key % p`, Algorithm 1's
+    /// rule and the only key-to-core map in the crate. Core `owner` is the
+    /// unique writer of the key's count, which is what makes the build
+    /// wait-free.
+    fn owner(self, p: usize) -> usize;
 }
 
 impl Key for u64 {
@@ -39,6 +45,11 @@ impl Key for u64 {
     #[inline]
     fn mix(self) -> u64 {
         mix64(self)
+    }
+
+    #[inline]
+    fn owner(self, p: usize) -> usize {
+        (self % p as u64) as usize
     }
 }
 
@@ -49,6 +60,11 @@ impl Key for u128 {
     #[inline]
     fn mix(self) -> u64 {
         mix64((self >> 64) as u64 ^ mix64(self as u64))
+    }
+
+    #[inline]
+    fn owner(self, p: usize) -> usize {
+        (self % p as u128) as usize
     }
 }
 
@@ -486,6 +502,46 @@ impl<K: Key> FromIterator<(K, u64)> for CountTable<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn owners_are_in_range() {
+        for p in [1usize, 2, 3, 7, 32] {
+            for key in (0..10_000u64).step_by(37) {
+                assert!(key.owner(p) < p, "p={p} key={key}");
+                assert_eq!(u128::from(key).owner(p), key.owner(p));
+            }
+        }
+        let wide = (1u128 << 100) + 5;
+        assert_eq!(wide.owner(3), (wide % 3) as usize);
+    }
+
+    #[test]
+    fn modulo_matches_paper() {
+        assert_eq!(0u64.owner(4), 0);
+        assert_eq!(5u64.owner(4), 1);
+        assert_eq!(7u64.owner(4), 3);
+    }
+
+    #[test]
+    fn uniform_keys_balance() {
+        let p = 8;
+        let mut counts = vec![0u64; p];
+        for key in (0..1u64 << 20).step_by(11) {
+            counts[key.owner(p)] += 1;
+        }
+        let min = *counts.iter().min().unwrap() as f64;
+        let max = *counts.iter().max().unwrap() as f64;
+        assert!(max / min < 1.2, "{counts:?}");
+    }
+
+    #[test]
+    fn strided_keys_expose_modulo_imbalance() {
+        // Keys all ≡ 0 (mod 4) land on core 0: the skew `key % P` cannot
+        // avoid, and the adversarial-partition workload relies on.
+        let keys: Vec<u64> = (0..4096u64).map(|i| i * 4).collect();
+        assert!(keys.iter().all(|k| k.owner(4) == 0));
+        assert!(keys.iter().any(|k| k.owner(3) != 0));
+    }
 
     #[test]
     fn counts_accumulate() {

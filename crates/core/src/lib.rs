@@ -50,10 +50,8 @@ pub mod count_table;
 pub mod entropy;
 pub mod error;
 pub mod marginal;
-pub mod partition;
 pub mod pipeline;
 pub mod potential;
-pub mod rebalance;
 pub mod stats;
 pub mod stream;
 pub mod wide;
@@ -68,7 +66,6 @@ pub use construct::{
 pub use count_table::{CountTable, Key};
 pub use error::CoreError;
 pub use marginal::{marginalize, marginalize_recorded, MarginalTable, PackedTable};
-pub use partition::KeyPartitioner;
 pub use pipeline::{pipelined_build, pipelined_build_recorded};
 pub use potential::PotentialTable;
 pub use stats::BuildStats;

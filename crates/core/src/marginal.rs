@@ -650,7 +650,7 @@ impl PackedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construct::{sequential_build, waitfree_build};
+    use crate::construct::waitfree_build;
     use wfbn_data::{CorrelatedChain, Dataset, Generator, Schema, UniformIndependent};
 
     fn table(data: &Dataset, p: usize) -> PotentialTable {
@@ -859,28 +859,6 @@ mod tests {
         let a = marginalize(&t, &[0, 3], 16).unwrap();
         let b = marginalize(&t, &[0, 3], 1).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn works_on_rebalanced_arbitrary_placement() {
-        // Marginalization must not depend on key placement (§IV-C).
-        let schema = Schema::uniform(5, 2).unwrap();
-        let data = UniformIndependent::new(schema).generate(2_000, 6);
-        let keyed = sequential_build(&data).unwrap().table;
-        let expected = marginalize(&keyed, &[1, 3], 1).unwrap();
-        // Scatter entries across 3 partitions ignoring key ownership.
-        let codec = keyed.codec().clone();
-        let mut parts = vec![
-            crate::count_table::CountTable::new(),
-            crate::count_table::CountTable::new(),
-            crate::count_table::CountTable::new(),
-        ];
-        for (i, (k, c)) in keyed.iter().enumerate() {
-            parts[i % 3].increment(k, c);
-        }
-        let arbitrary = PotentialTable::from_parts_unpartitioned(codec, parts);
-        let got = marginalize(&arbitrary, &[1, 3], 3).unwrap();
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::construct::{
     assemble, capacity_hint, on_cores, BuiltTable, Fresh, Partition, Worker, ENC_BLOCK,
 };
 use crate::error::CoreError;
-use crate::partition::KeyPartitioner;
 use wfbn_concurrent::{row_chunks, Consumer};
 use wfbn_data::Dataset;
 use wfbn_obs::{NoopRecorder, Recorder, Stage};
@@ -54,26 +53,6 @@ pub fn pipelined_build(data: &Dataset, p: usize) -> Result<BuiltTable, CoreError
 }
 
 /// [`pipelined_build`] with telemetry flowing into `rec`.
-pub fn pipelined_build_recorded<R: Recorder>(
-    data: &Dataset,
-    p: usize,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    pipelined_build_with_recorded(data, KeyPartitioner::modulo(p), rec)
-}
-
-/// Pipelined build with an explicit partitioner.
-pub fn pipelined_build_with(
-    data: &Dataset,
-    partitioner: KeyPartitioner,
-) -> Result<BuiltTable, CoreError> {
-    pipelined_build_with_recorded(data, partitioner, &NoopRecorder)
-}
-
-/// [`pipelined_build_with`] with telemetry flowing into `rec`.
 ///
 /// Each core runs the same block-granular [`Worker`] as the two-stage
 /// build, but sweeps its incoming queues after every encoded block instead
@@ -86,12 +65,11 @@ pub fn pipelined_build_with(
 /// dropped — mandatory under the close-then-drain termination protocol, or
 /// peers would observe `closed` while combined keys still sat in this
 /// worker's private buffers.
-pub fn pipelined_build_with_recorded<R: Recorder>(
+pub fn pipelined_build_recorded<R: Recorder>(
     data: &Dataset,
-    partitioner: KeyPartitioner,
+    p: usize,
     rec: &R,
 ) -> Result<BuiltTable, CoreError> {
-    let p = partitioner.partitions();
     if p == 0 {
         return Err(CoreError::ZeroThreads);
     }
@@ -103,7 +81,6 @@ pub fn pipelined_build_with_recorded<R: Recorder>(
     let n = codec.num_vars();
     let chunks = row_chunks(m, p);
     let encode = |rows: &[u16], keys: &mut Vec<u64>| codec.encode_rows(rows, keys);
-    let owner = |key| partitioner.owner(key);
     let parts = Fresh::parts(p, capacity_hint(m, codec.state_space(), p));
     let cores = on_cores(parts, |t, part, mut ep| {
         // The pipelined variant has one logical stage: core `t` is the sole
@@ -117,7 +94,7 @@ pub fn pipelined_build_with_recorded<R: Recorder>(
             .row_range(chunks[t].start, chunks[t].end)
             .chunks(ENC_BLOCK * n)
         {
-            w.route_block(block, &encode, &owner, &mut ep.producers);
+            w.route_block(block, &encode, &mut ep.producers);
             for consumer in ep.consumers.iter_mut().flatten() {
                 w.drain(consumer);
             }
@@ -146,7 +123,7 @@ pub fn pipelined_build_with_recorded<R: Recorder>(
         w.lap(Stage::Drain, t1);
         w.finish()
     });
-    Ok(assemble(codec, partitioner, cores))
+    Ok(assemble(codec, cores))
 }
 
 #[cfg(test)]
@@ -230,11 +207,11 @@ mod tests {
 
     #[test]
     fn batched_pipeline_tiny_inputs_terminate() {
-        // Seven of eight cores produce nothing and must still terminate,
-        // under a partitioner that sends the one key to the last core.
+        // Seven of eight cores produce nothing and must still terminate;
+        // the one key, 7, belongs to the last core (7 % 8).
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[&[1, 1, 1]]).unwrap();
-        let built = pipelined_build_with(&data, KeyPartitioner::range(8, 8)).unwrap();
+        let built = pipelined_build(&data, 8).unwrap();
         assert_eq!(built.table.total_count(), 1);
         assert_eq!(built.table.partitions()[7].len(), 1);
     }
@@ -243,10 +220,10 @@ mod tests {
     fn batched_pipeline_errors_mirror_two_stage() {
         let schema = Schema::uniform(3, 2).unwrap();
         let empty = Dataset::from_rows(schema, &[]).unwrap();
-        for part in [KeyPartitioner::modulo(1), KeyPartitioner::hashed(3)] {
+        for p in [0usize, 1, 3] {
             assert_eq!(
-                pipelined_build_with(&empty, part).unwrap_err(),
-                crate::construct::waitfree_build_with(&empty, part).unwrap_err()
+                pipelined_build(&empty, p).unwrap_err(),
+                waitfree_build(&empty, p).unwrap_err()
             );
         }
     }

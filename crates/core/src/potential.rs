@@ -3,32 +3,13 @@
 //! A potential table records, for every observed state string, the number of
 //! its occurrences in the training data (counts, not probabilities — the
 //! paper's footnote 2: normalization is deferred to marginalization time).
-//! Physically it is `P` private [`CountTable`]s plus a [`Placement`]
-//! describing how keys map to partitions, and the [`KeyCodec`] needed to
-//! interpret keys.
-//!
-//! Two placements exist because the paper needs both: construction requires
-//! keys to live in their owner's partition (that is what makes the build
-//! wait-free), but §IV-C observes that *marginalization* has no such
-//! constraint — entries may be moved freely between partitions to balance
-//! load. A rebalanced table ([`crate::rebalance`]) therefore carries the
-//! [`Placement::Arbitrary`] marker instead of a key partitioner.
+//! Physically it is `P` private [`CountTable`]s, partition `p` holding the
+//! keys with `key % P == p` ([`Key::owner`]), plus the [`KeyCodec`] needed
+//! to interpret keys.
 
 use crate::codec::KeyCodec;
-use crate::count_table::CountTable;
-use crate::partition::KeyPartitioner;
+use crate::count_table::{CountTable, Key};
 use std::sync::Arc;
-
-/// How keys are distributed over the table's partitions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Placement {
-    /// Every key lives in the partition its [`KeyPartitioner`] assigns —
-    /// the invariant the wait-free build establishes.
-    Keyed(KeyPartitioner),
-    /// Entries may live anywhere (e.g. after load rebalancing). Lookups
-    /// scan; marginalization is unaffected.
-    Arbitrary,
-}
 
 /// A potential table distributed over `P` per-core partitions.
 ///
@@ -48,7 +29,6 @@ pub enum Placement {
 #[derive(Debug, Clone)]
 pub struct PotentialTable {
     codec: KeyCodec,
-    placement: Placement,
     /// `Arc`-shared so that snapshots of a live stream are O(P) pointer
     /// bumps (copy-on-publish): a [`crate::stream::StreamingBuilder`] keeps
     /// absorbing into its own copies while every published table stays
@@ -57,23 +37,15 @@ pub struct PotentialTable {
 }
 
 impl PotentialTable {
-    /// Assembles a key-partitioned potential table.
+    /// Assembles a potential table from its `P = partitions.len()`
+    /// partitions.
     ///
     /// # Panics
     ///
-    /// Panics if the number of partitions disagrees with the partitioner, or
-    /// (debug only) if some key is stored in a partition that does not own
-    /// it.
-    pub fn from_parts(
-        codec: KeyCodec,
-        partitioner: KeyPartitioner,
-        partitions: Vec<CountTable>,
-    ) -> Self {
-        Self::from_shared_parts(
-            codec,
-            partitioner,
-            partitions.into_iter().map(Arc::new).collect(),
-        )
+    /// Panics if `partitions` is empty, or (debug only) if some key is
+    /// stored in a partition that does not own it.
+    pub fn from_parts(codec: KeyCodec, partitions: Vec<CountTable>) -> Self {
+        Self::from_shared_parts(codec, partitions.into_iter().map(Arc::new).collect())
     }
 
     /// [`from_parts`](Self::from_parts) over already-shared partitions —
@@ -82,62 +54,21 @@ impl PotentialTable {
     ///
     /// # Panics
     ///
-    /// Panics if the number of partitions disagrees with the partitioner, or
-    /// (debug only) if some key is stored in a partition that does not own
-    /// it.
-    pub fn from_shared_parts(
-        codec: KeyCodec,
-        partitioner: KeyPartitioner,
-        partitions: Vec<Arc<CountTable>>,
-    ) -> Self {
-        assert_eq!(
-            partitions.len(),
-            partitioner.partitions(),
-            "partition count mismatch"
-        );
+    /// As [`from_parts`](Self::from_parts).
+    pub fn from_shared_parts(codec: KeyCodec, partitions: Vec<Arc<CountTable>>) -> Self {
+        assert!(!partitions.is_empty(), "need at least one partition");
         #[cfg(debug_assertions)]
         for (p, t) in partitions.iter().enumerate() {
             for (key, _) in t.iter() {
-                debug_assert_eq!(partitioner.owner(key), p, "misplaced key {key}");
+                debug_assert_eq!(key.owner(partitions.len()), p, "misplaced key {key}");
             }
         }
-        Self {
-            codec,
-            placement: Placement::Keyed(partitioner),
-            partitions,
-        }
-    }
-
-    /// Assembles a table whose entries may live in any partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is empty.
-    pub fn from_parts_unpartitioned(codec: KeyCodec, partitions: Vec<CountTable>) -> Self {
-        assert!(!partitions.is_empty(), "need at least one partition");
-        Self {
-            codec,
-            placement: Placement::Arbitrary,
-            partitions: partitions.into_iter().map(Arc::new).collect(),
-        }
+        Self { codec, partitions }
     }
 
     /// The key codec for this table's schema.
     pub fn codec(&self) -> &KeyCodec {
         &self.codec
-    }
-
-    /// How keys are placed across partitions.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The key-space partitioner, if the table is key-partitioned.
-    pub fn partitioner(&self) -> Option<&KeyPartitioner> {
-        match &self.placement {
-            Placement::Keyed(p) => Some(p),
-            Placement::Arbitrary => None,
-        }
     }
 
     /// Number of partitions `P`.
@@ -156,13 +87,9 @@ impl PotentialTable {
         &self.partitions
     }
 
-    /// The count of one key — routed to its owner when key-partitioned,
-    /// otherwise found by scanning the partitions.
+    /// The count of one key, looked up in its owner's partition.
     pub fn count_of(&self, key: u64) -> u64 {
-        match &self.placement {
-            Placement::Keyed(part) => self.partitions[part.owner(key)].get(key),
-            Placement::Arbitrary => self.partitions.iter().map(|t| t.get(key)).sum(),
-        }
+        self.partitions[key.owner(self.partitions.len())].get(key)
     }
 
     /// Total number of observations recorded (= `m` after a full build).
@@ -171,9 +98,6 @@ impl PotentialTable {
     }
 
     /// Number of distinct state strings observed.
-    ///
-    /// (For [`Placement::Arbitrary`] this assumes rebalancing kept keys
-    /// unique across partitions, which [`crate::rebalance`] guarantees.)
     pub fn num_entries(&self) -> usize {
         self.partitions.iter().map(|t| t.len()).sum()
     }
@@ -195,16 +119,18 @@ impl PotentialTable {
         self.partitions.iter().map(|t| t.len()).collect()
     }
 
-    /// Decomposes the table into exclusively-owned parts (used by
-    /// rebalancing). Partitions still shared with a published snapshot are
-    /// cloned at this point — the only place the sharing is paid for.
-    pub fn into_parts(self) -> (KeyCodec, Placement, Vec<CountTable>) {
-        let partitions = self
-            .partitions
-            .into_iter()
-            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
-            .collect();
-        (self.codec, self.placement, partitions)
+    /// Ratio `max/mean` of partition entry counts (1.0 = perfectly
+    /// balanced). Marginalization walks whole partitions, so the largest
+    /// one bounds its parallel time.
+    pub fn imbalance(&self) -> f64 {
+        let sizes = self.partition_sizes();
+        let total: usize = sizes.iter().sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let mean = total as f64 / sizes.len() as f64;
+        let max = *sizes.iter().max().expect("non-empty") as f64;
+        max / mean
     }
 }
 
@@ -215,12 +141,11 @@ mod tests {
 
     fn small_table() -> PotentialTable {
         let codec = KeyCodec::new(&Schema::uniform(4, 2).unwrap());
-        let part = KeyPartitioner::modulo(3);
         let mut tables = vec![CountTable::new(), CountTable::new(), CountTable::new()];
         for key in 0..16u64 {
-            tables[part.owner(key)].increment(key, key + 1);
+            tables[key.owner(3)].increment(key, key + 1);
         }
-        PotentialTable::from_parts(codec, part, tables)
+        PotentialTable::from_parts(codec, tables)
     }
 
     #[test]
@@ -229,24 +154,10 @@ mod tests {
         for key in 0..16u64 {
             assert_eq!(t.count_of(key), key + 1);
         }
+        assert_eq!(t.count_of(99), 0);
+        assert_eq!(t.num_partitions(), 3);
         assert_eq!(t.num_entries(), 16);
         assert_eq!(t.total_count(), (1..=16u64).sum());
-        assert!(t.partitioner().is_some());
-    }
-
-    #[test]
-    fn arbitrary_placement_lookup_scans() {
-        let codec = KeyCodec::new(&Schema::uniform(4, 2).unwrap());
-        let mut a = CountTable::new();
-        let mut b = CountTable::new();
-        a.increment(3, 5); // key 3 in partition 0 — "misplaced" but legal here
-        b.increment(8, 2);
-        let t = PotentialTable::from_parts_unpartitioned(codec, vec![a, b]);
-        assert_eq!(t.count_of(3), 5);
-        assert_eq!(t.count_of(8), 2);
-        assert_eq!(t.count_of(1), 0);
-        assert!(t.partitioner().is_none());
-        assert_eq!(*t.placement(), Placement::Arbitrary);
     }
 
     #[test]
@@ -268,11 +179,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partition count mismatch")]
+    fn imbalance_metric_sanity() {
+        // Keys 0..16 over 3 partitions: sizes [6, 5, 5], max/mean = 6/(16/3).
+        let r = small_table().imbalance();
+        assert!((r - 18.0 / 16.0).abs() < 1e-12, "r={r}");
+        let codec = KeyCodec::new(&Schema::uniform(2, 2).unwrap());
+        let empty = PotentialTable::from_parts(codec.clone(), vec![CountTable::new(); 2]);
+        assert_eq!(empty.imbalance(), 1.0);
+        let mut t0 = CountTable::new();
+        t0.increment(0, 1);
+        let skewed = PotentialTable::from_parts(codec, vec![t0, CountTable::new()]);
+        assert_eq!(skewed.imbalance(), 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one partition")]
     fn wrong_partition_count_panics() {
         let codec = KeyCodec::new(&Schema::uniform(2, 2).unwrap());
-        let _ =
-            PotentialTable::from_parts(codec, KeyPartitioner::modulo(2), vec![CountTable::new()]);
+        let _ = PotentialTable::from_parts(codec, Vec::new());
     }
 
     #[test]
@@ -280,9 +204,8 @@ mod tests {
     #[should_panic(expected = "misplaced key")]
     fn misplaced_key_caught_in_debug() {
         let codec = KeyCodec::new(&Schema::uniform(2, 2).unwrap());
-        let part = KeyPartitioner::modulo(2);
         let mut t0 = CountTable::new();
         t0.increment(1, 1); // key 1 belongs to partition 1, not 0
-        let _ = PotentialTable::from_parts(codec, part, vec![t0, CountTable::new()]);
+        let _ = PotentialTable::from_parts(codec, vec![t0, CountTable::new()]);
     }
 }

@@ -13,7 +13,6 @@ use crate::codec::KeyCodec;
 use crate::construct::{capacity_hint, two_stage, BuiltTable};
 use crate::count_table::CountTable;
 use crate::error::CoreError;
-use crate::partition::KeyPartitioner;
 use crate::potential::PotentialTable;
 use crate::stats::{BuildStats, ThreadStats};
 use std::sync::Arc;
@@ -43,7 +42,6 @@ use wfbn_obs::{NoopRecorder, Recorder};
 pub struct StreamingBuilder {
     schema: Schema,
     codec: KeyCodec,
-    partitioner: KeyPartitioner,
     /// Persistent per-core partitions, `Arc`-shared with every published
     /// snapshot. While no snapshot holds a reference, `Arc::make_mut`
     /// mutates in place (zero copies); after a [`snapshot`](Self::snapshot)
@@ -55,8 +53,8 @@ pub struct StreamingBuilder {
 }
 
 impl StreamingBuilder {
-    /// Creates a builder over `threads` persistent partitions, using the
-    /// paper's `key % P` partitioner.
+    /// Creates a builder over `threads` persistent partitions, core
+    /// `key % threads` owning each key.
     pub fn new(schema: &Schema, threads: usize) -> Result<Self, CoreError> {
         if threads == 0 {
             return Err(CoreError::ZeroThreads);
@@ -64,7 +62,6 @@ impl StreamingBuilder {
         Ok(Self {
             schema: schema.clone(),
             codec: KeyCodec::new(schema),
-            partitioner: KeyPartitioner::modulo(threads),
             tables: (0..threads).map(|_| Arc::new(CountTable::new())).collect(),
             stats: BuildStats {
                 per_thread: vec![ThreadStats::default(); threads],
@@ -138,13 +135,11 @@ impl StreamingBuilder {
             return Ok(());
         }
         let codec = &self.codec;
-        let partitioner = self.partitioner;
         let cores = two_stage(
             batch.flat(),
             codec.num_vars(),
             std::mem::take(&mut self.tables),
             |rows, keys| codec.encode_rows(rows, keys),
-            |key| partitioner.owner(key),
             rec,
         );
         for ((table, st), agg) in cores.into_iter().zip(&mut self.stats.per_thread) {
@@ -162,11 +157,7 @@ impl StreamingBuilder {
         if self.rows_absorbed == 0 {
             return Err(CoreError::EmptyDataset);
         }
-        Ok(PotentialTable::from_shared_parts(
-            self.codec.clone(),
-            self.partitioner,
-            self.tables.clone(),
-        ))
+        Ok(self.snapshot_or_empty())
     }
 
     /// [`snapshot`](Self::snapshot) without the non-empty guard: a stream
@@ -181,11 +172,7 @@ impl StreamingBuilder {
     /// [`finish`](Self::finish) contract — an empty *stream* is still an
     /// error there.
     pub fn snapshot_or_empty(&self) -> PotentialTable {
-        PotentialTable::from_shared_parts(
-            self.codec.clone(),
-            self.partitioner,
-            self.tables.clone(),
-        )
+        PotentialTable::from_shared_parts(self.codec.clone(), self.tables.clone())
     }
 
     /// Finalizes the stream into a table + accumulated statistics.
@@ -193,10 +180,7 @@ impl StreamingBuilder {
         if self.rows_absorbed == 0 {
             return Err(CoreError::EmptyDataset);
         }
-        Ok(BuiltTable {
-            table: PotentialTable::from_shared_parts(self.codec, self.partitioner, self.tables),
-            stats: self.stats,
-        })
+        Ok(self.finish_or_empty())
     }
 
     /// [`finish`](Self::finish) without the non-empty guard — the terminal
@@ -205,7 +189,7 @@ impl StreamingBuilder {
     /// the empty table; offline builds keep using the strict `finish`.
     pub fn finish_or_empty(self) -> BuiltTable {
         BuiltTable {
-            table: PotentialTable::from_shared_parts(self.codec, self.partitioner, self.tables),
+            table: PotentialTable::from_shared_parts(self.codec, self.tables),
             stats: self.stats,
         }
     }

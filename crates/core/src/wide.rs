@@ -15,9 +15,9 @@
 //! inputs both can represent.
 
 use crate::construct::{capacity_hint, two_stage, Fresh};
-use crate::count_table::CountTable;
+use crate::count_table::{CountTable, Key};
 use crate::error::CoreError;
-use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
+use wfbn_obs::{NoopRecorder, Recorder};
 
 /// Mixed-radix codec over `u128` keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,8 +140,7 @@ impl WidePotentialTable {
 
     /// Count of one key.
     pub fn count_of(&self, key: u128) -> u64 {
-        let p = (key % self.partitions.len() as u128) as usize;
-        self.partitions[p].get(key)
+        self.partitions[key.owner(self.partitions.len())].get(key)
     }
 
     /// All entries, key-sorted (test comparisons).
@@ -154,18 +153,6 @@ impl WidePotentialTable {
     /// Dense marginal counts over `vars` (strictly increasing), scanning
     /// partitions in parallel with `threads` threads (Algorithm 3, wide).
     pub fn marginal_counts(&self, vars: &[usize], threads: usize) -> Result<Vec<u64>, CoreError> {
-        self.marginal_counts_recorded(vars, threads, &NoopRecorder)
-    }
-
-    /// [`marginal_counts`](Self::marginal_counts) with telemetry: each scan
-    /// thread attributes its wall time to [`Stage::Marginal`] and counts the
-    /// entries it touched under [`Counter::EntriesScanned`].
-    pub fn marginal_counts_recorded<R: Recorder>(
-        &self,
-        vars: &[usize],
-        threads: usize,
-        rec: &R,
-    ) -> Result<Vec<u64>, CoreError> {
         if threads == 0 {
             return Err(CoreError::ZeroThreads);
         }
@@ -198,20 +185,14 @@ impl WidePotentialTable {
         let p = self.partitions.len();
         let t = threads.min(p);
         let partials = wfbn_concurrent::run_on_threads(t, |tid| {
-            let mut cr = rec.core(tid);
-            let t0 = cr.now();
-            let mut scanned = 0u64;
             let mut local = vec![0u64; cells as usize];
             let mut idx = tid;
             while idx < p {
                 for (key, count) in self.partitions[idx].iter() {
                     local[self.codec.marginal_key(key, vars) as usize] += count;
-                    scanned += 1;
                 }
                 idx += t;
             }
-            cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
-            cr.add(Counter::EntriesScanned, scanned);
             local
         });
         let mut out = vec![0u64; cells as usize];
@@ -240,7 +221,7 @@ pub fn waitfree_build_wide(
 /// and write-combining counters, probe-length histograms, and queue depth
 /// high-water marks, all written through single-writer per-core recorder
 /// handles. The build is the crate's one two-stage path, over `u128` keys
-/// owned by `key % threads`.
+/// owned by [`Key::owner`].
 pub fn waitfree_build_wide_recorded<R: Recorder>(
     states: &[u16],
     arities: &[u16],
@@ -270,7 +251,6 @@ pub fn waitfree_build_wide_recorded<R: Recorder>(
             keys.clear();
             keys.extend(rows.chunks_exact(n).map(|row| codec.encode(row)));
         },
-        |key| (key % threads as u128) as usize,
         rec,
     );
     Ok(WidePotentialTable {

@@ -7,12 +7,10 @@
 
 use proptest::prelude::*;
 use wfbn_core::allpairs::all_pairs_mi;
-use wfbn_core::construct::{sequential_build, waitfree_build, waitfree_build_with};
+use wfbn_core::construct::{sequential_build, waitfree_build};
 use wfbn_core::entropy::{conditional_mutual_information, entropy, mutual_information};
 use wfbn_core::marginal::{marginalize, PackedTable};
-use wfbn_core::partition::KeyPartitioner;
 use wfbn_core::pipeline::pipelined_build;
-use wfbn_core::rebalance::rebalance;
 use wfbn_core::KeyCodec;
 use wfbn_data::{Dataset, Schema};
 
@@ -109,22 +107,6 @@ proptest! {
     }
 
     #[test]
-    fn partitioner_choice_never_changes_the_table(data in dataset_strategy(), p in 1usize..=5) {
-        let space = data.schema().state_space_size();
-        let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        for part in [
-            KeyPartitioner::modulo(p),
-            KeyPartitioner::range(p, space),
-            KeyPartitioner::hashed(p),
-        ] {
-            prop_assert_eq!(
-                waitfree_build_with(&data, part).unwrap().table.to_sorted_vec(),
-                reference.clone()
-            );
-        }
-    }
-
-    #[test]
     fn table_mass_equals_sample_count(data in dataset_strategy(), p in 1usize..=6) {
         let built = waitfree_build(&data, p).unwrap();
         prop_assert_eq!(built.table.total_count() as usize, data.num_samples());
@@ -168,24 +150,6 @@ proptest! {
                 prop_assert_eq!(marg.count_at(idx), expected);
             }
         }
-    }
-
-    #[test]
-    fn rebalanced_tables_preserve_content_and_marginals(data in dataset_strategy(), p in 2usize..=5) {
-        let built = waitfree_build(&data, p).unwrap().table;
-        let before = built.to_sorted_vec();
-        let n = data.num_vars();
-        let marg_before = marginalize(&built, &[n - 1], 1).unwrap();
-        let balanced = rebalance(built);
-        prop_assert_eq!(balanced.to_sorted_vec(), before);
-        let marg_after = marginalize(&balanced, &[n - 1], p).unwrap();
-        prop_assert_eq!(marg_after, marg_before);
-        let sizes = balanced.partition_sizes();
-        let (min, max) = (
-            *sizes.iter().min().unwrap(),
-            *sizes.iter().max().unwrap(),
-        );
-        prop_assert!(max - min <= 1);
     }
 
     #[test]

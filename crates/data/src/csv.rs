@@ -149,7 +149,12 @@ pub fn read_csv_infer_schema(text: &str) -> Result<Dataset, CsvError> {
             maxima[var] = maxima[var].max(value);
         }
     }
-    let arities: Vec<u16> = maxima.iter().map(|&mx| (mx + 1).max(2)).collect();
+    // A column holding 65535 would need arity 65536, which no `u16` arity
+    // holds: saturate, and `read_csv` refuses the state as out of range.
+    let arities: Vec<u16> = maxima
+        .iter()
+        .map(|&mx| mx.saturating_add(1).max(2))
+        .collect();
     let schema = Schema::new(arities).map_err(|_| {
         CsvError::Io(std::io::Error::other(
             "inferred schema is invalid (empty input or state space too large)",

@@ -6,7 +6,7 @@
 //! state from a Zipf(`s`) distribution (`P[k] ∝ 1/(k+1)^s`), concentrating
 //! probability mass on low states and therefore concentrating keys near 0 —
 //! the adversarial input for the paper's `key % P` partitioner, and the
-//! workload for the partitioner/rebalancing ablations.
+//! skewed case of the pipelined-build ablation.
 
 use super::Generator;
 use crate::dataset::Dataset;

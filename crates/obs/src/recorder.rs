@@ -77,51 +77,49 @@ pub enum Counter {
     PairsScanned = 7,
     /// Potential-table entries this core scanned during marginalization.
     EntriesScanned = 8,
-    /// Entries moved between partitions by a rebalance pass (§IV-C).
-    RebalanceMoves = 9,
     /// Write-combining buffer flushes: `push_block` calls made by this
     /// core's stage-1 router (zero for the sequential oracle).
-    BlocksFlushed = 10,
+    BlocksFlushed = 9,
     /// Foreign key occurrences absorbed into an open `(key, count)` run by
     /// the per-destination combiner instead of being shipped as their own
     /// queue element. `Forwarded` still counts these occurrences, so
     /// elements actually enqueued = `forwarded − keys_coalesced`.
-    KeysCoalesced = 11,
+    KeysCoalesced = 10,
     /// Queries this core (a serving reader) answered.
-    QueriesServed = 12,
+    QueriesServed = 11,
     /// Serving-cache lookups answered from the reader's scope-keyed
     /// marginal cache.
-    CacheHits = 13,
+    CacheHits = 12,
     /// Serving-cache lookups that missed and required a scan of the
     /// epoch's packed snapshot.
-    CacheMisses = 14,
+    CacheMisses = 13,
     /// Table snapshots this core (the serving writer) published as epochs.
-    EpochsPublished = 15,
+    EpochsPublished = 14,
     /// Epoch advances this core (a serving reader) pinned — distinct epochs
     /// observed, not query count.
-    EpochsPinned = 16,
+    EpochsPinned = 15,
     /// Cluster ingest batches this core (the cluster router) admitted and
     /// split across shards.
-    BatchesRouted = 17,
+    BatchesRouted = 16,
     /// Per-shard sub-batches this core (the cluster router) forwarded to
     /// shard engines. One admitted batch fans out to exactly one sub-batch
     /// per shard (empty sub-batches included — they keep shard epochs
     /// aligned), so `shard_batches_routed = batches_routed × S`.
-    ShardBatchesRouted = 18,
+    ShardBatchesRouted = 17,
     /// Cross-shard query fan-outs this core (a cluster client) issued: one
     /// per answered batch that missed the merged-marginal cache and had to
     /// scan every shard of the pinned cluster cut.
-    QueryFanOuts = 19,
+    QueryFanOuts = 18,
     /// Per-shard partial marginals this core (a cluster client) merged into
     /// cross-shard answers — `S` partials per scope per fan-out.
-    PartialMerges = 20,
+    PartialMerges = 19,
     /// Cluster cuts this core (the cluster coordinator) assembled and
     /// published as cluster epochs.
-    ClusterEpochsPublished = 21,
+    ClusterEpochsPublished = 20,
 }
 
 /// Number of [`Counter`] variants (array dimension).
-pub const NUM_COUNTERS: usize = 22;
+pub const NUM_COUNTERS: usize = 21;
 
 impl Counter {
     /// All counters, in index order.
@@ -135,7 +133,6 @@ impl Counter {
         Counter::SegmentsLinked,
         Counter::PairsScanned,
         Counter::EntriesScanned,
-        Counter::RebalanceMoves,
         Counter::BlocksFlushed,
         Counter::KeysCoalesced,
         Counter::QueriesServed,
@@ -162,7 +159,6 @@ impl Counter {
             Counter::SegmentsLinked => "segments_linked",
             Counter::PairsScanned => "pairs_scanned",
             Counter::EntriesScanned => "entries_scanned",
-            Counter::RebalanceMoves => "rebalance_moves",
             Counter::BlocksFlushed => "blocks_flushed",
             Counter::KeysCoalesced => "keys_coalesced",
             Counter::QueriesServed => "queries_served",

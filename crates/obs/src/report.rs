@@ -7,7 +7,7 @@
 //! reports from other runs (bench repetitions), validated against the routing
 //! and queue conservation laws of the two-stage primitive (plus the serving
 //! layer's query/epoch/latency laws and the cluster tier's routing/fan-out
-//! laws), and rendered as a stable `wfbn-metrics-v5` JSON document for the
+//! laws), and rendered as a stable `wfbn-metrics-v6` JSON document for the
 //! `--metrics` flags.
 
 use crate::recorder::{
@@ -26,8 +26,9 @@ use crate::recorder::{
 /// latency conservation law to per core (each reader's histogram mass must
 /// equal its own `queries_served`); v5 adds the cluster tier (router,
 /// fan-out, partial-merge, and cluster-epoch counters) and its conservation
-/// rules.
-pub const SCHEMA: &str = "wfbn-metrics-v5";
+/// rules; v6 removes the §IV-C entry-move counter, so the probe-mass law
+/// holds unconditionally.
+pub const SCHEMA: &str = "wfbn-metrics-v6";
 
 /// One core's telemetry, copied out of its [`CoreMetrics`](crate::CoreMetrics)
 /// slot.
@@ -226,7 +227,7 @@ impl MetricsReport {
     /// * total `forwarded` must equal total `drained` (queues conserve keys);
     /// * a single-core report must show no queue traffic at all
     ///   (`forwarded`, `drained`, `segments_linked`, `queue_hwm` all zero);
-    /// * when no rebalance ran, probe-histogram mass must equal
+    /// * probe-histogram mass must equal
     ///   `local_updates + drained − keys_coalesced` (one histogram entry per
     ///   table increment; a coalesced occurrence rides an existing
     ///   `(key, count)` element and triggers no probe of its own) — enforced
@@ -328,8 +329,7 @@ impl MetricsReport {
         let mass = self.probe_hist_mass();
         let increments = (self.total(Counter::LocalUpdates) + drained)
             .saturating_sub(self.total(Counter::KeysCoalesced));
-        if self.total(Counter::RebalanceMoves) == 0 && mass != 0 && increments != 0 && mass != increments
-        {
+        if mass != 0 && increments != 0 && mass != increments {
             return Err(format!(
                 "probe-histogram mass {mass} != local_updates + drained - keys_coalesced \
                  {increments}"
@@ -892,7 +892,7 @@ mod tests {
     #[test]
     fn json_contains_schema_and_all_keys() {
         let json = build_like_report().to_json();
-        assert!(json.contains("\"schema\": \"wfbn-metrics-v5\""));
+        assert!(json.contains("\"schema\": \"wfbn-metrics-v6\""));
         assert!(json.contains("\"latency_hist\""));
         assert!(json.contains("\"latency_percentiles\""));
         assert!(json.contains("\"p999_le_ns\""));

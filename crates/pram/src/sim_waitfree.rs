@@ -11,8 +11,7 @@ use crate::cost::CostModel;
 use crate::report::SimPoint;
 use wfbn_concurrent::row_chunks;
 use wfbn_core::codec::KeyCodec;
-use wfbn_core::count_table::CountTable;
-use wfbn_core::partition::KeyPartitioner;
+use wfbn_core::count_table::{CountTable, Key};
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::Dataset;
 
@@ -35,7 +34,7 @@ pub fn simulate_sequential_build(data: &Dataset, model: &CostModel) -> (SimPoint
         elapsed_cycles: cycles,
         per_core_cycles: vec![cycles],
     };
-    let table = PotentialTable::from_parts(codec, KeyPartitioner::modulo(1), vec![table]);
+    let table = PotentialTable::from_parts(codec, vec![table]);
     (point, table)
 }
 
@@ -51,7 +50,6 @@ pub fn simulate_waitfree_build(
         return simulate_sequential_build(data, model);
     }
     let codec = KeyCodec::new(data.schema());
-    let partitioner = KeyPartitioner::modulo(p);
     let n = codec.num_vars();
     let m = data.num_samples();
     let chunks = row_chunks(m, p);
@@ -70,7 +68,7 @@ pub fn simulate_waitfree_build(
         for row in data.row_range(chunk.start, chunk.end).chunks_exact(n) {
             let key = codec.encode(row);
             cycles += model.encode_row(n);
-            let owner = partitioner.owner(key);
+            let owner = key.owner(p);
             if owner == t {
                 let before = tables[t].probes();
                 tables[t].increment(key, 1);
@@ -87,7 +85,7 @@ pub fn simulate_waitfree_build(
     for (t, keys) in queues.iter().enumerate() {
         let mut cycles = 0.0;
         for &key in keys {
-            debug_assert_eq!(partitioner.owner(key), t);
+            debug_assert_eq!(key.owner(p), t);
             let before = tables[t].probes();
             tables[t].increment(key, 1);
             cycles += (tables[t].probes() - before) as f64 * model.probe
@@ -110,7 +108,7 @@ pub fn simulate_waitfree_build(
         elapsed_cycles: elapsed,
         per_core_cycles: per_core,
     };
-    let table = PotentialTable::from_parts(codec, partitioner, tables);
+    let table = PotentialTable::from_parts(codec, tables);
     (point, table)
 }
 
@@ -137,7 +135,7 @@ pub fn simulate_sequential_build_batched(
         elapsed_cycles: cycles,
         per_core_cycles: vec![cycles],
     };
-    let table = PotentialTable::from_parts(codec, KeyPartitioner::modulo(1), vec![table]);
+    let table = PotentialTable::from_parts(codec, vec![table]);
     (point, table)
 }
 
@@ -165,7 +163,6 @@ pub fn simulate_waitfree_build_batched(
         return simulate_sequential_build_batched(data, model);
     }
     let codec = KeyCodec::new(data.schema());
-    let partitioner = KeyPartitioner::modulo(p);
     let n = codec.num_vars();
     let m = data.num_samples();
     let chunks = row_chunks(m, p);
@@ -187,7 +184,7 @@ pub fn simulate_waitfree_build_batched(
         for row in data.row_range(chunk.start, chunk.end).chunks_exact(n) {
             let key = codec.encode(row);
             cycles += model.encode_row_block(n);
-            let owner = partitioner.owner(key);
+            let owner = key.owner(p);
             if owner == t {
                 let before = tables[t].probes();
                 tables[t].increment(key, 1);
@@ -224,7 +221,7 @@ pub fn simulate_waitfree_build_batched(
     for (t, elements) in queues.iter().enumerate() {
         let mut cycles = 0.0;
         for &(key, count) in elements {
-            debug_assert_eq!(partitioner.owner(key), t);
+            debug_assert_eq!(key.owner(p), t);
             let before = tables[t].probes();
             tables[t].increment(key, count);
             cycles += (tables[t].probes() - before) as f64 * model.probe
@@ -246,7 +243,7 @@ pub fn simulate_waitfree_build_batched(
         elapsed_cycles: elapsed,
         per_core_cycles: per_core,
     };
-    let table = PotentialTable::from_parts(codec, partitioner, tables);
+    let table = PotentialTable::from_parts(codec, tables);
     (point, table)
 }
 

@@ -28,7 +28,7 @@
 //!   [`wfbn_core::PackedTable`] of the epoch, packed on the reader's own
 //!   thread at the epoch's first miss and dropped at the next pin.
 //!
-//! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v5`): the writer
+//! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v6`): the writer
 //! records `epochs_published` and admission-queue depth on core 0, reader
 //! `i` records `queries_served` / `cache_hits` / `cache_misses` /
 //! `epochs_pinned` and a query-latency histogram on core

@@ -689,11 +689,14 @@ mod tests {
             let stream = std::net::TcpStream::connect(addr).unwrap();
             let mut writer = stream.try_clone().unwrap();
             let mut lines = BufReader::new(stream).lines();
-            writer
-                .write_all(b"INGEST 0,0,0|1,1,1\nSYNC\nMI 0 1\nSHUTDOWN\n")
-                .unwrap();
+            // A line one byte over the cap and a line that is not UTF-8
+            // are refused; the session keeps answering after both.
+            let mut script = b"INGEST 0,0,0|1,1,1\nSYNC\n".to_vec();
+            script.extend(std::iter::repeat_n(b'2', MAX_LINE_BYTES + 1));
+            script.extend_from_slice(b"\nMI \xff 1\nMI 0 1\nSHUTDOWN\n");
+            writer.write_all(&script).unwrap();
             let mut got = Vec::new();
-            for _ in 0..4 {
+            for _ in 0..6 {
                 got.push(lines.next().unwrap().unwrap());
             }
             got
@@ -703,7 +706,9 @@ mod tests {
         let got = client.join().unwrap();
         assert_eq!(got[0], "OK INGEST rows=2 batch=1");
         assert_eq!(got[1], "OK SYNC e=1");
-        assert_eq!(got[2], "OK MI e=1 X0 -- X1 0.693147 nats");
-        assert_eq!(got[3], "OK SHUTDOWN");
+        assert_eq!(got[2], "ERR line longer than 1048576 bytes");
+        assert_eq!(got[3], "ERR line is not UTF-8");
+        assert_eq!(got[4], "OK MI e=1 X0 -- X1 0.693147 nats");
+        assert_eq!(got[5], "OK SHUTDOWN");
     }
 }

@@ -14,7 +14,6 @@ use wfbn_core::construct::{sequential_build_recorded, waitfree_build, waitfree_b
 use wfbn_core::marginal::marginalize_recorded;
 use wfbn_core::obs::{Counter, Stage, PROBE_BUCKETS};
 use wfbn_core::pipeline::pipelined_build_recorded;
-use wfbn_core::rebalance::rebalance_recorded;
 use wfbn_core::stream::StreamingBuilder;
 use wfbn_core::wide::waitfree_build_wide_recorded;
 use wfbn_core::{CoreMetrics, MetricsReport, NoopRecorder};
@@ -212,28 +211,6 @@ fn all_pairs_scans_every_entry_once_and_counts_every_pair() {
 }
 
 #[test]
-fn rebalance_moves_are_counted_and_disable_the_probe_balance_rule() {
-    // Range partitioning of Zipf keys piles everything onto core 0; the
-    // rebalance pass must report how many entries it relocated.
-    let schema = Schema::uniform(12, 2).unwrap();
-    let data = ZipfIndependent::new(schema.clone(), 2.0)
-        .unwrap()
-        .generate(4_000, 7);
-    let part = wfbn_core::partition::KeyPartitioner::range(4, schema.state_space_size());
-    let rec = CoreMetrics::new(4);
-    let built = wfbn_core::construct::waitfree_build_with_recorded(&data, part, &rec).unwrap();
-    let before = built.table.to_sorted_vec();
-    let balanced = rebalance_recorded(built.table, &rec);
-    assert_eq!(balanced.to_sorted_vec(), before);
-    let report = rec.snapshot();
-    assert!(
-        report.total(Counter::RebalanceMoves) > 0,
-        "skewed build must move entries"
-    );
-    report.validate().expect("still valid with moves recorded");
-}
-
-#[test]
 fn probe_histogram_buckets_cover_all_mass() {
     let data = workload(16, 10_000, 3);
     let rec = CoreMetrics::new(4);
@@ -377,7 +354,7 @@ fn merged_reports_add_up() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 5 — wfbn-metrics-v5 serve laws, driven through a real engine.
+// Satellite 5 — wfbn-metrics-v6 serve laws, driven through a real engine.
 // ---------------------------------------------------------------------------
 
 use std::sync::Arc;
@@ -471,7 +448,7 @@ fn v4_percentile_estimates_are_bucket_upper_edges_and_ordered() {
 fn v4_json_report_carries_the_new_sections() {
     let (_, report) = serve_replay([12, 8]);
     let json = report.to_json();
-    assert!(json.contains("\"schema\": \"wfbn-metrics-v5\""), "{json}");
+    assert!(json.contains("\"schema\": \"wfbn-metrics-v6\""), "{json}");
     for key in [
         "\"latency_percentiles\":",
         "\"fairness\":",
