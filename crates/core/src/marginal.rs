@@ -35,8 +35,8 @@ use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 const MAX_MARGINAL_CELLS: u64 = 1 << 28;
 
 /// Entries per tile of a packed scan: a tile's cell indices (in
-/// [`PackedTable::marginalize`]) or packed words (in all-pairs MI) stay in
-/// L1 while every variable's field is folded in.
+/// [`PackedTable::marginalize`]) or packed words (in all-pairs MI's fold of
+/// wide pairs) stay in L1 while every variable's field is folded in.
 pub(crate) const TILE: usize = 512;
 
 /// A dense marginal count table over an ordered set of variables.
@@ -428,6 +428,8 @@ pub(crate) struct Field {
     pub(crate) word: usize,
     /// Bit offset of the field within that word.
     pub(crate) shift: u32,
+    /// `⌈log₂ r_v⌉`, the field's bit count.
+    pub(crate) width: u32,
     /// `2^width − 1`.
     pub(crate) mask: u64,
     /// The variable's arity `r_v`.
@@ -441,6 +443,11 @@ pub(crate) struct Field {
 pub(crate) struct PackLayout {
     /// One field per variable, in variable order.
     pub(crate) fields: Vec<Field>,
+    /// The fields as `pack` decodes them: each run of consecutive
+    /// power-of-two fields in one word is one field of their summed width
+    /// and multiplied arity (its key digit is their bits side by side);
+    /// every other field stands alone.
+    runs: Vec<Field>,
     /// Words per packed entry.
     pub(crate) words: usize,
 }
@@ -460,19 +467,39 @@ impl PackLayout {
             fields.push(Field {
                 word,
                 shift: offset,
+                width,
                 mask: (1 << width) - 1,
                 arity,
             });
             offset += width;
         }
+        let pow2 = |f: &Field| f.arity == f.mask + 1;
+        let mut runs: Vec<Field> = Vec::with_capacity(fields.len());
+        for f in &fields {
+            match runs.last_mut() {
+                Some(run)
+                    if run.word == f.word
+                        && pow2(run)
+                        && pow2(f)
+                        && run.width + f.width < u64::BITS =>
+                {
+                    run.width += f.width;
+                    run.mask = (1 << run.width) - 1;
+                    run.arity <<= f.width;
+                }
+                _ => runs.push(*f),
+            }
+        }
         Self {
             fields,
+            runs,
             words: word + 1,
         }
     }
 
-    /// Decodes each `(key, count)` of `entries` once — one divide and modulo
-    /// per variable (Eq. 4) — and stores it word-major: word `w` of the
+    /// Decodes each `(key, count)` of `entries` once — a mask and a shift
+    /// per run of power-of-two fields, one modulo and divide (Eq. 4) per
+    /// other variable — and stores it word-major: word `w` of the
     /// `e`-th entry at `words[w * stride + e]`, its count at `counts[e]`.
     /// Returns the number of entries packed (at most `stride`).
     pub(crate) fn pack(
@@ -485,13 +512,21 @@ impl PackLayout {
         let mut len = 0;
         for (e, (key, count)) in entries.take(stride).enumerate() {
             let (mut rest, mut word, mut bits) = (key, 0, 0u64);
-            for f in &self.fields {
+            for f in &self.runs {
                 if f.word != word {
                     words[word * stride + e] = bits;
                     (word, bits) = (f.word, 0);
                 }
-                bits |= (rest % f.arity) << f.shift;
-                rest /= f.arity;
+                let state = if f.arity == f.mask + 1 {
+                    let state = rest & f.mask;
+                    rest >>= f.width;
+                    state
+                } else {
+                    let state = rest % f.arity;
+                    rest /= f.arity;
+                    state
+                };
+                bits |= state << f.shift;
             }
             words[word * stride + e] = bits;
             counts[e] = count;
@@ -876,6 +911,30 @@ mod tests {
             [(0, 0, 1), (0, 1, 3), (0, 3, 3), (0, 5, 7), (0, 8, 0xffff)]
         );
         assert_eq!(layout.words, 1);
+        // Runs: {2} (3 breaks it), {3}, {4}, {5}, {40 000}.
+        assert_eq!(layout.runs.len(), 5);
+        // Power-of-two neighbours in one word decode as one run; a run ends
+        // at another arity or a word break.
+        let runs = |arities: Vec<u16>| {
+            PackLayout::new(&KeyCodec::new(&Schema::new(arities).unwrap()))
+                .runs
+                .iter()
+                .map(|f| (f.word, f.shift, f.width, f.arity))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            runs(vec![2, 4, 8, 3, 2, 256]),
+            [(0, 0, 6, 64), (0, 6, 2, 3), (0, 8, 9, 512)]
+        );
+        assert_eq!(runs(vec![2; 63]), [(0, 0, 63, 1 << 63)]);
+        assert_eq!(
+            runs(vec![32_768, 32_768, 32_768, 32_768, 5, 2]),
+            [(0, 0, 60, 1 << 60), (0, 60, 3, 5), (0, 63, 1, 2)]
+        );
+        let mut arities = vec![3; 32];
+        arities.extend([2, 2]);
+        let split = runs(arities);
+        assert_eq!((split.len(), split[32]), (33, (1, 0, 2, 4)));
         // 40 ternary variables take 80 bits: 32 fit the first word exactly,
         // and the 33rd starts the second instead of straddling.
         let layout = PackLayout::new(&KeyCodec::new(&Schema::uniform(40, 3).unwrap()));

@@ -41,13 +41,67 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 }
 
 /// Schemas for the packed snapshot: mixed small arities (one word), 40
-/// ternary variables (80 bits: two words), or a 16-bit field (arity > 256).
+/// ternary variables (80 bits: two words), a 16-bit field (arity > 256), or
+/// wide power-of-two fields (decoded by mask and shift) between others.
 fn packing_schema_strategy() -> impl Strategy<Value = Schema> {
-    (0usize..3, schema_strategy()).prop_map(|(kind, small)| match kind {
+    (0usize..4, schema_strategy()).prop_map(|(kind, small)| match kind {
         0 => small,
         1 => Schema::uniform(40, 3).unwrap(),
-        _ => Schema::new(vec![2, 40_000, 3, 2, 2]).unwrap(),
+        2 => Schema::new(vec![2, 40_000, 3, 2, 2]).unwrap(),
+        _ => Schema::new(vec![8, 3, 256, 32_768, 5, 2]).unwrap(),
     })
+}
+
+/// A table shape for the bit-sliced all-pairs kernel: 3–10 variables of
+/// arity 2–9 (so pairs fall on both sides of the slicing limit), a number
+/// of distinct entries that is below one 64-entry word, exactly one word, a
+/// few words, or several 4096-entry blocks with a partial last word, and up
+/// to two entries repeated 4096–8191 times (twelve or thirteen bit planes of
+/// `count − 1`) beside others repeated up to three times.
+fn sliced_case_strategy() -> impl Strategy<Value = Dataset> {
+    let arities = prop::collection::vec(2u16..=9, 3..=10);
+    let distinct = (0usize..4, 1usize..=63).prop_map(|(kind, jitter)| match kind {
+        0 => jitter,
+        1 => 64,
+        2 => 64 * 3 + jitter,
+        _ => 4096 * 2 + 64 * 5 + jitter,
+    });
+    let repeats = prop::collection::vec(0usize..=2, 0..=64);
+    let heavy = prop::collection::vec((any::<usize>(), 4096usize..8192), 0..=2);
+    (arities, distinct, repeats, heavy, any::<u64>()).prop_map(
+        |(mut arities, distinct, repeats, heavy, offset)| {
+            // Widen the schema until it has room for every distinct entry.
+            while arities.iter().map(|&r| r as usize).product::<usize>() < distinct {
+                arities.push(2 + (arities.len() % 8) as u16);
+            }
+            let space: u64 = arities.iter().map(|&r| u64::from(r)).product();
+            // Every arity is below 11, so the prime stride visits each
+            // state string of the space once.
+            let key = |k: usize| (k as u64 * 1_000_003 + offset % space) % space;
+            let mut times = vec![1usize; distinct];
+            for (k, extra) in repeats.iter().enumerate() {
+                times[k * 31 % distinct] += extra;
+            }
+            for &(pick, count) in &heavy {
+                times[pick % distinct] = count;
+            }
+            let mut rows = Vec::new();
+            for (k, &t) in times.iter().enumerate() {
+                let mut rest = key(k);
+                let row: Vec<u16> = arities
+                    .iter()
+                    .map(|&r| {
+                        let state = (rest % u64::from(r)) as u16;
+                        rest /= u64::from(r);
+                        state
+                    })
+                    .collect();
+                rows.extend(std::iter::repeat_n(row, t));
+            }
+            let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+            Dataset::from_rows(Schema::new(arities).unwrap(), &refs).unwrap()
+        },
+    )
 }
 
 /// A dataset of 1–300 rows on a packing schema, and a variable order of
@@ -192,6 +246,23 @@ proptest! {
         prop_assume!(data.num_vars() >= 2);
         let table = waitfree_build(&data, p).unwrap().table;
         for threads in [1usize, 2, 4] {
+            let mi = all_pairs_mi(&table, threads);
+            for (i, j, v) in mi.iter_pairs() {
+                let oracle = mutual_information(&marginalize(&table, &[i, j], 1).unwrap());
+                prop_assert_eq!(v, oracle, "pair ({}, {}) at {} threads", i, j, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn bit_sliced_all_pairs_equals_the_per_pair_oracle(
+        data in sliced_case_strategy(),
+        build in 0usize..3,
+    ) {
+        // Up to 7 partitions, so at P = 7 with few distinct entries some
+        // scan threads own none.
+        let table = waitfree_build(&data, [1, 4, 7][build]).unwrap().table;
+        for threads in [1usize, 2, 3, 4, 7] {
             let mi = all_pairs_mi(&table, threads);
             for (i, j, v) in mi.iter_pairs() {
                 let oracle = mutual_information(&marginalize(&table, &[i, j], 1).unwrap());

@@ -1,5 +1,11 @@
 //! Simulated executions of the marginalization primitive (Algorithm 3) and
 //! the all-pairs mutual-information driver (Algorithm 4).
+//!
+//! Both model the paper's schedules, not the kernels `wfbn-core` runs:
+//! [`simulate_all_pairs_mi`] deals pairs to cores and rescans the table per
+//! pair, as Algorithm 4 does, while
+//! [`all_pairs_mi`](wfbn_core::allpairs::all_pairs_mi) scans each entry once and counts low-arity pairs by bit-slices. The
+//! simulated cycles are the paper's cost, the baseline of its Fig. 5.
 
 use crate::cost::CostModel;
 use crate::report::SimPoint;
@@ -43,10 +49,12 @@ pub fn simulate_marginalization(
     }
 }
 
-/// Simulates all-pairs MI (Algorithm 4, pair-parallel schedule) on `p`
-/// cores: pairs are dealt round-robin; each pair costs one full scan of the
-/// table (2 decodes + 1 accumulate per entry) plus the Equation-1
-/// evaluation over the pair's joint cells.
+/// Simulates the paper's all-pairs MI (Algorithm 4, pair-parallel
+/// schedule) on `p` cores: pairs are dealt round-robin; each pair costs one
+/// full scan of the table (2 decodes + 1 accumulate per entry) plus the
+/// Equation-1 evaluation over the pair's joint cells. This is the paper's
+/// algorithm, not `wfbn_core`'s one-scan bit-sliced kernel, whose cost it
+/// does not predict.
 pub fn simulate_all_pairs_mi(table: &PotentialTable, p: usize, model: &CostModel) -> SimPoint {
     assert!(p > 0, "need at least one simulated core");
     let codec = table.codec();
