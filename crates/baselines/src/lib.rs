@@ -16,7 +16,6 @@
 //! | [`striped::StripedLockBuilder`] | one table | per-stripe `Mutex` (TBB analog) |
 //! | [`atomic_array::AtomicArrayBuilder`] | dense array | `fetch_add` per cell |
 //! | [`WaitFreeBuilder`] | none | one barrier (the paper's primitive) |
-//! | [`PipelinedBuilder`] | none | none (barrier-free extension) |
 //!
 //! All builders implement [`TableBuilder`] and produce identical count
 //! multisets (verified by the cross-implementation equivalence suite in
@@ -37,7 +36,6 @@ pub use sequential::SequentialBuilder;
 pub use striped::StripedLockBuilder;
 
 use wfbn_core::construct::waitfree_build;
-use wfbn_core::pipeline::pipelined_build;
 use wfbn_data::Dataset;
 
 /// The paper's wait-free two-stage primitive, behind the common
@@ -56,21 +54,6 @@ impl TableBuilder for WaitFreeBuilder {
     }
 }
 
-/// The barrier-free pipelined extension, behind the common interface.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PipelinedBuilder;
-
-impl TableBuilder for PipelinedBuilder {
-    fn name(&self) -> &'static str {
-        "pipelined"
-    }
-
-    fn build(&self, data: &Dataset, threads: usize) -> Result<Box<dyn CountsView>, BaselineError> {
-        let built = pipelined_build(data, threads)?;
-        Ok(Box::new(built.table))
-    }
-}
-
 /// Every builder in the ladder, for harness loops.
 pub fn all_builders() -> Vec<Box<dyn TableBuilder>> {
     vec![
@@ -79,7 +62,6 @@ pub fn all_builders() -> Vec<Box<dyn TableBuilder>> {
         Box::new(StripedLockBuilder::default()),
         Box::new(AtomicArrayBuilder::default()),
         Box::new(WaitFreeBuilder),
-        Box::new(PipelinedBuilder),
     ]
 }
 

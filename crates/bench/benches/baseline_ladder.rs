@@ -2,7 +2,7 @@
 //!
 //! Separates the two properties the wait-free design combines: *no locks*
 //! (the atomic-array baseline also has that) and *no sharing* (only the
-//! wait-free/pipelined builders have that).
+//! wait-free builder has that).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks for table construction (Figures 3/4 at
-//! laptop scale): sequential vs wait-free vs striped-lock vs pipelined,
-//! across thread counts and input sizes.
+//! laptop scale): sequential vs wait-free vs striped-lock, across
+//! thread counts and input sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wfbn_baselines::striped::StripedLockBuilder;
 use wfbn_core::construct::{sequential_build, waitfree_build};
-use wfbn_core::pipeline::pipelined_build;
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent};
 
 fn workload(n: usize, m: usize) -> Dataset {
@@ -28,13 +27,6 @@ fn bench_construction(c: &mut Criterion) {
                 &data,
                 |b, d| {
                     b.iter(|| black_box(waitfree_build(d, p).unwrap().table.num_entries()));
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("pipelined-p{p}"), m),
-                &data,
-                |b, d| {
-                    b.iter(|| black_box(pipelined_build(d, p).unwrap().table.num_entries()));
                 },
             );
             group.bench_with_input(

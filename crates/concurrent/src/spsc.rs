@@ -842,7 +842,8 @@ mod tests {
 
     #[test]
     fn close_then_drain_sees_every_element() {
-        // The termination protocol used by the pipelined builder.
+        // The termination protocol the epoch lanes rely on: observe
+        // `closed` first, then drain, and the drain sees every element.
         for _ in 0..50 {
             let (mut tx, mut rx) = channel();
             let n = 1543u64;

@@ -39,17 +39,16 @@ pub const WC_CAP: usize = 64;
 /// A per-worker router: one write-combining buffer per destination core,
 /// with last-key run-length coalescing.
 ///
-/// `K` is the table key type (`u64` for the standard builders, `u128` for
-/// the wide ones). The buffer at the worker's own index stays empty — local
-/// keys never enter the router.
+/// The buffer at the worker's own index stays empty — local keys never
+/// enter the router.
 #[derive(Debug)]
-pub struct Combiner<K> {
-    bufs: Vec<Vec<(K, u64)>>,
+pub struct Combiner {
+    bufs: Vec<Vec<(u64, u64)>>,
     blocks_flushed: u64,
     keys_coalesced: u64,
 }
 
-impl<K: Copy + PartialEq> Combiner<K> {
+impl Combiner {
     /// A router with one (empty, pre-sized) buffer per destination.
     pub fn new(destinations: usize) -> Self {
         Combiner {
@@ -68,7 +67,12 @@ impl<K: Copy + PartialEq> Combiner<K> {
     /// first if it is full. Wait-free: bounded by one `push_block` of
     /// [`WC_CAP`] elements.
     #[inline]
-    pub fn route(&mut self, owner: usize, key: K, producers: &mut [Option<Producer<(K, u64)>>]) {
+    pub fn route(
+        &mut self,
+        owner: usize,
+        key: u64,
+        producers: &mut [Option<Producer<(u64, u64)>>],
+    ) {
         let buf = &mut self.bufs[owner];
         if let Some(last) = buf.last_mut() {
             if last.0 == key {
@@ -90,7 +94,7 @@ impl<K: Copy + PartialEq> Combiner<K> {
 
     /// Ships every non-empty buffer (end of stage 1). After this the router
     /// holds nothing and the producers may be closed.
-    pub fn flush_all(&mut self, producers: &mut [Option<Producer<(K, u64)>>]) {
+    pub fn flush_all(&mut self, producers: &mut [Option<Producer<(u64, u64)>>]) {
         for (owner, buf) in self.bufs.iter_mut().enumerate() {
             if !buf.is_empty() {
                 producers[owner]
@@ -169,7 +173,7 @@ mod tests {
     #[test]
     fn flush_all_skips_empty_buffers() {
         let (mut producers, _rx) = rig();
-        let mut c = Combiner::<u64>::new(2);
+        let mut c = Combiner::new(2);
         c.flush_all(&mut producers);
         assert_eq!(c.blocks_flushed(), 0);
     }

@@ -24,10 +24,9 @@
 //!
 //! # The build path
 //!
-//! Every builder in this crate — one-shot ([`waitfree_build`]), streaming
-//! ([`crate::stream`]), wide-key ([`crate::wide`]) and barrier-free
-//! ([`crate::pipeline`]) — runs the same per-core [`Worker`], which moves
-//! data a block at a time: rows are encoded [`ENC_BLOCK`] at a time with
+//! Both parallel builders — one-shot ([`waitfree_build`]) and streaming
+//! ([`crate::stream`]) — run `two_stage`, whose per-core `Worker` moves
+//! data a block at a time: rows are encoded `ENC_BLOCK` at a time with
 //! [`KeyCodec::encode_rows`], owned keys are applied with the pre-hashed
 //! [`CountTable::increment_keys`], foreign keys cross the queues as
 //! `(key, count)` runs through the write-combining [`Combiner`]
@@ -66,7 +65,7 @@ const MAX_PREALLOC_ENTRIES: u64 = 1 << 22;
 /// Rows per encode block: 256 rows × 30 binary variables ≈ 15 KiB of input
 /// and 2 KiB of keys per block — L1-resident, while amortizing the
 /// per-block loop overhead to noise.
-pub(crate) const ENC_BLOCK: usize = 256;
+const ENC_BLOCK: usize = 256;
 
 pub(crate) fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
     let per_core_rows = (m / p.max(1)) as u64 + 1;
@@ -158,58 +157,47 @@ pub fn waitfree_build_recorded<R: Recorder>(
     }
     let codec = KeyCodec::new(data.schema());
     let hint = capacity_hint(data.num_samples(), codec.state_space(), p);
-    let cores = two_stage(
-        data.flat(),
-        codec.num_vars(),
-        Fresh::parts(p, hint),
-        |rows, keys| codec.encode_rows(rows, keys),
-        rec,
-    );
-    Ok(assemble(codec, cores))
-}
-
-/// Collects per-core partitions and counters into a [`BuiltTable`].
-pub(crate) fn assemble(codec: KeyCodec, cores: Vec<(Fresh<u64>, ThreadStats)>) -> BuiltTable {
+    let cores = two_stage(data.flat(), Fresh::parts(p, hint), &codec, rec);
     let (partitions, per_thread) = cores
         .into_iter()
         .map(|(part, stats)| (part.into_table(), stats))
         .unzip();
-    BuiltTable {
+    Ok(BuiltTable {
         table: PotentialTable::from_parts(codec, partitions),
         stats: BuildStats { per_thread },
-    }
+    })
 }
 
 /// A core's partition as it enters a build. The core opens it on its own
 /// thread, so every write to a partition — including its allocation and a
 /// copy-on-publish divergence — is made by the one core that owns it.
-pub(crate) trait Partition<K: Key>: Send {
+pub(crate) trait Partition: Send {
     /// The core's exclusive table for the rest of the build.
-    fn open(&mut self) -> &mut CountTable<K>;
+    fn open(&mut self) -> &mut CountTable;
 }
 
 /// A partition the build creates: allocated, pre-sized to `hint` entries, by
 /// its core, so the `P` tables fault in their pages in parallel.
-pub(crate) struct Fresh<K: Key> {
+struct Fresh {
     hint: usize,
-    table: Option<CountTable<K>>,
+    table: Option<CountTable>,
 }
 
-impl<K: Key> Fresh<K> {
+impl Fresh {
     /// `p` unopened partitions.
-    pub(crate) fn parts(p: usize, hint: usize) -> Vec<Self> {
+    fn parts(p: usize, hint: usize) -> Vec<Self> {
         (0..p).map(|_| Fresh { hint, table: None }).collect()
     }
 
     /// The table this partition's core built.
-    pub(crate) fn into_table(self) -> CountTable<K> {
+    fn into_table(self) -> CountTable {
         self.table
             .unwrap_or_else(|| CountTable::with_capacity(self.hint))
     }
 }
 
-impl<K: Key> Partition<K> for Fresh<K> {
-    fn open(&mut self) -> &mut CountTable<K> {
+impl Partition for Fresh {
+    fn open(&mut self) -> &mut CountTable {
         let hint = self.hint;
         self.table
             .get_or_insert_with(|| CountTable::with_capacity(hint))
@@ -219,8 +207,8 @@ impl<K: Key> Partition<K> for Fresh<K> {
 /// A persistent streaming partition, possibly shared with published
 /// snapshots: opening it diverges a shared copy (`Arc::make_mut`), so the
 /// copy-on-publish cost lands on the owning core, in parallel.
-impl<K: Key> Partition<K> for Arc<CountTable<K>> {
-    fn open(&mut self) -> &mut CountTable<K> {
+impl Partition for Arc<CountTable> {
+    fn open(&mut self) -> &mut CountTable {
         Arc::make_mut(self)
     }
 }
@@ -228,15 +216,15 @@ impl<K: Key> Partition<K> for Arc<CountTable<K>> {
 /// The queue endpoints one core owns: its producers toward every other core
 /// and the consumers of the queues addressed to it (`None` at its own
 /// index). Queues carry `(key, count)` runs from the write-combining router.
-pub(crate) struct Endpoints<K> {
-    pub(crate) producers: Vec<Option<Producer<(K, u64)>>>,
-    pub(crate) consumers: Vec<Option<Consumer<(K, u64)>>>,
+struct Endpoints {
+    producers: Vec<Option<Producer<(u64, u64)>>>,
+    consumers: Vec<Option<Consumer<(u64, u64)>>>,
 }
 
 /// Builds the queue matrix `Q` of Algorithm 1: one SPSC channel per ordered
 /// pair `(from, to)`, `from ≠ to`, and deals the endpoints out per core.
-fn queue_matrix<K>(p: usize) -> Vec<Endpoints<K>> {
-    let mut endpoints: Vec<Endpoints<K>> = (0..p)
+fn queue_matrix(p: usize) -> Vec<Endpoints> {
+    let mut endpoints: Vec<Endpoints> = (0..p)
         .map(|_| Endpoints {
             producers: (0..p).map(|_| None).collect(),
             consumers: (0..p).map(|_| None).collect(),
@@ -259,14 +247,13 @@ fn queue_matrix<K>(p: usize) -> Vec<Endpoints<K>> {
 ///
 /// With one part there are no queues to wire and no one to race, so the
 /// calling thread runs the work directly.
-pub(crate) fn on_cores<K, T, F>(mut parts: Vec<T>, work: F) -> Vec<(T, ThreadStats)>
+fn on_cores<T, F>(mut parts: Vec<T>, work: F) -> Vec<(T, ThreadStats)>
 where
-    K: Key,
     T: Send,
-    F: Fn(usize, &mut T, Endpoints<K>) -> ThreadStats + Sync,
+    F: Fn(usize, &mut T, Endpoints) -> ThreadStats + Sync,
 {
     let p = parts.len();
-    let endpoints = queue_matrix::<K>(p);
+    let endpoints = queue_matrix(p);
     if p == 1 {
         let mut part = parts.pop().expect("one part");
         let ep = endpoints.into_iter().next().expect("one core's endpoints");
@@ -305,45 +292,37 @@ where
     })
 }
 
-/// The two-stage primitive over `rows` (row-major, `n` states per row):
-/// core `t` encodes its contiguous chunk block by block and applies or
-/// routes every key (Algorithm 1), crosses the single barrier, then drains
-/// the queues addressed to it (Algorithm 2).
+/// The two-stage primitive over `rows` (row-major, one state per variable
+/// of `codec`): core `t` encodes its contiguous chunk block by block and
+/// applies or routes every key (Algorithm 1), crosses the single barrier,
+/// then drains the queues addressed to it (Algorithm 2).
 ///
-/// `encode` turns a block of whole rows into keys, which core
-/// [`Key::owner`] applies; `parts[t]` is opened by core `t`. Returns each
-/// core's partition and counters for this run.
-pub(crate) fn two_stage<K, T, R>(
+/// Core [`Key::owner`] applies each key; `parts[t]` is opened by core `t`.
+/// Returns each core's partition and counters for this run.
+pub(crate) fn two_stage<T: Partition, R: Recorder>(
     rows: &[u16],
-    n: usize,
     parts: Vec<T>,
-    encode: impl Fn(&[u16], &mut Vec<K>) + Sync,
+    codec: &KeyCodec,
     rec: &R,
-) -> Vec<(T, ThreadStats)>
-where
-    K: Key,
-    T: Partition<K>,
-    R: Recorder,
-{
+) -> Vec<(T, ThreadStats)> {
+    let n = codec.num_vars();
     let p = parts.len();
     let chunks = row_chunks(rows.len() / n, p);
     let barrier = SpinBarrier::new(p);
     on_cores(parts, |t, part, ep| {
         let chunk = &rows[chunks[t].start * n..chunks[t].end * n];
-        barrier_core(t, chunk, n, part, ep, &barrier, &encode, rec)
+        barrier_core(t, chunk, part, ep, &barrier, codec, rec)
     })
 }
 
 /// One core's body of [`two_stage`].
-#[allow(clippy::too_many_arguments)]
-fn barrier_core<K: Key, R: Recorder>(
+fn barrier_core<R: Recorder>(
     t: usize,
     rows: &[u16],
-    n: usize,
-    part: &mut impl Partition<K>,
-    mut ep: Endpoints<K>,
+    part: &mut impl Partition,
+    mut ep: Endpoints,
     barrier: &SpinBarrier,
-    encode: &impl Fn(&[u16], &mut Vec<K>),
+    codec: &KeyCodec,
     rec: &R,
 ) -> ThreadStats {
     let p = ep.producers.len();
@@ -351,8 +330,8 @@ fn barrier_core<K: Key, R: Recorder>(
     let t0 = w.now();
 
     // ---- Stage 1 (Algorithm 1) ----
-    for block in rows.chunks(ENC_BLOCK * n) {
-        w.route_block(block, encode, &mut ep.producers);
+    for block in rows.chunks(ENC_BLOCK * codec.num_vars()) {
+        w.route_block(block, codec, &mut ep.producers);
     }
     w.close(&mut ep.producers);
     let t1 = w.lap(Stage::Encode, t0);
@@ -378,13 +357,13 @@ fn barrier_core<K: Key, R: Recorder>(
 /// One core's private side of a build: its table, write-combining router,
 /// block buffers, counters and telemetry handle. Every method writes only
 /// state this core owns, plus the slots of its own outgoing queues.
-pub(crate) struct Worker<'a, K: Key, C: CoreRecorder> {
+struct Worker<'a, C: CoreRecorder> {
     t: usize,
-    table: &'a mut CountTable<K>,
-    combiner: Combiner<K>,
-    keys: Vec<K>,
-    local: Vec<K>,
-    block: Vec<(K, u64)>,
+    table: &'a mut CountTable,
+    combiner: Combiner,
+    keys: Vec<u64>,
+    local: Vec<u64>,
+    block: Vec<(u64, u64)>,
     stats: ThreadStats,
     segments_linked: u64,
     grows_before: u64,
@@ -393,15 +372,9 @@ pub(crate) struct Worker<'a, K: Key, C: CoreRecorder> {
     sample_depth: bool,
 }
 
-impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
+impl<'a, C: CoreRecorder> Worker<'a, C> {
     /// Core `t` of `p`, writing into `table`.
-    pub(crate) fn new(
-        t: usize,
-        p: usize,
-        table: &'a mut CountTable<K>,
-        cr: C,
-        sample_depth: bool,
-    ) -> Self {
+    fn new(t: usize, p: usize, table: &'a mut CountTable, cr: C, sample_depth: bool) -> Self {
         // Persistent tables carry counters across runs; report this run's.
         let grows_before = table.grows();
         Worker {
@@ -420,12 +393,12 @@ impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
     }
 
     /// The recorder's clock.
-    pub(crate) fn now(&self) -> u64 {
+    fn now(&self) -> u64 {
         self.cr.now()
     }
 
     /// Charges the time since `since` to `stage` and returns the clock.
-    pub(crate) fn lap(&mut self, stage: Stage, since: u64) -> u64 {
+    fn lap(&mut self, stage: Stage, since: u64) -> u64 {
         let now = self.cr.now();
         self.cr.stage_ns(stage, now.saturating_sub(since));
         now
@@ -433,13 +406,13 @@ impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
 
     /// Algorithm 1 on one block of whole rows: encode it, apply the keys
     /// this core owns, and route the rest toward their owners.
-    pub(crate) fn route_block(
+    fn route_block(
         &mut self,
         rows: &[u16],
-        encode: &impl Fn(&[u16], &mut Vec<K>),
-        producers: &mut [Option<Producer<(K, u64)>>],
+        codec: &KeyCodec,
+        producers: &mut [Option<Producer<(u64, u64)>>],
     ) {
-        encode(rows, &mut self.keys);
+        codec.encode_rows(rows, &mut self.keys);
         self.local.clear();
         let p = producers.len();
         for &key in &self.keys {
@@ -460,7 +433,7 @@ impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
 
     /// Ends this core's production: ships the router's residue, then
     /// closes the outgoing queues (nothing may follow a close).
-    pub(crate) fn close(&mut self, producers: &mut Vec<Option<Producer<(K, u64)>>>) {
+    fn close(&mut self, producers: &mut Vec<Option<Producer<(u64, u64)>>>) {
         self.combiner.flush_all(producers);
         self.segments_linked = producers
             .iter()
@@ -472,7 +445,7 @@ impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
 
     /// Algorithm 2 on one queue: applies every `(key, count)` run visible
     /// in it, one segment per `pop_block`.
-    pub(crate) fn drain(&mut self, consumer: &mut Consumer<(K, u64)>) {
+    fn drain(&mut self, consumer: &mut Consumer<(u64, u64)>) {
         if self.sample_depth {
             self.cr.queue_depth(consumer.visible_backlog());
         }
@@ -492,7 +465,7 @@ impl<'a, K: Key, C: CoreRecorder> Worker<'a, K, C> {
     }
 
     /// Reports this core's counters and returns them.
-    pub(crate) fn finish(mut self) -> ThreadStats {
+    fn finish(mut self) -> ThreadStats {
         let s = &mut self.stats;
         s.blocks_flushed = self.combiner.blocks_flushed();
         s.keys_coalesced = self.combiner.keys_coalesced();
@@ -529,33 +502,23 @@ mod loom_tests {
     fn two_stage_handoff_produces_exact_counts_under_every_schedule() {
         loom::model(|| {
             const P: usize = 2;
-            // One-variable rows, so a row's state is its key; ownership is
-            // key % 2. Core 0 forwards two runs; core 1 forwards four keys
-            // in three runs (the two 0s coalesce into one).
+            // One arity-6 variable, so a row's state is its key; ownership
+            // is key % 2. Core 0 forwards two runs; core 1 forwards four
+            // keys in three runs (the two 0s coalesce into one).
             let inputs: [Vec<u16>; P] = [vec![1, 2, 5], vec![3, 0, 0, 2, 4]];
+            let codec = Arc::new(KeyCodec::new(&wfbn_data::Schema::new(vec![6]).unwrap()));
             let barrier = Arc::new(SpinBarrier::new(P));
-            let handles: Vec<_> = queue_matrix::<u64>(P)
+            let handles: Vec<_> = queue_matrix(P)
                 .into_iter()
                 .zip(inputs)
                 .enumerate()
                 .map(|(t, (ep, rows))| {
                     let barrier = Arc::clone(&barrier);
+                    let codec = Arc::clone(&codec);
                     loom::thread::spawn(move || {
-                        let mut part = Fresh::<u64>::parts(1, 4).pop().unwrap();
-                        let encode = |rows: &[u16], keys: &mut Vec<u64>| {
-                            keys.clear();
-                            keys.extend(rows.iter().map(|&s| u64::from(s)));
-                        };
-                        let stats = barrier_core(
-                            t,
-                            &rows,
-                            1,
-                            &mut part,
-                            ep,
-                            &barrier,
-                            &encode,
-                            &NoopRecorder,
-                        );
+                        let mut part = Fresh::parts(1, 4).pop().unwrap();
+                        let stats =
+                            barrier_core(t, &rows, &mut part, ep, &barrier, &codec, &NoopRecorder);
                         let table = part.into_table();
                         for (key, _) in table.iter() {
                             assert_eq!(key.owner(P), t, "drained a key we do not own");

@@ -11,8 +11,8 @@
 //! and the all-ones key as the empty sentinel (codecs guarantee real keys
 //! are strictly below it). Linear probing keeps the probe sequence within
 //! one or two cache lines, which is what makes the private-table design fast
-//! in practice. The key type is a [`Key`]: `u64` for the primary pipeline,
-//! `u128` for the wide one ([`crate::wide`]).
+//! in practice. Keys are the codec's `u64` state-string codes; [`Key`] holds
+//! their slot hash, their owner rule and the sentinel.
 //!
 //! The table counts *probes* (slot inspections) as it works — a single local
 //! `u64` increment, cheap enough to leave always-on. The PRAM simulator
@@ -21,11 +21,11 @@
 
 use wfbn_concurrent::mix64;
 
-/// A table key: a mixed-radix state-string code.
+/// A table key: a mixed-radix state-string code, the paper's Eq. 3 `u64`.
 ///
-/// Implemented for `u64` (the paper's Eq. 3 key) and `u128` (wide keys for
-/// networks beyond 63 binary variables).
-pub trait Key: Copy + Ord + Send + Sync {
+/// Implemented for `u64` only; the trait names the three things the build
+/// needs of a key, so `key.owner(p)` reads as the one ownership rule.
+pub trait Key: Copy {
     /// Empty-slot sentinel, the all-ones value. Codecs never produce it.
     const EMPTY: Self;
 
@@ -53,26 +53,10 @@ impl Key for u64 {
     }
 }
 
-impl Key for u128 {
-    const EMPTY: u128 = u128::MAX;
-
-    /// Two dependent `mix64` rounds, so both halves avalanche.
-    #[inline]
-    fn mix(self) -> u64 {
-        mix64((self >> 64) as u64 ^ mix64(self as u64))
-    }
-
-    #[inline]
-    fn owner(self, p: usize) -> usize {
-        (self % p as u128) as usize
-    }
-}
-
 /// Maximum load factor before growth, as (numerator, denominator).
 const MAX_LOAD: (usize, usize) = (7, 10);
 
-/// An open-addressed hash table from [`Key`]s (`u64` by default) to `u64`
-/// counts.
+/// An open-addressed hash table from `u64` [`Key`]s to `u64` counts.
 ///
 /// # Examples
 ///
@@ -90,8 +74,8 @@ const MAX_LOAD: (usize, usize) = (7, 10);
 /// assert_eq!(t.total_count(), 4);
 /// ```
 #[derive(Debug, Clone)]
-pub struct CountTable<K: Key = u64> {
-    keys: Vec<K>,
+pub struct CountTable {
+    keys: Vec<u64>,
     counts: Vec<u64>,
     /// Number of occupied slots.
     len: usize,
@@ -103,13 +87,13 @@ pub struct CountTable<K: Key = u64> {
     grows: u64,
 }
 
-impl<K: Key> Default for CountTable<K> {
+impl Default for CountTable {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Key> CountTable<K> {
+impl CountTable {
     /// Initial capacity for `new()` (slots).
     const INITIAL_CAPACITY: usize = 16;
 
@@ -126,7 +110,7 @@ impl<K: Key> CountTable<K> {
             .next_power_of_two()
             .max(Self::INITIAL_CAPACITY);
         Self {
-            keys: vec![K::EMPTY; slots],
+            keys: vec![u64::EMPTY; slots],
             counts: vec![0; slots],
             len: 0,
             mask: slots - 1,
@@ -166,7 +150,7 @@ impl<K: Key> CountTable<K> {
     }
 
     #[inline]
-    fn slot_of(&self, key: K) -> usize {
+    fn slot_of(&self, key: u64) -> usize {
         (key.mix() as usize) & self.mask
     }
 
@@ -175,7 +159,7 @@ impl<K: Key> CountTable<K> {
     #[inline]
     fn record_slot(&self, slot: usize) {
         use core::mem::size_of;
-        wfbn_concurrent::audit::record_write((&raw const self.keys[slot]).cast(), size_of::<K>());
+        wfbn_concurrent::audit::record_write((&raw const self.keys[slot]).cast(), size_of::<u64>());
         wfbn_concurrent::audit::record_write(
             (&raw const self.counts[slot]).cast(),
             size_of::<u64>(),
@@ -189,8 +173,8 @@ impl<K: Key> CountTable<K> {
     /// Panics if `key` is the all-ones sentinel — unreachable for keys
     /// produced by a validated [`KeyCodec`](crate::codec::KeyCodec).
     #[inline]
-    pub fn increment(&mut self, key: K, by: u64) {
-        assert!(key != K::EMPTY, "the all-ones key is reserved");
+    pub fn increment(&mut self, key: u64, by: u64) {
+        assert!(key != u64::EMPTY, "the all-ones key is reserved");
         if (self.len + 1) * MAX_LOAD.1 > self.keys.len() * MAX_LOAD.0 {
             self.grow();
         }
@@ -204,7 +188,7 @@ impl<K: Key> CountTable<K> {
                 self.record_slot(slot);
                 return;
             }
-            if k == K::EMPTY {
+            if k == u64::EMPTY {
                 self.keys[slot] = key;
                 self.counts[slot] = by;
                 self.len += 1;
@@ -225,7 +209,7 @@ impl<K: Key> CountTable<K> {
     /// attributed to this increment (they land in the histogram's tail
     /// bucket, making growth spikes visible).
     #[inline]
-    pub fn increment_probed(&mut self, key: K, by: u64) -> u64 {
+    pub fn increment_probed(&mut self, key: u64, by: u64) -> u64 {
         let before = self.probes;
         self.increment(key, by);
         self.probes - before
@@ -254,7 +238,7 @@ impl<K: Key> CountTable<K> {
     /// # Panics
     ///
     /// Panics if any key is the all-ones sentinel.
-    pub fn increment_block(&mut self, block: &[(K, u64)]) {
+    pub fn increment_block(&mut self, block: &[(u64, u64)]) {
         self.increment_block_probed(block, |_| {});
     }
 
@@ -262,7 +246,7 @@ impl<K: Key> CountTable<K> {
     /// with the slot-inspection count of every applied pair — exactly one
     /// call per pair, so the observability layer's probe histogram keeps its
     /// one-entry-per-increment mass invariant on the block path.
-    pub fn increment_block_probed(&mut self, block: &[(K, u64)], probe: impl FnMut(u64)) {
+    pub fn increment_block_probed(&mut self, block: &[(u64, u64)], probe: impl FnMut(u64)) {
         self.apply_block_probed(block, probe);
     }
 
@@ -273,20 +257,20 @@ impl<K: Key> CountTable<K> {
     /// # Panics
     ///
     /// Panics if any key is the all-ones sentinel.
-    pub fn increment_keys(&mut self, keys: &[K]) {
+    pub fn increment_keys(&mut self, keys: &[u64]) {
         self.apply_block_probed(keys, |_| {});
     }
 
     /// [`increment_keys`](Self::increment_keys) with one `probe` callback
     /// per key, mirroring
     /// [`increment_block_probed`](Self::increment_block_probed).
-    pub fn increment_keys_probed(&mut self, keys: &[K], probe: impl FnMut(u64)) {
+    pub fn increment_keys_probed(&mut self, keys: &[u64], probe: impl FnMut(u64)) {
         self.apply_block_probed(keys, probe);
     }
 
     /// Shared reserve → pre-hash → probe engine behind the block entry
     /// points; monomorphized per item shape ( bare key or `(key, by)` pair).
-    fn apply_block_probed<I: BlockItem<K>>(&mut self, block: &[I], mut probe: impl FnMut(u64)) {
+    fn apply_block_probed<I: BlockItem>(&mut self, block: &[I], mut probe: impl FnMut(u64)) {
         /// Pre-hash tile width: long enough to cover the prefetch latency,
         /// short enough that the tile's slots stay in the L1 miss queue.
         const TILE: usize = 16;
@@ -295,7 +279,7 @@ impl<K: Key> CountTable<K> {
         for chunk in block.chunks(TILE) {
             for (i, item) in chunk.iter().enumerate() {
                 let key = item.key();
-                assert!(key != K::EMPTY, "the all-ones key is reserved");
+                assert!(key != u64::EMPTY, "the all-ones key is reserved");
                 let slot = self.slot_of(key);
                 slots[i] = slot;
                 prefetch_slot(&self.keys[slot]);
@@ -312,7 +296,7 @@ impl<K: Key> CountTable<K> {
                         self.counts[slot] += by;
                         break;
                     }
-                    if k == K::EMPTY {
+                    if k == u64::EMPTY {
                         self.keys[slot] = key;
                         self.counts[slot] = by;
                         self.len += 1;
@@ -329,14 +313,14 @@ impl<K: Key> CountTable<K> {
 
     /// Returns `key`'s count (0 if absent).
     #[inline]
-    pub fn get(&self, key: K) -> u64 {
+    pub fn get(&self, key: u64) -> u64 {
         let mut slot = self.slot_of(key);
         loop {
             let k = self.keys[slot];
             if k == key {
                 return self.counts[slot];
             }
-            if k == K::EMPTY {
+            if k == u64::EMPTY {
                 return 0;
             }
             slot = (slot + 1) & self.mask;
@@ -344,7 +328,7 @@ impl<K: Key> CountTable<K> {
     }
 
     /// `true` if `key` is present.
-    pub fn contains(&self, key: K) -> bool {
+    pub fn contains(&self, key: u64) -> bool {
         self.get(key) != 0 || {
             // A key could in principle be present with count 0 (inserted via
             // increment(k, 0)); resolve precisely.
@@ -354,7 +338,7 @@ impl<K: Key> CountTable<K> {
                 if k == key {
                     return true;
                 }
-                if k == K::EMPTY {
+                if k == u64::EMPTY {
                     return false;
                 }
                 slot = (slot + 1) & self.mask;
@@ -365,7 +349,7 @@ impl<K: Key> CountTable<K> {
     fn grow(&mut self) {
         self.grows += 1;
         let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![K::EMPTY; new_slots]);
+        let old_keys = std::mem::replace(&mut self.keys, vec![u64::EMPTY; new_slots]);
         let old_counts = std::mem::replace(&mut self.counts, vec![0; new_slots]);
         // The old arrays go back to the allocator below; a later allocation
         // owned by another core may reuse their addresses.
@@ -383,12 +367,12 @@ impl<K: Key> CountTable<K> {
         self.mask = new_slots - 1;
         self.len = 0;
         for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key != K::EMPTY {
+            if key != u64::EMPTY {
                 // Re-insert without the load check (capacity is sufficient).
                 let mut slot = self.slot_of(key);
                 loop {
                     self.probes += 1;
-                    if self.keys[slot] == K::EMPTY {
+                    if self.keys[slot] == u64::EMPTY {
                         self.keys[slot] = key;
                         self.counts[slot] = count;
                         self.len += 1;
@@ -403,16 +387,16 @@ impl<K: Key> CountTable<K> {
     }
 
     /// Iterates over `(key, count)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.keys
             .iter()
             .zip(&self.counts)
-            .filter(|(&k, _)| k != K::EMPTY)
+            .filter(|(&k, _)| k != u64::EMPTY)
             .map(|(&k, &c)| (k, c))
     }
 
     /// Merges all entries of `other` into `self`.
-    pub fn merge_from(&mut self, other: &CountTable<K>) {
+    pub fn merge_from(&mut self, other: &CountTable) {
         for (k, c) in other.iter() {
             self.increment(k, c);
         }
@@ -420,8 +404,8 @@ impl<K: Key> CountTable<K> {
 
     /// Drains this table into a sorted `(key, count)` vector (test helper;
     /// sorting makes results comparable across implementations).
-    pub fn to_sorted_vec(&self) -> Vec<(K, u64)> {
-        let mut v: Vec<(K, u64)> = self.iter().collect();
+    pub fn to_sorted_vec(&self) -> Vec<(u64, u64)> {
+        let mut v: Vec<(u64, u64)> = self.iter().collect();
         v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
@@ -430,16 +414,16 @@ impl<K: Key> CountTable<K> {
 /// Item shape accepted by the block engine: a bare key (count 1) or an
 /// explicit `(key, count)` pair. Private — the public surface stays the
 /// concrete `increment_keys*` / `increment_block*` methods.
-trait BlockItem<K>: Copy {
+trait BlockItem: Copy {
     /// The table key.
-    fn key(&self) -> K;
+    fn key(&self) -> u64;
     /// The count delta.
     fn by(&self) -> u64;
 }
 
-impl<K: Key> BlockItem<K> for K {
+impl BlockItem for u64 {
     #[inline(always)]
-    fn key(&self) -> K {
+    fn key(&self) -> u64 {
         *self
     }
     #[inline(always)]
@@ -448,9 +432,9 @@ impl<K: Key> BlockItem<K> for K {
     }
 }
 
-impl<K: Key> BlockItem<K> for (K, u64) {
+impl BlockItem for (u64, u64) {
     #[inline(always)]
-    fn key(&self) -> K {
+    fn key(&self) -> u64 {
         self.0
     }
     #[inline(always)]
@@ -474,7 +458,7 @@ fn prefetch_slot<T>(p: *const T) {
 }
 
 #[cfg(feature = "ownership-audit")]
-impl<K: Key> Drop for CountTable<K> {
+impl Drop for CountTable {
     fn drop(&mut self) {
         // Release the table's words from the shadow map so a reused
         // allocation cannot be mistaken for a cross-core conflict.
@@ -489,8 +473,8 @@ impl<K: Key> Drop for CountTable<K> {
     }
 }
 
-impl<K: Key> FromIterator<(K, u64)> for CountTable<K> {
-    fn from_iter<I: IntoIterator<Item = (K, u64)>>(iter: I) -> Self {
+impl FromIterator<(u64, u64)> for CountTable {
+    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
         let mut t = CountTable::new();
         for (k, c) in iter {
             t.increment(k, c);
@@ -508,11 +492,8 @@ mod tests {
         for p in [1usize, 2, 3, 7, 32] {
             for key in (0..10_000u64).step_by(37) {
                 assert!(key.owner(p) < p, "p={p} key={key}");
-                assert_eq!(u128::from(key).owner(p), key.owner(p));
             }
         }
-        let wide = (1u128 << 100) + 5;
-        assert_eq!(wide.owner(3), (wide % 3) as usize);
     }
 
     #[test]

@@ -50,11 +50,9 @@ pub mod count_table;
 pub mod entropy;
 pub mod error;
 pub mod marginal;
-pub mod pipeline;
 pub mod potential;
 pub mod stats;
 pub mod stream;
-pub mod wide;
 
 pub use allpairs::{all_pairs_mi, all_pairs_mi_recorded, MiMatrix};
 pub use codec::KeyCodec;
@@ -66,7 +64,6 @@ pub use construct::{
 pub use count_table::{CountTable, Key};
 pub use error::CoreError;
 pub use marginal::{marginalize, marginalize_recorded, MarginalTable, PackedTable};
-pub use pipeline::{pipelined_build, pipelined_build_recorded};
 pub use potential::PotentialTable;
 pub use stats::BuildStats;
 

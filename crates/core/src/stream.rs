@@ -134,12 +134,10 @@ impl StreamingBuilder {
         if m == 0 {
             return Ok(());
         }
-        let codec = &self.codec;
         let cores = two_stage(
             batch.flat(),
-            codec.num_vars(),
             std::mem::take(&mut self.tables),
-            |rows, keys| codec.encode_rows(rows, keys),
+            &self.codec,
             rec,
         );
         for ((table, st), agg) in cores.into_iter().zip(&mut self.stats.per_thread) {

@@ -4,7 +4,6 @@
 
 use wfbn_concurrent::audit;
 use wfbn_core::construct::{sequential_build, waitfree_build};
-use wfbn_core::pipeline::pipelined_build;
 use wfbn_core::stream::StreamingBuilder;
 use wfbn_core::CountTable;
 use wfbn_data::{Generator, Schema, UniformIndependent, ZipfIndependent};
@@ -37,16 +36,6 @@ fn skewed_build_passes_the_audit() {
     );
 }
 
-/// The pipelined variant overlaps the stages but keeps the same per-word
-/// ownership, so it must also audit clean.
-#[test]
-fn pipelined_build_passes_the_audit() {
-    let data = UniformIndependent::new(Schema::uniform(8, 3).unwrap()).generate(15_000, 2);
-    let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-    let built = pipelined_build(&data, 4).unwrap();
-    assert_eq!(built.table.to_sorted_vec(), reference);
-}
-
 /// Every builder moves data in `push_block` chunks through the
 /// write-combining buffers: every word of a flushed block must still have
 /// exactly one writer per stage. Skew maximizes coalescing, and 20k rows
@@ -67,11 +56,6 @@ fn batched_block_flushes_stay_single_writer() {
                 waitfree_build(data, p).unwrap().table.to_sorted_vec(),
                 reference,
                 "two-stage p={p}"
-            );
-            assert_eq!(
-                pipelined_build(data, p).unwrap().table.to_sorted_vec(),
-                reference,
-                "pipelined p={p}"
             );
             let mut stream = StreamingBuilder::new(data.schema(), p).unwrap();
             stream.absorb(data).unwrap();

@@ -10,7 +10,7 @@ use wfbn_core::allpairs::all_pairs_mi;
 use wfbn_core::construct::{sequential_build, waitfree_build};
 use wfbn_core::entropy::{conditional_mutual_information, entropy, mutual_information};
 use wfbn_core::marginal::{marginalize, PackedTable};
-use wfbn_core::pipeline::pipelined_build;
+use wfbn_core::stream::StreamingBuilder;
 use wfbn_core::KeyCodec;
 use wfbn_data::{Dataset, Schema};
 
@@ -145,12 +145,14 @@ proptest! {
     fn all_build_schedules_agree(data in dataset_strategy(), p in 1usize..=6) {
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
         let two_stage = waitfree_build(&data, p).unwrap();
-        let pipelined = pipelined_build(&data, p).unwrap();
+        let mut stream = StreamingBuilder::new(data.schema(), p).unwrap();
+        stream.absorb(&data).unwrap();
+        let streamed = stream.finish().unwrap();
         prop_assert_eq!(two_stage.table.to_sorted_vec(), reference.clone());
-        prop_assert_eq!(pipelined.table.to_sorted_vec(), reference);
+        prop_assert_eq!(streamed.table.to_sorted_vec(), reference);
         // Conservation: every row was either applied locally or forwarded
         // and drained, never both, never lost.
-        for stats in [&two_stage.stats, &pipelined.stats] {
+        for stats in [&two_stage.stats, &streamed.stats] {
             prop_assert_eq!(stats.total_rows() as usize, data.num_samples());
             prop_assert_eq!(stats.total_forwarded(), stats.total_drained());
             prop_assert_eq!(

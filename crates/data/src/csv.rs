@@ -6,7 +6,7 @@
 //! trailing newline — without pulling in a dependency.
 
 use crate::dataset::Dataset;
-use crate::schema::Schema;
+use crate::schema::{Schema, SchemaError};
 use core::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -38,6 +38,9 @@ pub enum CsvError {
         /// Variable index.
         var: usize,
     },
+    /// The schema inferred from the input is invalid: the input holds no
+    /// variable, or its state space does not fit a 64-bit key.
+    Schema(SchemaError),
 }
 
 impl fmt::Display for CsvError {
@@ -55,11 +58,20 @@ impl fmt::Display for CsvError {
             CsvError::StateOutOfRange { line, var } => {
                 write!(f, "line {line}: state for variable {var} out of range")
             }
+            CsvError::Schema(e) => write!(f, "inferred schema: {e}"),
         }
     }
 }
 
-impl std::error::Error for CsvError {}
+impl std::error::Error for CsvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CsvError::Io(e) => Some(e),
+            CsvError::Schema(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<std::io::Error> for CsvError {
     fn from(e: std::io::Error) -> Self {
@@ -155,11 +167,7 @@ pub fn read_csv_infer_schema(text: &str) -> Result<Dataset, CsvError> {
         .iter()
         .map(|&mx| mx.saturating_add(1).max(2))
         .collect();
-    let schema = Schema::new(arities).map_err(|_| {
-        CsvError::Io(std::io::Error::other(
-            "inferred schema is invalid (empty input or state space too large)",
-        ))
-    })?;
+    let schema = Schema::new(arities).map_err(CsvError::Schema)?;
     read_csv(schema, text.as_bytes())
 }
 
@@ -222,6 +230,35 @@ mod tests {
         let d = read_csv_infer_schema("0,4\n1,0\n0,2\n").unwrap();
         assert_eq!(d.schema().arities(), &[2, 5]);
         assert_eq!(d.num_samples(), 3);
+    }
+
+    #[test]
+    fn inferred_schema_errors_keep_their_cause() {
+        for text in ["", "\n\n"] {
+            let err = read_csv_infer_schema(text).unwrap_err();
+            assert!(
+                matches!(err, CsvError::Schema(SchemaError::Empty)),
+                "{err:?}"
+            );
+            assert!(
+                err.to_string()
+                    .contains("schema must contain at least one variable"),
+                "{err}"
+            );
+        }
+        // 64 binary columns need 2^64 keys, one more than a u64 holds.
+        let row = |n: usize| vec!["1"; n].join(",") + "\n";
+        let err = read_csv_infer_schema(&row(64)).unwrap_err();
+        assert!(
+            matches!(err, CsvError::Schema(SchemaError::StateSpaceOverflow)),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("state-space size exceeds the 64-bit key range"),
+            "{err}"
+        );
+        assert_eq!(read_csv_infer_schema(&row(63)).unwrap().num_vars(), 63);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! a handful of state strings dominate. This generator draws each variable's
 //! state from a Zipf(`s`) distribution (`P[k] ∝ 1/(k+1)^s`), concentrating
 //! probability mass on low states and therefore concentrating keys near 0 —
-//! the adversarial input for the paper's `key % P` partitioner, and the
-//! skewed case of the pipelined-build ablation.
+//! the adversarial input for the paper's `key % P` partitioner.
 
 use super::Generator;
 use crate::dataset::Dataset;

@@ -36,7 +36,6 @@ pub mod report;
 pub mod sim_cluster;
 pub mod sim_locked;
 pub mod sim_marginal;
-pub mod sim_pipeline;
 pub mod sim_waitfree;
 
 pub use contention::mdone_waiting_time;
@@ -45,7 +44,6 @@ pub use report::{SimPoint, SimSeries};
 pub use sim_cluster::{simulate_cluster_marginal, simulate_cluster_scaling};
 pub use sim_locked::simulate_striped_build;
 pub use sim_marginal::{simulate_all_pairs_mi, simulate_marginalization};
-pub use sim_pipeline::simulate_pipelined_build;
 pub use sim_waitfree::{
     simulate_sequential_build, simulate_sequential_build_batched, simulate_waitfree_build,
     simulate_waitfree_build_batched,

@@ -1,7 +1,7 @@
 //! Cross-implementation equivalence: every table builder in the workspace —
-//! sequential, wait-free, pipelined, striped-lock, global-mutex, dense
-//! atomic — must produce the identical `(key, count)` multiset on identical
-//! input, across workloads and thread counts.
+//! sequential, wait-free, striped-lock, global-mutex, dense atomic — must
+//! produce the identical `(key, count)` multiset on identical input, across
+//! workloads and thread counts.
 
 use wfbn_baselines::{all_builders, AtomicArrayBuilder, TableBuilder};
 use wfbn_core::allpairs::all_pairs_mi_recorded;

@@ -13,9 +13,7 @@ use wfbn_core::allpairs::all_pairs_mi_recorded;
 use wfbn_core::construct::{sequential_build_recorded, waitfree_build, waitfree_build_recorded};
 use wfbn_core::marginal::marginalize_recorded;
 use wfbn_core::obs::{Counter, Stage, PROBE_BUCKETS};
-use wfbn_core::pipeline::pipelined_build_recorded;
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::wide::waitfree_build_wide_recorded;
 use wfbn_core::{CoreMetrics, MetricsReport, NoopRecorder};
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent, ZipfIndependent};
 
@@ -119,7 +117,7 @@ fn noop_recorder_build_is_identical_to_the_uninstrumented_path() {
 }
 
 #[test]
-fn sequential_and_pipelined_builders_balance_too() {
+fn sequential_builder_balances_too() {
     let m = 4_000;
     let data = workload(12, m, 31);
     let rec = CoreMetrics::new(1);
@@ -127,12 +125,6 @@ fn sequential_and_pipelined_builders_balance_too() {
     let report = rec.snapshot();
     assert_build_conservation(&report, m as u64, "sequential");
     assert_eq!(report.total(Counter::LocalUpdates), m as u64);
-
-    for p in [2usize, 4] {
-        let rec = CoreMetrics::new(p);
-        pipelined_build_recorded(&data, p, &rec).unwrap();
-        assert_build_conservation(&rec.snapshot(), m as u64, &format!("pipelined p={p}"));
-    }
 }
 
 #[test]
@@ -148,25 +140,6 @@ fn streaming_batches_accumulate_into_one_balanced_report() {
     }
     assert_eq!(builder.rows_absorbed(), 4_500);
     assert_build_conservation(&rec.snapshot(), 4_500, "streaming");
-}
-
-#[test]
-fn wide_build_reports_match_the_narrow_invariants() {
-    let n = 80;
-    let m = 2_000;
-    let mut states = Vec::with_capacity(n * m);
-    let mut x = 0x5851_f42du64;
-    for _ in 0..(n * m) {
-        x = wfbn_concurrent::mix64(x);
-        states.push((x & 1) as u16);
-    }
-    let arities = vec![2u16; n];
-    for p in [1usize, 4] {
-        let rec = CoreMetrics::new(p);
-        let table = waitfree_build_wide_recorded(&states, &arities, p, &rec).unwrap();
-        assert_eq!(table.total_count(), m as u64);
-        assert_build_conservation(&rec.snapshot(), m as u64, &format!("wide p={p}"));
-    }
 }
 
 #[test]
@@ -279,12 +252,6 @@ fn batched_builders_balance_with_block_accounting() {
         let report = rec.snapshot();
         assert_build_conservation(&report, m as u64, &format!("batched waitfree p={p}"));
         assert_batch_accounting(&report, &format!("batched waitfree p={p}"));
-
-        let rec = CoreMetrics::new(p);
-        pipelined_build_recorded(&data, p, &rec).unwrap();
-        let report = rec.snapshot();
-        assert_build_conservation(&report, m as u64, &format!("batched pipelined p={p}"));
-        assert_batch_accounting(&report, &format!("batched pipelined p={p}"));
     }
 }
 

@@ -1,15 +1,11 @@
-//! Integration coverage for the two capacity extensions: streaming batch
-//! ingestion and 128-bit wide keys, exercised together with the learner and
-//! the simulator.
+//! Integration coverage for streaming batch ingestion, exercised together
+//! with the learner and the all-pairs MI screen.
 
 use wfbn_bn::cheng::ChengLearner;
 use wfbn_bn::repository;
 use wfbn_core::allpairs::all_pairs_mi;
 use wfbn_core::construct::waitfree_build;
-use wfbn_core::entropy::mutual_information;
-use wfbn_core::marginal::marginalize;
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::wide::waitfree_build_wide;
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent};
 
 #[test]
@@ -64,43 +60,4 @@ fn incremental_snapshots_sharpen_mi_estimates() {
         last_mi < 5e-4,
         "80k samples should pin MI near 0: {last_mi}"
     );
-}
-
-#[test]
-fn wide_pipeline_agrees_with_narrow_on_overlap_and_scales_beyond_it() {
-    // Overlap regime (n = 14): wide MI == narrow MI.
-    let schema = Schema::uniform(14, 2).unwrap();
-    let data = UniformIndependent::new(schema.clone()).generate(6_000, 9);
-    let narrow = waitfree_build(&data, 4).unwrap().table;
-    let wide = waitfree_build_wide(data.flat(), schema.arities(), 4).unwrap();
-    for (i, j) in [(0usize, 1usize), (3, 10), (7, 13)] {
-        let narrow_pair = marginalize(&narrow, &[i, j], 2).unwrap();
-        let narrow_mi = mutual_information(&narrow_pair);
-        // Wide marginal counts → MI by the same formula.
-        let counts = wide.marginal_counts(&[i, j], 2).unwrap();
-        let wide_pair = narrow_pair; // same arities/layout: reuse shape
-        assert_eq!(
-            (0..wide_pair.num_cells())
-                .map(|c| wide_pair.count_at(c))
-                .collect::<Vec<_>>(),
-            counts,
-            "pair ({i},{j}) marginals differ"
-        );
-        assert!(narrow_mi >= 0.0);
-    }
-
-    // Beyond-u64 regime: 90 variables, smoke the whole path.
-    let n = 90;
-    let m = 2_000;
-    let mut states = Vec::with_capacity(n * m);
-    let mut x = 5u64;
-    for _ in 0..(n * m) {
-        x = wfbn_concurrent::mix64(x);
-        states.push((x & 1) as u16);
-    }
-    let table = waitfree_build_wide(&states, &vec![2u16; n], 8).unwrap();
-    assert_eq!(table.total_count(), m as u64);
-    assert_eq!(table.codec().state_space(), 1u128 << 90);
-    let marg = table.marginal_counts(&[0, 89], 4).unwrap();
-    assert_eq!(marg.iter().sum::<u64>(), m as u64);
 }
