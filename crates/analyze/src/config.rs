@@ -160,14 +160,14 @@ impl Policy {
     }
 
     /// The waiver covering `(file, field, op)`, if any.
-    pub fn waiver_for(&self, file: &str, field: &str, op: &str) -> Option<&Waiver> {
+    pub(crate) fn waiver_for(&self, file: &str, field: &str, op: &str) -> Option<&Waiver> {
         self.waivers
             .iter()
             .find(|w| w.file == file && w.field == field && w.op == op)
     }
 
     /// The blocking-construct waiver covering `(file, construct)`, if any.
-    pub fn noblock_waiver_for(&self, file: &str, construct: &str) -> Option<&NoblockWaiver> {
+    pub(crate) fn noblock_waiver_for(&self, file: &str, construct: &str) -> Option<&NoblockWaiver> {
         self.noblock_waivers
             .iter()
             .find(|w| w.file == file && w.construct == construct)
@@ -441,7 +441,7 @@ impl HbMap {
     }
 
     /// The edge covering `(file, field)`, if any.
-    pub fn edge_for(&self, file: &str, field: &str) -> Option<&HbEdge> {
+    pub(crate) fn edge_for(&self, file: &str, field: &str) -> Option<&HbEdge> {
         self.edges
             .iter()
             .find(|e| e.file == file && e.field == field)

@@ -42,7 +42,7 @@ impl std::fmt::Display for Diag {
 }
 
 /// Gate 0: every `unsafe` item carries an adjacent SAFETY comment.
-pub fn gate_safety(inv: &Inventory) -> Vec<Diag> {
+pub(crate) fn gate_safety(inv: &Inventory) -> Vec<Diag> {
     inv.unsafes
         .iter()
         .filter(|u| !u.documented)
@@ -62,7 +62,7 @@ pub fn gate_safety(inv: &Inventory) -> Vec<Diag> {
 }
 
 /// Gate 1: the wait-freedom lint.
-pub fn gate_waitfree(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
+pub(crate) fn gate_waitfree(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
     let mut out = Vec::new();
     for s in &inv.atomics {
         let exempt_crate = policy.exempt_crates.iter().any(|c| c == &s.crate_name);
@@ -118,7 +118,7 @@ pub fn gate_waitfree(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
 }
 
 /// Gate 2: the happens-before map check.
-pub fn gate_hb(inv: &Inventory, map: &HbMap, map_path: &str) -> Vec<Diag> {
+pub(crate) fn gate_hb(inv: &Inventory, map: &HbMap, map_path: &str) -> Vec<Diag> {
     let mut out = Vec::new();
 
     // Group src-context Release stores / Acquire loads / AcqRel RMWs by
@@ -297,7 +297,11 @@ pub fn gate_hb(inv: &Inventory, map: &HbMap, map_path: &str) -> Vec<Diag> {
 /// multiset of annotations must equal the `[[loop]]` table in
 /// `analysis/progress.toml` — so an unannotated poll loop, an annotation
 /// with no reviewed declaration, and a stale declaration all fail.
-pub fn gate_waitloop(inv: &Inventory, progress: &Progress, progress_path: &str) -> Vec<Diag> {
+pub(crate) fn gate_waitloop(
+    inv: &Inventory,
+    progress: &Progress,
+    progress_path: &str,
+) -> Vec<Diag> {
     let mut out = Vec::new();
     if progress.crates.is_empty() {
         return out; // gate disabled (no progress.toml)
@@ -396,7 +400,7 @@ pub fn gate_waitloop(inv: &Inventory, progress: &Progress, progress_path: &str) 
 /// `park`/`sleep`/`recv` calls, bare `.join()`, `spin_loop` outside any
 /// loop) in the `[noblock]` crates' shipped code, minus reviewed
 /// `[[noblock_waiver]]` entries.
-pub fn gate_noblock(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
+pub(crate) fn gate_noblock(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
     let mut out = Vec::new();
     if policy.noblock_crates.is_empty() {
         return out; // gate disabled (no [noblock] section)
@@ -646,7 +650,12 @@ pub fn gate_layout(inv: &Inventory, layout: &Layout, layout_path: &str) -> Vec<D
 /// models declared in `analysis/coverage.toml`. Each `[[model]]` must
 /// name an existing `#[test]` function in its declared file, and each
 /// must be referenced by at least one annotation.
-pub fn gate_modelcov(inv: &Inventory, cov: &Coverage, map: &HbMap, cov_path: &str) -> Vec<Diag> {
+pub(crate) fn gate_modelcov(
+    inv: &Inventory,
+    cov: &Coverage,
+    map: &HbMap,
+    cov_path: &str,
+) -> Vec<Diag> {
     let mut out = Vec::new();
     if cov.crates.is_empty() {
         return out; // gate disabled (no coverage.toml)
@@ -748,7 +757,7 @@ pub fn gate_modelcov(inv: &Inventory, cov: &Coverage, map: &HbMap, cov_path: &st
 }
 
 /// Gate 3: the atomics ratchet.
-pub fn gate_ratchet(inv: &Inventory, lock: &Lock, lock_path: &str) -> Vec<Diag> {
+pub(crate) fn gate_ratchet(inv: &Inventory, lock: &Lock, lock_path: &str) -> Vec<Diag> {
     let current = ratchet::aggregate(&inv.atomics);
     ratchet::diff(&current, lock)
         .into_iter()

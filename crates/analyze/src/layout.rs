@@ -140,7 +140,7 @@ pub fn estimate(site: &StructSite, consts: &BTreeMap<String, u64>) -> StructEst 
 /// True when fields `i` and `j` of `est` can never occupy the same
 /// `line_bytes`-sized cache line. Requires `line_bytes` to divide
 /// [`CACHE_PAD_ALIGN`] for the padded-field shortcut to hold.
-pub fn lines_disjoint(est: &StructEst, i: usize, j: usize, line_bytes: u64) -> bool {
+pub(crate) fn lines_disjoint(est: &StructEst, i: usize, j: usize, line_bytes: u64) -> bool {
     let (a, b) = (&est.fields[i.min(j)], &est.fields[i.max(j)]);
     if CACHE_PAD_ALIGN % line_bytes == 0 && (a.est.padded || b.est.padded) {
         return true;
@@ -161,7 +161,7 @@ pub fn lines_disjoint(est: &StructEst, i: usize, j: usize, line_bytes: u64) -> b
 /// field's own extent — `Box<AtomicU64>`/`Arc<AtomicU64>` fields are
 /// pointers; writes go to the heap, so they neither false-share within
 /// the struct nor count toward the discovery rule.
-pub fn estimate_ty(ty: &str, consts: &BTreeMap<String, u64>) -> TyEst {
+pub(crate) fn estimate_ty(ty: &str, consts: &BTreeMap<String, u64>) -> TyEst {
     let lexed = lex(ty);
     parse_ty(&lexed.toks.iter().map(|t| &t.kind).collect::<Vec<_>>(), consts)
 }

@@ -48,7 +48,7 @@ pub struct Comment {
     pub text: String,
 }
 
-/// Output of [`lex`]: the token stream and the comments beside it.
+/// Output of `lex`: the token stream and the comments beside it.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// All non-comment tokens in source order.
@@ -62,7 +62,7 @@ pub struct Lexed {
 /// Malformed input (unterminated string/comment) never panics: the open
 /// literal simply swallows the rest of the file, which is the same recovery
 /// rustc's lexer performs before reporting the error.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer {
         b: src.as_bytes(),
         i: 0,

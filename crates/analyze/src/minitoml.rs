@@ -34,7 +34,7 @@ impl Value {
     }
 
     /// The list payload, if this is a list.
-    pub fn as_list(&self) -> Option<&[String]> {
+    pub(crate) fn as_list(&self) -> Option<&[String]> {
         match self {
             Value::List(v) => Some(v),
             _ => None,
@@ -42,7 +42,7 @@ impl Value {
     }
 
     /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -50,7 +50,7 @@ impl Value {
     }
 
     /// The integer payload, if this is an integer.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             _ => None,
@@ -85,7 +85,7 @@ impl Section {
     }
 
     /// Bool value for `key`, or `default`.
-    pub fn bool_or(&self, key: &str, default: bool) -> bool {
+    pub(crate) fn bool_or(&self, key: &str, default: bool) -> bool {
         self.entries
             .get(key)
             .and_then(Value::as_bool)
@@ -93,7 +93,7 @@ impl Section {
     }
 
     /// Integer value for `key`, or `default`.
-    pub fn int_or(&self, key: &str, default: i64) -> i64 {
+    pub(crate) fn int_or(&self, key: &str, default: i64) -> i64 {
         self.entries
             .get(key)
             .and_then(Value::as_int)

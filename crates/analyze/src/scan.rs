@@ -89,7 +89,7 @@ pub struct AtomicSite {
 
 impl AtomicSite {
     /// True if any named ordering equals `ord`.
-    pub fn has_ordering(&self, ord: &str) -> bool {
+    pub(crate) fn has_ordering(&self, ord: &str) -> bool {
         self.orderings.iter().any(|o| o == ord)
     }
 }
@@ -144,7 +144,7 @@ pub struct LoopSite {
 
 impl LoopSite {
     /// A short human-readable list of the loop's polling triggers.
-    pub fn trigger_summary(&self, poll_methods: &[String]) -> String {
+    pub(crate) fn trigger_summary(&self, poll_methods: &[String]) -> String {
         let mut parts: Vec<String> = Vec::new();
         for (r, _) in &self.loads {
             parts.push(format!("load(`{r}`)"));
@@ -530,7 +530,7 @@ pub fn scan_file(src: &str, file: &str, crate_name: &str, file_ctx: Ctx) -> Inve
 
 /// Parses an integer literal's source text: decimal or `0x` hex, with `_`
 /// separators and type suffixes (`512usize`) tolerated.
-pub fn int_lit(text: &str) -> Option<u64> {
+pub(crate) fn int_lit(text: &str) -> Option<u64> {
     let t = text.replace('_', "");
     let (radix, digits) = match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
         Some(rest) => (16, rest),

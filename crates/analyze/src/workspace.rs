@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 ///
 /// Paths in the inventory are workspace-relative (`crates/...`) with `/`
 /// separators, so diagnostics and config files are host-independent.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Inventory> {
+pub(crate) fn scan_workspace(root: &Path) -> std::io::Result<Inventory> {
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
     collect_rs_files(&crates_dir, &mut files)?;

@@ -70,7 +70,7 @@ impl StripedCountMap {
     }
 
     /// Consumes the map into a plain vector of entries.
-    pub fn into_entries(self) -> Vec<(u64, u64)> {
+    pub(crate) fn into_entries(self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         for stripe in self.stripes {
             let table = stripe.into_inner().into_inner();
@@ -125,12 +125,6 @@ impl Default for StripedLockBuilder {
 }
 
 impl StripedLockBuilder {
-    /// Builder with an explicit stripe budget per thread.
-    pub fn with_stripes_per_thread(stripes_per_thread: usize) -> Self {
-        assert!(stripes_per_thread > 0);
-        Self { stripes_per_thread }
-    }
-
     /// Runs the build and returns the raw map (bench access).
     pub fn build_map(
         &self,
@@ -208,9 +202,11 @@ mod tests {
             .unwrap()
             .generate(20_000, 5);
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        let out = StripedLockBuilder::with_stripes_per_thread(1)
-            .build(&data, 4)
-            .unwrap();
+        let out = StripedLockBuilder {
+            stripes_per_thread: 1,
+        }
+        .build(&data, 4)
+        .unwrap();
         assert_eq!(out.to_sorted_vec(), reference);
     }
 

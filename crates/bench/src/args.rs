@@ -1,7 +1,5 @@
 //! A tiny, dependency-free CLI argument parser for the figure binaries.
 
-use crate::runner::Mode;
-
 /// Parsed harness options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessArgs {
@@ -11,8 +9,6 @@ pub struct HarnessArgs {
     pub vars: Vec<usize>,
     /// Core counts to sweep.
     pub cores: Vec<usize>,
-    /// Simulated, wall-clock, or both.
-    pub mode: Mode,
     /// RNG seed for workload generation.
     pub seed: u64,
     /// Run at the paper's full scale (0.1M–10M samples) instead of the
@@ -33,7 +29,6 @@ impl Default for HarnessArgs {
             // --vars always wins (never silently overridden).
             vars: vec![],
             cores: vec![1, 2, 4, 8, 16, 32],
-            mode: Mode::Sim,
             seed: 42,
             paper_scale: false,
             metrics: false,
@@ -84,16 +79,6 @@ impl HarnessArgs {
                         .parse()
                         .map_err(|_| ArgError("invalid seed".into()))?;
                 }
-                "--mode" => {
-                    out.mode = match value_of(&flag)?.as_str() {
-                        "sim" => Mode::Sim,
-                        "wall" => Mode::Wall,
-                        "both" => Mode::Both,
-                        other => {
-                            return Err(ArgError(format!("unknown mode {other:?} (sim|wall|both)")))
-                        }
-                    };
-                }
                 "--paper-scale" => out.paper_scale = true,
                 "--metrics" => out.metrics = true,
                 "--out" => out.out_dir = Some(value_of(&flag)?),
@@ -126,7 +111,6 @@ Options:
   --samples, -m  LIST   comma-separated sample counts (e.g. 10000,100000)
   --vars, -n     LIST   comma-separated variable counts (e.g. 30,40,50)
   --cores, -p    LIST   comma-separated core counts (default 1,2,4,8,16,32)
-  --mode         MODE   sim | wall | both (default sim)
   --seed         N      workload RNG seed (default 42)
   --paper-scale         use the paper's full sizes (0.1M/1M/10M samples)
   --metrics             run one instrumented pass and emit the per-stage
@@ -150,19 +134,20 @@ mod tests {
 
     #[test]
     fn parses_lists_and_mode() {
-        let a = parse("--samples 100,200 -n 5 --cores 1,2 --mode both --seed 9").unwrap();
+        let a = parse("--samples 100,200 -n 5 --cores 1,2 --seed 9").unwrap();
         assert_eq!(a.samples, vec![100, 200]);
         assert_eq!(a.vars, vec![5]);
         assert_eq!(a.cores, vec![1, 2]);
-        assert_eq!(a.mode, Mode::Both);
         assert_eq!(a.seed, 9);
+        // The figures are sim-only: there is no mode to choose.
+        let e = parse("--mode both").unwrap_err();
+        assert!(e.0.contains("unknown flag"), "{e}");
     }
 
     #[test]
     fn rejects_unknown_flags_and_bad_values() {
         assert!(parse("--bogus 1").is_err());
         assert!(parse("--samples ten").is_err());
-        assert!(parse("--mode turbo").is_err());
         assert!(parse("--samples").is_err());
     }
 

@@ -11,8 +11,7 @@
 use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::{
     format_stage_breakdown, metrics_waitfree_report, print_host_banner, sim_striped_series,
-    sim_waitfree_batched_series, sim_waitfree_series, uniform_workload, wall_striped_series,
-    wall_waitfree_series,
+    sim_waitfree_batched_series, sim_waitfree_series, uniform_workload,
 };
 use wfbn_bench::series::{format_markdown_table, write_csvs, Series};
 
@@ -23,21 +22,15 @@ fn main() {
     }
     let n = args.vars.first().copied().unwrap_or(30);
     println!("# Figure 3 — table construction vs samples (n = {n})");
-    print_host_banner(args.mode);
+    print_host_banner();
 
     let mut all: Vec<Series> = Vec::new();
     for &m in &args.samples {
         let label = format!("m={m}");
         let data = uniform_workload(n, m, args.seed);
-        if args.mode.sim() {
-            all.push(sim_waitfree_series(&data, &args.cores, &label));
-            all.push(sim_waitfree_batched_series(&data, &args.cores, &label));
-            all.push(sim_striped_series(&data, &args.cores, &label));
-        }
-        if args.mode.wall() {
-            all.push(wall_waitfree_series(&data, &args.cores, &label, 3));
-            all.push(wall_striped_series(&data, &args.cores, &label, 3));
-        }
+        all.push(sim_waitfree_series(&data, &args.cores, &label));
+        all.push(sim_waitfree_batched_series(&data, &args.cores, &label));
+        all.push(sim_striped_series(&data, &args.cores, &label));
     }
     println!("{}", format_markdown_table(&all));
     summarize(&all);

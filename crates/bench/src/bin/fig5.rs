@@ -8,7 +8,7 @@
 use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::{
     format_stage_breakdown, metrics_allpairs_report, print_host_banner, sim_allpairs_series,
-    uniform_workload, wall_allpairs_series,
+    uniform_workload,
 };
 use wfbn_bench::series::{format_markdown_table, write_csvs, Series};
 
@@ -23,18 +23,13 @@ fn main() {
         args.samples.iter().copied().min().unwrap_or(100_000)
     };
     println!("# Figure 5 — all-pairs mutual information vs variables (m = {m})");
-    print_host_banner(args.mode);
+    print_host_banner();
 
     let mut all: Vec<Series> = Vec::new();
     for &n in &args.vars {
         let label = format!("n={n}");
         let data = uniform_workload(n, m, args.seed);
-        if args.mode.sim() {
-            all.push(sim_allpairs_series(&data, &args.cores, &label));
-        }
-        if args.mode.wall() {
-            all.push(wall_allpairs_series(&data, &args.cores, &label, 3));
-        }
+        all.push(sim_allpairs_series(&data, &args.cores, &label));
     }
     println!("{}", format_markdown_table(&all));
 

@@ -4,14 +4,14 @@
 //!
 //! ```text
 //! cargo run -p wfbn-bench --release --bin repro
-//! cargo run -p wfbn-bench --release --bin repro -- --mode both   # add wall-clock
 //! ```
+//!
+//! Wall-clock numbers for the same primitives come from `benchmark/`.
 
 use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::{
     format_stage_breakdown, metrics_allpairs_report, print_host_banner, sim_allpairs_series,
-    sim_striped_series, sim_waitfree_series, uniform_workload, wall_allpairs_series,
-    wall_striped_series, wall_waitfree_series,
+    sim_striped_series, sim_waitfree_series, uniform_workload,
 };
 use wfbn_bench::series::{format_markdown_table, write_csvs, Series};
 use wfbn_core::obs::{Counter, Stage};
@@ -32,7 +32,7 @@ fn main() {
     let mut everything: Vec<Series> = Vec::new();
 
     println!("# wfbn reproduction run\n");
-    print_host_banner(args.mode);
+    print_host_banner();
 
     // ---------- Figure 3: construction vs m (n = 30). ----------
     let fig3_samples: Vec<usize> = if args.paper_scale {
@@ -45,66 +45,58 @@ fn main() {
     for &m in &fig3_samples {
         let data = uniform_workload(30, m, args.seed);
         let label = format!("m={m}");
-        if args.mode.sim() {
-            fig3.push(sim_waitfree_series(&data, &args.cores, &label));
-            fig3.push(sim_striped_series(&data, &args.cores, &label));
-        }
-        if args.mode.wall() {
-            fig3.push(wall_waitfree_series(&data, &args.cores, &label, 3));
-            fig3.push(wall_striped_series(&data, &args.cores, &label, 3));
-        }
+        fig3.push(sim_waitfree_series(&data, &args.cores, &label));
+        fig3.push(sim_striped_series(&data, &args.cores, &label));
     }
     println!("{}", format_markdown_table(&fig3));
 
     // Shape checks on the simulated series.
-    if args.mode.sim() {
-        let wf_last = fig3
-            .iter()
-            .rfind(|s| s.label.contains("wait-free (sim)"))
-            .expect("sim series exist");
-        let tbb_last = fig3
-            .iter()
-            .rfind(|s| s.label.contains("TBB-analog (sim)"))
-            .expect("sim series exist");
-        let wf_speedup = *wf_last.speedups().last().expect("points");
-        let tbb_speedups = tbb_last.speedups();
-        let tbb_peak = tbb_speedups.iter().cloned().fold(0.0, f64::max);
-        let tbb_final = *tbb_speedups.last().expect("points");
-        let max_cores = *args.cores.last().expect("cores") as f64;
-        checks.push(Check {
-            name: "Fig3/headline: wait-free speedup near-linear (paper: 23.5× at 32)",
-            pass: wf_speedup > 0.5 * max_cores,
-            detail: format!("{wf_speedup:.1}× at {max_cores} cores"),
-        });
-        checks.push(Check {
-            name: "Fig3b: TBB-analog speedup degrades past its peak",
-            pass: tbb_final < tbb_peak,
-            detail: format!("peak {tbb_peak:.1}×, final {tbb_final:.1}×"),
-        });
-        checks.push(Check {
-            name: "Fig3: wait-free beats TBB-analog at max cores",
-            pass: wf_speedup > tbb_final,
-            detail: format!("{wf_speedup:.1}× vs {tbb_final:.1}×"),
-        });
-        // Linear-in-m: time(largest m) / time(smallest m) ≈ m-ratio at
-        // fixed cores.
-        let sim_time_for = |m: usize| {
-            fig3.iter()
-                .find(|s| s.label == format!("m={m} wait-free (sim)"))
-                .expect("sim series exists")
-                .points[0]
-                .1
-        };
-        let t_small = sim_time_for(fig3_samples[0]);
-        let t_big = sim_time_for(*fig3_samples.last().expect("non-empty"));
-        let ratio = t_big / t_small;
-        let expected = fig3_samples[fig3_samples.len() - 1] as f64 / fig3_samples[0] as f64;
-        checks.push(Check {
-            name: "Fig3a: running time linear in m (equal log-gaps)",
-            pass: (0.5 * expected..=1.5 * expected).contains(&ratio),
-            detail: format!("time ratio {ratio:.1} for m ratio {expected:.0}"),
-        });
-    }
+    let wf_last = fig3
+        .iter()
+        .rfind(|s| s.label.contains("wait-free (sim)"))
+        .expect("sim series exist");
+    let tbb_last = fig3
+        .iter()
+        .rfind(|s| s.label.contains("TBB-analog (sim)"))
+        .expect("sim series exist");
+    let wf_speedup = *wf_last.speedups().last().expect("points");
+    let tbb_speedups = tbb_last.speedups();
+    let tbb_peak = tbb_speedups.iter().cloned().fold(0.0, f64::max);
+    let tbb_final = *tbb_speedups.last().expect("points");
+    let max_cores = *args.cores.last().expect("cores") as f64;
+    checks.push(Check {
+        name: "Fig3/headline: wait-free speedup near-linear (paper: 23.5× at 32)",
+        pass: wf_speedup > 0.5 * max_cores,
+        detail: format!("{wf_speedup:.1}× at {max_cores} cores"),
+    });
+    checks.push(Check {
+        name: "Fig3b: TBB-analog speedup degrades past its peak",
+        pass: tbb_final < tbb_peak,
+        detail: format!("peak {tbb_peak:.1}×, final {tbb_final:.1}×"),
+    });
+    checks.push(Check {
+        name: "Fig3: wait-free beats TBB-analog at max cores",
+        pass: wf_speedup > tbb_final,
+        detail: format!("{wf_speedup:.1}× vs {tbb_final:.1}×"),
+    });
+    // Linear-in-m: time(largest m) / time(smallest m) ≈ m-ratio at
+    // fixed cores.
+    let sim_time_for = |m: usize| {
+        fig3.iter()
+            .find(|s| s.label == format!("m={m} wait-free (sim)"))
+            .expect("sim series exists")
+            .points[0]
+            .1
+    };
+    let t_small = sim_time_for(fig3_samples[0]);
+    let t_big = sim_time_for(*fig3_samples.last().expect("non-empty"));
+    let ratio = t_big / t_small;
+    let expected = fig3_samples[fig3_samples.len() - 1] as f64 / fig3_samples[0] as f64;
+    checks.push(Check {
+        name: "Fig3a: running time linear in m (equal log-gaps)",
+        pass: (0.5 * expected..=1.5 * expected).contains(&ratio),
+        detail: format!("time ratio {ratio:.1} for m ratio {expected:.0}"),
+    });
     everything.extend(fig3);
 
     // ---------- Figure 4: construction vs n (fixed m). ----------
@@ -118,32 +110,24 @@ fn main() {
     for &n in &[30usize, 40, 50] {
         let data = uniform_workload(n, fig4_m, args.seed);
         let label = format!("n={n}");
-        if args.mode.sim() {
-            fig4.push(sim_waitfree_series(&data, &args.cores, &label));
-            fig4.push(sim_striped_series(&data, &args.cores, &label));
-        }
-        if args.mode.wall() {
-            fig4.push(wall_waitfree_series(&data, &args.cores, &label, 3));
-            fig4.push(wall_striped_series(&data, &args.cores, &label, 3));
-        }
+        fig4.push(sim_waitfree_series(&data, &args.cores, &label));
+        fig4.push(sim_striped_series(&data, &args.cores, &label));
     }
     println!("{}", format_markdown_table(&fig4));
-    if args.mode.sim() {
-        // Linear-in-n: single-core times for n = 30/40/50 should be evenly
-        // spaced (equal gaps — the paper's stated observation).
-        let t: Vec<f64> = fig4
-            .iter()
-            .filter(|s| s.label.contains("wait-free (sim)"))
-            .map(|s| s.points[0].1)
-            .collect();
-        let gap1 = t[1] - t[0];
-        let gap2 = t[2] - t[1];
-        checks.push(Check {
-            name: "Fig4a: running time linear in n (equal gaps 30→40→50)",
-            pass: gap1 > 0.0 && (gap2 / gap1) > 0.7 && (gap2 / gap1) < 1.3,
-            detail: format!("gaps {gap1:.2e}s vs {gap2:.2e}s"),
-        });
-    }
+    // Linear-in-n: single-core times for n = 30/40/50 should be evenly
+    // spaced (equal gaps — the paper's stated observation).
+    let t: Vec<f64> = fig4
+        .iter()
+        .filter(|s| s.label.contains("wait-free (sim)"))
+        .map(|s| s.points[0].1)
+        .collect();
+    let gap1 = t[1] - t[0];
+    let gap2 = t[2] - t[1];
+    checks.push(Check {
+        name: "Fig4a: running time linear in n (equal gaps 30→40→50)",
+        pass: gap1 > 0.0 && (gap2 / gap1) > 0.7 && (gap2 / gap1) < 1.3,
+        detail: format!("gaps {gap1:.2e}s vs {gap2:.2e}s"),
+    });
     everything.extend(fig4);
 
     // ---------- Figure 5: all-pairs MI vs n. ----------
@@ -157,24 +141,17 @@ fn main() {
     for &n in &[30usize, 40, 50] {
         let data = uniform_workload(n, fig5_m, args.seed);
         let label = format!("n={n}");
-        if args.mode.sim() {
-            fig5.push(sim_allpairs_series(&data, &args.cores, &label));
-        }
-        if args.mode.wall() {
-            fig5.push(wall_allpairs_series(&data, &args.cores, &label, 3));
-        }
+        fig5.push(sim_allpairs_series(&data, &args.cores, &label));
     }
     println!("{}", format_markdown_table(&fig5));
-    if args.mode.sim() {
-        for s in fig5.iter().filter(|s| s.label.contains("(sim)")) {
-            let speedups = s.speedups();
-            let monotone = speedups.windows(2).all(|w| w[1] > w[0]);
-            checks.push(Check {
-                name: "Fig5b: all-pairs MI speedup grows with cores",
-                pass: monotone,
-                detail: format!("{}: {:?}", s.label, round_all(&speedups)),
-            });
-        }
+    for s in fig5.iter().filter(|s| s.label.contains("(sim)")) {
+        let speedups = s.speedups();
+        let monotone = speedups.windows(2).all(|w| w[1] > w[0]);
+        checks.push(Check {
+            name: "Fig5b: all-pairs MI speedup grows with cores",
+            pass: monotone,
+            detail: format!("{}: {:?}", s.label, round_all(&speedups)),
+        });
     }
     everything.extend(fig5);
 

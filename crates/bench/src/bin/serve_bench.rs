@@ -1,14 +1,13 @@
 //! Serving throughput — queries per unit time versus the number of reader
-//! endpoints on a live `wfbn-serve` engine.
+//! endpoints of a `wfbn-serve` engine, from the PRAM cost model.
 //!
-//! The sim series is the gated one: it models each pair-marginal query as a
-//! single partition scan and scales linearly with readers (the read path
-//! shares no mutable state). The wall series runs real reader threads and is
-//! recorded for context only — on a single-core host it flattens.
+//! The series is gated: it models each pair-marginal query as
+//! a single partition scan and scales linearly with readers (the read path
+//! shares no mutable state). Wall-clock serve numbers come from `benchmark/`.
 
 use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::print_host_banner;
-use wfbn_bench::serve_bench::{serve_workload, sim_serve_scaling, wall_serve_qps};
+use wfbn_bench::serve_bench::{serve_workload, sim_serve_scaling};
 use wfbn_pram::CostModel;
 
 fn main() {
@@ -20,29 +19,18 @@ fn main() {
     let m = args.samples.iter().copied().min().unwrap_or(100_000);
     let readers = args.cores.clone();
     println!("# Serving throughput vs readers (n = {n}, m = {m})");
-    print_host_banner(args.mode);
+    print_host_banner();
 
     let data = serve_workload(n, m, args.seed);
-    if args.mode.sim() {
-        let sim = sim_serve_scaling(&data, &readers, &CostModel::default());
-        println!("\n## sim (deterministic capacity model)\n");
-        println!("cycles/query: {:.1}", sim.cycles_per_query);
-        println!("| readers | qps/Mcycle | scaling |");
-        println!("|--------:|-----------:|--------:|");
-        for (i, &r) in readers.iter().enumerate() {
-            println!(
-                "| {r} | {:.2} | {:.2} |",
-                sim.qps_per_megacycle[i], sim.scaling[i]
-            );
-        }
-    }
-    if args.mode.wall() {
-        let qps = wall_serve_qps(&data, &readers, 200);
-        println!("\n## wall (host-dependent, not gated)\n");
-        println!("| readers | queries/s |");
-        println!("|--------:|----------:|");
-        for (i, &r) in readers.iter().enumerate() {
-            println!("| {r} | {:.0} |", qps[i]);
-        }
+    let sim = sim_serve_scaling(&data, &readers, &CostModel::default());
+    println!("\n## sim (deterministic capacity model)\n");
+    println!("cycles/query: {:.1}", sim.cycles_per_query);
+    println!("| readers | qps/Mcycle | scaling |");
+    println!("|--------:|-----------:|--------:|");
+    for (i, &r) in readers.iter().enumerate() {
+        println!(
+            "| {r} | {:.2} | {:.2} |",
+            sim.qps_per_megacycle[i], sim.scaling[i]
+        );
     }
 }

@@ -1,10 +1,8 @@
 //! Shared measurement drivers used by the figure binaries.
 
 use crate::series::Series;
-use std::time::Instant;
-use wfbn_baselines::striped::StripedLockBuilder;
 use wfbn_core::allpairs::all_pairs_mi_recorded;
-use wfbn_core::construct::{waitfree_build, waitfree_build_recorded};
+use wfbn_core::construct::waitfree_build_recorded;
 use wfbn_core::obs::{Counter, Stage};
 use wfbn_core::{CoreMetrics, MetricsReport};
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent};
@@ -12,43 +10,6 @@ use wfbn_pram::{
     simulate_all_pairs_mi, simulate_striped_build, simulate_waitfree_build,
     simulate_waitfree_build_batched, CostModel,
 };
-
-/// Measurement mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// PRAM cost-model simulation (deterministic; default).
-    Sim,
-    /// Real threads + wall clock.
-    Wall,
-    /// Both.
-    Both,
-}
-
-impl Mode {
-    /// `true` if simulated series should run.
-    pub fn sim(self) -> bool {
-        matches!(self, Mode::Sim | Mode::Both)
-    }
-
-    /// `true` if wall-clock series should run.
-    pub fn wall(self) -> bool {
-        matches!(self, Mode::Wall | Mode::Both)
-    }
-}
-
-/// Median of `k` wall-clock timings of `f`, in seconds.
-pub fn wall_time_median<F: FnMut()>(k: usize, mut f: F) -> f64 {
-    assert!(k > 0);
-    let mut times: Vec<f64> = (0..k)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-    times[times.len() / 2]
-}
 
 /// Generates the paper's §V-A workload: `m` samples of `n` i.i.d. uniform
 /// binary variables.
@@ -103,49 +64,6 @@ pub fn sim_allpairs_series(data: &Dataset, cores: &[usize], label: &str) -> Seri
         let pt = simulate_all_pairs_mi(&table, p, &model);
         s.points
             .push((p, model.cycles_to_seconds(pt.elapsed_cycles)));
-    }
-    s
-}
-
-/// Wall-clock table-construction series (wait-free, real threads).
-pub fn wall_waitfree_series(data: &Dataset, cores: &[usize], label: &str, reps: usize) -> Series {
-    let mut s = Series::new(format!("{label} wait-free (wall)"));
-    for &p in cores {
-        let secs = wall_time_median(reps, || {
-            let built = waitfree_build(data, p).expect("non-empty data");
-            std::hint::black_box(built.table.num_entries());
-        });
-        s.points.push((p, secs));
-    }
-    s
-}
-
-/// Wall-clock table-construction series (striped-lock, real threads).
-pub fn wall_striped_series(data: &Dataset, cores: &[usize], label: &str, reps: usize) -> Series {
-    let mut s = Series::new(format!("{label} striped-lock (wall)"));
-    let builder = StripedLockBuilder::default();
-    for &p in cores {
-        let secs = wall_time_median(reps, || {
-            let map = builder.build_map(data, p).expect("non-empty data");
-            std::hint::black_box(map.num_stripes());
-        });
-        s.points.push((p, secs));
-    }
-    s
-}
-
-/// Wall-clock all-pairs MI series (real threads).
-pub fn wall_allpairs_series(data: &Dataset, cores: &[usize], label: &str, reps: usize) -> Series {
-    let table = waitfree_build(data, cores.iter().copied().max().unwrap_or(1))
-        .expect("non-empty data")
-        .table;
-    let mut s = Series::new(format!("{label} all-pairs MI (wall)"));
-    for &p in cores {
-        let secs = wall_time_median(reps, || {
-            let mi = wfbn_core::allpairs::all_pairs_mi(&table, p);
-            std::hint::black_box(mi.get(0, 1));
-        });
-        s.points.push((p, secs));
     }
     s
 }
@@ -206,39 +124,18 @@ pub fn format_stage_breakdown(report: &MetricsReport) -> String {
     out
 }
 
-/// Prints the standard banner: host parallelism and mode caveats.
-pub fn print_host_banner(mode: Mode) {
+/// Prints the standard banner: the host's parallelism.
+pub fn print_host_banner() {
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     println!("host parallelism: {host_cores} hardware thread(s)");
-    if mode.wall() && host_cores < 8 {
-        println!(
-            "note: wall-clock speedups are bounded by the {host_cores} available \
-             hardware thread(s); the sim series reproduces the paper's 32-core platform."
-        );
-    }
     println!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_flags() {
-        assert!(Mode::Sim.sim() && !Mode::Sim.wall());
-        assert!(!Mode::Wall.sim() && Mode::Wall.wall());
-        assert!(Mode::Both.sim() && Mode::Both.wall());
-    }
-
-    #[test]
-    fn wall_time_median_is_positive() {
-        let t = wall_time_median(3, || {
-            std::hint::black_box((0..1000u64).sum::<u64>());
-        });
-        assert!(t >= 0.0);
-    }
 
     #[test]
     fn sim_series_have_one_point_per_core_count() {
@@ -271,19 +168,6 @@ mod tests {
             assert!(text.contains(stage.name()), "{text}");
         }
         assert!(text.contains("rows encoded"), "{text}");
-    }
-
-    #[test]
-    fn wall_series_run_on_tiny_inputs() {
-        let data = uniform_workload(8, 500, 2);
-        let cores = [1usize, 2];
-        for s in [
-            wall_waitfree_series(&data, &cores, "t", 1),
-            wall_striped_series(&data, &cores, "t", 1),
-            wall_allpairs_series(&data, &cores, "t", 1),
-        ] {
-            assert_eq!(s.points.len(), 2);
-        }
     }
 
     #[test]

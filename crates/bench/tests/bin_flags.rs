@@ -26,17 +26,35 @@ fn unknown_flags_exit_2() {
             assert_rejected(bin, &[flag, "1"], "unknown flag");
         }
     }
+    // The figure binaries are sim-only and `cluster_bench` takes no flags.
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fig3"),
+        &["--mode", "wall"],
+        "unknown flag",
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fig5"),
+        &["--mode", "both"],
+        "unknown flag",
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_serve_bench"),
+        &["--mode", "wall"],
+        "unknown flag",
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_cluster_bench"),
+        &["--queries", "10"],
+        "unknown flag",
+    );
 }
 
 #[test]
 fn unparsable_or_missing_values_exit_2() {
     let scenario_matrix = env!("CARGO_BIN_EXE_scenario_matrix");
-    let cluster_bench = env!("CARGO_BIN_EXE_cluster_bench");
     assert_rejected(scenario_matrix, &["--threads", "x"], "invalid value");
     assert_rejected(scenario_matrix, &["--threads", "0"], "invalid value");
     assert_rejected(scenario_matrix, &["--threads"], "expects a value");
-    assert_rejected(cluster_bench, &["--queries", "ten"], "invalid value");
-    assert_rejected(cluster_bench, &["--queries"], "expects a value");
     assert_rejected(
         env!("CARGO_BIN_EXE_bench_snapshot"),
         &["--out"],

@@ -27,7 +27,6 @@ mod thin;
 
 pub use draft::draft;
 pub use orient::orient;
-pub use separate::try_separate;
 pub use thicken::thicken;
 pub use thin::thin;
 

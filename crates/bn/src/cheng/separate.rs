@@ -25,43 +25,19 @@ use crate::graph::Ug;
 use wfbn_core::marginal::{MarginalTable, PackedTable};
 use wfbn_core::potential::PotentialTable;
 
-/// Searches for a separating set for `(x, y)` in `graph`.
-///
-/// Returns `Some(z)` with the first set found that makes the pair
-/// independent under `test`, or `None` if every tried set leaves them
-/// dependent. Increments `*ci_tests` once per executed test. Packs `table`
-/// on `threads` workers first; the search then scans the packed snapshot on
-/// the calling thread, once for the joint over the pair and its candidate
-/// cut, from which every test collapses its own.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn try_separate(
-    graph: &Ug,
-    table: &PotentialTable,
-    x: usize,
-    y: usize,
-    test: CiTest,
-    threads: usize,
-    max_condition_size: usize,
-    ci_tests: &mut usize,
-) -> Option<Vec<usize>> {
-    let packed = pack(table, threads);
-    let mut stats = PhaseStats::default();
-    let sep = separate(graph, &packed, x, y, test, max_condition_size, &mut stats);
-    *ci_tests += stats.ci_tests;
-    sep
-}
-
 /// The snapshot a public phase entry point packs for its own call.
 pub(crate) fn pack(table: &PotentialTable, threads: usize) -> PackedTable {
     PackedTable::pack(table, threads).expect("the learner needs at least one thread")
 }
 
-/// [`try_separate`] on an already packed table; counts its tests and scans
-/// into `stats.ci_tests` and `stats.ci_scans`.
+/// Searches for a separating set for `(x, y)` in `graph`, scanning the
+/// packed snapshot on the calling thread once for the joint over the pair
+/// and its candidate cut, from which every test collapses its own.
+///
+/// Returns `Some(z)` with the first set found that makes the pair
+/// independent under `test`, or `None` if every tried set leaves them
+/// dependent. Counts its tests and scans into `stats.ci_tests` and
+/// `stats.ci_scans`.
 pub(crate) fn separate(
     graph: &Ug,
     table: &PackedTable,
@@ -209,6 +185,26 @@ mod tests {
     use super::*;
     use wfbn_core::construct::waitfree_build;
     use wfbn_data::{CorrelatedChain, Generator, Schema};
+
+    /// Packs `table` on `threads` workers and runs one separation search,
+    /// adding its test count to `*ci_tests`.
+    #[allow(clippy::too_many_arguments)]
+    fn try_separate(
+        graph: &Ug,
+        table: &PotentialTable,
+        x: usize,
+        y: usize,
+        test: CiTest,
+        threads: usize,
+        max_condition_size: usize,
+        ci_tests: &mut usize,
+    ) -> Option<Vec<usize>> {
+        let packed = pack(table, threads);
+        let mut stats = PhaseStats::default();
+        let sep = separate(graph, &packed, x, y, test, max_condition_size, &mut stats);
+        *ci_tests += stats.ci_tests;
+        sep
+    }
 
     #[test]
     fn separates_chain_ends_through_the_middle() {

@@ -171,8 +171,10 @@ mod tests {
         let tree = chow_liu(&mi_of(&data), 1e-3);
         // Every non-root node has exactly one parent.
         let roots = (0..6).filter(|&v| tree.dag.parents(v).is_empty()).count();
-        let comp = tree.skeleton.components();
-        let num_components = comp.iter().copied().max().unwrap() + 1;
+        // One representative per component: its lowest-numbered node.
+        let num_components = (0..6)
+            .filter(|&v| (0..v).all(|u| !tree.skeleton.has_path(u, v)))
+            .count();
         assert_eq!(roots, num_components);
         for v in 0..6 {
             assert!(tree.dag.parents(v).len() <= 1, "trees have ≤1 parent");

@@ -122,7 +122,7 @@ fn gamma_q_cf(s: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `df == 0`.
-pub fn chi_square_sf(g: f64, df: u64) -> f64 {
+pub(crate) fn chi_square_sf(g: f64, df: u64) -> f64 {
     assert!(df > 0, "chi-square needs at least one degree of freedom");
     if g <= 0.0 {
         return 1.0;

@@ -128,7 +128,7 @@ impl Cpt {
     }
 
     /// Convenience constructor for a binary root variable: `P(X = 1) = p1`.
-    pub fn binary_root(var: usize, p1: f64) -> Result<Self, CptError> {
+    pub(crate) fn binary_root(var: usize, p1: f64) -> Result<Self, CptError> {
         Self::root(var, vec![1.0 - p1, p1])
     }
 
@@ -147,13 +147,8 @@ impl Cpt {
         self.arity
     }
 
-    /// Number of parent configurations.
-    pub fn num_configs(&self) -> usize {
-        self.parent_arities.iter().map(|&r| r as usize).product()
-    }
-
     /// Mixed-radix index of a parent-state assignment (first parent fastest).
-    pub fn config_index(&self, parent_states: &[u16]) -> usize {
+    pub(crate) fn config_index(&self, parent_states: &[u16]) -> usize {
         assert_eq!(
             parent_states.len(),
             self.parents.len(),
@@ -183,7 +178,7 @@ impl Cpt {
 
     /// Samples a child state given parent states and a uniform draw
     /// `u ∈ [0, 1)`.
-    pub fn sample_with(&self, parent_states: &[u16], u: f64) -> u16 {
+    pub(crate) fn sample_with(&self, parent_states: &[u16], u: f64) -> u16 {
         let row = self.row(parent_states);
         let mut acc = 0.0;
         for (s, &p) in row.iter().enumerate() {
@@ -203,7 +198,7 @@ mod tests {
     #[test]
     fn root_and_binary_root() {
         let c = Cpt::binary_root(0, 0.3).unwrap();
-        assert_eq!(c.num_configs(), 1);
+        assert!(c.parents().is_empty());
         assert_eq!(c.prob(&[], 1), 0.3);
         assert!((c.prob(&[], 0) - 0.7).abs() < 1e-12);
         let d = Cpt::root(2, vec![0.2, 0.3, 0.5]).unwrap();

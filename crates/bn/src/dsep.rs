@@ -7,10 +7,11 @@
 //! children), and collider nodes behave inversely: a collider is traversable
 //! only when it or one of its descendants is observed.
 //!
-//! Used for two purposes: validating learned structures against the ground
-//! truth's independence statements, and generating test oracles for the CI
-//! machinery (graphical independence must match near-zero conditional MI on
-//! sampled data).
+//! This module is kept as the d-separation test oracle for
+//! `tests/end_to_end.rs` (and the crate's property tests): learned
+//! structures are checked against the ground truth's independence
+//! statements, and graphical independence must match near-zero conditional
+//! MI on sampled data. It is not on any learner or serve path.
 
 use crate::graph::Dag;
 use std::collections::VecDeque;

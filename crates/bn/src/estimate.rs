@@ -52,7 +52,7 @@ impl From<NetworkError> for FitError {
 
 /// Fits the CPT of one variable by marginalizing the potential table over
 /// its family and normalizing with Laplace smoothing `alpha`.
-pub fn fit_cpt(
+pub(crate) fn fit_cpt(
     table: &PotentialTable,
     schema: &Schema,
     var: usize,
@@ -98,7 +98,7 @@ pub fn fit_cpt(
 }
 
 /// Fits every CPT of `dag` from an existing potential table.
-pub fn fit_cpts(
+pub(crate) fn fit_cpts(
     table: &PotentialTable,
     schema: &Schema,
     dag: &Dag,

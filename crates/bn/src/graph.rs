@@ -275,7 +275,7 @@ impl Ug {
     }
 
     /// Removes the edge `{u, v}` if present; returns whether it existed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
+    pub(crate) fn remove_edge(&mut self, u: usize, v: usize) -> bool {
         if let Ok(pos) = self.adj[u].binary_search(&v) {
             self.adj[u].remove(pos);
             let pos_v = self.adj[v].binary_search(&u).expect("symmetric adjacency");
@@ -293,7 +293,7 @@ impl Ug {
     }
 
     /// Sorted neighbors of `node`.
-    pub fn neighbors(&self, node: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, node: usize) -> &[usize] {
         &self.adj[node]
     }
 
@@ -311,7 +311,7 @@ impl Ug {
     }
 
     /// `true` if an undirected path connects `u` and `v`.
-    pub fn has_path(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn has_path(&self, u: usize, v: usize) -> bool {
         if u == v {
             return true;
         }
@@ -334,7 +334,7 @@ impl Ug {
 
     /// Set of nodes reachable from `from` without passing through `blocked`
     /// (the start node is included; `blocked` nodes never are).
-    pub fn reachable_avoiding(&self, from: usize, blocked: &[usize]) -> Vec<bool> {
+    pub(crate) fn reachable_avoiding(&self, from: usize, blocked: &[usize]) -> Vec<bool> {
         let mut seen = vec![false; self.num_nodes()];
         if blocked.contains(&from) {
             return seen;
@@ -357,7 +357,7 @@ impl Ug {
     ///
     /// This is Cheng et al.'s candidate cut-set: conditioning on these nodes
     /// blocks every indirect connection between `x` and `y`.
-    pub fn path_neighbors(&self, x: usize, y: usize) -> Vec<usize> {
+    pub(crate) fn path_neighbors(&self, x: usize, y: usize) -> Vec<usize> {
         // A neighbor w ≠ y of x is on an x–y path iff y is reachable from w
         // without going back through x.
         let reach_to_y = {
@@ -369,30 +369,6 @@ impl Ug {
             .copied()
             .filter(|&w| w != y && reach_to_y[w])
             .collect()
-    }
-
-    /// Connected-component label per node.
-    pub fn components(&self) -> Vec<usize> {
-        let n = self.num_nodes();
-        let mut label = vec![usize::MAX; n];
-        let mut next = 0;
-        for start in 0..n {
-            if label[start] != usize::MAX {
-                continue;
-            }
-            let mut queue = VecDeque::from([start]);
-            label[start] = next;
-            while let Some(x) = queue.pop_front() {
-                for &y in &self.adj[x] {
-                    if label[y] == usize::MAX {
-                        label[y] = next;
-                        queue.push_back(y);
-                    }
-                }
-            }
-            next += 1;
-        }
-        label
     }
 }
 
@@ -482,11 +458,8 @@ mod tests {
         assert!(g.has_path(0, 2));
         assert!(!g.has_path(0, 3));
         assert!(g.has_path(5, 5));
-        let comp = g.components();
-        assert_eq!(comp[0], comp[2]);
-        assert_eq!(comp[3], comp[4]);
-        assert_ne!(comp[0], comp[3]);
-        assert_ne!(comp[5], comp[0]);
+        assert!(g.has_path(3, 4));
+        assert!(!g.has_path(5, 0));
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl Factor {
     }
 
     /// Builds the factor `P(X | parents)` from a CPT, over `{X} ∪ parents`.
-    pub fn from_cpt(net: &BayesNet, var: usize) -> Self {
+    pub(crate) fn from_cpt(net: &BayesNet, var: usize) -> Self {
         let cpt = net.cpt(var);
         let mut vars = vec![var];
         vars.extend_from_slice(cpt.parents());
@@ -119,7 +119,7 @@ impl Factor {
     }
 
     /// Fixes `var = state`, dropping the variable (evidence application).
-    pub fn restrict(&self, var: usize, state: u16) -> Factor {
+    pub(crate) fn restrict(&self, var: usize, state: u16) -> Factor {
         let Some(pos) = self.position(var) else {
             return self.clone();
         };
@@ -199,7 +199,7 @@ impl Factor {
     }
 
     /// Sums out `var` (marginalizes it away).
-    pub fn sum_out(&self, var: usize) -> Factor {
+    pub(crate) fn sum_out(&self, var: usize) -> Factor {
         let Some(pos) = self.position(var) else {
             return self.clone();
         };
@@ -231,7 +231,7 @@ impl Factor {
     }
 
     /// Normalizes to sum 1; returns the pre-normalization total.
-    pub fn normalize(&mut self) -> f64 {
+    pub(crate) fn normalize(&mut self) -> f64 {
         let z = self.total();
         if z > 0.0 {
             for v in &mut self.values {
@@ -239,90 +239,6 @@ impl Factor {
             }
         }
         z
-    }
-
-    /// An all-ones factor over a single variable (scope placeholder used by
-    /// junction-tree clique initialization).
-    pub fn uniform_ones(var: usize, arity: usize) -> Factor {
-        Factor {
-            vars: vec![var],
-            arities: vec![arity],
-            values: vec![1.0; arity],
-        }
-    }
-
-    /// Applies evidence `var = state` by zeroing incompatible cells while
-    /// *keeping the variable in scope* (unlike [`restrict`](Self::restrict),
-    /// which drops it). Junction trees need scopes intact so separators
-    /// stay well-defined.
-    pub fn select(&self, var: usize, state: u16) -> Factor {
-        let Some(pos) = self.position(var) else {
-            return self.clone();
-        };
-        let r = self.arities[pos];
-        assert!((state as usize) < r, "state out of range");
-        let below: usize = self.arities[..pos].iter().product::<usize>().max(1);
-        let mut out = self.clone();
-        for (idx, v) in out.values.iter_mut().enumerate() {
-            let digit = (idx / below) % r;
-            if digit != state as usize {
-                *v = 0.0;
-            }
-        }
-        out
-    }
-
-    /// Pointwise quotient over the same variable *set* (order may differ;
-    /// cells are aligned by variable), with the message-passing convention
-    /// `0 / 0 = 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable sets differ, or if a nonzero value is divided
-    /// by zero (impossible in a consistent junction tree).
-    pub fn quotient(&self, denom: &Factor) -> Factor {
-        assert_eq!(
-            self.vars.len(),
-            denom.vars.len(),
-            "quotient requires the same variable set"
-        );
-        // Stride of each of self's vars within denom's layout.
-        let denom_strides: Vec<usize> = self
-            .vars
-            .iter()
-            .map(|&v| {
-                let pos = denom
-                    .position(v)
-                    .expect("quotient requires the same variable set");
-                denom.arities[..pos].iter().product::<usize>().max(1)
-            })
-            .collect();
-        let mut values = Vec::with_capacity(self.values.len());
-        let mut digits = vec![0usize; self.vars.len()];
-        for (idx, &a) in self.values.iter().enumerate() {
-            let mut rest = idx;
-            for (d, &r) in digits.iter_mut().zip(&self.arities) {
-                *d = rest % r;
-                rest /= r;
-            }
-            let didx: usize = digits
-                .iter()
-                .zip(&denom_strides)
-                .map(|(&d, &s)| d * s)
-                .sum();
-            let b = denom.values[didx];
-            values.push(if b == 0.0 {
-                assert!(a == 0.0, "nonzero divided by zero in message quotient");
-                0.0
-            } else {
-                a / b
-            });
-        }
-        Factor {
-            vars: self.vars.clone(),
-            arities: self.arities.clone(),
-            values,
-        }
     }
 }
 

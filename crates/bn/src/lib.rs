@@ -47,7 +47,6 @@ pub mod estimate;
 pub mod graph;
 pub mod hillclimb;
 pub mod infer;
-pub mod jtree;
 pub mod metrics;
 pub mod network;
 pub mod pdag;
@@ -61,7 +60,6 @@ pub use estimate::{fit_network, mean_log_likelihood};
 pub use graph::{Dag, GraphError, Ug};
 pub use hillclimb::{HillClimbResult, HillClimber};
 pub use infer::posterior;
-pub use jtree::JunctionTree;
 pub use network::BayesNet;
 pub use pdag::PDag;
 pub use score::BicScorer;

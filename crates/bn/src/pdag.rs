@@ -38,7 +38,7 @@ impl PDag {
     }
 
     /// Starts from a skeleton with every edge undirected.
-    pub fn from_skeleton(skeleton: &Ug) -> Self {
+    pub(crate) fn from_skeleton(skeleton: &Ug) -> Self {
         let n = skeleton.num_nodes();
         let mut p = Self::new(n);
         for (u, v) in skeleton.edges() {
@@ -69,7 +69,7 @@ impl PDag {
     }
 
     /// `true` if `u — v` (undirected).
-    pub fn is_undirected(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn is_undirected(&self, u: usize, v: usize) -> bool {
         self.mark(u, v) == EdgeMark::Undirected
     }
 
@@ -124,7 +124,7 @@ impl PDag {
     /// (R4 is required only in the presence of background-knowledge
     /// orientations, which this learner does not inject; R1–R3 are complete
     /// for patterns whose initial arrows all come from v-structures.)
-    pub fn apply_meek_rules(&mut self) {
+    pub(crate) fn apply_meek_rules(&mut self) {
         let n = self.n;
         loop {
             let mut changed = false;

@@ -170,7 +170,7 @@ pub fn random_dag(n: usize, target_edges: usize, max_parents: usize, seed: u64) 
 /// one state gets probability ≈ `determinism`, the rest share the remainder.
 /// Peaked CPTs give the learner a detectable signal; `determinism = 0.5` on
 /// binary nodes is pure noise.
-pub fn random_cpts(schema: &Schema, dag: &Dag, determinism: f64, seed: u64) -> Vec<Cpt> {
+pub(crate) fn random_cpts(schema: &Schema, dag: &Dag, determinism: f64, seed: u64) -> Vec<Cpt> {
     assert!(
         (0.5..1.0).contains(&determinism),
         "determinism must be in [0.5, 1)"
@@ -205,7 +205,7 @@ pub fn random_cpts(schema: &Schema, dag: &Dag, determinism: f64, seed: u64) -> V
         .collect()
 }
 
-/// A random network: [`random_dag`] + [`random_cpts`] over a uniform-arity
+/// A random network: [`random_dag`] + `random_cpts` over a uniform-arity
 /// schema.
 pub fn random_net(
     n: usize,
@@ -317,7 +317,11 @@ mod tests {
         // Every CPT row's max probability should be ≥ determinism.
         for v in 0..10 {
             let cpt = net.cpt(v);
-            let configs = cpt.num_configs();
+            let configs: usize = cpt
+                .parents()
+                .iter()
+                .map(|&p| net.schema().arity(p) as usize)
+                .product();
             for c in 0..configs {
                 // Reconstruct parent states for config c.
                 let mut rest = c;

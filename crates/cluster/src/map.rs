@@ -67,7 +67,7 @@ impl ShardMap {
 
     /// The shard owning `key` (an encoded row key): the ring successor of
     /// `mix64(key)`, wrapping past the last point.
-    pub fn shard_of(&self, key: u64) -> usize {
+    pub(crate) fn shard_of(&self, key: u64) -> usize {
         let h = mix64(key);
         let i = self.ring.partition_point(|&(p, _)| p < h);
         let (_, shard) = self.ring[if i == self.ring.len() { 0 } else { i }];

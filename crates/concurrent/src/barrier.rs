@@ -68,11 +68,6 @@ impl SpinBarrier {
         }
     }
 
-    /// Number of participating threads.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Blocks until all `n` threads have called `wait` in this round.
     ///
     /// Returns `true` on exactly one thread per round (the last arriver),

@@ -66,7 +66,6 @@ pub struct ClusterPublisher<T> {
     lanes: Vec<Producer<(u64, ClusterCut<T>)>>,
     shared: Arc<AtomicU64>,
     epoch: u64,
-    current: Option<ClusterCut<T>>,
 }
 
 /// One reader's endpoint; see the [module docs](self).
@@ -114,7 +113,6 @@ pub fn cluster_epoch_channel<T>(
             lanes,
             shared,
             epoch: 0,
-            current: None,
         },
         ends,
     )
@@ -171,19 +169,12 @@ impl<T> ClusterPublisher<T> {
         // hb-writer: coordinator
         // loom-model: cluster_epoch_publishes_complete_cuts
         self.shared.store(self.epoch, Ordering::Release);
-        self.current = Some(cut);
         Some(self.epoch)
     }
 
     /// The most recently published cluster epoch (0 if none yet).
     pub fn published(&self) -> u64 {
         self.epoch
-    }
-
-    /// The most recently published cut, if any (the coordinator's own
-    /// handle; readers get theirs through their lanes).
-    pub fn latest(&self) -> Option<&ClusterCut<T>> {
-        self.current.as_ref()
     }
 
     /// Number of shards a cut assembles over.

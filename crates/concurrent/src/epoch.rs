@@ -58,7 +58,6 @@ pub struct EpochPublisher<T> {
     lanes: Vec<Producer<(u64, Arc<T>)>>,
     shared: Arc<AtomicU64>,
     epoch: u64,
-    current: Option<Arc<T>>,
 }
 
 /// One reader's endpoint; see the [module docs](self).
@@ -74,8 +73,8 @@ pub struct EpochReader<T> {
 
 /// Creates an epoch-publication channel with `readers` reader endpoints.
 ///
-/// Epoch 0 means "nothing published"; the first [`publish`]
-/// (`EpochPublisher::publish`) creates epoch 1.
+/// Epoch 0 means "nothing published"; the first
+/// [`publish`](EpochPublisher::publish) creates epoch 1.
 pub fn epoch_channel<T>(readers: usize) -> (EpochPublisher<T>, Vec<EpochReader<T>>) {
     let shared = Arc::new(AtomicU64::new(0));
     let mut lanes = Vec::with_capacity(readers);
@@ -95,7 +94,6 @@ pub fn epoch_channel<T>(readers: usize) -> (EpochPublisher<T>, Vec<EpochReader<T
             lanes,
             shared,
             epoch: 0,
-            current: None,
         },
         ends,
     )
@@ -124,19 +122,12 @@ impl<T> EpochPublisher<T> {
         // hb-writer: publisher
         // loom-model: epoch_reader_never_observes_torn_or_unpublished_epoch
         self.shared.store(self.epoch, Ordering::Release);
-        self.current = Some(snap);
         self.epoch
     }
 
     /// The most recently published epoch (0 if none yet).
     pub fn published(&self) -> u64 {
         self.epoch
-    }
-
-    /// The most recently published value, if any (the publisher's own
-    /// handle; readers get theirs through their lanes).
-    pub fn latest(&self) -> Option<&Arc<T>> {
-        self.current.as_ref()
     }
 
     /// Number of reader lanes this publisher feeds.
@@ -224,7 +215,6 @@ mod tests {
         assert_eq!(publisher.publish(10), 1);
         assert_eq!(publisher.publish(20), 2);
         assert_eq!(publisher.published(), 2);
-        assert_eq!(**publisher.latest().unwrap(), 20);
         for r in &mut readers {
             assert_eq!(r.published(), 2);
             let (epoch, snap) = r.pin().expect("two epochs published");

@@ -36,11 +36,11 @@
 //!
 //! Two opt-in cargo features back the verification layer:
 //!
-//! * `loom` — swaps the [`sync`]-module shim from `core`/`std` primitives to
+//! * `loom` — swaps the `sync`-module shim from `core`/`std` primitives to
 //!   the loom model checker's instrumented doubles and shrinks
 //!   [`spsc::SEG_CAP`] to 2, enabling the interleaving-exploring suites in
 //!   `tests/loom.rs`.
-//! * `ownership-audit` — enables the [`audit`] shadow map, which panics the
+//! * `ownership-audit` — enables the `audit` shadow map, which panics the
 //!   moment any shared word is written by two cores in the same stage.
 
 #![forbid(unsafe_op_in_unsafe_fn)]

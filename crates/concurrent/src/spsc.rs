@@ -455,11 +455,6 @@ impl<T> Consumer<T> {
         let committed = unsafe { self.head.as_ref() }.len.load(Ordering::Acquire);
         committed.saturating_sub(self.idx) as u64
     }
-
-    /// Drains every element that is currently visible.
-    pub fn drain_visible(&mut self) -> DrainVisible<'_, T> {
-        DrainVisible { consumer: self }
-    }
 }
 
 impl<T> Drop for Consumer<T> {
@@ -471,19 +466,6 @@ impl<T> Drop for Consumer<T> {
             .consumed
             .store(self.idx, Ordering::Relaxed); // loom-model: queue_drop_with_unconsumed_elements_frees_exactly_once
         // Ownership of the chain transfers to Shared::drop via the Arc.
-    }
-}
-
-/// Iterator returned by [`Consumer::drain_visible`].
-pub struct DrainVisible<'a, T> {
-    consumer: &'a mut Consumer<T>,
-}
-
-impl<T> Iterator for DrainVisible<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.consumer.try_pop()
     }
 }
 
@@ -543,7 +525,7 @@ mod tests {
         for i in 0..n {
             tx.push(i);
         }
-        let got: Vec<u64> = rx.drain_visible().collect();
+        let got: Vec<u64> = std::iter::from_fn(|| rx.try_pop()).collect();
         assert_eq!(got.len() as u64, n);
         assert!(got.windows(2).all(|w| w[1] == w[0] + 1));
     }
@@ -561,7 +543,7 @@ mod tests {
             }
         }
         drop(tx);
-        let rest = rx.drain_visible().count() as u64;
+        let rest = std::iter::from_fn(|| rx.try_pop()).count() as u64;
         let total: u64 = (0..200u64).map(|r| r % 17).sum();
         assert_eq!(expected + rest, total);
     }
@@ -647,7 +629,7 @@ mod tests {
             tx.push(i);
         }
         assert_eq!(tx.pushed(), 100);
-        let _ = rx.drain_visible().count();
+        let _ = std::iter::from_fn(|| rx.try_pop()).count();
         assert_eq!(rx.popped(), 100);
     }
 
@@ -707,7 +689,7 @@ mod tests {
             tx.push_block(&block);
             tx.push(u64::MAX - 1); // scalar pushes still work afterwards
             assert_eq!(tx.pushed(), len as u64 + 2);
-            let got: Vec<u64> = rx.drain_visible().collect();
+            let got: Vec<u64> = std::iter::from_fn(|| rx.try_pop()).collect();
             assert_eq!(got.len(), len + 2);
             assert_eq!(got[0], u64::MAX);
             assert_eq!(&got[1..=len], &block[..]);
@@ -857,7 +839,7 @@ mod tests {
                     let mut seen = 0u64;
                     loop {
                         let closed = rx.is_closed();
-                        seen += rx.drain_visible().count() as u64;
+                        seen += std::iter::from_fn(|| rx.try_pop()).count() as u64;
                         if closed {
                             break;
                         }

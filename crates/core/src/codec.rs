@@ -145,19 +145,6 @@ impl KeyCodec {
         ((key / self.strides[j]) % self.arities[j]) as u16
     }
 
-    /// Decodes only the variables in `vars` (order respected) into `out`.
-    ///
-    /// This is the marginalization primitive's inner operation: the paper
-    /// stresses that "we do not need to recover the entire state string from
-    /// each key".
-    #[inline]
-    pub fn decode_subset_into(&self, key: u64, vars: &[usize], out: &mut [u16]) {
-        debug_assert_eq!(vars.len(), out.len());
-        for (slot, &v) in out.iter_mut().zip(vars) {
-            *slot = self.decode_var(key, v);
-        }
-    }
-
     /// Decodes the full state string (test/diagnostic helper).
     pub fn decode_full(&self, key: u64) -> Vec<u16> {
         (0..self.num_vars())
@@ -169,10 +156,12 @@ impl KeyCodec {
     /// mixed-radix rank of the decoded subset, using the marginal strides
     /// implied by the order of `vars`.
     ///
-    /// Equivalent to `decode_subset_into` followed by re-encoding, fused
-    /// into one pass — the hot operation of Algorithm 3.
+    /// Equivalent to decoding each of `vars` with
+    /// [`decode_var`](Self::decode_var) and re-encoding, fused into one
+    /// pass — the hot operation of Algorithm 3. As the paper stresses, "we
+    /// do not need to recover the entire state string from each key".
     #[inline]
-    pub fn marginal_key(&self, key: u64, vars: &[usize]) -> u64 {
+    pub(crate) fn marginal_key(&self, key: u64, vars: &[usize]) -> u64 {
         let mut mkey = 0u64;
         let mut mstride = 1u64;
         for &v in vars {
@@ -254,10 +243,9 @@ mod tests {
     fn subset_decoding_matches_full_decoding() {
         let c = codec(vec![2, 3, 4, 2, 3]);
         let vars = [1usize, 3, 4];
-        let mut out = [0u16; 3];
         for key in (0..c.state_space()).step_by(7) {
             let full = c.decode_full(key);
-            c.decode_subset_into(key, &vars, &mut out);
+            let out = vars.map(|v| c.decode_var(key, v));
             assert_eq!(out, [full[1], full[3], full[4]]);
         }
     }
@@ -267,8 +255,7 @@ mod tests {
         let c = codec(vec![2, 3, 4, 2]);
         let vars = [0usize, 2];
         for key in 0..c.state_space() {
-            let mut out = [0u16; 2];
-            c.decode_subset_into(key, &vars, &mut out);
+            let out = vars.map(|v| c.decode_var(key, v));
             let expected = u64::from(out[0]) + u64::from(out[1]) * 2;
             assert_eq!(c.marginal_key(key, &vars), expected);
         }

@@ -28,7 +28,7 @@
 //! ([`crate::stream`]) — run `two_stage`, whose per-core `Worker` moves
 //! data a block at a time: rows are encoded `ENC_BLOCK` at a time with
 //! [`KeyCodec::encode_rows`], owned keys are applied with the pre-hashed
-//! [`CountTable::increment_keys`], foreign keys cross the queues as
+//! `CountTable::increment_keys_probed`, foreign keys cross the queues as
 //! `(key, count)` runs through the write-combining [`Combiner`]
 //! (`push_block`), and stage 2 drains one queue segment per `pop_block` into
 //! [`CountTable::increment_block`]. None of this reorders arithmetic, so the

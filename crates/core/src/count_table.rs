@@ -209,7 +209,7 @@ impl CountTable {
     /// attributed to this increment (they land in the histogram's tail
     /// bucket, making growth spikes visible).
     #[inline]
-    pub fn increment_probed(&mut self, key: u64, by: u64) -> u64 {
+    pub(crate) fn increment_probed(&mut self, key: u64, by: u64) -> u64 {
         let before = self.probes;
         self.increment(key, by);
         self.probes - before
@@ -246,25 +246,20 @@ impl CountTable {
     /// with the slot-inspection count of every applied pair — exactly one
     /// call per pair, so the observability layer's probe histogram keeps its
     /// one-entry-per-increment mass invariant on the block path.
-    pub fn increment_block_probed(&mut self, block: &[(u64, u64)], probe: impl FnMut(u64)) {
+    pub(crate) fn increment_block_probed(&mut self, block: &[(u64, u64)], probe: impl FnMut(u64)) {
         self.apply_block_probed(block, probe);
     }
 
     /// Applies a block of keys, each incrementing its count by 1 —
-    /// `increment_block` without materializing `(key, 1)` pairs. Stage 1 of
+    /// `increment_block` without materializing `(key, 1)` pairs — with one
+    /// `probe` callback per key, mirroring
+    /// [`increment_block_probed`](Self::increment_block_probed). Stage 1 of
     /// the build feeds each block's locally owned keys straight in.
     ///
     /// # Panics
     ///
     /// Panics if any key is the all-ones sentinel.
-    pub fn increment_keys(&mut self, keys: &[u64]) {
-        self.apply_block_probed(keys, |_| {});
-    }
-
-    /// [`increment_keys`](Self::increment_keys) with one `probe` callback
-    /// per key, mirroring
-    /// [`increment_block_probed`](Self::increment_block_probed).
-    pub fn increment_keys_probed(&mut self, keys: &[u64], probe: impl FnMut(u64)) {
+    pub(crate) fn increment_keys_probed(&mut self, keys: &[u64], probe: impl FnMut(u64)) {
         self.apply_block_probed(keys, probe);
     }
 
@@ -413,7 +408,7 @@ impl CountTable {
 
 /// Item shape accepted by the block engine: a bare key (count 1) or an
 /// explicit `(key, count)` pair. Private — the public surface stays the
-/// concrete `increment_keys*` / `increment_block*` methods.
+/// concrete `increment_keys_probed` / `increment_block*` methods.
 trait BlockItem: Copy {
     /// The table key.
     fn key(&self) -> u64;
@@ -702,14 +697,12 @@ mod tests {
         let mut a = CountTable::new();
         let mut b = CountTable::new();
         let keys: Vec<u64> = (0..3_000u64).map(|i| (i * i) % 700).collect();
-        a.increment_keys(&keys);
+        let mut deltas = 0u64;
+        a.increment_keys_probed(&keys, |_| deltas += 1);
         for &k in &keys {
             b.increment(k, 1);
         }
         assert_eq!(a.to_sorted_vec(), b.to_sorted_vec());
-        let mut deltas = 0u64;
-        let mut c = CountTable::new();
-        c.increment_keys_probed(&keys, |_| deltas += 1);
         assert_eq!(deltas, keys.len() as u64);
     }
 

@@ -6,7 +6,7 @@
 //! tables are *sparse* (at most `m` distinct state strings were ever
 //! observed), so it suffices to iterate the stored entries. For each entry,
 //! only the variables in **V** are decoded from the key (one divide+modulo
-//! each — [`KeyCodec::marginal_key`]); the count is accumulated into a dense
+//! each — `KeyCodec::marginal_key`); the count is accumulated into a dense
 //! marginal table of size `∏_{v∈V} r_v`.
 //!
 //! Parallelization is pure data parallelism: each thread scans a disjoint
@@ -42,7 +42,7 @@ pub(crate) const TILE: usize = 512;
 /// A dense marginal count table over an ordered set of variables.
 ///
 /// Cell order is mixed-radix with the *first* variable fastest, matching
-/// [`KeyCodec::marginal_key`].
+/// `KeyCodec::marginal_key`.
 ///
 /// # Examples
 ///
@@ -133,7 +133,7 @@ impl MarginalTable {
     /// # Panics
     ///
     /// Panics if the assignment length or any state is out of range.
-    pub fn index_of(&self, states: &[u16]) -> usize {
+    pub(crate) fn index_of(&self, states: &[u16]) -> usize {
         assert_eq!(states.len(), self.vars.len(), "wrong assignment width");
         let mut idx = 0u64;
         let mut stride = 1u64;
@@ -158,11 +158,6 @@ impl MarginalTable {
     /// Probability of one marginal state assignment (count / m).
     pub fn prob(&self, states: &[u16]) -> f64 {
         self.count(states) as f64 / self.total as f64
-    }
-
-    /// Probability by raw cell index.
-    pub fn prob_at(&self, idx: usize) -> f64 {
-        self.counts[idx] as f64 / self.total as f64
     }
 
     /// All cells as probabilities.
@@ -314,7 +309,7 @@ impl MarginalTable {
     /// Merges a partial marginal computed on a *different* source table —
     /// the cross-shard form of Algorithm 3's merge step.
     ///
-    /// The intra-node merge ([`absorb`](Self::absorb)) sums partials that
+    /// The intra-node merge (`absorb`) sums partials that
     /// scanned disjoint partitions of **one** potential table, so they share
     /// a single total `m`. Shard partials instead come from disjoint
     /// *observation sets* (each shard ingested its own key-space slice of

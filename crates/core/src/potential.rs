@@ -55,7 +55,7 @@ impl PotentialTable {
     /// # Panics
     ///
     /// As [`from_parts`](Self::from_parts).
-    pub fn from_shared_parts(codec: KeyCodec, partitions: Vec<Arc<CountTable>>) -> Self {
+    pub(crate) fn from_shared_parts(codec: KeyCodec, partitions: Vec<Arc<CountTable>>) -> Self {
         assert!(!partitions.is_empty(), "need at least one partition");
         #[cfg(debug_assertions)]
         for (p, t) in partitions.iter().enumerate() {

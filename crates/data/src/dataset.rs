@@ -154,68 +154,6 @@ impl Dataset {
         let hits = self.rows().filter(|row| row[j] == s).count();
         hits as f64 / m as f64
     }
-
-    /// Splits into `([0, at), [at, m))` — the deterministic train/test cut.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > m`.
-    pub fn split_at(&self, at: usize) -> (Dataset, Dataset) {
-        let m = self.num_samples();
-        assert!(at <= m, "split point {at} beyond {m} samples");
-        let n = self.schema.num_vars();
-        let (head, tail) = self.states.split_at(at * n);
-        (
-            Dataset {
-                schema: self.schema.clone(),
-                states: head.to_vec(),
-            },
-            Dataset {
-                schema: self.schema.clone(),
-                states: tail.to_vec(),
-            },
-        )
-    }
-
-    /// Splits into a train set of `⌈fraction·m⌉` rows and a test set of the
-    /// rest, after a seeded Fisher–Yates shuffle of the row order (the
-    /// standard randomized holdout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn shuffled_split(&self, fraction: f64, seed: u64) -> (Dataset, Dataset) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must lie in [0, 1]"
-        );
-        let m = self.num_samples();
-        let n = self.schema.num_vars();
-        let mut order: Vec<usize> = (0..m).collect();
-        // Seeded Fisher–Yates over splitmix64 draws (no RNG dependency in
-        // this hot-free path).
-        let mut state = seed;
-        for i in (1..m).rev() {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^= x >> 31;
-            order.swap(i, (x % (i as u64 + 1)) as usize);
-        }
-        let cut = (fraction * m as f64).ceil() as usize;
-        let gather = |rows: &[usize]| {
-            let mut states = Vec::with_capacity(rows.len() * n);
-            for &r in rows {
-                states.extend_from_slice(self.row(r));
-            }
-            Dataset {
-                schema: self.schema.clone(),
-                states,
-            }
-        };
-        (gather(&order[..cut]), gather(&order[cut..]))
-    }
 }
 
 /// Incremental dataset builder for producers that emit one row at a time.
@@ -364,62 +302,6 @@ mod tests {
         assert!((d.empirical_frequency(1, 0) - 0.5).abs() < 1e-12);
         let empty = Dataset::from_rows(schema23(), &[]).unwrap();
         assert_eq!(empty.empirical_frequency(0, 0), 0.0);
-    }
-
-    #[test]
-    fn split_at_partitions_rows() {
-        let d = Dataset::from_rows(schema23(), &[&[0, 0], &[1, 1], &[1, 2], &[0, 2]]).unwrap();
-        let (head, tail) = d.split_at(1);
-        assert_eq!(head.num_samples(), 1);
-        assert_eq!(tail.num_samples(), 3);
-        assert_eq!(head.row(0), &[0, 0]);
-        assert_eq!(tail.row(2), &[0, 2]);
-        let (all, none) = d.split_at(4);
-        assert_eq!(all, d);
-        assert_eq!(none.num_samples(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond")]
-    fn split_past_end_panics() {
-        let d = Dataset::from_rows(schema23(), &[&[0, 0]]).unwrap();
-        let _ = d.split_at(2);
-    }
-
-    #[test]
-    fn shuffled_split_preserves_the_multiset() {
-        let rows: Vec<Vec<u16>> = (0..100)
-            .map(|i| vec![(i % 2) as u16, (i % 3) as u16])
-            .collect();
-        let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-        let d = Dataset::from_rows(schema23(), &refs).unwrap();
-        let (train, test) = d.shuffled_split(0.8, 7);
-        assert_eq!(train.num_samples(), 80);
-        assert_eq!(test.num_samples(), 20);
-        // Multiset of rows is preserved.
-        let mut combined: Vec<Vec<u16>> = train
-            .rows()
-            .chain(test.rows())
-            .map(<[u16]>::to_vec)
-            .collect();
-        combined.sort();
-        let mut original: Vec<Vec<u16>> = rows.clone();
-        original.sort();
-        assert_eq!(combined, original);
-        // Deterministic per seed, different across seeds.
-        assert_eq!(d.shuffled_split(0.8, 7).0, train);
-        assert_ne!(d.shuffled_split(0.8, 8).0, train);
-    }
-
-    #[test]
-    fn shuffled_split_edge_fractions() {
-        let d = Dataset::from_rows(schema23(), &[&[0, 0], &[1, 1]]).unwrap();
-        let (all, none) = d.shuffled_split(1.0, 1);
-        assert_eq!(all.num_samples(), 2);
-        assert_eq!(none.num_samples(), 0);
-        let (none2, all2) = d.shuffled_split(0.0, 1);
-        assert_eq!(none2.num_samples(), 0);
-        assert_eq!(all2.num_samples(), 2);
     }
 
     #[test]

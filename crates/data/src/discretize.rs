@@ -144,18 +144,8 @@ impl Discretizer {
         Ok(Self { edges, bins })
     }
 
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Bins per column.
-    pub fn bins(&self) -> u16 {
-        self.bins
-    }
-
     /// The state a single value maps to in column `j`.
-    pub fn bin_of(&self, j: usize, value: f64) -> u16 {
+    pub(crate) fn bin_of(&self, j: usize, value: f64) -> u16 {
         self.edges[j].iter().filter(|&&e| value > e).count() as u16
     }
 
@@ -232,8 +222,8 @@ mod tests {
     fn multi_column_shapes() {
         let values = [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0];
         let d = Discretizer::fit(&values, 2, 2, BinRule::EqualWidth).unwrap();
-        assert_eq!(d.num_columns(), 2);
         let data = d.apply(&values).unwrap();
+        assert_eq!(data.num_vars(), 2);
         assert_eq!(data.num_samples(), 4);
         // Columns are anti-correlated: bins must be too.
         for row in data.rows() {

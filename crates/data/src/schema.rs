@@ -121,24 +121,9 @@ impl Schema {
         self.state_space
     }
 
-    /// `true` if every variable has the same arity (the paper's simplifying
-    /// assumption).
-    pub fn is_uniform(&self) -> bool {
-        self.arities.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// Validates one observation row against the schema.
     pub fn validates_row(&self, row: &[u16]) -> bool {
         row.len() == self.arities.len() && row.iter().zip(&self.arities).all(|(&s, &r)| s < r)
-    }
-
-    /// Size of the marginal state space over a subset of variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn marginal_space_size(&self, vars: &[usize]) -> u64 {
-        vars.iter().map(|&v| u64::from(self.arities[v])).product()
     }
 }
 
@@ -152,7 +137,6 @@ mod tests {
             let s = Schema::uniform(n, 2).unwrap();
             assert_eq!(s.num_vars(), n);
             assert_eq!(s.state_space_size(), 1u64 << n);
-            assert!(s.is_uniform());
         }
     }
 
@@ -160,7 +144,6 @@ mod tests {
     fn mixed_arities() {
         let s = Schema::new(vec![2, 3, 5, 7]).unwrap();
         assert_eq!(s.state_space_size(), 2 * 3 * 5 * 7);
-        assert!(!s.is_uniform());
         assert_eq!(s.arity(2), 5);
     }
 
@@ -196,14 +179,6 @@ mod tests {
         assert!(!s.validates_row(&[2, 0])); // state out of range
         assert!(!s.validates_row(&[0])); // wrong length
         assert!(!s.validates_row(&[0, 0, 0]));
-    }
-
-    #[test]
-    fn marginal_space() {
-        let s = Schema::new(vec![2, 3, 5]).unwrap();
-        assert_eq!(s.marginal_space_size(&[0, 2]), 10);
-        assert_eq!(s.marginal_space_size(&[1]), 3);
-        assert_eq!(s.marginal_space_size(&[]), 1);
     }
 
     #[test]

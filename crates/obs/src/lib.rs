@@ -37,8 +37,7 @@ pub mod report;
 
 pub use metrics::{CoreHandle, CoreMetrics};
 pub use recorder::{
-    lat_bucket, probe_bucket, CoreRecorder, Counter, NoopCore, NoopRecorder, Recorder, Stage,
-    LAT_BUCKETS, LAT_BUCKET_LABELS, LAT_BUCKET_UPPER_NS, NUM_COUNTERS, NUM_STAGES, PROBE_BUCKETS,
-    PROBE_BUCKET_LABELS,
+    CoreRecorder, Counter, NoopCore, NoopRecorder, Recorder, Stage, LAT_BUCKETS, LAT_BUCKET_LABELS,
+    LAT_BUCKET_UPPER_NS, NUM_COUNTERS, NUM_STAGES, PROBE_BUCKETS, PROBE_BUCKET_LABELS,
 };
 pub use report::{CoreReport, MetricsReport, SCHEMA};

@@ -181,7 +181,7 @@ pub const PROBE_BUCKETS: usize = 8;
 
 /// Maps an increment's probe count to its histogram bucket.
 #[inline]
-pub fn probe_bucket(probes: u64) -> usize {
+pub(crate) fn probe_bucket(probes: u64) -> usize {
     match probes {
         0..=4 => (probes as usize).saturating_sub(1),
         5..=8 => 4,
@@ -204,7 +204,7 @@ pub const LAT_BUCKETS: usize = 16;
 /// schema's 8 power-of-four buckets were too coarse to bound a p99 tighter
 /// than 4x; the v4 buckets bound every percentile below 4 ms within 2x.
 #[inline]
-pub fn lat_bucket(ns: u64) -> usize {
+pub(crate) fn lat_bucket(ns: u64) -> usize {
     match ns {
         0..=249 => 0,
         250..=499 => 1,
@@ -226,7 +226,7 @@ pub fn lat_bucket(ns: u64) -> usize {
 }
 
 /// Human-readable latency bucket labels, index-aligned with
-/// [`lat_bucket`]'s ranges.
+/// `lat_bucket`'s ranges.
 pub const LAT_BUCKET_LABELS: [&str; LAT_BUCKETS] = [
     "<250ns",
     "250-500ns",
@@ -247,7 +247,7 @@ pub const LAT_BUCKET_LABELS: [&str; LAT_BUCKETS] = [
 ];
 
 /// Exclusive upper edge of each latency bucket in nanoseconds, index-aligned
-/// with [`lat_bucket`]; the unbounded last bucket reports `u64::MAX`. Used by
+/// with `lat_bucket`; the unbounded last bucket reports `u64::MAX`. Used by
 /// the report's percentile estimator: "p99 <= edge" is exact by construction.
 pub const LAT_BUCKET_UPPER_NS: [u64; LAT_BUCKETS] = [
     250,

@@ -58,12 +58,12 @@ impl CoreReport {
     }
 
     /// Total histogram mass (number of recorded table increments).
-    pub fn probe_mass(&self) -> u64 {
+    pub(crate) fn probe_mass(&self) -> u64 {
         self.probe_hist.iter().sum()
     }
 
     /// Total latency-histogram mass (number of recorded query latencies).
-    pub fn lat_mass(&self) -> u64 {
+    pub(crate) fn lat_mass(&self) -> u64 {
         self.lat_hist.iter().sum()
     }
 
@@ -426,7 +426,7 @@ impl MetricsReport {
     /// The report as a pretty-printed JSON object whose nested lines are
     /// indented `indent` spaces past the opening brace — lets the binaries
     /// embed the report inside a larger hand-rolled document.
-    pub fn json_fragment(&self, indent: usize) -> String {
+    pub(crate) fn json_fragment(&self, indent: usize) -> String {
         let p0 = " ".repeat(indent);
         let p1 = " ".repeat(indent + 2);
         let p2 = " ".repeat(indent + 4);

@@ -20,45 +20,16 @@
 /// time `service`, in the same unit as `service`.
 ///
 /// `rho` is clamped to `[0, MAX_RHO]`.
-pub fn mdone_waiting_time(service: f64, rho: f64) -> f64 {
+pub(crate) fn mdone_waiting_time(service: f64, rho: f64) -> f64 {
     const MAX_RHO: f64 = 0.98;
     let rho = rho.clamp(0.0, MAX_RHO);
     service * rho / (2.0 * (1.0 - rho))
 }
 
-/// Solves the closed-loop fixed point; returns `(cycle, wait, rho)`.
-///
-/// * `t_out` — per-update work outside the lock (cycles);
-/// * `service` — critical-section length (cycles);
-/// * `p` — number of cores; `stripes` — number of lock stripes.
-pub fn lock_cycle_fixed_point(
-    t_out: f64,
-    service: f64,
-    p: usize,
-    stripes: usize,
-) -> (f64, f64, f64) {
-    assert!(stripes > 0, "need at least one stripe");
-    assert!(p > 0, "need at least one core");
-    let mut wait = 0.0;
-    let mut rho = 0.0;
-    for _ in 0..64 {
-        let cycle = t_out + service + wait;
-        rho = (p as f64 / cycle) * service / stripes as f64;
-        let next = mdone_waiting_time(service, rho);
-        if (next - wait).abs() < 1e-9 {
-            wait = next;
-            break;
-        }
-        // Damped update for stability near saturation.
-        wait = 0.5 * wait + 0.5 * next;
-    }
-    (t_out + service + wait, wait, rho.clamp(0.0, 1.0))
-}
-
-/// Convoy-aware fixed point: like [`lock_cycle_fixed_point`], but the
-/// critical section grows with the queue it causes — each waiter spinning on
-/// the lock word forces one extra line transfer per handoff (the classic
-/// spin-lock convoy), so
+/// Solves the closed-loop fixed point of the module docs, with a convoy
+/// term: the critical section grows with the queue it causes — each waiter
+/// spinning on the lock word forces one extra line transfer per handoff (the
+/// classic spin-lock convoy), so
 ///
 /// ```text
 /// s_eff = s₀ + line_transfer · L_q,    L_q = ρ² / (2 (1 − ρ))
@@ -67,10 +38,15 @@ pub fn lock_cycle_fixed_point(
 /// This positive feedback is what turns saturation into *degradation*: past
 /// the stripe capacity, adding cores makes every handoff slower, and the
 /// speedup curve's slope goes negative — the paper's Figure 3b/4b TBB
-/// behavior.
+/// behavior. With `line_transfer = 0` the convoy term vanishes and this is
+/// the plain M/D/1 fixed point.
+///
+/// * `t_out` — per-update work outside the lock (cycles);
+/// * `s0` — uncontended critical-section length (cycles);
+/// * `p` — number of cores; `stripes` — number of lock stripes.
 ///
 /// Returns `(cycle, s_eff, rho)`.
-pub fn convoy_lock_cycle_fixed_point(
+pub(crate) fn convoy_lock_cycle_fixed_point(
     t_out: f64,
     s0: f64,
     line_transfer: f64,
@@ -103,6 +79,18 @@ pub fn convoy_lock_cycle_fixed_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain M/D/1 fixed point (no convoy term); returns
+    /// `(cycle, wait, rho)`.
+    fn lock_cycle_fixed_point(
+        t_out: f64,
+        service: f64,
+        p: usize,
+        stripes: usize,
+    ) -> (f64, f64, f64) {
+        let (cycle, s_eff, rho) = convoy_lock_cycle_fixed_point(t_out, service, 0.0, p, stripes);
+        (cycle, cycle - t_out - s_eff, rho)
+    }
 
     #[test]
     fn zero_load_means_zero_wait() {
@@ -153,8 +141,8 @@ mod tests {
 
     #[test]
     fn convoy_fixed_point_is_low_load_compatible() {
-        // At negligible load the convoy term vanishes and both fixed points
-        // agree.
+        // At negligible load the convoy term vanishes and the fixed point
+        // agrees with the plain one.
         let (c_plain, _, _) = lock_cycle_fixed_point(1000.0, 10.0, 1, 64);
         let (c_convoy, s_eff, _) = convoy_lock_cycle_fixed_point(1000.0, 10.0, 90.0, 1, 64);
         assert!((c_plain - c_convoy).abs() < 1.0);

@@ -128,19 +128,19 @@ impl CostModel {
     }
 
     /// Cost of encoding one `n`-variable row (including loop overhead).
-    pub fn encode_row(&self, n: usize) -> f64 {
+    pub(crate) fn encode_row(&self, n: usize) -> f64 {
         self.encode_var * n as f64 + self.row_overhead
     }
 
     /// Cost of encoding one `n`-variable row inside an `encode_rows` block
     /// (ILP tile + amortized loop overhead).
-    pub fn encode_row_block(&self, n: usize) -> f64 {
+    pub(crate) fn encode_row_block(&self, n: usize) -> f64 {
         self.encode_var_block * n as f64 + self.block_row_overhead
     }
 
     /// Queue elements per transferred cache line on the batched paths: the
     /// combined `(key, count)` element is 16 bytes, twice the scalar key.
-    pub fn pairs_per_line(&self) -> f64 {
+    pub(crate) fn pairs_per_line(&self) -> f64 {
         (self.keys_per_line / 2.0).max(1.0)
     }
 
@@ -148,7 +148,7 @@ impl CostModel {
     /// core among `p`, accounting for socket topology: peers on the same
     /// socket cost `line_transfer`, peers across the socket boundary cost
     /// `line_transfer × cross_socket_multiplier`.
-    pub fn remote_transfer_cost(&self, p: usize) -> f64 {
+    pub(crate) fn remote_transfer_cost(&self, p: usize) -> f64 {
         if p <= 1 {
             return 0.0;
         }

@@ -38,13 +38,11 @@ pub mod sim_locked;
 pub mod sim_marginal;
 pub mod sim_waitfree;
 
-pub use contention::mdone_waiting_time;
 pub use cost::CostModel;
 pub use report::{SimPoint, SimSeries};
-pub use sim_cluster::{simulate_cluster_marginal, simulate_cluster_scaling};
+pub use sim_cluster::simulate_cluster_marginal;
 pub use sim_locked::simulate_striped_build;
 pub use sim_marginal::{simulate_all_pairs_mi, simulate_marginalization};
 pub use sim_waitfree::{
-    simulate_sequential_build, simulate_sequential_build_batched, simulate_waitfree_build,
-    simulate_waitfree_build_batched,
+    simulate_sequential_build, simulate_waitfree_build, simulate_waitfree_build_batched,
 };

@@ -70,15 +70,6 @@ impl SimSeries {
             .collect()
     }
 
-    /// The largest speedup achieved and the core count achieving it.
-    pub fn peak_speedup(&self) -> Option<(usize, f64)> {
-        self.points
-            .iter()
-            .zip(self.speedups())
-            .map(|(p, s)| (p.cores, s))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("speedups are finite"))
-    }
-
     /// Renders `cores,cycles,speedup` CSV lines (no header).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -108,9 +99,6 @@ mod tests {
         s.push(point(2, 500.0));
         s.push(point(4, 300.0));
         assert_eq!(s.speedups(), vec![1.0, 2.0, 1000.0 / 300.0]);
-        let (cores, sp) = s.peak_speedup().unwrap();
-        assert_eq!(cores, 4);
-        assert!((sp - 10.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

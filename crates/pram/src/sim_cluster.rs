@@ -20,7 +20,7 @@
 //! as the merge term caps core scaling in Algorithm 3.
 
 use crate::cost::CostModel;
-use crate::report::{SimPoint, SimSeries};
+use crate::report::SimPoint;
 use wfbn_core::potential::PotentialTable;
 
 /// Simulates one cross-shard marginalization over `vars` on a cluster of
@@ -81,41 +81,24 @@ pub fn simulate_cluster_marginal(
     }
 }
 
-/// Simulates the shard-scaling series: one [`SimPoint`] per shard count in
-/// `shard_counts` (ascending), each with `cores_per_shard` cores.
-///
-/// `1 / seconds(point)` is the closed-loop query throughput the series is
-/// gated on: queries a single client completes back to back.
-pub fn simulate_cluster_scaling(
-    table: &PotentialTable,
-    vars: &[usize],
-    shard_counts: &[usize],
-    cores_per_shard: usize,
-    model: &CostModel,
-) -> SimSeries {
-    let mut series = SimSeries::new(format!(
-        "cluster marginal |vars|={} P={cores_per_shard}",
-        vars.len()
-    ));
-    for &s in shard_counts {
-        series.push(simulate_cluster_marginal(
-            table,
-            vars,
-            s,
-            cores_per_shard,
-            model,
-        ));
-    }
-    series
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SimSeries;
     use crate::sim_marginal::simulate_marginalization;
     use crate::sim_waitfree::simulate_waitfree_build;
     use crate::CostModel;
     use wfbn_data::{Dataset, Generator, Schema, UniformIndependent};
+
+    /// Query-throughput speedup of the `[0, 7]` pair marginal over
+    /// S ∈ {1, 2, 4, 8} shards at two cores per shard.
+    fn shard_speedups(t: &PotentialTable, model: &CostModel) -> Vec<f64> {
+        let mut series = SimSeries::new("cluster marginal");
+        for s in [1, 2, 4, 8] {
+            series.push(simulate_cluster_marginal(t, &[0, 7], s, 2, model));
+        }
+        series.speedups()
+    }
 
     fn table(n: usize, m: usize, p: usize) -> PotentialTable {
         let d: Dataset = UniformIndependent::new(Schema::uniform(n, 2).unwrap()).generate(m, 3);
@@ -144,8 +127,7 @@ mod tests {
         // fixed cores per shard.
         let model = CostModel::default();
         let t = table(20, 60_000, 4);
-        let series = simulate_cluster_scaling(&t, &[0, 7], &[1, 2, 4, 8], 2, &model);
-        let speedups = series.speedups();
+        let speedups = shard_speedups(&t, &model);
         assert!(
             speedups[3] >= 3.0,
             "S=1→8 throughput scaling {:.2} < 3.0",
@@ -157,8 +139,7 @@ mod tests {
     fn scaling_is_monotone_then_hop_bound() {
         let model = CostModel::default();
         let t = table(20, 60_000, 4);
-        let series = simulate_cluster_scaling(&t, &[0, 7], &[1, 2, 4, 8], 2, &model);
-        let s = series.speedups();
+        let s = shard_speedups(&t, &model);
         assert!(s.windows(2).all(|w| w[1] > w[0]), "monotone in S: {s:?}");
         // Sub-linear: hops + S-way merge keep S=8 below ideal.
         assert!(s[3] < 8.0, "S=8 speedup {:.2} should be sub-linear", s[3]);

@@ -16,7 +16,7 @@
 //! number of segment locks — the effective concurrency of the 2013-era TBB
 //! map under the paper's insert-everything workload. Together with the
 //! convoy feedback (each waiter adds a line transfer per lock handoff —
-//! [`crate::contention::convoy_lock_cycle_fixed_point`]) and the two-socket
+//! `contention::convoy_lock_cycle_fixed_point`) and the two-socket
 //! topology of the paper's Opteron, this is what rolls the TBB speedup
 //! curve over past ~16 cores in Figures 3b/4b.
 

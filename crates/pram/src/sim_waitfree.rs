@@ -115,7 +115,7 @@ pub fn simulate_waitfree_build(
 /// Simulates the single-threaded *batched* build (`sequential_build_batched`):
 /// block encoding via the `encode_rows` ILP tile plus the batched table
 /// application. Returns the point and the finished table.
-pub fn simulate_sequential_build_batched(
+pub(crate) fn simulate_sequential_build_batched(
     data: &Dataset,
     model: &CostModel,
 ) -> (SimPoint, PotentialTable) {
@@ -145,13 +145,13 @@ pub fn simulate_sequential_build_batched(
 /// are exact), block queue transfer, and weighted stage-2 application.
 ///
 /// Cost deltas against [`simulate_waitfree_build`]:
-/// * encode: [`CostModel::encode_row_block`] per row instead of
-///   [`CostModel::encode_row`];
+/// * encode: `CostModel::encode_row_block` per row instead of
+///   `CostModel::encode_row`;
 /// * forward: one [`CostModel::combine_hit`] per occurrence, plus — only for
 ///   occurrences that become queue elements — [`CostModel::queue_push_block`]
 ///   each and [`CostModel::block_publish`] per flush;
 /// * drain: [`CostModel::queue_pop_block`] per element, line transfers
-///   amortized over [`CostModel::pairs_per_line`] (16-byte elements), one
+///   amortized over `CostModel::pairs_per_line` (16-byte elements), one
 ///   weighted table update per element.
 pub fn simulate_waitfree_build_batched(
     data: &Dataset,

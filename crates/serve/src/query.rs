@@ -61,7 +61,7 @@ pub enum Request {
 
 impl Request {
     /// The protocol verb this request was written with.
-    pub fn verb(&self) -> &'static str {
+    pub(crate) fn verb(&self) -> &'static str {
         match self {
             Request::Marginal(..) => "MARGINAL",
             Request::Mi { .. } => "MI",
