@@ -38,7 +38,7 @@ use crate::graph::Ug;
 use crate::pdag::PDag;
 use core::fmt;
 use std::collections::HashMap;
-use wfbn_core::allpairs::{all_pairs_mi, MiMatrix};
+use wfbn_core::allpairs::MiMatrix;
 use wfbn_core::construct::waitfree_build;
 use wfbn_core::error::CoreError;
 use wfbn_core::marginal::PackedTable;
@@ -112,8 +112,9 @@ pub struct ChengLearner {
     pub epsilon: f64,
     /// CI decision rule for thickening/thinning.
     pub ci_test: CiTest,
-    /// Worker threads for table construction, all-pairs MI and packing the
-    /// one snapshot a learn's CI phases share. The CI tests run on the
+    /// Worker threads for table construction, packing the one snapshot
+    /// every phase of a learn reads, and all-pairs MI, which counts the
+    /// snapshot's blocks. The CI tests run on the
     /// calling thread: each separation search scans the snapshot once, for
     /// the joint over its pair and candidate cut, and its tests collapse
     /// their joints from that one.
@@ -149,8 +150,11 @@ impl ChengLearner {
         let mut stats = PhaseStats::default();
         let mut sepsets: SepSets = HashMap::new();
 
+        // Every phase reads one packed, bit-sliced snapshot of the table.
+        let packed = PackedTable::pack(table, self.threads)?;
+
         // ---- Phase 1: drafting (parallel all-pairs MI). ----
-        let mi = all_pairs_mi(table, self.threads);
+        let mi = packed.all_pairs_mi(self.threads);
         let (mut graph, deferred) = draft(&mi, self.epsilon);
         stats.draft_edges = graph.num_edges();
         stats.deferred_pairs = deferred.len();
@@ -161,8 +165,7 @@ impl ChengLearner {
             }
         }
 
-        // ---- Phases 2–3 scan one snapshot of the table. ----
-        let packed = PackedTable::pack(table, self.threads)?;
+        // ---- Phases 2–3: CI tests. ----
         stats.thickening_added = thicken_packed(
             &mut graph,
             &deferred,

@@ -6,9 +6,9 @@
 //! construction. Answering a cache-missing scope is
 //!
 //! 1. one **fan-out**: each scope is marginalized against every shard's
-//!    packed snapshot of the pinned cut — each shard table packed once per
-//!    cut epoch, on the cut's first miss, exactly as the single-node reader
-//!    packs its one table ([`MarginalCache::answer`]);
+//!    packed snapshot of the pinned cut — each packed by its shard's writer
+//!    before it published the epoch, exactly as the single-node reader reads
+//!    its one ([`MarginalCache::answer`]);
 //! 2. `S` **partial merges** per scope: shard partials count *disjoint*
 //!    observation sets (the router gives every key exactly one owner), so
 //!    [`MarginalTable::merge_shard`] — elementwise count sums plus a total
@@ -22,21 +22,21 @@
 
 use std::sync::Arc;
 use wfbn_concurrent::cluster_epoch::{ClusterCut, ClusterReader};
-use wfbn_core::{MarginalTable, PotentialTable};
+use wfbn_core::MarginalTable;
 use wfbn_obs::{CoreRecorder, Counter, Recorder};
-use wfbn_serve::{MarginalCache, QueryEndpoint, ServeError};
+use wfbn_serve::{Epoch, MarginalCache, QueryEndpoint, ServeError};
 
 /// A cluster-level query endpoint answering against pinned cluster cuts;
 /// see the [module docs](self).
 pub struct ClusterClient<R: Recorder> {
-    lane: ClusterReader<PotentialTable>,
+    lane: ClusterReader<Epoch>,
     cache: MarginalCache,
     rec: Arc<R>,
     core: usize,
 }
 
 impl<R: Recorder> ClusterClient<R> {
-    pub(crate) fn new(lane: ClusterReader<PotentialTable>, rec: Arc<R>, core: usize) -> Self {
+    pub(crate) fn new(lane: ClusterReader<Epoch>, rec: Arc<R>, core: usize) -> Self {
         ClusterClient {
             lane,
             cache: MarginalCache::new(),
@@ -74,7 +74,7 @@ impl<R: Recorder> ClusterClient<R> {
     /// Advances to the newest published cluster cut, flushing the marginal
     /// cache and counting an `epochs_pinned` event if the epoch moved.
     /// Returns `None` until the first complete cut reaches this client.
-    pub fn pin(&mut self) -> Option<(u64, ClusterCut<PotentialTable>)> {
+    pub fn pin(&mut self) -> Option<(u64, ClusterCut<Epoch>)> {
         let before = self.lane.pinned_epoch();
         let pinned = self.lane.pin().map(|(e, cut)| (e, Arc::clone(cut)));
         if let Some((epoch, _)) = pinned {

@@ -47,7 +47,7 @@ use wfbn_concurrent::epoch::EpochReader;
 use wfbn_core::{KeyCodec, PotentialTable};
 use wfbn_data::{Dataset, Schema};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder};
-use wfbn_serve::{Engine, EngineConfig, QueryReader, ServeError};
+use wfbn_serve::{Engine, EngineConfig, Epoch, QueryReader, ServeError};
 
 /// Construction parameters for [`Cluster::start`].
 #[derive(Debug, Clone)]
@@ -134,7 +134,7 @@ pub struct Cluster<R: Recorder> {
     codec: KeyCodec,
     schema: Schema,
     /// The cluster's own accounting endpoint on the cluster-epoch channel.
-    watch: ClusterReader<PotentialTable>,
+    watch: ClusterReader<Epoch>,
     coordinator: Option<JoinHandle<Result<(), ClusterError>>>,
     verdict: Option<CoordVerdict>,
     rec: Arc<R>,
@@ -185,7 +185,7 @@ impl<R: Recorder + Send + Sync + 'static> Cluster<R> {
 
         let mut engines = Vec::with_capacity(cfg.shards);
         let mut shard_readers = Vec::with_capacity(cfg.shards);
-        let mut lanes: Vec<EpochReader<PotentialTable>> = Vec::with_capacity(cfg.shards);
+        let mut lanes: Vec<EpochReader<Epoch>> = Vec::with_capacity(cfg.shards);
         for shard_rec in shard_recs {
             let (engine, readers, mut observers) =
                 Engine::start_with_observers(schema, &cfg.engine, shard_rec, 1)?;
@@ -196,8 +196,7 @@ impl<R: Recorder + Send + Sync + 'static> Cluster<R> {
 
         // Lane 0 is the cluster's own accounting endpoint; client lanes
         // follow.
-        let (mut publisher, mut ends) =
-            cluster_epoch_channel::<PotentialTable>(cfg.shards, cfg.clients + 1);
+        let (mut publisher, mut ends) = cluster_epoch_channel::<Epoch>(cfg.shards, cfg.clients + 1);
         let watch = ends.remove(0);
         let clients: Vec<ClusterClient<R>> = ends
             .into_iter()
@@ -260,13 +259,12 @@ impl<R: Recorder + Send + Sync + 'static> Cluster<R> {
                         // Every lane closed and drained, no cut pending.
                         return Ok(());
                     }
-                    if publisher.staged() > 0 {
-                        // A cut is waiting on a live shard; bound the wait.
+                    // A partial cut is waiting on a live shard; bound the
+                    // wait.
+                    let waiting = publisher.waiting_on().filter(|_| publisher.staged() > 0);
+                    if let Some(shard) = waiting {
                         idle += 1;
                         if idle > stall_budget {
-                            let shard = publisher
-                                .waiting_on()
-                                .expect("a partial cut has a missing shard");
                             return Err(ClusterError::Stalled {
                                 shard,
                                 epoch: publisher.published() + 1,
@@ -475,7 +473,7 @@ mod tests {
         let (epoch, cut) = clients[0].pin().unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(cut.len(), 3, "one snapshot per shard");
-        let total: u64 = cut.iter().map(|t| t.total_count()).sum();
+        let total: u64 = cut.iter().map(|e| e.table().total_count()).sum();
         assert_eq!(total, 4, "every row counted on exactly one shard");
         cluster.finish().unwrap();
     }

@@ -11,9 +11,9 @@
 //! each pair rescans the whole table: `n(n−1)/2` passes, each decoding two
 //! variables per entry with a divide and a modulo. [`all_pairs_mi`] instead
 //! parallelizes over the table: each core walks its own partitions once, in
-//! blocks of `BLOCK` entries decoded into bit fields (the layout of
-//! [`PackedTable`](crate::marginal::PackedTable)), and counts every pair's
-//! joint from each block:
+//! blocks of 4 096 entries decoded into bit fields and bit-sliced (the
+//! blocks of a [`PackedTable`], built by the same routine), and counts
+//! every pair's joint from each block:
 //!
 //! - a pair with `(r_i − 1)(r_j − 1) ≤ SLICE_CELLS` is **bit-sliced**: the
 //!   block keeps one bitmap per variable state `a < r_v − 1` and the bit
@@ -26,12 +26,17 @@
 //!
 //! Both kernels count exactly, and the per-core joints merge by exact
 //! integer sums, so the matrix is bit-identical to evaluating each pair on
-//! `marginalize(&[i, j])`, at any thread count. (The PRAM simulator in
+//! `marginalize(&[i, j])`, at any thread count. [`all_pairs_mi`] streams
+//! its blocks, one per thread at a time; [`PackedTable::all_pairs_mi`]
+//! counts a snapshot's stored blocks with the same per-block function, for
+//! a caller that packs the table anyway. (The PRAM simulator in
 //! `wfbn-pram` models the paper's pair-parallel schedule instead.)
 
+use crate::codec::KeyCodec;
 use crate::entropy::mutual_information;
-use crate::marginal::{MarginalTable, PackLayout, TILE};
+use crate::marginal::{MarginalTable, PackLayout, PackedTable, TILE};
 use crate::potential::PotentialTable;
+use crate::slice::{Block, Sliced, BLOCK};
 use core::ops::Range;
 use wfbn_concurrent::{pair_count, run_on_threads_with};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
@@ -112,6 +117,12 @@ impl MiMatrix {
 
 /// Computes all-pairs MI on `threads` threads.
 ///
+/// The table is scanned in blocks of 4 096 entries, each packed, sliced and
+/// counted before the next, so the scan holds one block per thread and
+/// never a whole-table snapshot. A caller that also marginalizes the table
+/// packs a [`PackedTable`] once and calls [`PackedTable::all_pairs_mi`]
+/// on it instead: the same counts from the snapshot's stored blocks.
+///
 /// # Examples
 ///
 /// ```
@@ -144,37 +155,26 @@ pub fn all_pairs_mi_recorded<R: Recorder>(
 ) -> MiMatrix {
     assert!(threads > 0, "need at least one thread");
     let codec = table.codec();
-    let n = codec.num_vars();
     let layout = PackLayout::new(codec);
+    let pairs = Pairs::new(codec);
+    // Only the variables of a bit-sliced pair get bitmaps.
+    let mut in_sliced = vec![false; codec.num_vars()];
+    for pair in &pairs.sliced {
+        in_sliced[pair.i] = true;
+        in_sliced[pair.j] = true;
+    }
+    let sliced = Sliced::new(&layout, |v| in_sliced[v]);
     let p = table.num_partitions();
     let t = threads.min(p);
 
-    // Every pair in `iter_pairs` order, its joint laid out like
-    // `marginalize(&[i, j])` from cell `at` of the flat joints.
-    let mut pairs = Vec::with_capacity(pair_count(n));
-    let mut cells = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs.push(Pair { i, j, at: cells });
-            cells += (codec.arity(i) * codec.arity(j)) as usize;
-        }
-    }
-    let (sliced, wide): (Vec<Pair>, Vec<Pair>) = pairs
-        .iter()
-        .partition(|pair| is_sliced(codec.arity(pair.i), codec.arity(pair.j)));
-    let slices = Slices::new(&layout, sliced);
-
-    // Each thread's buffers and joints come from the calling thread, so
-    // their memory goes back to its allocator when the call returns.
+    // Each thread's block and counts come from the calling thread, so their
+    // memory goes back to its allocator when the call returns.
     let mut scans: Vec<Scan> = (0..t)
         .map(|_| Scan {
-            words: vec![0; layout.words * BLOCK],
+            block: Block::new(&layout, sliced.bitmaps, BLOCK),
             counts: vec![0; BLOCK],
-            bitmaps: vec![0; slices.bitmaps * BLOCK_WORDS],
-            planes: Vec::new(),
-            singles: vec![0; slices.bitmaps],
-            joints: vec![0; cells],
-            total: 0,
+            singles: vec![0; sliced.bitmaps],
+            joints: vec![0; pairs.cells],
         })
         .collect();
     run_on_threads_with(scans.iter_mut().collect(), |tid, scan| {
@@ -182,65 +182,77 @@ pub fn all_pairs_mi_recorded<R: Recorder>(
         let t0 = cr.now();
         let mut entries = (tid..p).step_by(t).flat_map(|i| table.partition(i).iter());
         let mut scanned = 0u64;
-        loop {
-            let len = layout.pack(&mut entries, BLOCK, &mut scan.words, &mut scan.counts);
-            if len == 0 {
-                break;
-            }
-            scanned += len as u64;
-            scan.total += scan.counts[..len].iter().sum::<u64>();
-            if slices.bitmaps > 0 {
-                scan.count_sliced(&layout, &slices, len);
-            }
-            for start in (0..len).step_by(TILE) {
-                accumulate_tile(&layout, &wide, scan, start..len.min(start + TILE));
-            }
+        while scan
+            .block
+            .fill(&layout, &sliced, &mut entries, &mut scan.counts)
+            > 0
+        {
+            scanned += scan.block.len() as u64;
+            scan.block.add_singles(&mut scan.singles);
+            pairs.count_block(&layout, &sliced, &scan.block, &mut scan.joints);
         }
-        scan.complete_sliced(&layout, &slices);
         cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
         cr.add(Counter::EntriesScanned, scanned);
     });
 
-    // Merge the partial joints (exact integer sums), then evaluate each pair.
+    // Merge the partial counts (exact integer sums), then evaluate each pair.
     let (first, rest) = scans.split_first_mut().expect("at least one thread");
     for scan in rest {
         for (a, b) in first.joints.iter_mut().zip(&scan.joints) {
             *a += b;
         }
+        for (a, b) in first.singles.iter_mut().zip(&scan.singles) {
+            *a += b;
+        }
     }
-    let total = table.total_count();
-    let mut matrix = MiMatrix::zeroed(n);
-    for &Pair { i, j, at } in &pairs {
-        let (ri, rj) = (codec.arity(i), codec.arity(j));
-        let pair = MarginalTable::from_raw_parts(
-            vec![i, j],
-            vec![ri, rj],
-            first.joints[at..][..(ri * rj) as usize].to_vec(),
-            total,
-        );
-        matrix.set(i, j, mutual_information(&pair));
-    }
+    let matrix = pairs.evaluate(
+        &layout,
+        &sliced,
+        &first.singles,
+        table.total_count(),
+        &mut first.joints,
+    );
     // The merge runs on the calling thread after the scan threads have
     // joined, so reusing core 0's handle stays single-writer.
     let mut cr = rec.core(0);
-    cr.add(Counter::PairsScanned, pair_count(n) as u64);
+    cr.add(Counter::PairsScanned, pairs.all.len() as u64);
     matrix
 }
 
-/// Entries per block of a scan thread. A block is packed, bit-sliced and
-/// counted before the next one, so its bitmaps (`BLOCK / 64` words per
-/// variable state) stay in L1/L2 whatever the table's size.
-const BLOCK: usize = 4096;
-
-/// Words per bitmap of one block.
-const BLOCK_WORDS: usize = BLOCK / 64;
+impl PackedTable {
+    /// All-pairs MI from the snapshot's stored blocks, on `threads` threads
+    /// that each count every `threads`-th block: bit-identical to
+    /// [`all_pairs_mi`] on the packed table, without decoding it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn all_pairs_mi(&self, threads: usize) -> MiMatrix {
+        assert!(threads > 0, "need at least one thread");
+        let pairs = Pairs::new(self.codec());
+        let t = threads.min(self.blocks.len()).max(1);
+        let mut joints = vec![vec![0; pairs.cells]; t];
+        run_on_threads_with(joints.iter_mut().collect(), |tid, joints| {
+            for block in self.blocks.iter().skip(tid).step_by(t) {
+                pairs.count_block(&self.layout, &self.sliced, block, joints);
+            }
+        });
+        let (first, rest) = joints.split_first_mut().expect("at least one thread");
+        for other in rest {
+            for (a, b) in first.iter_mut().zip(other.iter()) {
+                *a += b;
+            }
+        }
+        pairs.evaluate(&self.layout, &self.sliced, &self.singles, self.total, first)
+    }
+}
 
 /// Largest `(r_i − 1)(r_j − 1)` a pair is counted with by bit-slices. Such a
 /// pair pays an AND and a popcount per counted cell and 64 entries; the tile
 /// fold pays a scatter per entry. At 16 cells the popcounted words match
 /// the 64 scatters, so wider pairs keep the fold. The choice depends on the
 /// schema alone, and both kernels count exactly.
-const SLICE_CELLS: u64 = 16;
+pub(crate) const SLICE_CELLS: u64 = 16;
 
 /// Whether a pair of arities `r_i`, `r_j` is counted by bit-slices rather
 /// than the tile fold.
@@ -256,193 +268,140 @@ struct Pair {
     at: usize,
 }
 
-/// The pairs counted by bit-slices, and the bitmaps they need: variables
-/// in no such pair get none.
-struct Slices {
-    pairs: Vec<Pair>,
-    /// Per variable, the index of its bitmap `B[v, 0]`; `B[v, a]` follows at
-    /// `+ a` for `a < r_v − 1`. `usize::MAX` for a variable without bitmaps.
-    first: Vec<usize>,
-    /// Bitmaps per block: `Σ (r_v − 1)` over the variables with bitmaps.
-    bitmaps: usize,
+/// Every pair's joint, laid out like `marginalize(&[i, j])` from cell `at`
+/// of one flat array, and the kernel that counts it.
+struct Pairs {
+    n: usize,
+    /// Every pair, in `iter_pairs` order.
+    all: Vec<Pair>,
+    /// The pairs counted by bit-slices.
+    sliced: Vec<Pair>,
+    /// The pairs counted by the tile fold.
+    wide: Vec<Pair>,
+    /// Cells of all joints together.
+    cells: usize,
 }
 
-impl Slices {
-    fn new(layout: &PackLayout, pairs: Vec<Pair>) -> Self {
-        let mut sliced = vec![false; layout.fields.len()];
-        for pair in &pairs {
-            sliced[pair.i] = true;
-            sliced[pair.j] = true;
-        }
-        let (mut first, mut bitmaps) = (Vec::new(), 0);
-        for (f, sliced) in layout.fields.iter().zip(sliced) {
-            if sliced {
-                first.push(bitmaps);
-                bitmaps += (f.arity - 1) as usize;
-            } else {
-                first.push(usize::MAX);
+impl Pairs {
+    fn new(codec: &KeyCodec) -> Self {
+        let n = codec.num_vars();
+        let mut all = Vec::with_capacity(pair_count(n));
+        let mut cells = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                all.push(Pair { i, j, at: cells });
+                cells += (codec.arity(i) * codec.arity(j)) as usize;
             }
         }
+        let (sliced, wide) = all
+            .iter()
+            .partition(|pair| is_sliced(codec.arity(pair.i), codec.arity(pair.j)));
         Self {
-            pairs,
-            first,
-            bitmaps,
+            n,
+            all,
+            sliced,
+            wide,
+            cells,
         }
     }
-}
 
-/// One scan thread's block buffers and counts.
-struct Scan {
-    /// The packed block, word-major with stride `BLOCK`.
-    words: Vec<u64>,
-    counts: Vec<u64>,
-    /// `B[v, a]`, `BLOCK_WORDS` words each: bit `e % 64` of word `e / 64` is
-    /// set when the block's entry `e` has `X_v = a`.
-    bitmaps: Vec<u64>,
-    /// The non-zero words of the block's bit planes of `count − 1`, as
-    /// `(word, plane, bits)`.
-    planes: Vec<(usize, u32, u64)>,
-    /// `n(v, a)` per bitmap, over the thread's entries so far.
-    singles: Vec<u64>,
-    /// Every pair's joint over the thread's entries. A sliced pair holds
-    /// only its cells `x < r_i − 1, y < r_j − 1` until `complete_sliced`.
-    joints: Vec<u64>,
-    /// The thread's total count.
-    total: u64,
-}
-
-impl Scan {
-    /// Bit-slices the block's first `len` entries and adds them to the
-    /// singles and to every sliced pair's counted cells:
-    /// `n(x, y) += Σ_e count_e` over the entries in `B[i, x] & B[j, y]`.
-    fn count_sliced(&mut self, layout: &PackLayout, slices: &Slices, len: usize) {
-        self.slice_block(layout, slices, len);
-        let words = len.div_ceil(64);
-        let bitmap = |k: usize| &self.bitmaps[k * BLOCK_WORDS..][..words];
-        for (k, single) in self.singles.iter_mut().enumerate() {
-            *single += weighted_and(bitmap(k), bitmap(k), &self.planes);
-        }
-        for pair in &slices.pairs {
+    /// Adds one block's entries to `joints`: to each sliced pair's cells
+    /// `x < r_i − 1, y < r_j − 1` as `Σ count` over `B[i, x] & B[j, y]`,
+    /// and to every cell of each wide pair by the tile fold. The block
+    /// slices every variable of a sliced pair.
+    fn count_block(&self, layout: &PackLayout, sliced: &Sliced, block: &Block, joints: &mut [u64]) {
+        for pair in &self.sliced {
             let (ri, rj) = (layout.fields[pair.i].arity, layout.fields[pair.j].arity);
-            let (bi, bj) = (slices.first[pair.i], slices.first[pair.j]);
+            let (bi, bj) = (sliced.first[pair.i], sliced.first[pair.j]);
             for y in 0..(rj - 1) as usize {
                 let row = pair.at + y * ri as usize;
+                let by = block.bitmap(bj + y);
                 for x in 0..(ri - 1) as usize {
-                    self.joints[row + x] +=
-                        weighted_and(bitmap(bi + x), bitmap(bj + y), &self.planes);
+                    joints[row + x] += block.weighted_and(block.bitmap(bi + x), by);
                 }
             }
         }
-    }
-
-    /// Fills `bitmaps` from the block's first `len` packed entries, 64 at a
-    /// time: one transpose of a packed word column gives a plane per bit
-    /// position, and `B[v, a]` is the AND of variable `v`'s planes, each
-    /// complemented where `a`'s bit is 0. The counts' planes follow the
-    /// same way, keeping only non-zero words.
-    fn slice_block(&mut self, layout: &PackLayout, slices: &Slices, len: usize) {
-        self.planes.clear();
-        let mut m = [0u64; 64];
-        for c in 0..len.div_ceil(64) {
-            let lo = c * 64;
-            let n = (len - lo).min(64);
-            let valid = u64::MAX >> (64 - n);
-            let mut loaded = usize::MAX;
-            let sliced = layout.fields.iter().zip(&slices.first);
-            for (f, &first) in sliced.filter(|&(_, &first)| first != usize::MAX) {
-                if f.word != loaded {
-                    m[..n].copy_from_slice(&self.words[f.word * BLOCK + lo..][..n]);
-                    transpose(&mut m);
-                    loaded = f.word;
-                }
-                let planes = &m[f.shift as usize..][..f.width as usize];
-                for a in 0..f.arity - 1 {
-                    let bits = planes.iter().enumerate().fold(valid, |bits, (b, &plane)| {
-                        bits & if (a >> b) & 1 == 1 { plane } else { !plane }
-                    });
-                    self.bitmaps[(first + a as usize) * BLOCK_WORDS + c] = bits;
-                }
-            }
-            // Every stored count is at least 1.
-            m.fill(0);
-            let mut any = 0;
-            for (d, &count) in m.iter_mut().zip(&self.counts[lo..lo + n]) {
-                *d = count - 1;
-                any |= *d;
-            }
-            if any != 0 {
-                transpose(&mut m);
-                for (p, &bits) in m.iter().enumerate() {
-                    if bits != 0 {
-                        self.planes.push((c, p as u32, bits));
-                    }
-                }
-            }
+        let len = block.len();
+        for start in (0..len).step_by(TILE) {
+            accumulate_tile(
+                layout,
+                &self.wide,
+                block,
+                joints,
+                start..len.min(start + TILE),
+            );
         }
     }
 
     /// Derives each sliced pair's last row, last column and corner from the
-    /// singles and the total, once the thread's last block is counted.
-    fn complete_sliced(&mut self, layout: &PackLayout, slices: &Slices) {
-        for pair in &slices.pairs {
+    /// singles and the total, then evaluates every pair's MI.
+    fn evaluate(
+        &self,
+        layout: &PackLayout,
+        sliced: &Sliced,
+        singles: &[u64],
+        total: u64,
+        joints: &mut [u64],
+    ) -> MiMatrix {
+        for pair in &self.sliced {
             let ri = layout.fields[pair.i].arity as usize;
             let rj = layout.fields[pair.j].arity as usize;
-            let joint = &mut self.joints[pair.at..][..ri * rj];
-            let si = &self.singles[slices.first[pair.i]..][..ri - 1];
-            let sj = &self.singles[slices.first[pair.j]..][..rj - 1];
+            let joint = &mut joints[pair.at..][..ri * rj];
+            let si = &singles[sliced.first[pair.i]..][..ri - 1];
+            let sj = &singles[sliced.first[pair.j]..][..rj - 1];
             for (x, &n) in si.iter().enumerate() {
                 joint[(rj - 1) * ri + x] = n - (0..rj - 1).map(|y| joint[y * ri + x]).sum::<u64>();
             }
             for (y, &n) in sj.iter().enumerate() {
                 joint[y * ri + ri - 1] = n - joint[y * ri..][..ri - 1].iter().sum::<u64>();
             }
-            joint[ri * rj - 1] = self.total - joint[..ri * rj - 1].iter().sum::<u64>();
+            joint[ri * rj - 1] = total - joint[..ri * rj - 1].iter().sum::<u64>();
         }
+        let mut matrix = MiMatrix::zeroed(self.n);
+        for &Pair { i, j, at } in &self.all {
+            let (ri, rj) = (layout.fields[i].arity, layout.fields[j].arity);
+            let pair = MarginalTable::from_raw_parts(
+                vec![i, j],
+                vec![ri, rj],
+                joints[at..][..(ri * rj) as usize].to_vec(),
+                total,
+            );
+            matrix.set(i, j, mutual_information(&pair));
+        }
+        matrix
     }
 }
 
-/// `Σ count` over the entries set in both `a` and `b`: a popcount per word,
-/// plus a popcount per non-zero word of each plane `p` of `count − 1`,
-/// weighted by `2^p`.
-fn weighted_and(a: &[u64], b: &[u64], planes: &[(usize, u32, u64)]) -> u64 {
-    let ones: u64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| u64::from((x & y).count_ones()))
-        .sum();
-    planes.iter().fold(ones, |n, &(c, p, bits)| {
-        n + (u64::from((a[c] & b[c] & bits).count_ones()) << p)
-    })
+/// One scan thread's block buffer and counts.
+struct Scan {
+    block: Block,
+    /// The block's counts on their way to its planes.
+    counts: Vec<u64>,
+    /// `n(v, a)` per bitmap, over the thread's entries.
+    singles: Vec<u64>,
+    /// Every pair's joint over the thread's entries; a sliced pair holds
+    /// only its cells `x < r_i − 1, y < r_j − 1`.
+    joints: Vec<u64>,
 }
 
-/// Transposes a 64 × 64 bit matrix in place: bit `e` of `m[b]` becomes bit
-/// `b` of `m[e]`. Applied to 64 entries' packed words, it turns them into
-/// one plane per bit position.
-fn transpose(m: &mut [u64; 64]) {
-    let mut mask = 0x0000_0000_ffff_ffff_u64;
-    let mut j = 32;
-    while j > 0 {
-        for k in (0..64).filter(|k| k & j == 0) {
-            let t = ((m[k] >> j) ^ m[k | j]) & mask;
-            m[k] ^= t << j;
-            m[k | j] ^= t;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
-}
-
-/// Adds entries `tile` of the packed block into each wide pair's joint:
-/// pair by pair, so the inner loop reads two columns with a fixed shift and
-/// mask and scatters into one small, L1-resident joint.
-fn accumulate_tile(layout: &PackLayout, wide: &[Pair], scan: &mut Scan, tile: Range<usize>) {
-    let counts = &scan.counts[tile.clone()];
+/// Adds entries `tile` of `block` into each wide pair's joint: pair by
+/// pair, so the inner loop reads two columns with a fixed shift and mask
+/// and scatters into one small, L1-resident joint.
+fn accumulate_tile(
+    layout: &PackLayout,
+    wide: &[Pair],
+    block: &Block,
+    joints: &mut [u64],
+    tile: Range<usize>,
+) {
+    let mut counts = [0; TILE];
+    block.tile_counts(tile.clone(), &mut counts);
     for pair in wide {
         let (fi, fj) = (layout.fields[pair.i], layout.fields[pair.j]);
-        let col_i = &scan.words[fi.word * BLOCK..][tile.clone()];
-        let col_j = &scan.words[fj.word * BLOCK..][tile.clone()];
-        let joint = &mut scan.joints[pair.at..][..(fi.arity * fj.arity) as usize];
-        for ((&wi, &wj), &count) in col_i.iter().zip(col_j).zip(counts) {
+        let col_i = &block.column(fi.word)[tile.clone()];
+        let col_j = &block.column(fj.word)[tile.clone()];
+        let joint = &mut joints[pair.at..][..(fi.arity * fj.arity) as usize];
+        for ((&wi, &wj), &count) in col_i.iter().zip(col_j).zip(&counts) {
             let x = (wi >> fi.shift) & fi.mask;
             let y = (wj >> fj.shift) & fj.mask;
             joint[(y * fi.arity + x) as usize] += count;
@@ -493,34 +452,31 @@ mod tests {
         assert!(!is_sliced(9, 9));
         assert!(is_sliced(9, 3) && is_sliced(3, 9) && is_sliced(5, 5));
         assert!(!is_sliced(9, 4) && !is_sliced(6, 5));
-        // Of 9, 9 and 3, every variable is in a sliced pair.
-        let layout = PackLayout::new(&crate::KeyCodec::new(&Schema::new(vec![9, 9, 3]).unwrap()));
-        let sliced = [(0, 2), (1, 2)].map(|(i, j)| Pair { i, j, at: 0 });
-        let slices = Slices::new(&layout, sliced.to_vec());
-        assert_eq!(slices.first, [0, 8, 16]);
-        assert_eq!(slices.bitmaps, 8 + 8 + 2);
-        // A variable with no sliced pair gets no bitmaps.
-        let slices = Slices::new(&layout, sliced[1..].to_vec());
-        assert_eq!(slices.first, [usize::MAX, 0, 8]);
-        assert_eq!(slices.bitmaps, 8 + 2);
+        // Of 9, 9 and 3, the pairs with the ternary variable are sliced.
+        let codec = KeyCodec::new(&Schema::new(vec![9, 9, 3]).unwrap());
+        let pairs = Pairs::new(&codec);
+        let ends = |pairs: &[Pair]| pairs.iter().map(|p| (p.i, p.j)).collect::<Vec<_>>();
+        assert_eq!(ends(&pairs.sliced), [(0, 2), (1, 2)]);
+        assert_eq!(ends(&pairs.wide), [(0, 1)]);
+        assert_eq!(pairs.cells, 81 + 27 + 27);
     }
 
     #[test]
-    fn transpose_swaps_rows_and_columns() {
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut m = [0u64; 64];
-        for row in &mut m {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *row = state;
-        }
-        let before = m;
-        transpose(&mut m);
-        for (b, &plane) in m.iter().enumerate() {
-            for (e, &row) in before.iter().enumerate() {
-                assert_eq!((plane >> e) & 1, (row >> b) & 1, "plane {b}, entry {e}");
-            }
+    fn the_snapshot_counts_the_same_matrix_as_the_streaming_scan() {
+        // Pairs on both sides of the slicing limit, a table of several
+        // blocks, and more threads than some packings have blocks.
+        let schema = Schema::new(vec![2, 3, 9, 4, 2, 5, 17, 2]).unwrap();
+        let data = UniformIndependent::new(schema).generate(30_000, 5);
+        let table = build_for_tests(&data, 3);
+        assert!(table.num_entries() > 2 * BLOCK);
+        let streamed = all_pairs_mi(&table, 2);
+        for (pack, count) in [(1, 1), (2, 3), (3, 2), (3, 16)] {
+            let packed = PackedTable::pack(&table, pack).unwrap();
+            assert_eq!(
+                packed.all_pairs_mi(count),
+                streamed,
+                "pack {pack}, count {count}"
+            );
         }
     }
 

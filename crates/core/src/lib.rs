@@ -51,6 +51,7 @@ pub mod entropy;
 pub mod error;
 pub mod marginal;
 pub mod potential;
+mod slice;
 pub mod stats;
 pub mod stream;
 

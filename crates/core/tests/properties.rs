@@ -40,11 +40,15 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
-/// Schemas for the packed snapshot: mixed small arities (one word), 40
-/// ternary variables (80 bits: two words), a 16-bit field (arity > 256), or
-/// wide power-of-two fields (decoded by mask and shift) between others.
+/// Schemas for the packed snapshot: 1–6 variables of arity 2–9 (so
+/// scopes of one to four fall on both sides of the bit-slicing limit of 32
+/// cells), 40 ternary variables (80 bits: two words), a 16-bit field
+/// (arity above 256), or wide power-of-two fields (decoded by mask and
+/// shift) between others.
 fn packing_schema_strategy() -> impl Strategy<Value = Schema> {
-    (0usize..4, schema_strategy()).prop_map(|(kind, small)| match kind {
+    let small =
+        prop::collection::vec(2u16..=9, 1..=6).prop_map(|arities| Schema::new(arities).unwrap());
+    (0usize..4, small).prop_map(|(kind, small)| match kind {
         0 => small,
         1 => Schema::uniform(40, 3).unwrap(),
         2 => Schema::new(vec![2, 40_000, 3, 2, 2]).unwrap(),
@@ -104,9 +108,13 @@ fn sliced_case_strategy() -> impl Strategy<Value = Dataset> {
     )
 }
 
-/// A dataset of 1–300 rows on a packing schema, and a variable order of
-/// 0–6 entries drawn slightly past `n`, so empty, duplicate and
-/// out-of-range orders occur beside valid ones.
+/// A dataset on a packing schema and a variable order.
+///
+/// The rows are 1–300 random rows, plus up to two of them repeated
+/// 4 096–8 191 times, so that their counts fill twelve or thirteen bit
+/// planes of `count − 1`. The order is either 1–4 distinct variables in a
+/// random order, or 0–6 indices drawn slightly past `n`, so empty,
+/// duplicate and out-of-range orders occur beside valid ones.
 fn packing_case_strategy() -> impl Strategy<Value = (Dataset, Vec<usize>)> {
     packing_schema_strategy().prop_flat_map(|schema| {
         let n = schema.num_vars();
@@ -120,11 +128,31 @@ fn packing_case_strategy() -> impl Strategy<Value = (Dataset, Vec<usize>)> {
             }),
             1..=300,
         );
-        let order = prop::collection::vec(0usize..n + 2, 0..=6);
-        (rows, order).prop_map(move |(rows, order)| {
-            let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-            (Dataset::from_rows(schema.clone(), &refs).unwrap(), order)
-        })
+        let heavy = prop::collection::vec((any::<usize>(), 4096usize..8192), 0..=2);
+        let picks = prop::collection::vec(any::<usize>(), 1..=4);
+        let junk = prop::collection::vec(0usize..n + 2, 0..=6);
+        (rows, heavy, any::<bool>(), picks, junk).prop_map(
+            move |(mut rows, heavy, valid, picks, junk)| {
+                for &(pick, times) in &heavy {
+                    let row = rows[pick % rows.len()].clone();
+                    rows.extend(std::iter::repeat_n(row, times));
+                }
+                let order = if valid {
+                    let mut order: Vec<usize> = Vec::new();
+                    for pick in &picks {
+                        let free: Vec<usize> = (0..n).filter(|v| !order.contains(v)).collect();
+                        if let Some(&v) = free.get(pick % free.len().max(1)) {
+                            order.push(v);
+                        }
+                    }
+                    order
+                } else {
+                    junk
+                };
+                let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+                (Dataset::from_rows(schema.clone(), &refs).unwrap(), order)
+            },
+        )
     })
 }
 

@@ -76,6 +76,9 @@ pub enum Counter {
     /// Variable pairs this core evaluated (Algorithm 4).
     PairsScanned = 7,
     /// Potential-table entries this core scanned during marginalization.
+    /// A serving reader counts every entry of the pinned snapshot once per
+    /// cache-missing scope, whether the bit-sliced kernel or the decode fold
+    /// counted that scope, so the count stays comparable across kernels.
     EntriesScanned = 8,
     /// Write-combining buffer flushes: `push_block` calls made by this
     /// core's stage-1 router (zero for the sequential oracle).

@@ -1,28 +1,27 @@
-//! Per-endpoint marginal cache and packed epoch snapshot, both invalidated
-//! on epoch advance.
+//! Per-endpoint marginal cache, invalidated on epoch advance.
 //!
 //! Every cache is owned by exactly one query endpoint — a
 //! [`QueryReader`](crate::reader) or the cluster tier's fan-out client — so
 //! there is no sharing, no lock, and no invalidation protocol beyond "the
 //! epoch moved". Correctness is trivial by construction: a cached marginal
-//! and the packed snapshot are valid precisely for the epoch they were
-//! computed from, and the endpoint flushes both the moment it pins a newer
-//! epoch. Under a write-heavy feed the marginal map degenerates to a no-op
-//! (every pin flushes); under a read-heavy feed it converts repeated scopes
-//! into O(1) lookups.
+//! is valid precisely for the epoch it was computed from, and the endpoint
+//! flushes the map the moment it pins a newer epoch. Under a write-heavy
+//! feed the map degenerates to a no-op (every pin flushes); under a
+//! read-heavy feed it converts repeated scopes into O(1) lookups.
 //!
-//! A miss is answered from a [`PackedTable`] of each table of the pinned
-//! epoch, packed on the epoch's first miss on the endpoint's own thread
-//! (one packing thread runs inline: no spawn, no wait) and kept until the
-//! epoch moves. Each entry's divide and modulo per variable is then paid
-//! once per epoch, and every missing scope costs one shift-and-mask scan of
-//! dense arrays. The capacity flush clears only the marginals; the snapshot
-//! stays for the rest of its epoch.
+//! A miss is answered from the packed snapshot of each table of the pinned
+//! epoch ([`Epoch::packed`]), which the writer packed and bit-sliced once
+//! before publishing it. A scope of up to 32 cells — the 2–3 binary
+//! variables of a typical `MI` or `CPT` — costs a few ANDs and weighted
+//! popcounts per 64 entries; a wider one a shift-and-mask scan of dense
+//! arrays. No endpoint packs on its query path.
 
+use crate::engine::Epoch;
 use crate::ServeError;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wfbn_core::{CoreError, MarginalTable, PackedTable, PotentialTable};
+use wfbn_core::{CoreError, MarginalTable};
 use wfbn_obs::{CoreRecorder, Counter, Recorder, Stage};
 
 /// Default bound on cached scopes per reader (see [`MarginalCache::insert`]).
@@ -30,12 +29,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Scope-keyed marginal cache for one endpoint; see the [module docs](self).
 pub struct MarginalCache {
-    /// Epoch the cached entries and the snapshot were computed from.
+    /// Epoch the cached entries were computed from.
     epoch: u64,
     map: HashMap<Box<[usize]>, Arc<MarginalTable>>,
     capacity: usize,
-    /// One packed snapshot per table of `epoch`; empty until its first miss.
-    packed: Vec<PackedTable>,
 }
 
 impl MarginalCache {
@@ -50,7 +47,6 @@ impl MarginalCache {
             epoch: 0,
             map: HashMap::new(),
             capacity: capacity.max(1),
-            packed: Vec::new(),
         }
     }
 
@@ -69,12 +65,10 @@ impl MarginalCache {
         self.map.is_empty()
     }
 
-    /// Rebinds the cache to `epoch`, flushing every entry and dropping the
-    /// packed snapshot if it moved.
+    /// Rebinds the cache to `epoch`, flushing every entry if it moved.
     pub fn refresh(&mut self, epoch: u64) {
         if epoch != self.epoch {
             self.map.clear();
-            self.packed = Vec::new();
             self.epoch = epoch;
         }
     }
@@ -97,21 +91,22 @@ impl MarginalCache {
     }
 
     /// Answers a fused group of `scopes` at the cache's epoch, whose table
-    /// is the sum of `tables` (one table on a single node, one per shard of
-    /// a cluster cut). Returns the answers in request order and the number
-    /// of distinct scopes computed.
+    /// is the sum of `epochs`' tables (one on a single node, one per shard
+    /// of a cluster cut). Returns the answers in request order and the
+    /// number of distinct scopes computed.
     ///
     /// Scopes must be strictly increasing variable lists. Cached scopes are
-    /// hits; each distinct missing scope is marginalized on every table's
+    /// hits; each distinct missing scope is marginalized on every epoch's
     /// packed snapshot, the partials are summed with
-    /// [`MarginalTable::merge_shard`], and the result is cached. Core `core`
-    /// of `rec` records packing and scans under [`Stage::Marginal`], the
-    /// packed entries read under [`Counter::EntriesScanned`] (all of them,
-    /// once per missing scope), and per query a latency sample, a
-    /// `queries_served` and a cache hit or miss.
+    /// [`MarginalTable::merge_shard`], and the result is cached. Finding the
+    /// distinct scopes and mapping them back is linear in the group. Core
+    /// `core` of `rec` records the scans under [`Stage::Marginal`], the
+    /// entries they cover under [`Counter::EntriesScanned`] (every snapshot
+    /// entry once per missing scope, whichever kernel counted it), and per
+    /// query a latency sample, a `queries_served` and a cache hit or miss.
     pub fn answer<R: Recorder>(
         &mut self,
-        tables: &[Arc<PotentialTable>],
+        epochs: &[Arc<Epoch>],
         scopes: &[&[usize]],
         rec: &R,
         core: usize,
@@ -123,21 +118,24 @@ impl MarginalCache {
         let t0 = cr.now();
 
         let mut hits = 0u64;
+        // Each distinct missing scope, and its place among them.
         let mut missing: Vec<&[usize]> = Vec::new();
+        let mut place: HashMap<&[usize], usize> = HashMap::new();
         for &scope in scopes {
             if self.map.contains_key(scope) {
                 hits += 1;
-            } else if !missing.contains(&scope) {
+            } else if let Entry::Vacant(slot) = place.entry(scope) {
+                slot.insert(missing.len());
                 missing.push(scope);
             }
         }
-        let fresh = self.compute(tables, &missing, &mut cr)?;
+        let fresh = compute(epochs, &missing, &mut cr)?;
         // Every answer is taken before the inserts, whose capacity flush
         // could otherwise drop a hit of this very group.
         let answers = scopes
             .iter()
-            .map(|&scope| match missing.iter().position(|&m| m == scope) {
-                Some(k) => Arc::clone(&fresh[k]),
+            .map(|&scope| match place.get(scope) {
+                Some(&k) => Arc::clone(&fresh[k]),
                 None => Arc::clone(&self.map[scope]),
             })
             .collect();
@@ -154,47 +152,37 @@ impl MarginalCache {
         cr.add(Counter::CacheMisses, scopes.len() as u64 - hits);
         Ok((answers, missing.len()))
     }
+}
 
-    /// The marginal over each of `missing`, summed over `tables`, from the
-    /// epoch's packed snapshots (packed here on the epoch's first miss).
-    fn compute<C: CoreRecorder>(
-        &mut self,
-        tables: &[Arc<PotentialTable>],
-        missing: &[&[usize]],
-        cr: &mut C,
-    ) -> Result<Vec<Arc<MarginalTable>>, ServeError> {
-        if missing.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t0 = cr.now();
-        if self.packed.is_empty() {
-            self.packed = tables
-                .iter()
-                .map(|table| PackedTable::pack(table, 1))
-                .collect::<Result<_, _>>()?;
-        }
-        let (first, rest) = self
-            .packed
-            .split_first()
-            .ok_or(ServeError::NothingPublished)?;
-        let entries: usize = self.packed.iter().map(PackedTable::num_entries).sum();
-        let mut scanned = 0u64;
-        let fresh = missing
-            .iter()
-            .map(|&scope| {
-                first.codec().validate_vars(scope)?;
-                let mut merged = first.marginalize(scope)?;
-                for shard in rest {
-                    merged.merge_shard(&shard.marginalize(scope)?)?;
-                }
-                scanned += entries as u64;
-                Ok(Arc::new(merged))
-            })
-            .collect::<Result<Vec<_>, CoreError>>();
-        cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
-        cr.add(Counter::EntriesScanned, scanned);
-        Ok(fresh?)
+/// The marginal over each of `missing`, summed over `epochs`, from their
+/// packed snapshots.
+fn compute<C: CoreRecorder>(
+    epochs: &[Arc<Epoch>],
+    missing: &[&[usize]],
+    cr: &mut C,
+) -> Result<Vec<Arc<MarginalTable>>, ServeError> {
+    if missing.is_empty() {
+        return Ok(Vec::new());
     }
+    let (first, rest) = epochs.split_first().ok_or(ServeError::NothingPublished)?;
+    let t0 = cr.now();
+    let entries: usize = epochs.iter().map(|e| e.packed().num_entries()).sum();
+    let mut scanned = 0u64;
+    let fresh = missing
+        .iter()
+        .map(|&scope| {
+            first.packed().codec().validate_vars(scope)?;
+            let mut merged = first.packed().marginalize(scope)?;
+            for shard in rest {
+                merged.merge_shard(&shard.packed().marginalize(scope)?)?;
+            }
+            scanned += entries as u64;
+            Ok(Arc::new(merged))
+        })
+        .collect::<Result<Vec<_>, CoreError>>();
+    cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
+    cr.add(Counter::EntriesScanned, scanned);
+    Ok(fresh?)
 }
 
 impl Default for MarginalCache {
@@ -249,29 +237,47 @@ mod tests {
     }
 
     #[test]
-    fn the_snapshot_outlives_a_capacity_flush_but_not_an_epoch() {
+    fn misses_read_the_epoch_snapshot_through_a_capacity_flush() {
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1], &[1, 0, 1]]).unwrap();
-        let tables = [Arc::new(sequential_build(&data).unwrap().table)];
+        let table = sequential_build(&data).unwrap().table;
+        let epochs = [Arc::new(Epoch::pack(table, 1).unwrap())];
+        let table = epochs[0].table();
         let rec = wfbn_obs::NoopRecorder;
         let mut cache = MarginalCache::with_capacity(2);
         cache.refresh(1);
         for scope in [&[0][..], &[1], &[2], &[0, 2]] {
-            let (answers, computed) = cache.answer(&tables, &[scope], &rec, 0).unwrap();
+            let (answers, computed) = cache.answer(&epochs, &[scope], &rec, 0).unwrap();
             assert_eq!(computed, 1);
-            assert_eq!(*answers[0], marginalize(&tables[0], scope, 1).unwrap());
-            assert_eq!(cache.packed.len(), 1, "packed once for the epoch");
+            assert_eq!(*answers[0], marginalize(table, scope, 1).unwrap());
         }
-        // The third scope flushed the map; the snapshot stayed.
+        // The third scope flushed the map; later misses still read the epoch.
         assert_eq!(cache.len(), 2);
         cache.refresh(2);
-        assert!(
-            cache.packed.is_empty(),
-            "an epoch advance drops the snapshot"
-        );
+        assert!(cache.is_empty(), "an epoch advance flushes the map");
         // Scopes are refused as the hash-table scan refused them.
-        assert!(cache.answer(&tables, &[&[2, 0]], &rec, 0).is_err());
-        assert!(cache.answer(&tables, &[&[3]], &rec, 0).is_err());
+        assert!(cache.answer(&epochs, &[&[2, 0]], &rec, 0).is_err());
+        assert!(cache.answer(&epochs, &[&[3]], &rec, 0).is_err());
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_fused_group_computes_each_distinct_scope_once() {
+        let schema = Schema::uniform(3, 2).unwrap();
+        let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1]]).unwrap();
+        let table = sequential_build(&data).unwrap().table;
+        let epochs = [Arc::new(Epoch::pack(table, 1).unwrap())];
+        let rec = wfbn_obs::NoopRecorder;
+        let mut cache = MarginalCache::new();
+        cache.refresh(1);
+        cache.answer(&epochs, &[&[1]], &rec, 0).unwrap();
+        let group: [&[usize]; 6] = [&[0, 1], &[1], &[0, 1], &[2], &[0, 1], &[1]];
+        let (answers, computed) = cache.answer(&epochs, &group, &rec, 0).unwrap();
+        assert_eq!(computed, 2, "{{0,1}} and {{2}} miss; {{1}} is a hit");
+        for (scope, answer) in group.iter().zip(&answers) {
+            assert_eq!(answer.vars(), *scope);
+        }
+        assert!(Arc::ptr_eq(&answers[0], &answers[2]) && Arc::ptr_eq(&answers[0], &answers[4]));
+        assert!(Arc::ptr_eq(&answers[1], &answers[5]));
     }
 }

@@ -4,9 +4,12 @@
 //! One dedicated writer thread owns the [`StreamingBuilder`] and the
 //! [`EpochPublisher`](wfbn_concurrent::EpochPublisher). The front-end hands
 //! it row batches over a wait-free SPSC lane; after absorbing each batch the
-//! writer publishes a fresh snapshot, so **epoch `e` is exactly the table of
-//! the first `e` admitted batches** — the property the equivalence suite
-//! checks and the protocol's `SYNC` relies on.
+//! writer packs the new table into a bit-sliced [`PackedTable`] on the
+//! builder's thread count and publishes both as one [`Epoch`], so **epoch
+//! `e` is exactly the table of the first `e` admitted batches** — the
+//! property the equivalence suite checks and the protocol's `SYNC` relies
+//! on. Every reader and cluster client answers its cache misses from that
+//! one snapshot; none packs on its query path.
 //!
 //! # Admission and backpressure
 //!
@@ -22,9 +25,10 @@
 //! # Telemetry
 //!
 //! With a recording [`Recorder`], batch absorption lands on cores
-//! `0..builder_threads` exactly as offline builds do, and the writer adds
-//! `epochs_published` plus the admission-queue high-water mark on core 0.
-//! Reader cores start at `builder_threads` (see
+//! `0..builder_threads` exactly as offline builds do. Once the absorb
+//! threads have joined, the writer adds each epoch's pack under
+//! [`Stage::Marginal`], `epochs_published` and the admission-queue
+//! high-water mark on core 0. Reader cores start at `builder_threads` (see
 //! [`EngineConfig::reader_core`]).
 
 use crate::reader::QueryReader;
@@ -34,9 +38,40 @@ use std::thread::JoinHandle;
 use wfbn_concurrent::epoch::{epoch_channel, EpochReader};
 use wfbn_concurrent::spsc::{channel, Producer};
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::{CoreError, PotentialTable};
+use wfbn_core::{CoreError, PackedTable, PotentialTable};
 use wfbn_data::{Dataset, Schema};
-use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder};
+use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
+
+/// One published epoch: the table of the first `e` admitted batches and its
+/// bit-sliced snapshot, packed once by the writer and shared by `Arc` with
+/// every reader and cluster client.
+#[derive(Debug)]
+pub struct Epoch {
+    table: Arc<PotentialTable>,
+    packed: PackedTable,
+}
+
+impl Epoch {
+    /// Packs `table` on `threads` threads into the epoch to publish: the
+    /// one place the serving tier packs a table.
+    pub(crate) fn pack(table: PotentialTable, threads: usize) -> Result<Self, CoreError> {
+        let packed = PackedTable::pack(&table, threads)?;
+        Ok(Epoch {
+            table: Arc::new(table),
+            packed,
+        })
+    }
+
+    /// The epoch's potential table.
+    pub fn table(&self) -> &Arc<PotentialTable> {
+        &self.table
+    }
+
+    /// The epoch's packed snapshot, which every cache miss reads.
+    pub fn packed(&self) -> &PackedTable {
+        &self.packed
+    }
+}
 
 /// Construction parameters for [`Engine::start`].
 #[derive(Debug, Clone)]
@@ -83,7 +118,7 @@ pub(crate) fn admissible(submitted: u64, published: u64, capacity: u64) -> bool 
 pub struct Engine<R: Recorder> {
     lane: Producer<Dataset>,
     /// The engine's own epoch endpoint, used for backlog/sync accounting.
-    watch: EpochReader<PotentialTable>,
+    watch: EpochReader<Epoch>,
     submitted: u64,
     refused: u64,
     capacity: u64,
@@ -134,14 +169,7 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
         cfg: &EngineConfig,
         rec: Arc<R>,
         observers: usize,
-    ) -> Result<
-        (
-            Self,
-            Vec<QueryReader<R>>,
-            Vec<EpochReader<PotentialTable>>,
-        ),
-        ServeError,
-    > {
+    ) -> Result<(Self, Vec<QueryReader<R>>, Vec<EpochReader<Epoch>>), ServeError> {
         if cfg.readers == 0 {
             return Err(ServeError::Config("at least one reader required"));
         }
@@ -152,11 +180,9 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
         let (lane, mut admission) = channel::<Dataset>();
         // Lane 0 is the engine's own accounting endpoint; observer lanes
         // come after the reader lanes.
-        let (mut publisher, mut ends) =
-            epoch_channel::<PotentialTable>(cfg.readers + 1 + observers);
+        let (mut publisher, mut ends) = epoch_channel::<Epoch>(cfg.readers + 1 + observers);
         let watch = ends.remove(0);
-        let observer_lanes: Vec<EpochReader<PotentialTable>> =
-            ends.split_off(cfg.readers);
+        let observer_lanes: Vec<EpochReader<Epoch>> = ends.split_off(cfg.readers);
         let readers: Vec<QueryReader<R>> = ends
             .into_iter()
             .enumerate()
@@ -164,6 +190,7 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
             .collect();
 
         let wrec = Arc::clone(&rec);
+        let threads = cfg.builder_threads;
         let writer = std::thread::Builder::new()
             .name("wfbn-serve-writer".into())
             .spawn(move || {
@@ -179,8 +206,14 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
                             // `_or_empty`: a shard engine's slice of a batch
                             // may hold zero rows, but its epoch must still
                             // advance (cluster-epoch batch alignment).
-                            publisher.publish(builder.snapshot_or_empty());
+                            let table = builder.snapshot_or_empty();
+                            // The absorb threads have joined, so core 0 is
+                            // the writer's alone until the next batch.
                             let mut c0 = wrec.core(0);
+                            let t0 = c0.now();
+                            let epoch = Epoch::pack(table, threads)?;
+                            c0.stage_ns(Stage::Marginal, c0.now().saturating_sub(t0));
+                            publisher.publish(epoch);
                             c0.add(Counter::EpochsPublished, 1);
                             c0.queue_depth(admission.visible_backlog());
                         }
@@ -393,9 +426,9 @@ mod tests {
         // Sequential consumption sees epoch 1 then epoch 2 — no skipping,
         // unlike a pin-to-newest reader.
         let (e1, snap1) = lane.next_epoch().unwrap();
-        assert_eq!((e1, snap1.total_count()), (1, 1));
+        assert_eq!((e1, snap1.table().total_count()), (1, 1));
         let (e2, snap2) = lane.next_epoch().unwrap();
-        assert_eq!((e2, snap2.total_count()), (2, 3));
+        assert_eq!((e2, snap2.packed().total_count()), (2, 3));
         assert!(lane.next_epoch().is_none());
         engine.finish().unwrap();
     }

@@ -11,11 +11,14 @@
 //! The ownership story extends the paper's exactly-one-owner discipline to
 //! serving:
 //!
-//! * **Publication** rides [`wfbn_concurrent::epoch`]: snapshots are `Arc`s
-//!   of [`wfbn_core::PotentialTable`] whose partitions are themselves
-//!   `Arc`-shared with the builder (copy-on-publish — a snapshot is `P`
-//!   pointer bumps, and the builder pays a partition copy only when it next
-//!   writes a partition that a published snapshot still holds).
+//! * **Publication** rides [`wfbn_concurrent::epoch`]: each epoch is an
+//!   `Arc` of an [`Epoch`] holding the [`wfbn_core::PotentialTable`], whose
+//!   partitions are themselves `Arc`-shared with the builder (copy-on-publish
+//!   — a table snapshot is `P` pointer bumps, and the builder pays a
+//!   partition copy only when it next writes a partition that a published
+//!   snapshot still holds), and its bit-sliced [`wfbn_core::PackedTable`],
+//!   which the writer packs on the builder's thread count right after
+//!   absorbing the batch.
 //! * **Admission** is a bounded hand-off: the front-end counts batches it
 //!   submitted, the writer's published epoch counts batches absorbed, and
 //!   the difference is the backlog the admission gate blocks on. Both
@@ -24,12 +27,12 @@
 //!   newest published epoch (draining its private lane), then reads the
 //!   pinned snapshot. A per-reader scope-keyed [`cache::MarginalCache`]
 //!   (invalidated on epoch advance) keeps repeated and fused queries from
-//!   rescanning, and answers every miss from a
-//!   [`wfbn_core::PackedTable`] of the epoch, packed on the reader's own
-//!   thread at the epoch's first miss and dropped at the next pin.
+//!   rescanning, and answers every miss from the pinned epoch's packed
+//!   snapshot: no reader packs on its query path.
 //!
 //! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v6`): the writer
-//! records `epochs_published` and admission-queue depth on core 0, reader
+//! records each epoch's pack under the `marginalize` stage,
+//! `epochs_published` and admission-queue depth on core 0, reader
 //! `i` records `queries_served` / `cache_hits` / `cache_misses` /
 //! `epochs_pinned` and a query-latency histogram on core
 //! `builder_threads + i`, and the report validator cross-checks the serve
@@ -48,11 +51,12 @@ pub mod reader;
 pub mod server;
 
 pub use cache::MarginalCache;
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Engine, EngineConfig, Epoch};
 pub use query::{IngestRows, Request};
 pub use reader::{cpt_rows, CptRow, QueryReader};
 pub use server::{
     serve_lines, serve_tcp, EndpointSession, LoopControl, QueryEndpoint, ReaderSession, Session,
+    MAX_QUERY_CLAUSES,
 };
 
 use wfbn_core::CoreError;
@@ -71,6 +75,8 @@ pub enum ServeError {
     Protocol(String),
     /// The engine was misconfigured (zero readers, zero queue capacity).
     Config(&'static str),
+    /// A query endpoint answered a batch with fewer marginals than scopes.
+    MissingAnswer,
 }
 
 impl std::fmt::Display for ServeError {
@@ -81,6 +87,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Core(e) => write!(f, "{e}"),
             ServeError::Protocol(msg) => write!(f, "bad request: {msg}"),
             ServeError::Config(msg) => write!(f, "bad engine config: {msg}"),
+            ServeError::MissingAnswer => write!(f, "the endpoint returned no answer"),
         }
     }
 }

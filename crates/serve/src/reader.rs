@@ -8,11 +8,12 @@
 //!
 //! Request batching: [`QueryEndpoint::answer_batch`] deduplicates the scopes
 //! of a fused request group and computes every cache-missing marginal from
-//! the epoch's packed snapshot ([`MarginalCache::answer`]), packed once on
-//! the epoch's first miss and dropped when the reader pins a newer epoch.
-//! A batch of `k` same-scope queries costs one scan, not `k`.
+//! the pinned epoch's packed snapshot ([`MarginalCache::answer`]), which the
+//! writer packed before publishing the epoch. A batch of `k` same-scope
+//! queries costs one scan, not `k`, and no query packs.
 
 use crate::cache::MarginalCache;
+use crate::engine::Epoch;
 use crate::{QueryEndpoint, ServeError};
 use std::sync::Arc;
 use wfbn_concurrent::epoch::EpochReader;
@@ -33,14 +34,14 @@ pub struct CptRow {
 /// A reader endpoint answering queries against pinned epoch snapshots; see
 /// the [module docs](self).
 pub struct QueryReader<R: Recorder> {
-    lane: EpochReader<PotentialTable>,
+    lane: EpochReader<Epoch>,
     cache: MarginalCache,
     rec: Arc<R>,
     core: usize,
 }
 
 impl<R: Recorder> QueryReader<R> {
-    pub(crate) fn new(lane: EpochReader<PotentialTable>, rec: Arc<R>, core: usize) -> Self {
+    pub(crate) fn new(lane: EpochReader<Epoch>, rec: Arc<R>, core: usize) -> Self {
         QueryReader {
             lane,
             cache: MarginalCache::new(),
@@ -79,8 +80,14 @@ impl<R: Recorder> QueryReader<R> {
     /// and counting an `epochs_pinned` event if the epoch moved. Returns
     /// `None` until the first publication reaches this reader.
     pub fn pin(&mut self) -> Option<(u64, Arc<PotentialTable>)> {
+        self.pin_epoch()
+            .map(|(e, epoch)| (e, Arc::clone(epoch.table())))
+    }
+
+    /// [`pin`](Self::pin), returning the whole published epoch.
+    fn pin_epoch(&mut self) -> Option<(u64, Arc<Epoch>)> {
         let before = self.lane.pinned_epoch();
-        let pinned = self.lane.pin().map(|(e, snap)| (e, Arc::clone(snap)));
+        let pinned = self.lane.pin().map(|(e, epoch)| (e, Arc::clone(epoch)));
         if let Some((epoch, _)) = pinned {
             if epoch != before {
                 self.cache.refresh(epoch);
@@ -96,9 +103,9 @@ impl<R: Recorder> QueryEndpoint for QueryReader<R> {
         &mut self,
         scopes: &[&[usize]],
     ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
-        let (epoch, table) = self.pin().ok_or(ServeError::NothingPublished)?;
-        let tables = std::slice::from_ref(&table);
-        let (answers, _) = self.cache.answer(tables, scopes, &*self.rec, self.core)?;
+        let (epoch, pinned) = self.pin_epoch().ok_or(ServeError::NothingPublished)?;
+        let epochs = std::slice::from_ref(&pinned);
+        let (answers, _) = self.cache.answer(epochs, scopes, &*self.rec, self.core)?;
         Ok((epoch, answers))
     }
 
@@ -118,6 +125,13 @@ impl<R: Recorder> QueryEndpoint for QueryReader<R> {
 /// sorted parent varies fastest), matching [`CptRow`]'s documentation.
 /// Public so the cluster tier can derive CPTs from *merged* cross-shard
 /// joints with the identical row layout.
+///
+/// # Panics
+///
+/// Panics if `x` is not a variable of `joint`. No server path can pass
+/// such a pair: [`QueryEndpoint::cpt`] and the protocol's `CPT` clause both
+/// build the scope from the parents plus `x`, and every endpoint answers a
+/// scope with a marginal over exactly that scope.
 pub fn cpt_rows(joint: &MarginalTable, x: usize) -> Vec<CptRow> {
     let scope = joint.vars();
     let pos_x = scope.iter().position(|&v| v == x).expect("x is in scope");

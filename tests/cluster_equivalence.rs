@@ -24,7 +24,7 @@ use wfbn_cluster::{Cluster, ClusterConfig};
 use wfbn_core::entropy::mutual_information;
 use wfbn_core::{marginalize, waitfree_build, MarginalTable};
 use wfbn_data::{Dataset, Schema};
-use wfbn_serve::{EngineConfig, QueryEndpoint};
+use wfbn_serve::{EndpointSession, EngineConfig, QueryEndpoint};
 
 const VARS: usize = 5;
 const ARITY: u16 = 3;
@@ -168,5 +168,82 @@ fn every_cluster_epoch_matches_the_offline_prefix_build() {
         for partitions in [1usize, 2, 4] {
             check_cell(shards, partitions);
         }
+    }
+}
+
+/// Every scope of one to four of the [`VARS`] variables: 3 to 81 cells, on
+/// both sides of the packed snapshot's bit-slicing limit of 32 cells.
+fn small_scopes() -> Vec<Vec<usize>> {
+    (1u32..1 << VARS)
+        .filter(|mask| (1..=4).contains(&mask.count_ones()))
+        .map(|mask| (0..VARS).filter(|v| mask & (1 << v) != 0).collect())
+        .collect()
+}
+
+/// The cluster's `MARGINAL` protocol answers, over every 1–4-variable scope
+/// fused into one line per epoch, equal the offline marginal of each ingest
+/// prefix byte for byte.
+#[test]
+fn marginal_answers_over_small_scopes_match_each_offline_prefix() {
+    let schema = Schema::uniform(VARS, ARITY).unwrap();
+    let scopes = small_scopes();
+    assert_eq!(scopes.len(), 30);
+    let join = |items: &[String]| items.join(",");
+    let line = scopes
+        .iter()
+        .map(|scope| {
+            format!(
+                "MARGINAL {}",
+                scope
+                    .iter()
+                    .map(usize::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("; ");
+    for (shards, partitions) in [(1usize, 1usize), (2, 2), (3, 1)] {
+        let all_rows = rows(0x51ce + (shards * 16 + partitions) as u64);
+        let cfg = ClusterConfig {
+            shards,
+            engine: EngineConfig {
+                builder_threads: partitions,
+                ..EngineConfig::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let (mut cluster, mut clients) = Cluster::start(&schema, &cfg).unwrap();
+        let mut session = EndpointSession::new(clients.pop().unwrap(), schema.clone());
+        for e in 1..=BATCHES {
+            cluster
+                .submit_rows(&all_rows[(e - 1) * ROWS_PER_BATCH..e * ROWS_PER_BATCH])
+                .unwrap();
+            cluster.sync().unwrap();
+            let prefix: Vec<&[u16]> = all_rows[..e * ROWS_PER_BATCH]
+                .iter()
+                .map(Vec::as_slice)
+                .collect();
+            let data = Dataset::from_rows(schema.clone(), &prefix).unwrap();
+            let table = waitfree_build(&data, 1).unwrap().table;
+            let expected: Vec<String> = scopes
+                .iter()
+                .map(|scope| {
+                    let m = marginalize(&table, scope, 1).unwrap();
+                    let vars: Vec<String> = scope.iter().map(usize::to_string).collect();
+                    let cells: Vec<String> = counts(&m).iter().map(u64::to_string).collect();
+                    format!(
+                        "OK MARGINAL e={e} scope={} total={} counts={}",
+                        join(&vars),
+                        m.total(),
+                        join(&cells)
+                    )
+                })
+                .collect();
+            let mut out = Vec::new();
+            session.handle_query_line(&line, &mut out);
+            assert_eq!(out, expected, "epoch {e} (S={shards}, P={partitions})");
+        }
+        cluster.finish().unwrap();
     }
 }

@@ -432,9 +432,12 @@ fn v4_json_report_carries_the_new_sections() {
 }
 
 /// A reader answers cache misses from its epoch's packed snapshot and counts
-/// every packed entry once per distinct missing scope: k such scopes over an
-/// N-entry epoch record exactly k·N, however the scopes are fused, and hits
-/// and repeats within a fused group read nothing.
+/// every packed entry once per distinct missing scope, whichever kernel
+/// counts it (bit-slices up to 32 cells, the decode fold above): k such
+/// scopes over an N-entry epoch record exactly k·N, however the scopes are
+/// fused, and hits and repeats within a fused group read nothing. The
+/// writer times each epoch's pack on core 0, so the reader's `marginalize`
+/// stage holds only its scans.
 #[test]
 fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
     let schema = Schema::uniform(8, 2).unwrap();
@@ -449,27 +452,31 @@ fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
     let (_, table) = reader.pin().unwrap();
     let n = table.num_entries() as u64;
     let scanned = || rec.snapshot().cores[cfg.reader_core(0)].counter(Counter::EntriesScanned);
+    let reader_marginal_ns = || rec.snapshot().cores[cfg.reader_core(0)].stage(Stage::Marginal);
+    assert!(
+        rec.snapshot().cores[0].stage(Stage::Marginal) > 0,
+        "the writer times the epoch's pack"
+    );
+    assert_eq!(reader_marginal_ns(), 0, "pinning an epoch packs nothing");
 
-    // One fused group: 3 distinct scopes, one of them twice.
-    let group: [&[usize]; 4] = [&[0, 1], &[2], &[0, 1], &[3, 5, 7]];
+    // One fused group: 4 distinct scopes, one of them twice; the 64-cell
+    // scope is folded, the others bit-sliced.
+    let group: [&[usize]; 5] = [&[0, 1], &[2], &[0, 1], &[3, 5, 7], &[0, 1, 2, 3, 4, 5]];
     reader.answer_batch(&group).unwrap();
-    assert_eq!(scanned(), 3 * n);
+    assert_eq!(scanned(), 4 * n);
     // Hits read nothing; two more distinct misses, one line each.
     reader.answer_batch(&group).unwrap();
     reader.marginal(&[4]).unwrap();
     reader.mi(6, 7).unwrap();
-    assert_eq!(scanned(), 5 * n);
+    assert_eq!(scanned(), 6 * n);
     engine.finish().unwrap();
 
     let report = rec.snapshot();
     let reader_core = &report.cores[cfg.reader_core(0)];
     // The repeat inside the first group is a miss that reads nothing.
-    assert_eq!(reader_core.counter(Counter::CacheMisses), 6);
-    assert_eq!(reader_core.counter(Counter::CacheHits), 4);
-    assert!(
-        reader_core.stage(Stage::Marginal) > 0,
-        "packing and scans are timed"
-    );
+    assert_eq!(reader_core.counter(Counter::CacheMisses), 7);
+    assert_eq!(reader_core.counter(Counter::CacheHits), 5);
+    assert!(reader_core.stage(Stage::Marginal) > 0, "scans are timed");
     report.validate().expect("serve laws hold");
 }
 
@@ -516,7 +523,7 @@ fn cluster_counters_obey_the_cluster_conservation_laws() {
         .unwrap()
         .1
         .iter()
-        .map(|shard| shard.num_entries() as u64)
+        .map(|shard| shard.packed().num_entries() as u64)
         .sum();
     // Asymmetric fan-out traffic, as in the serve replay above.
     for (t, budget) in [(0usize, 9usize), (1, 5)] {
