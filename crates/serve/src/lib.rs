@@ -56,7 +56,6 @@ pub use query::{IngestRows, Request};
 pub use reader::{cpt_rows, CptRow, QueryReader};
 pub use server::{
     serve_lines, serve_tcp, EndpointSession, LoopControl, QueryEndpoint, ReaderSession, Session,
-    MAX_QUERY_CLAUSES,
 };
 
 use wfbn_core::CoreError;
