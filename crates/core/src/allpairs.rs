@@ -157,13 +157,7 @@ pub fn all_pairs_mi_recorded<R: Recorder>(
     let codec = table.codec();
     let layout = PackLayout::new(codec);
     let pairs = Pairs::new(codec);
-    // Only the variables of a bit-sliced pair get bitmaps.
-    let mut in_sliced = vec![false; codec.num_vars()];
-    for pair in &pairs.sliced {
-        in_sliced[pair.i] = true;
-        in_sliced[pair.j] = true;
-    }
-    let sliced = Sliced::new(&layout, |v| in_sliced[v]);
+    let sliced = pairs.slices(&layout);
     let p = table.num_partitions();
     let t = threads.min(p);
 
@@ -303,6 +297,17 @@ impl Pairs {
             wide,
             cells,
         }
+    }
+
+    /// The bitmaps a streaming block needs: only the variables of a
+    /// bit-sliced pair get them.
+    fn slices(&self, layout: &PackLayout) -> Sliced {
+        let mut in_sliced = vec![false; self.n];
+        for pair in &self.sliced {
+            in_sliced[pair.i] = true;
+            in_sliced[pair.j] = true;
+        }
+        Sliced::new(layout, |v| in_sliced[v])
     }
 
     /// Adds one block's entries to `joints`: to each sliced pair's cells
@@ -459,6 +464,17 @@ mod tests {
         assert_eq!(ends(&pairs.sliced), [(0, 2), (1, 2)]);
         assert_eq!(ends(&pairs.wide), [(0, 1)]);
         assert_eq!(pairs.cells, 81 + 27 + 27);
+        // Every variable is in a sliced pair.
+        let layout = PackLayout::new(&codec);
+        let slices = pairs.slices(&layout);
+        assert_eq!(slices.first, [0, 8, 16]);
+        assert_eq!(slices.bitmaps, 8 + 8 + 2);
+        // A variable with no sliced pair gets no bitmaps.
+        let mut pairs = pairs;
+        pairs.sliced.remove(0);
+        let slices = pairs.slices(&layout);
+        assert_eq!(slices.first, [usize::MAX, 0, 8]);
+        assert_eq!(slices.bitmaps, 8 + 2);
     }
 
     #[test]

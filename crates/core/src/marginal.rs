@@ -535,7 +535,7 @@ impl PackLayout {
 
 /// Largest cell count `∏ r_v` of a scope that
 /// [`PackedTable::marginalize`] counts by bit-slices rather than by the
-/// decode fold; every variable of arity up to this limit is sliced.
+/// decode fold.
 ///
 /// A sliced scope pays, per 64 entries, one AND and one weighted popcount
 /// for each of its cells that no single or total gives, and each popcount
@@ -555,9 +555,13 @@ impl PackLayout {
 /// Slicing wins up to 32 cells and loses from 64, so the limit sits at 32.
 pub(crate) const SLICED_CELLS: u64 = 32;
 
-// Every variable of a bit-sliced pair of all-pairs MI has arity at most
-// 17, so a snapshot slices all of them.
-const _: () = assert!(crate::allpairs::SLICE_CELLS < SLICED_CELLS);
+/// Largest arity a snapshot keeps bitmaps for. A variable of a bit-sliced
+/// pair of all-pairs MI has arity at most `SLICE_CELLS + 1` = 17, and a
+/// variable of a sliced scope of two or more variables at most
+/// `SLICED_CELLS / 2` = 16. A one-variable scope of a wider variable folds.
+const SLICED_ARITY: u64 = crate::allpairs::SLICE_CELLS + 1;
+
+const _: () = assert!(SLICED_CELLS / 2 <= SLICED_ARITY);
 
 /// A read-only snapshot of a [`PotentialTable`] for repeated
 /// marginalization: every entry decoded once into bit fields, then
@@ -567,7 +571,7 @@ const _: () = assert!(crate::allpairs::SLICE_CELLS < SLICED_CELLS);
 /// variable `v` gets `⌈log₂ r_v⌉` bits, no field straddles a `u64` word, and
 /// each block of up to 4 096 entries stores its words word-major. Each
 /// block also keeps a bitmap per state `a < r_v − 1` of every variable of
-/// arity up to the slicing limit, and the bit planes of its counts, which
+/// arity up to 17, and the bit planes of its counts, which
 /// are the only copy of the counts; the snapshot keeps each such state's
 /// count (its *single*) and the total.
 ///
@@ -575,8 +579,8 @@ const _: () = assert!(crate::allpairs::SLICE_CELLS < SLICED_CELLS);
 /// from the bitmaps: each cell whose states are all below `r − 1` is a
 /// `k`-way AND and a popcount weighted by the count planes per 64 entries,
 /// and every other cell follows by exact subtraction from the lower-order
-/// marginals, down to the singles and the total. A wider scope folds each
-/// tile of entries one variable at a time with a shift, a mask and a
+/// marginals, down to the singles and the total. A wider scope, or a
+/// single variable of arity above 17, folds each tile of entries one variable at a time with a shift, a mask and a
 /// multiply-add over a dense column. Either way the per-entry divide and
 /// modulo of [`marginalize`] and the hash table's empty slots are paid once,
 /// at packing.
@@ -602,7 +606,7 @@ pub struct PackedTable {
     codec: KeyCodec,
     pub(crate) layout: PackLayout,
     pub(crate) total: u64,
-    /// The variables of arity up to [`SLICED_CELLS`] and their bitmaps.
+    /// The variables of arity up to [`SLICED_ARITY`] and their bitmaps.
     pub(crate) sliced: Sliced,
     /// `n(v, a)` per bitmap, over every entry.
     pub(crate) singles: Vec<u64>,
@@ -622,7 +626,7 @@ impl PackedTable {
         }
         let codec = table.codec();
         let layout = PackLayout::new(codec);
-        let sliced = Sliced::new(&layout, |v| codec.arity(v) <= SLICED_CELLS);
+        let sliced = Sliced::new(&layout, |v| codec.arity(v) <= SLICED_ARITY);
         let p = table.num_partitions();
         let t = threads.min(p);
         let parts = |tid: usize| (tid..p).step_by(t).map(|i| table.partition(i));
@@ -691,12 +695,13 @@ impl PackedTable {
     /// same [`CoreError`] where that would.
     ///
     /// `order` is any arrangement of distinct in-range variables. A scope of
-    /// at most 32 cells is counted by bit-slices, a wider one by the decode
-    /// fold (see the [type docs](Self)). The scan runs on the calling
-    /// thread.
+    /// at most 32 cells is counted by bit-slices, a wider one, or a single
+    /// variable of arity above 17, by the decode fold (see the
+    /// [type docs](Self)). The scan runs on the calling thread.
     pub fn marginalize(&self, order: &[usize]) -> Result<MarginalTable, CoreError> {
         let mut out = MarginalTable::zeroed_in_order(&self.codec, order, self.total)?;
-        if out.counts.len() as u64 <= SLICED_CELLS {
+        let has_bitmaps = |&v: &usize| self.sliced.first[v] != usize::MAX;
+        if out.counts.len() as u64 <= SLICED_CELLS && order.iter().all(has_bitmaps) {
             self.count_sliced(order, &mut out.counts);
         } else {
             self.fold(order, &mut out.counts);
@@ -1117,6 +1122,24 @@ mod tests {
             sliced > 40 && folded > 40,
             "{sliced} sliced, {folded} folded"
         );
+    }
+
+    #[test]
+    fn a_variable_too_wide_to_slice_folds_even_alone() {
+        // Arity 17 is the widest with bitmaps; 18 and 32 have none, and a
+        // scope of either alone (18 and 32 cells) folds.
+        let schema = Schema::new(vec![17, 18, 32, 2]).unwrap();
+        let data = UniformIndependent::new(schema).generate(20_000, 4);
+        let t = table(&data, 2);
+        let packed = PackedTable::pack(&t, 2).unwrap();
+        assert_eq!(packed.sliced.first, [0, usize::MAX, usize::MAX, 16]);
+        assert_eq!(packed.sliced.bitmaps, 16 + 1);
+        for order in [&[0][..], &[1], &[2], &[3], &[3, 0], &[1, 3], &[3, 2, 1]] {
+            let mut sorted = order.to_vec();
+            sorted.sort_unstable();
+            let expected = marginalize(&t, &sorted, 1).unwrap().reorder(order);
+            assert_eq!(packed.marginalize(order).unwrap(), expected, "{order:?}");
+        }
     }
 
     /// The divide-and-modulo `collapse` the odometer replaced: each source

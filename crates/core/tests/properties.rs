@@ -298,6 +298,9 @@ proptest! {
                 let oracle = mutual_information(&marginalize(&table, &[i, j], 1).unwrap());
                 prop_assert_eq!(v, oracle, "pair ({}, {}) at {} threads", i, j, threads);
             }
+            // The snapshot's stored blocks count the same matrix.
+            let packed = PackedTable::pack(&table, threads).unwrap();
+            prop_assert_eq!(packed.all_pairs_mi(threads), mi, "snapshot at {} threads", threads);
         }
     }
 
