@@ -36,7 +36,7 @@ use crate::codec::KeyCodec;
 use crate::entropy::mutual_information;
 use crate::marginal::{MarginalTable, PackLayout, PackedTable, TILE};
 use crate::potential::PotentialTable;
-use crate::slice::{Block, Sliced, BLOCK};
+use crate::slice::{BitCount, Block, Popcnt, Portable, Sliced, BLOCK};
 use core::ops::Range;
 use wfbn_concurrent::{pair_count, run_on_threads_with};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
@@ -315,6 +315,21 @@ impl Pairs {
     /// and to every cell of each wide pair by the tile fold. The block
     /// slices every variable of a sliced pair.
     fn count_block(&self, layout: &PackLayout, sliced: &Sliced, block: &Block, joints: &mut [u64]) {
+        match Popcnt::detect() {
+            Some(hw) => self.count_block_with(hw, layout, sliced, block, joints),
+            None => self.count_block_with(Portable, layout, sliced, block, joints),
+        }
+    }
+
+    /// [`count_block`](Self::count_block) with the bit count `bc`.
+    fn count_block_with(
+        &self,
+        bc: impl BitCount,
+        layout: &PackLayout,
+        sliced: &Sliced,
+        block: &Block,
+        joints: &mut [u64],
+    ) {
         for pair in &self.sliced {
             let (ri, rj) = (layout.fields[pair.i].arity, layout.fields[pair.j].arity);
             let (bi, bj) = (sliced.first[pair.i], sliced.first[pair.j]);
@@ -322,7 +337,7 @@ impl Pairs {
                 let row = pair.at + y * ri as usize;
                 let by = block.bitmap(bj + y);
                 for x in 0..(ri - 1) as usize {
-                    joints[row + x] += block.weighted_and(block.bitmap(bi + x), by);
+                    joints[row + x] += bc.weighted_and(block, block.bitmap(bi + x), by);
                 }
             }
         }
@@ -475,6 +490,25 @@ mod tests {
         let slices = pairs.slices(&layout);
         assert_eq!(slices.first, [usize::MAX, 0, 8]);
         assert_eq!(slices.bitmaps, 8 + 2);
+    }
+
+    #[test]
+    fn popcnt_and_portable_count_block_agree_on_random_blocks() {
+        let Some(hw) = crate::slice::Popcnt::detect() else {
+            return; // no `popcnt` on this CPU: only the portable body runs
+        };
+        // Sliced and folded pairs; every variable is in a sliced pair.
+        let schema = vec![2, 3, 9, 4, 2, 5, 2];
+        let pairs = Pairs::new(&KeyCodec::new(&Schema::new(schema.clone()).unwrap()));
+        for seed in 1..=4 {
+            let (layout, sliced, block) = crate::slice::tests::random_block(schema.clone(), seed);
+            assert_eq!(pairs.slices(&layout).first, sliced.first);
+            let mut want = vec![0; pairs.cells];
+            let mut got = vec![0; pairs.cells];
+            pairs.count_block_with(Portable, &layout, &sliced, &block, &mut want);
+            pairs.count_block_with(hw, &layout, &sliced, &block, &mut got);
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub struct BuiltTable {
 
 /// Cap on the per-partition capacity hint, to keep pre-allocation bounded
 /// for huge inputs (the tables grow on demand past this). 2²² entries
-/// (≈ 96 MiB of slot arrays at the load limit) covers the paper's 1M-sample
+/// (2²³ slots after `CountTable::with_capacity` rounds up, 128 MiB of
+/// 16-byte slots) covers the paper's 1M-sample
 /// configurations without a single rehash; the old 2¹⁶ cap made the first
 /// build of a large CSV pay O(log m) growth storms per core.
 const MAX_PREALLOC_ENTRIES: u64 = 1 << 22;

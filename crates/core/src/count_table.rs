@@ -6,19 +6,24 @@
 //! touched by exactly one thread, so the table can use plain loads and
 //! stores — the entire point of the paper's design.
 //!
-//! Implementation: linear-probing open addressing over two parallel arrays
-//! (keys, counts) with power-of-two capacity, a full-avalanche slot hash,
-//! and the all-ones key as the empty sentinel (codecs guarantee real keys
-//! are strictly below it). Linear probing keeps the probe sequence within
-//! one or two cache lines, which is what makes the private-table design fast
-//! in practice. Keys are the codec's `u64` state-string codes; [`Key`] holds
-//! their slot hash, their owner rule and the sentinel.
+//! Implementation: linear-probing open addressing over one array of
+//! 16-byte `(key, count)` slots with power-of-two capacity, a full-avalanche
+//! slot hash, and the all-ones key as the empty sentinel (codecs guarantee
+//! real keys are strictly below it). A slot is 16-aligned, so it never
+//! straddles a cache line: a probe that ends in its first slot touches one
+//! line, and linear probing keeps longer probe sequences within the next.
+//! An array of 2 MiB or more is a memory mapping of its own, advised to the
+//! kernel as huge-page backed before its first touch, so a random probe into
+//! a large table needs no page walk either. Keys are the codec's `u64`
+//! state-string codes; [`Key`] holds their slot hash, their owner rule and
+//! the sentinel.
 //!
 //! The table counts *probes* (slot inspections) as it works — a single local
 //! `u64` increment, cheap enough to leave always-on. The PRAM simulator
 //! charges cycle costs from these counters, and the stats surface in
 //! [`BuildStats`](crate::stats::BuildStats).
 
+use core::ptr::NonNull;
 use wfbn_concurrent::mix64;
 
 /// A table key: a mixed-radix state-string code, the paper's Eq. 3 `u64`.
@@ -56,6 +61,210 @@ impl Key for u64 {
 /// Maximum load factor before growth, as (numerator, denominator).
 const MAX_LOAD: (usize, usize) = (7, 10);
 
+/// One hash slot: a key and its count side by side, so a probe reads and
+/// writes one cache line. [`Key::EMPTY`] marks a free slot.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(16))]
+struct Slot {
+    key: u64,
+    count: u64,
+}
+
+const _: () = assert!(core::mem::size_of::<Slot>() == 16 && core::mem::align_of::<Slot>() == 16);
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        key: u64::EMPTY,
+        count: 0,
+    };
+}
+
+/// A table's slot array, owned like a `Box<[Slot]>`.
+///
+/// An array of 2 MiB or more is a private anonymous mapping of its own
+/// (see [`map`]), advised as huge-page backed before the fill first touches
+/// it, so the fill faults it in 2 MiB pages and a random probe needs no
+/// page walk. A smaller array is a boxed slice from the global allocator.
+///
+/// Large arrays bypass the allocator so that both the advice and the
+/// memory end with the table. Freed through glibc, a multi-MiB array
+/// raises its dynamic mmap and trim thresholds, after which freed tables
+/// stay resident in the heap, and advice given to heap memory would
+/// outlive the table.
+struct Slots {
+    ptr: NonNull<Slot>,
+    len: usize,
+}
+
+// SAFETY: a `Slots` owns its array exclusively, as a `Box<[Slot]>` does,
+// and `Slot` is plain data.
+unsafe impl Send for Slots {}
+// SAFETY: a shared `Slots` only gives out `&[Slot]`, as a `Box<[Slot]>` does.
+unsafe impl Sync for Slots {}
+
+impl Slots {
+    /// `len` empty slots.
+    fn empty(len: usize) -> Self {
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64"),
+            not(miri)
+        ))]
+        if len >= map::MIN_LEN {
+            let mut slots = Self {
+                ptr: map::map(len),
+                len,
+            };
+            slots.fill(Slot::EMPTY);
+            return slots;
+        }
+        let boxed = vec![Slot::EMPTY; len].into_boxed_slice();
+        Self {
+            ptr: NonNull::from(Box::leak(boxed)).cast(),
+            len,
+        }
+    }
+}
+
+impl core::ops::Deref for Slots {
+    type Target = [Slot];
+    fn deref(&self) -> &[Slot] {
+        // SAFETY: `ptr` heads `len` initialized slots that `self` owns.
+        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl core::ops::DerefMut for Slots {
+    fn deref_mut(&mut self) -> &mut [Slot] {
+        // SAFETY: `ptr` heads `len` initialized slots that `self` owns, and
+        // `&mut self` makes this the only reference to them.
+        unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Clone for Slots {
+    fn clone(&self) -> Self {
+        let mut copy = Self::empty(self.len);
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl core::fmt::Debug for Slots {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl Drop for Slots {
+    fn drop(&mut self) {
+        // Release the array's words from the shadow map so a reused
+        // allocation cannot be mistaken for a cross-core conflict.
+        #[cfg(feature = "ownership-audit")]
+        wfbn_concurrent::audit::retire_range(
+            self.ptr.as_ptr().cast(),
+            self.len * core::mem::size_of::<Slot>(),
+        );
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64"),
+            not(miri)
+        ))]
+        if self.len >= map::MIN_LEN {
+            // SAFETY: `empty` mapped this array with `map::map(self.len)`,
+            // and nothing uses it after `drop`.
+            unsafe { map::unmap(self.ptr, self.len) };
+            return;
+        }
+        // SAFETY: `empty` leaked this array from a `Box<[Slot]>` of
+        // `self.len` slots, and nothing uses it after `drop`.
+        drop(unsafe {
+            Box::from_raw(core::ptr::slice_from_raw_parts_mut(
+                self.ptr.as_ptr(),
+                self.len,
+            ))
+        });
+    }
+}
+
+/// Slot arrays of their own mapping, on the 64-bit Linux targets whose
+/// `mmap` constants are spelled out here.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+))]
+mod map {
+    use super::Slot;
+    use core::ffi::c_void;
+    use core::ptr::NonNull;
+    use std::alloc::{handle_alloc_error, Layout};
+
+    /// Slots in 2 MiB, the smallest array that is mapped.
+    pub(super) const MIN_LEN: usize = (2 << 20) / core::mem::size_of::<Slot>();
+
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 2;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    const MADV_HUGEPAGE: i32 = 14;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+        fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+    }
+
+    /// Maps `len` zeroed slots and advises them as huge-page backed. On a
+    /// host whose THP mode is `madvise`, the kernel then backs every
+    /// 2 MiB-aligned range of the mapping with one 2 MiB page at first
+    /// touch. The advice is a hint: if the kernel declines it, the array
+    /// keeps 4 KiB pages and the same contents, so its result is ignored.
+    pub(super) fn map(len: usize) -> NonNull<Slot> {
+        let layout = Layout::array::<Slot>(len).expect("a slot array fits the address space");
+        // SAFETY: a new private anonymous mapping at an address the kernel
+        // picks; it overlaps no existing memory, and failure is reported
+        // through the return value.
+        let p = unsafe {
+            mmap(
+                core::ptr::null_mut(),
+                layout.size(),
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if p as usize == usize::MAX {
+            handle_alloc_error(layout);
+        }
+        // SAFETY: [p, p + size) is the mapping made above, which nothing has
+        // touched. Huge-page advice changes only how the kernel backs its
+        // pages, never the mapping or its contents.
+        unsafe { madvise(p, layout.size(), MADV_HUGEPAGE) };
+        NonNull::new(p.cast()).expect("mmap does not return null on success")
+    }
+
+    /// Unmaps an array made by [`map`].
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must come from `map(len)` with this `len`, and the array must
+    /// not be used afterwards.
+    pub(super) unsafe fn unmap(ptr: NonNull<Slot>, len: usize) {
+        // SAFETY: per the caller, [ptr, ptr + len slots) is one whole
+        // mapping made by `map` that nothing uses any more.
+        unsafe { munmap(ptr.as_ptr().cast(), len * core::mem::size_of::<Slot>()) };
+    }
+}
+
 /// An open-addressed hash table from `u64` [`Key`]s to `u64` counts.
 ///
 /// # Examples
@@ -75,8 +284,7 @@ const MAX_LOAD: (usize, usize) = (7, 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CountTable {
-    keys: Vec<u64>,
-    counts: Vec<u64>,
+    slots: Slots,
     /// Number of occupied slots.
     len: usize,
     /// `capacity − 1`; capacity is always a power of two.
@@ -110,8 +318,7 @@ impl CountTable {
             .next_power_of_two()
             .max(Self::INITIAL_CAPACITY);
         Self {
-            keys: vec![u64::EMPTY; slots],
-            counts: vec![0; slots],
+            slots: Slots::empty(slots),
             len: 0,
             mask: slots - 1,
             probes: 0,
@@ -131,7 +338,7 @@ impl CountTable {
 
     /// Current slot capacity.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// Total slot inspections since construction (instrumentation counter).
@@ -146,7 +353,7 @@ impl CountTable {
 
     /// Sum of all counts (the number of update operations applied, weighted).
     pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.slots.iter().map(|s| s.count).sum()
     }
 
     #[inline]
@@ -154,15 +361,13 @@ impl CountTable {
         (key.mix() as usize) & self.mask
     }
 
-    /// Reports the key and count words of `slot` to the ownership auditor.
+    /// Reports `slot`'s 16 bytes to the ownership auditor.
     #[cfg(feature = "ownership-audit")]
     #[inline]
     fn record_slot(&self, slot: usize) {
-        use core::mem::size_of;
-        wfbn_concurrent::audit::record_write((&raw const self.keys[slot]).cast(), size_of::<u64>());
         wfbn_concurrent::audit::record_write(
-            (&raw const self.counts[slot]).cast(),
-            size_of::<u64>(),
+            (&raw const self.slots[slot]).cast(),
+            core::mem::size_of::<Slot>(),
         );
     }
 
@@ -175,22 +380,21 @@ impl CountTable {
     #[inline]
     pub fn increment(&mut self, key: u64, by: u64) {
         assert!(key != u64::EMPTY, "the all-ones key is reserved");
-        if (self.len + 1) * MAX_LOAD.1 > self.keys.len() * MAX_LOAD.0 {
+        if (self.len + 1) * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
             self.grow();
         }
         let mut slot = self.slot_of(key);
         loop {
             self.probes += 1;
-            let k = self.keys[slot];
-            if k == key {
-                self.counts[slot] += by;
+            let s = &mut self.slots[slot];
+            if s.key == key {
+                s.count += by;
                 #[cfg(feature = "ownership-audit")]
                 self.record_slot(slot);
                 return;
             }
-            if k == u64::EMPTY {
-                self.keys[slot] = key;
-                self.counts[slot] = by;
+            if s.key == u64::EMPTY {
+                *s = Slot { key, count: by };
                 self.len += 1;
                 #[cfg(feature = "ownership-audit")]
                 self.record_slot(slot);
@@ -220,7 +424,7 @@ impl CountTable {
     /// stable across the whole block (no mid-block rehash), and usable as
     /// the rows-based capacity hint for streaming tables.
     pub fn reserve(&mut self, additional: usize) {
-        while (self.len + additional) * MAX_LOAD.1 > self.keys.len() * MAX_LOAD.0 {
+        while (self.len + additional) * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
             self.grow();
         }
     }
@@ -231,7 +435,7 @@ impl CountTable {
     /// The stage-2 fast path: capacity for the whole block is
     /// reserved up front (one load check per block instead of one per key,
     /// and a stable mask), then each 16-pair tile is **pre-hashed** — slot
-    /// indices computed and their cache lines prefetched — before any
+    /// indices computed and each slot's cache line prefetched — before any
     /// probing starts, so the table's random-access misses overlap instead
     /// of serializing.
     ///
@@ -277,8 +481,7 @@ impl CountTable {
                 assert!(key != u64::EMPTY, "the all-ones key is reserved");
                 let slot = self.slot_of(key);
                 slots[i] = slot;
-                prefetch_slot(&self.keys[slot]);
-                prefetch_slot(&self.counts[slot]);
+                prefetch_slot(&self.slots[slot]);
             }
             for (i, item) in chunk.iter().enumerate() {
                 let (key, by) = (item.key(), item.by());
@@ -286,14 +489,13 @@ impl CountTable {
                 let mut slot = slots[i];
                 loop {
                     self.probes += 1;
-                    let k = self.keys[slot];
-                    if k == key {
-                        self.counts[slot] += by;
+                    let s = &mut self.slots[slot];
+                    if s.key == key {
+                        s.count += by;
                         break;
                     }
-                    if k == u64::EMPTY {
-                        self.keys[slot] = key;
-                        self.counts[slot] = by;
+                    if s.key == u64::EMPTY {
+                        *s = Slot { key, count: by };
                         self.len += 1;
                         break;
                     }
@@ -311,11 +513,11 @@ impl CountTable {
     pub fn get(&self, key: u64) -> u64 {
         let mut slot = self.slot_of(key);
         loop {
-            let k = self.keys[slot];
-            if k == key {
-                return self.counts[slot];
+            let s = self.slots[slot];
+            if s.key == key {
+                return s.count;
             }
-            if k == u64::EMPTY {
+            if s.key == u64::EMPTY {
                 return 0;
             }
             slot = (slot + 1) & self.mask;
@@ -329,7 +531,7 @@ impl CountTable {
             // increment(k, 0)); resolve precisely.
             let mut slot = self.slot_of(key);
             loop {
-                let k = self.keys[slot];
+                let k = self.slots[slot].key;
                 if k == key {
                     return true;
                 }
@@ -343,33 +545,18 @@ impl CountTable {
 
     fn grow(&mut self) {
         self.grows += 1;
-        let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![u64::EMPTY; new_slots]);
-        let old_counts = std::mem::replace(&mut self.counts, vec![0; new_slots]);
-        // The old arrays go back to the allocator below; a later allocation
-        // owned by another core may reuse their addresses.
-        #[cfg(feature = "ownership-audit")]
-        {
-            wfbn_concurrent::audit::retire_range(
-                old_keys.as_ptr().cast(),
-                core::mem::size_of_val(old_keys.as_slice()),
-            );
-            wfbn_concurrent::audit::retire_range(
-                old_counts.as_ptr().cast(),
-                core::mem::size_of_val(old_counts.as_slice()),
-            );
-        }
+        let new_slots = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, Slots::empty(new_slots));
         self.mask = new_slots - 1;
         self.len = 0;
-        for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key != u64::EMPTY {
+        for &old_slot in old.iter() {
+            if old_slot.key != u64::EMPTY {
                 // Re-insert without the load check (capacity is sufficient).
-                let mut slot = self.slot_of(key);
+                let mut slot = self.slot_of(old_slot.key);
                 loop {
                     self.probes += 1;
-                    if self.keys[slot] == u64::EMPTY {
-                        self.keys[slot] = key;
-                        self.counts[slot] = count;
+                    if self.slots[slot].key == u64::EMPTY {
+                        self.slots[slot] = old_slot;
                         self.len += 1;
                         #[cfg(feature = "ownership-audit")]
                         self.record_slot(slot);
@@ -383,11 +570,10 @@ impl CountTable {
 
     /// Iterates over `(key, count)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.keys
+        self.slots
             .iter()
-            .zip(&self.counts)
-            .filter(|(&k, _)| k != u64::EMPTY)
-            .map(|(&k, &c)| (k, c))
+            .filter(|s| s.key != u64::EMPTY)
+            .map(|s| (s.key, s.count))
     }
 
     /// Merges all entries of `other` into `self`.
@@ -450,22 +636,6 @@ fn prefetch_slot<T>(p: *const T) {
     }
     #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     let _ = p;
-}
-
-#[cfg(feature = "ownership-audit")]
-impl Drop for CountTable {
-    fn drop(&mut self) {
-        // Release the table's words from the shadow map so a reused
-        // allocation cannot be mistaken for a cross-core conflict.
-        wfbn_concurrent::audit::retire_range(
-            self.keys.as_ptr().cast(),
-            core::mem::size_of_val(self.keys.as_slice()),
-        );
-        wfbn_concurrent::audit::retire_range(
-            self.counts.as_ptr().cast(),
-            core::mem::size_of_val(self.counts.as_slice()),
-        );
-    }
 }
 
 impl FromIterator<(u64, u64)> for CountTable {
@@ -722,6 +892,88 @@ mod tests {
     fn increment_block_rejects_sentinel_key() {
         let mut t = CountTable::new();
         t.increment_block(&[(3, 1), (u64::MAX, 1)]);
+    }
+
+    /// Distinct keys past which a table's slot array exceeds 2 MiB (and so
+    /// gets huge-page advice): 2¹⁸ keys need 2¹⁹ slots of 16 bytes.
+    const ADVISED_KEYS: u64 = 1 << 18;
+
+    /// A pseudo-random `(key, by)` workload over `2 * ADVISED_KEYS` key
+    /// values, with duplicates.
+    fn advised_workload() -> Vec<(u64, u64)> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..3 * ADVISED_KEYS)
+            .map(|_| {
+                x = wfbn_concurrent::mix64(x);
+                (x % (2 * ADVISED_KEYS), 1 + (x >> 62))
+            })
+            .collect()
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "Miri compiles the huge-page advice out, and interprets 10⁶ increments slowly"
+    )]
+    fn a_table_grown_past_the_advised_size_matches_a_btreemap() {
+        use std::collections::BTreeMap;
+        let mut t = CountTable::new();
+        let mut oracle = BTreeMap::new();
+        for (k, by) in advised_workload() {
+            t.increment(k, by);
+            *oracle.entry(k).or_insert(0) += by;
+        }
+        assert!(t.len() as u64 > ADVISED_KEYS);
+        assert!(t.capacity() * core::mem::size_of::<Slot>() > 2 << 20);
+        assert!(t.grows() > 0);
+        let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
+        assert_eq!(t.to_sorted_vec(), expected);
+        // A clone owns a slot array of its own.
+        let mut copy = t.clone();
+        copy.increment(0, 1);
+        assert_eq!(copy.get(0), t.get(0) + 1);
+        assert_eq!(t.total_count(), expected.iter().map(|&(_, c)| c).sum());
+        assert_eq!(t.get(2 * ADVISED_KEYS), 0);
+        assert!(!t.contains(2 * ADVISED_KEYS));
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "Miri compiles the huge-page advice out, and interprets 10⁶ increments slowly"
+    )]
+    fn block_paths_match_scalar_increments_on_an_advised_table() {
+        let pairs = advised_workload();
+        let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
+        let entries = 2 * ADVISED_KEYS as usize;
+        // Equal capacity and no growth on any side: the probe sequence of
+        // every key is then the same on each path.
+        let mut scalar_pairs = CountTable::with_capacity(entries);
+        let mut scalar_keys = CountTable::with_capacity(entries);
+        let (mut want_pairs, mut want_keys) = (Vec::new(), Vec::new());
+        for (&(k, by), &key) in pairs.iter().zip(&keys) {
+            want_pairs.push(scalar_pairs.increment_probed(k, by));
+            want_keys.push(scalar_keys.increment_probed(key, 1));
+        }
+        let mut block = CountTable::with_capacity(entries);
+        let mut got_pairs = Vec::new();
+        for chunk in pairs.chunks(1000) {
+            block.increment_block_probed(chunk, |d| got_pairs.push(d));
+        }
+        let mut bare = CountTable::with_capacity(entries);
+        let mut got_keys = Vec::new();
+        for chunk in keys.chunks(1000) {
+            bare.increment_keys_probed(chunk, |d| got_keys.push(d));
+        }
+        for t in [&scalar_pairs, &scalar_keys, &block, &bare] {
+            assert_eq!(t.grows(), 0);
+        }
+        assert_eq!(block.to_sorted_vec(), scalar_pairs.to_sorted_vec());
+        assert_eq!(got_pairs, want_pairs);
+        assert_eq!(block.probes(), scalar_pairs.probes());
+        assert_eq!(bare.to_sorted_vec(), scalar_keys.to_sorted_vec());
+        assert_eq!(got_keys, want_keys);
+        assert_eq!(bare.probes(), scalar_keys.probes());
     }
 
     #[test]

@@ -553,6 +553,10 @@ impl PackLayout {
 /// | 12 ternary · 166 672 | 9 / 27 / 81 | 59 / 280 / 1 056 | 461 / 609 / 701 |
 ///
 /// Slicing wins up to 32 cells and loses from 64, so the limit sits at 32.
+/// The table was measured with the software popcount. The kernels now run
+/// the `popcnt` instruction where the CPU has it (see `slice::BitCount`),
+/// which makes slicing cheaper still; the limit is kept at 32 until the
+/// table is measured again.
 pub(crate) const SLICED_CELLS: u64 = 32;
 
 /// Largest arity a snapshot keeps bitmaps for. A variable of a bit-sliced

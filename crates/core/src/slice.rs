@@ -68,6 +68,70 @@ pub(crate) struct Term {
     pub(crate) stride: usize,
 }
 
+/// How a bit-sliced kernel counts set bits. Each kernel is generic over it
+/// and picks its instantiation once per call: [`Popcnt`] where the CPU has
+/// the `popcnt` instruction, else [`Portable`]. The release build targets
+/// baseline x86-64, where `count_ones` compiles to a software popcount of
+/// about a dozen instructions. Both give the same counts.
+pub(crate) trait BitCount: Copy {
+    /// `Σ count` over the entries of `block` set in `bits`.
+    fn weighted(self, block: &Block, bits: &[u64]) -> u64;
+    /// `Σ count` over the entries of `block` set in both `a` and `b`.
+    fn weighted_and(self, block: &Block, a: &[u64], b: &[u64]) -> u64;
+}
+
+/// `count_ones` as the build target compiles it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Portable;
+
+impl BitCount for Portable {
+    #[inline(always)]
+    fn weighted(self, block: &Block, bits: &[u64]) -> u64 {
+        block.weighted(bits)
+    }
+    #[inline(always)]
+    fn weighted_and(self, block: &Block, a: &[u64], b: &[u64]) -> u64 {
+        block.weighted_and(a, b)
+    }
+}
+
+/// The `popcnt` instruction; a value exists only on a CPU that has it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Popcnt(());
+
+impl Popcnt {
+    /// `Some` if the running CPU has `popcnt`. Always `None` off x86-64 and
+    /// under Miri.
+    #[inline]
+    pub(crate) fn detect() -> Option<Self> {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            return Some(Self(()));
+        }
+        None
+    }
+}
+
+impl BitCount for Popcnt {
+    #[inline(always)]
+    fn weighted(self, block: &Block, bits: &[u64]) -> u64 {
+        // SAFETY: a `Popcnt` is made only by `detect`, after the CPU was
+        // found to have the `popcnt` feature the callee is compiled for.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        return unsafe { block.weighted_popcnt(bits) };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        block.weighted(bits)
+    }
+    #[inline(always)]
+    fn weighted_and(self, block: &Block, a: &[u64], b: &[u64]) -> u64 {
+        // SAFETY: as in `weighted`: the value proves the CPU has `popcnt`.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        return unsafe { block.weighted_and_popcnt(a, b) };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        block.weighted_and(a, b)
+    }
+}
+
 /// Up to [`BLOCK`] packed entries and their bit-sliced views; see the
 /// [module docs](self).
 #[derive(Debug, Clone)]
@@ -148,7 +212,8 @@ impl Block {
     }
 
     /// `Σ count` over the entries set in `bits`.
-    pub(crate) fn weighted(&self, bits: &[u64]) -> u64 {
+    #[inline(always)]
+    fn weighted(&self, bits: &[u64]) -> u64 {
         let ones: u64 = bits.iter().map(|x| u64::from(x.count_ones())).sum();
         self.planes.iter().fold(ones, |n, &(c, p, plane)| {
             n + (u64::from((bits[c] & plane).count_ones()) << p)
@@ -156,7 +221,8 @@ impl Block {
     }
 
     /// `Σ count` over the entries set in both `a` and `b`.
-    pub(crate) fn weighted_and(&self, a: &[u64], b: &[u64]) -> u64 {
+    #[inline(always)]
+    fn weighted_and(&self, a: &[u64], b: &[u64]) -> u64 {
         let ones: u64 = a
             .iter()
             .zip(b)
@@ -167,11 +233,33 @@ impl Block {
         })
     }
 
+    /// [`weighted`](Self::weighted) compiled with the `popcnt` instruction.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "popcnt")]
+    fn weighted_popcnt(&self, bits: &[u64]) -> u64 {
+        self.weighted(bits)
+    }
+
+    /// [`weighted_and`](Self::weighted_and) compiled with the `popcnt`
+    /// instruction.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "popcnt")]
+    fn weighted_and_popcnt(&self, a: &[u64], b: &[u64]) -> u64 {
+        self.weighted_and(a, b)
+    }
+
     /// Adds `n(v, a)`, the count of the held entries with `X_v = a`, to
     /// `singles[k]` for every bitmap `k = B[v, a]`.
     pub(crate) fn add_singles(&self, singles: &mut [u64]) {
+        match Popcnt::detect() {
+            Some(hw) => self.add_singles_with(hw, singles),
+            None => self.add_singles_with(Portable, singles),
+        }
+    }
+
+    fn add_singles_with(&self, bc: impl BitCount, singles: &mut [u64]) {
         for (k, single) in singles.iter_mut().enumerate() {
-            *single += self.weighted(self.bitmap(k));
+            *single += bc.weighted(self, self.bitmap(k));
         }
     }
 
@@ -184,13 +272,18 @@ impl Block {
     ///
     /// `scratch` needs `terms.len() * BLOCK_WORDS` words.
     pub(crate) fn count_cells(&self, terms: &[Term], g: &mut [u64], scratch: &mut [u64]) {
-        self.descend(terms, 0, None, 0, scratch, g);
+        match Popcnt::detect() {
+            Some(hw) => self.descend(hw, terms, 0, None, 0, scratch, g),
+            None => self.descend(Portable, terms, 0, None, 0, scratch, g),
+        }
     }
 
     /// Walks the digits of `terms` depth first, carrying the AND of the
     /// bitmaps of the `matched` digits chosen so far in `bits`.
+    #[allow(clippy::too_many_arguments)]
     fn descend(
         &self,
+        bc: impl BitCount,
         terms: &[Term],
         cell: usize,
         bits: Option<&[u64]>,
@@ -200,12 +293,13 @@ impl Block {
     ) {
         let Some((t, rest)) = terms.split_first() else {
             if let (2.., Some(bits)) = (matched, bits) {
-                g[cell] += self.weighted(bits);
+                g[cell] += bc.weighted(self, bits);
             }
             return;
         };
         // Digit r − 1: any state of this variable.
         self.descend(
+            bc,
             rest,
             cell + (t.arity - 1) * t.stride,
             bits,
@@ -226,6 +320,7 @@ impl Block {
                 }
             };
             self.descend(
+                bc,
                 rest,
                 cell + a * t.stride,
                 Some(next),
@@ -302,8 +397,77 @@ fn transpose(m: &mut [u64; 64]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::codec::KeyCodec;
+    use wfbn_data::Schema;
+
+    /// A full block of random entries of `schema`, every variable sliced,
+    /// with counts up to 2¹⁰ so it holds plane words of several weights.
+    pub(crate) fn random_block(schema: Vec<u16>, seed: u64) -> (PackLayout, Sliced, Block) {
+        let codec = KeyCodec::new(&Schema::new(schema).unwrap());
+        let layout = PackLayout::new(&codec);
+        let sliced = Sliced::new(&layout, |_| true);
+        let mut x = seed;
+        let mut entries = (0..BLOCK as u64).map(|_| {
+            x = wfbn_concurrent::mix64(x);
+            (x % codec.state_space(), 1 + (x >> 54))
+        });
+        let mut block = Block::new(&layout, sliced.bitmaps, BLOCK);
+        assert_eq!(
+            block.fill(&layout, &sliced, &mut entries, &mut vec![0; BLOCK]),
+            BLOCK
+        );
+        (layout, sliced, block)
+    }
+
+    #[test]
+    fn popcnt_and_portable_kernels_give_equal_counts_on_random_blocks() {
+        let Some(hw) = Popcnt::detect() else {
+            return; // no `popcnt` on this CPU: only the portable body runs
+        };
+        for seed in 1..=4 {
+            let (layout, sliced, block) = random_block(vec![2, 3, 2, 4, 2, 5, 2], seed);
+            for k in 0..sliced.bitmaps {
+                let a = block.bitmap(k);
+                assert_eq!(hw.weighted(&block, a), Portable.weighted(&block, a));
+                let b = block.bitmap((k * 7 + 3) % sliced.bitmaps);
+                assert_eq!(
+                    hw.weighted_and(&block, a, b),
+                    Portable.weighted_and(&block, a, b)
+                );
+            }
+            // Scopes of 2 to 5 variables, up to 32 cells.
+            for order in [
+                &[0, 1][..],
+                &[3, 1],
+                &[0, 2, 4],
+                &[1, 3, 6],
+                &[0, 2, 4, 6, 1],
+            ] {
+                let mut stride = 1;
+                let terms: Vec<Term> = order
+                    .iter()
+                    .map(|&v| {
+                        let arity = layout.fields[v].arity as usize;
+                        let term = Term {
+                            first: sliced.first[v],
+                            arity,
+                            stride,
+                        };
+                        stride *= arity;
+                        term
+                    })
+                    .collect();
+                let mut scratch = vec![0; terms.len() * BLOCK_WORDS];
+                let (mut want, mut got) = (vec![0; stride], vec![0; stride]);
+                block.descend(Portable, &terms, 0, None, 0, &mut scratch, &mut want);
+                block.descend(hw, &terms, 0, None, 0, &mut scratch, &mut got);
+                assert_eq!(got, want, "seed {seed}, scope {order:?}");
+                assert!(want.iter().any(|&n| n > 0));
+            }
+        }
+    }
 
     #[test]
     fn transpose_swaps_rows_and_columns() {

@@ -213,6 +213,18 @@ impl<E: QueryEndpoint> EndpointSession<E> {
         if let Some(&v) = scope.iter().find(|&&v| v >= n) {
             return Err(format!("X{v} out of range (the schema has {n} variables)"));
         }
+        let cells = scope
+            .iter()
+            .try_fold(1u64, |cells, &v| {
+                cells.checked_mul(u64::from(self.schema.arity(v)))
+            })
+            .filter(|&cells| cells <= MAX_SCOPE_CELLS);
+        if cells.is_none() {
+            return Err(format!(
+                "scope {} has more than {MAX_SCOPE_CELLS} cells",
+                join_usizes(&scope)
+            ));
+        }
         Ok(scope)
     }
 
@@ -458,6 +470,15 @@ fn join_usizes(vars: &[usize]) -> String {
 /// of responses, and 256 `MI` clauses over 15 pairs in 0.4 ms.
 pub const MAX_QUERY_CLAUSES: usize = 256;
 
+/// Most cells `∏ r_v` the scope of one query clause may have: 2²⁰, 8 MiB
+/// of counts. A clause over a wider scope is answered with one `ERR` before
+/// any table is allocated for it, and the session keeps serving. Without
+/// it, one `MARGINAL` over many wide variables could make the session
+/// allocate up to the library's 2²⁸-cell (2 GiB) marginal cap. The widest
+/// scope any workload in this repository queries is a 7-variable marginal
+/// of the hot-query scenario's ternary schema, 2 187 cells.
+pub const MAX_SCOPE_CELLS: u64 = 1 << 20;
+
 /// Parses one protocol line, refusing one with more than
 /// [`MAX_QUERY_CLAUSES`] query clauses.
 fn parse_bounded_line(line: &str) -> Result<Vec<Request>, String> {
@@ -686,6 +707,24 @@ mod tests {
             "OK MARGINAL e=1 scope=2 total=2 counts=0,2"
         );
         // Cached: {0, 1} and {2}, never the refused line's {0}.
+        assert_eq!(session.reader_mut().cache_len(), 2);
+    }
+
+    #[test]
+    fn a_clause_past_the_scope_cell_limit_is_refused_and_the_session_keeps_serving() {
+        // X0 × X1 is 2²⁰ cells, exactly the limit; X0 × X2 is 2²¹.
+        let schema = Schema::new(vec![1024, 1024, 2048]).unwrap();
+        let (engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+        let mut session = Session::new(engine, readers.pop().unwrap(), schema);
+        respond(&mut session, "INGEST 3,3,5; SYNC");
+        let out = respond(&mut session, "MI 0 2; CPT 2 0; MI 0 1; MARGINAL 2");
+        assert_eq!(out.len(), 4, "{out:?}");
+        let refused = format!("ERR scope 0,2 has more than {MAX_SCOPE_CELLS} cells");
+        assert_eq!(out[0], refused);
+        assert_eq!(out[1], refused);
+        assert_eq!(out[2], "OK MI e=1 X0 -- X1 0.000000 nats");
+        assert!(out[3].starts_with("OK MARGINAL e=1 scope=2 total=1 "), "{}", out[3]);
+        // Only the answered scopes were read: {0, 1} and {2}.
         assert_eq!(session.reader_mut().cache_len(), 2);
     }
 
