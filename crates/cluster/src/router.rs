@@ -473,7 +473,7 @@ mod tests {
         let (epoch, cut) = clients[0].pin().unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(cut.len(), 3, "one snapshot per shard");
-        let total: u64 = cut.iter().map(|e| e.table().total_count()).sum();
+        let total: u64 = cut.iter().map(|e| e.packed().total_count()).sum();
         assert_eq!(total, 4, "every row counted on exactly one shard");
         cluster.finish().unwrap();
     }

@@ -33,6 +33,7 @@
 //! `wfbn-pram` models the paper's pair-parallel schedule instead.)
 
 use crate::codec::KeyCodec;
+use crate::count_table::SlotWalk;
 use crate::entropy::mutual_information;
 use crate::marginal::{MarginalTable, PackLayout, PackedTable, TILE};
 use crate::potential::PotentialTable;
@@ -174,11 +175,11 @@ pub fn all_pairs_mi_recorded<R: Recorder>(
     run_on_threads_with(scans.iter_mut().collect(), |tid, scan| {
         let mut cr = rec.core(tid);
         let t0 = cr.now();
-        let mut entries = (tid..p).step_by(t).flat_map(|i| table.partition(i).iter());
+        let mut walk = SlotWalk::new((tid..p).step_by(t).map(|i| table.partition(i)));
         let mut scanned = 0u64;
         while scan
             .block
-            .fill(&layout, &sliced, &mut entries, &mut scan.counts)
+            .fill(&layout, &sliced, &mut walk, &mut scan.counts)
             > 0
         {
             scanned += scan.block.len() as u64;

@@ -592,6 +592,52 @@ impl CountTable {
     }
 }
 
+/// The occupied slots of a run of tables, copied out a chunk at a time:
+/// the one walk over hash slots behind every packed scan.
+///
+/// Each slot is copied to the next output place whether or not it holds a
+/// key, and the place advances by `key != EMPTY`, so the walk takes no
+/// branch on what the slots hold. A table about half full would otherwise
+/// mispredict that branch on every other slot.
+pub(crate) struct SlotWalk<'a, I> {
+    tables: I,
+    /// The current table's slots not yet walked.
+    slots: &'a [Slot],
+}
+
+impl<'a, I: Iterator<Item = &'a CountTable>> SlotWalk<'a, I> {
+    /// A walk over the slots of each of `tables` in turn.
+    pub(crate) fn new(tables: I) -> Self {
+        Self { tables, slots: &[] }
+    }
+
+    /// Copies the next occupied slots' keys to `keys` and counts to
+    /// `counts` until either is full or the slots run out. Returns how many
+    /// it copied; fewer than the room means the walk is done.
+    pub(crate) fn fill(&mut self, keys: &mut [u64], counts: &mut [u64]) -> usize {
+        let room = keys.len().min(counts.len());
+        let mut n = 0;
+        while n < room {
+            if self.slots.is_empty() {
+                match self.tables.next() {
+                    Some(table) => self.slots = &table.slots,
+                    None => break,
+                }
+                continue;
+            }
+            // Each slot adds at most one entry, so `room − n` slots fit.
+            let (now, rest) = self.slots.split_at((room - n).min(self.slots.len()));
+            for s in now {
+                keys[n] = s.key;
+                counts[n] = s.count;
+                n += usize::from(s.key != u64::EMPTY);
+            }
+            self.slots = rest;
+        }
+        n
+    }
+}
+
 /// Item shape accepted by the block engine: a bare key (count 1) or an
 /// explicit `(key, count)` pair. Private — the public surface stays the
 /// concrete `increment_keys_probed` / `increment_block*` methods.
@@ -974,6 +1020,78 @@ mod tests {
         assert_eq!(bare.to_sorted_vec(), scalar_keys.to_sorted_vec());
         assert_eq!(got_keys, want_keys);
         assert_eq!(bare.probes(), scalar_keys.probes());
+    }
+
+    /// Every entry `SlotWalk` copies out of `tables` in chunks of `room`,
+    /// sorted, checking that only the last chunk comes back short.
+    fn walked(tables: &[&CountTable], room: usize) -> Vec<(u64, u64)> {
+        let mut walk = SlotWalk::new(tables.iter().copied());
+        let (mut keys, mut counts) = (vec![0; room], vec![0; room]);
+        let mut out = Vec::new();
+        loop {
+            let n = walk.fill(&mut keys, &mut counts);
+            out.extend(keys[..n].iter().copied().zip(counts[..n].iter().copied()));
+            if n < room {
+                assert_eq!(
+                    walk.fill(&mut keys, &mut counts),
+                    0,
+                    "a short chunk ends the walk"
+                );
+                break;
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// `CountTable::iter` over every table, sorted.
+    fn iterated(tables: &[&CountTable]) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = tables.iter().flat_map(|t| t.iter()).collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn the_slot_walk_copies_what_iter_visits_from_empty_and_tiny_tables() {
+        let empty = CountTable::new();
+        let one: CountTable = [(7u64, 3u64)].into_iter().collect();
+        let mut full = CountTable::new();
+        for k in 0..20u64 {
+            full.increment(k * 5, k + 1);
+        }
+        assert_eq!(full.grows(), 0, "a table of its first capacity");
+        let runs: [&[&CountTable]; 5] = [
+            &[],
+            &[&empty],
+            &[&empty, &one, &empty],
+            &[&full],
+            &[&one, &full, &empty, &one],
+        ];
+        for tables in runs {
+            for room in [1, 2, 3, 7, 16, 64] {
+                assert_eq!(walked(tables, room), iterated(tables), "room {room}");
+            }
+        }
+        // No room copies nothing, and leaves the walk where it was.
+        let mut walk = SlotWalk::new([&full].into_iter());
+        assert_eq!(walk.fill(&mut [], &mut []), 0);
+        assert_eq!(walk.fill(&mut [0; 32], &mut [0; 32]), 20);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri interprets 10⁶ increments slowly")]
+    fn the_slot_walk_copies_what_iter_visits_from_a_mapped_table() {
+        let mut big = CountTable::new();
+        for (k, by) in advised_workload() {
+            big.increment(k, by);
+        }
+        assert!(big.capacity() * core::mem::size_of::<Slot>() > 2 << 20);
+        let small: CountTable = [(1u64, 1u64), (2, 9)].into_iter().collect();
+        let tables = [&small, &big, &small];
+        let want = iterated(&tables);
+        for room in [1, 4096, 4097, 1 << 20] {
+            assert_eq!(walked(&tables, room), want, "room {room}");
+        }
     }
 
     #[test]

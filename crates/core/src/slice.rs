@@ -21,6 +21,7 @@
 //! serve epoch's snapshot of 16 binary variables from about 19.5 to 11.5
 //! bytes per entry; the serve writer keeps one per live epoch.
 
+use crate::count_table::{CountTable, SlotWalk};
 use crate::marginal::PackLayout;
 use core::ops::Range;
 
@@ -162,18 +163,23 @@ impl Block {
         }
     }
 
-    /// Packs the next entries of `entries` until the block is full or they
-    /// run out, then slices the variables of `sliced` and the counts, which
-    /// pass through `counts` (room for `stride` of them). Returns the number
-    /// of entries packed.
-    pub(crate) fn fill(
+    /// Packs the next entries of `walk` until the block is full or they run
+    /// out, then slices the variables of `sliced` and the counts, which pass
+    /// through `counts` (room for `stride` of them). Returns the number of
+    /// entries packed.
+    ///
+    /// The walk copies the keys straight into the first word column, and
+    /// the packing decodes them there in place.
+    pub(crate) fn fill<'a>(
         &mut self,
         layout: &PackLayout,
         sliced: &Sliced,
-        entries: &mut impl Iterator<Item = (u64, u64)>,
+        walk: &mut SlotWalk<'a, impl Iterator<Item = &'a CountTable>>,
         counts: &mut [u64],
     ) -> usize {
-        self.len = layout.pack(entries, self.stride, &mut self.words, counts);
+        let counts = &mut counts[..self.stride];
+        self.len = walk.fill(&mut self.words[..self.stride], counts);
+        layout.pack_in_place(self.len, self.stride, &mut self.words);
         self.slice(layout, sliced, &counts[..self.len]);
         self.len
     }
@@ -382,17 +388,31 @@ impl Block {
 /// Transposes a 64 × 64 bit matrix in place: bit `e` of `m[b]` becomes bit
 /// `b` of `m[e]`. Applied to 64 entries' packed words, it turns them into
 /// one plane per bit position.
+///
+/// Six levels, each swapping the off-diagonal `J × J` blocks of every
+/// `2J × 2J` block. `J` is a constant in each level, so its row pairs are
+/// fixed slices the compiler unrolls and vectorizes.
 fn transpose(m: &mut [u64; 64]) {
-    let mut mask = 0x0000_0000_ffff_ffff_u64;
-    let mut j = 32;
-    while j > 0 {
-        for k in (0..64).filter(|k| k & j == 0) {
-            let t = ((m[k] >> j) ^ m[k | j]) & mask;
-            m[k] ^= t << j;
-            m[k | j] ^= t;
+    swap_blocks::<32>(m, 0x0000_0000_ffff_ffff);
+    swap_blocks::<16>(m, 0x0000_ffff_0000_ffff);
+    swap_blocks::<8>(m, 0x00ff_00ff_00ff_00ff);
+    swap_blocks::<4>(m, 0x0f0f_0f0f_0f0f_0f0f);
+    swap_blocks::<2>(m, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(m, 0x5555_5555_5555_5555);
+}
+
+/// One level of [`transpose`]: in each `2J` rows, swaps the high `J` bits
+/// of every `2J`-bit group of row `k < J` (`!mask`) with the low `J` bits
+/// of row `k + J` (`mask`).
+#[inline(always)]
+fn swap_blocks<const J: usize>(m: &mut [u64; 64], mask: u64) {
+    for rows in m.chunks_exact_mut(2 * J) {
+        let (lo, hi) = rows.split_at_mut(J);
+        for (a, b) in lo.iter_mut().zip(hi) {
+            let t = ((*a >> J) ^ *b) & mask;
+            *a ^= t << J;
+            *b ^= t;
         }
-        j >>= 1;
-        mask ^= mask << j;
     }
 }
 
@@ -408,14 +428,21 @@ pub(crate) mod tests {
         let codec = KeyCodec::new(&Schema::new(schema).unwrap());
         let layout = PackLayout::new(&codec);
         let sliced = Sliced::new(&layout, |_| true);
+        // Keys repeat: each goes to the first table that lacks it.
+        let mut tables: Vec<CountTable> = Vec::new();
         let mut x = seed;
-        let mut entries = (0..BLOCK as u64).map(|_| {
+        for _ in 0..BLOCK {
             x = wfbn_concurrent::mix64(x);
-            (x % codec.state_space(), 1 + (x >> 54))
-        });
+            let (key, count) = (x % codec.state_space(), 1 + (x >> 54));
+            match tables.iter_mut().find(|t| !t.contains(key)) {
+                Some(table) => table.increment(key, count),
+                None => tables.push([(key, count)].into_iter().collect()),
+            }
+        }
         let mut block = Block::new(&layout, sliced.bitmaps, BLOCK);
+        let mut walk = SlotWalk::new(tables.iter());
         assert_eq!(
-            block.fill(&layout, &sliced, &mut entries, &mut vec![0; BLOCK]),
+            block.fill(&layout, &sliced, &mut walk, &mut vec![0; BLOCK]),
             BLOCK
         );
         (layout, sliced, block)
@@ -469,22 +496,43 @@ pub(crate) mod tests {
         }
     }
 
+    /// The transpose bit by bit: bit `e` of `m[b]` is bit `b` of row `e`.
+    fn naive_transpose(rows: &[u64; 64]) -> [u64; 64] {
+        let mut m = [0u64; 64];
+        for (b, plane) in m.iter_mut().enumerate() {
+            for (e, &row) in rows.iter().enumerate() {
+                *plane |= ((row >> b) & 1) << e;
+            }
+        }
+        m
+    }
+
     #[test]
     fn transpose_swaps_rows_and_columns() {
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut m = [0u64; 64];
-        for row in &mut m {
+        let mut next = || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            *row = state;
+            state
+        };
+        let mut cases: Vec<[u64; 64]> = vec![[0; 64], [u64::MAX; 64]];
+        cases.push(core::array::from_fn(|k| 1 << k));
+        cases.push(core::array::from_fn(|k| 1 << (63 - k)));
+        for _ in 0..200 {
+            // Dense rows, sparse rows and rows of few low bits, as packed
+            // binary fields and count planes give.
+            let dense: [u64; 64] = core::array::from_fn(|_| next());
+            let sparse: [u64; 64] = core::array::from_fn(|_| next() & next() & next());
+            let low: [u64; 64] = core::array::from_fn(|_| next() >> 58);
+            cases.extend([dense, sparse, low]);
         }
-        let before = m;
-        transpose(&mut m);
-        for (b, &plane) in m.iter().enumerate() {
-            for (e, &row) in before.iter().enumerate() {
-                assert_eq!((plane >> e) & 1, (row >> b) & 1, "plane {b}, entry {e}");
-            }
+        for rows in cases {
+            let mut m = rows;
+            transpose(&mut m);
+            assert_eq!(m, naive_transpose(&rows));
+            transpose(&mut m);
+            assert_eq!(m, rows, "a transpose is its own inverse");
         }
     }
 }

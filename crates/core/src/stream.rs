@@ -42,11 +42,13 @@ use wfbn_obs::{NoopRecorder, Recorder};
 pub struct StreamingBuilder {
     schema: Schema,
     codec: KeyCodec,
-    /// Persistent per-core partitions, `Arc`-shared with every published
+    /// Persistent per-core partitions, `Arc`-shared with every live
     /// snapshot. While no snapshot holds a reference, `Arc::make_mut`
-    /// mutates in place (zero copies); after a [`snapshot`](Self::snapshot)
-    /// the next absorb diverges each partition inside its owning worker
-    /// (copy-on-publish), leaving the published table immutable forever.
+    /// mutates in place (zero copies); while one does, the next absorb
+    /// diverges each partition inside its owning worker (copy-on-publish),
+    /// leaving the snapshot immutable forever. A caller that only needs a
+    /// snapshot briefly (the serve writer packs it and drops it) keeps the
+    /// next absorb in place.
     tables: Vec<Arc<CountTable>>,
     stats: BuildStats,
     rows_absorbed: u64,
@@ -149,8 +151,9 @@ impl StreamingBuilder {
     }
 
     /// A snapshot of the current table — O(P) `Arc` clones, no partition is
-    /// copied (copy-on-publish: the *next* absorb diverges any partition the
-    /// snapshot still shares). The builder keeps absorbing.
+    /// copied (copy-on-publish: the *next* absorb copies any partition the
+    /// snapshot still shares, and writes in place once it is dropped). The
+    /// builder keeps absorbing.
     pub fn snapshot(&self) -> Result<PotentialTable, CoreError> {
         if self.rows_absorbed == 0 {
             return Err(CoreError::EmptyDataset);

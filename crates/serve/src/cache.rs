@@ -9,12 +9,13 @@
 //! feed the map degenerates to a no-op (every pin flushes); under a
 //! read-heavy feed it converts repeated scopes into O(1) lookups.
 //!
-//! A miss is answered from the packed snapshot of each table of the pinned
-//! epoch ([`Epoch::packed`]), which the writer packed and bit-sliced once
-//! before publishing it. A scope of up to 32 cells — the 2–3 binary
-//! variables of a typical `MI` or `CPT` — costs a few ANDs and weighted
-//! popcounts per 64 entries; a wider one a shift-and-mask scan of dense
-//! arrays. No endpoint packs on its query path.
+//! A miss is answered from the packed snapshot of the pinned epoch, one per
+//! shard on a cluster ([`Epoch::packed`]), which the writer packed and
+//! bit-sliced once before publishing it; the epoch holds no other copy of
+//! the table. A scope of up to 32 cells — the 2–3 binary variables of a
+//! typical `MI` or `CPT` — costs a few ANDs and weighted popcounts per 64
+//! entries; a wider one a shift-and-mask scan of dense arrays. No endpoint
+//! packs on its query path.
 
 use crate::engine::Epoch;
 use crate::ServeError;
@@ -240,16 +241,17 @@ mod tests {
     fn misses_read_the_epoch_snapshot_through_a_capacity_flush() {
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1], &[1, 0, 1]]).unwrap();
+        // The epoch keeps only its packed snapshot; the oracle is the table
+        // the test built it from.
         let table = sequential_build(&data).unwrap().table;
-        let epochs = [Arc::new(Epoch::pack(table, 1).unwrap())];
-        let table = epochs[0].table();
+        let epochs = [Arc::new(Epoch::pack(&table, 1).unwrap())];
         let rec = wfbn_obs::NoopRecorder;
         let mut cache = MarginalCache::with_capacity(2);
         cache.refresh(1);
         for scope in [&[0][..], &[1], &[2], &[0, 2]] {
             let (answers, computed) = cache.answer(&epochs, &[scope], &rec, 0).unwrap();
             assert_eq!(computed, 1);
-            assert_eq!(*answers[0], marginalize(table, scope, 1).unwrap());
+            assert_eq!(*answers[0], marginalize(&table, scope, 1).unwrap());
         }
         // The third scope flushed the map; later misses still read the epoch.
         assert_eq!(cache.len(), 2);
@@ -266,7 +268,7 @@ mod tests {
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1]]).unwrap();
         let table = sequential_build(&data).unwrap().table;
-        let epochs = [Arc::new(Epoch::pack(table, 1).unwrap())];
+        let epochs = [Arc::new(Epoch::pack(&table, 1).unwrap())];
         let rec = wfbn_obs::NoopRecorder;
         let mut cache = MarginalCache::new();
         cache.refresh(1);

@@ -4,12 +4,17 @@
 //! One dedicated writer thread owns the [`StreamingBuilder`] and the
 //! [`EpochPublisher`](wfbn_concurrent::EpochPublisher). The front-end hands
 //! it row batches over a wait-free SPSC lane; after absorbing each batch the
-//! writer packs the new table into a bit-sliced [`PackedTable`] on the
-//! builder's thread count and publishes both as one [`Epoch`], so **epoch
-//! `e` is exactly the table of the first `e` admitted batches** — the
-//! property the equivalence suite checks and the protocol's `SYNC` relies
-//! on. Every reader and cluster client answers its cache misses from that
-//! one snapshot; none packs on its query path.
+//! writer packs the new table into a bit-sliced [`PackedTable`] and
+//! publishes it as one [`Epoch`], so **epoch `e` is exactly the snapshot of
+//! the table of the first `e` admitted batches** — the property the
+//! equivalence suite checks (on the keys and counts unpacked from it) and
+//! the protocol's `SYNC` relies on. Every reader and cluster client answers
+//! its cache misses from that one snapshot; none packs on its query path.
+//!
+//! An epoch keeps no handle on the builder's partitions, so a `SYNC` costs
+//! one absorb done in place and one pack: a table of fewer than 2¹⁵
+//! entries packs on the writer's own thread, a larger one on the builder's
+//! thread count.
 //!
 //! # Admission and backpressure
 //!
@@ -42,29 +47,25 @@ use wfbn_core::{CoreError, PackedTable, PotentialTable};
 use wfbn_data::{Dataset, Schema};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
-/// One published epoch: the table of the first `e` admitted batches and its
-/// bit-sliced snapshot, packed once by the writer and shared by `Arc` with
+/// One published epoch: the bit-sliced snapshot of the table of the first
+/// `e` admitted batches, packed once by the writer and shared by `Arc` with
 /// every reader and cluster client.
+///
+/// The epoch holds no handle on the table itself, so once the writer has
+/// packed it no partition is shared, and the next absorb writes every
+/// partition in place instead of copying it.
 #[derive(Debug)]
 pub struct Epoch {
-    table: Arc<PotentialTable>,
     packed: PackedTable,
 }
 
 impl Epoch {
     /// Packs `table` on `threads` threads into the epoch to publish: the
     /// one place the serving tier packs a table.
-    pub(crate) fn pack(table: PotentialTable, threads: usize) -> Result<Self, CoreError> {
-        let packed = PackedTable::pack(&table, threads)?;
+    pub(crate) fn pack(table: &PotentialTable, threads: usize) -> Result<Self, CoreError> {
         Ok(Epoch {
-            table: Arc::new(table),
-            packed,
+            packed: PackedTable::pack(table, threads)?,
         })
-    }
-
-    /// The epoch's potential table.
-    pub fn table(&self) -> &Arc<PotentialTable> {
-        &self.table
     }
 
     /// The epoch's packed snapshot, which every cache miss reads.
@@ -202,16 +203,17 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
                     match admission.try_pop() {
                         Some(batch) => {
                             builder.absorb_recorded(&batch, &*wrec)?;
-                            // Copy-on-publish: O(P) Arc bumps, no table copy.
-                            // `_or_empty`: a shard engine's slice of a batch
-                            // may hold zero rows, but its epoch must still
-                            // advance (cluster-epoch batch alignment).
-                            let table = builder.snapshot_or_empty();
                             // The absorb threads have joined, so core 0 is
                             // the writer's alone until the next batch.
                             let mut c0 = wrec.core(0);
                             let t0 = c0.now();
-                            let epoch = Epoch::pack(table, threads)?;
+                            // `_or_empty`: a shard engine's slice of a batch
+                            // may hold zero rows, but its epoch must still
+                            // advance (cluster-epoch batch alignment). The
+                            // snapshot (O(P) Arc bumps) is dropped once
+                            // packed, so the builder owns its partitions
+                            // alone again before the next absorb.
+                            let epoch = Epoch::pack(&builder.snapshot_or_empty(), threads)?;
                             c0.stage_ns(Stage::Marginal, c0.now().saturating_sub(t0));
                             publisher.publish(epoch);
                             c0.add(Counter::EpochsPublished, 1);
@@ -398,13 +400,13 @@ mod tests {
         for r in &mut readers {
             let (epoch, snap) = r.pin().unwrap();
             assert_eq!(epoch, 1);
-            assert_eq!(snap.total_count(), 1);
+            assert_eq!(snap.packed().total_count(), 1);
         }
         engine.submit(batch(&schema, &[&[1, 1], &[1, 0]])).unwrap();
         engine.sync().unwrap();
         let (epoch, snap) = readers[1].pin().unwrap();
         assert_eq!(epoch, 2);
-        assert_eq!(snap.total_count(), 3);
+        assert_eq!(snap.packed().total_count(), 3);
         drop(engine);
     }
 
@@ -426,7 +428,7 @@ mod tests {
         // Sequential consumption sees epoch 1 then epoch 2 — no skipping,
         // unlike a pin-to-newest reader.
         let (e1, snap1) = lane.next_epoch().unwrap();
-        assert_eq!((e1, snap1.table().total_count()), (1, 1));
+        assert_eq!((e1, snap1.packed().total_count()), (1, 1));
         let (e2, snap2) = lane.next_epoch().unwrap();
         assert_eq!((e2, snap2.packed().total_count()), (2, 3));
         assert!(lane.next_epoch().is_none());

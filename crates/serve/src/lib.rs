@@ -12,13 +12,13 @@
 //! serving:
 //!
 //! * **Publication** rides [`wfbn_concurrent::epoch`]: each epoch is an
-//!   `Arc` of an [`Epoch`] holding the [`wfbn_core::PotentialTable`], whose
-//!   partitions are themselves `Arc`-shared with the builder (copy-on-publish
-//!   — a table snapshot is `P` pointer bumps, and the builder pays a
-//!   partition copy only when it next writes a partition that a published
-//!   snapshot still holds), and its bit-sliced [`wfbn_core::PackedTable`],
-//!   which the writer packs on the builder's thread count right after
-//!   absorbing the batch.
+//!   `Arc` of an [`Epoch`] holding the bit-sliced [`wfbn_core::PackedTable`]
+//!   of the table, which the writer packs right after absorbing the batch
+//!   (on the calling thread below `wfbn_core`'s serial-pack size, else on
+//!   the builder's thread count). The epoch holds nothing of the table
+//!   itself: the writer packs a snapshot of the builder's partitions
+//!   (`P` pointer bumps) and drops it, so the builder owns every partition
+//!   alone again and the next absorb writes them in place.
 //! * **Admission** is a bounded hand-off: the front-end counts batches it
 //!   submitted, the writer's published epoch counts batches absorbed, and
 //!   the difference is the backlog the admission gate blocks on. Both
@@ -28,7 +28,9 @@
 //!   pinned snapshot. A per-reader scope-keyed [`cache::MarginalCache`]
 //!   (invalidated on epoch advance) keeps repeated and fused queries from
 //!   rescanning, and answers every miss from the pinned epoch's packed
-//!   snapshot: no reader packs on its query path.
+//!   snapshot: no reader packs on its query path. A protocol line is
+//!   bounded in clauses, in cells per scope and in cells over its distinct
+//!   scopes ([`server::MAX_LINE_CELLS`]).
 //!
 //! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v6`): the writer
 //! records each epoch's pack under the `marginalize` stage,

@@ -17,7 +17,7 @@ use crate::engine::Epoch;
 use crate::{QueryEndpoint, ServeError};
 use std::sync::Arc;
 use wfbn_concurrent::epoch::EpochReader;
-use wfbn_core::{MarginalTable, PotentialTable};
+use wfbn_core::MarginalTable;
 use wfbn_obs::{CoreRecorder, Counter, Recorder};
 
 /// One row of a conditional probability table: a parent-state assignment
@@ -79,13 +79,7 @@ impl<R: Recorder> QueryReader<R> {
     /// Advances to the newest published epoch, flushing the marginal cache
     /// and counting an `epochs_pinned` event if the epoch moved. Returns
     /// `None` until the first publication reaches this reader.
-    pub fn pin(&mut self) -> Option<(u64, Arc<PotentialTable>)> {
-        self.pin_epoch()
-            .map(|(e, epoch)| (e, Arc::clone(epoch.table())))
-    }
-
-    /// [`pin`](Self::pin), returning the whole published epoch.
-    fn pin_epoch(&mut self) -> Option<(u64, Arc<Epoch>)> {
+    pub fn pin(&mut self) -> Option<(u64, Arc<Epoch>)> {
         let before = self.lane.pinned_epoch();
         let pinned = self.lane.pin().map(|(e, epoch)| (e, Arc::clone(epoch)));
         if let Some((epoch, _)) = pinned {
@@ -103,7 +97,7 @@ impl<R: Recorder> QueryEndpoint for QueryReader<R> {
         &mut self,
         scopes: &[&[usize]],
     ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
-        let (epoch, pinned) = self.pin_epoch().ok_or(ServeError::NothingPublished)?;
+        let (epoch, pinned) = self.pin().ok_or(ServeError::NothingPublished)?;
         let epochs = std::slice::from_ref(&pinned);
         let (answers, _) = self.cache.answer(epochs, scopes, &*self.rec, self.core)?;
         Ok((epoch, answers))

@@ -17,6 +17,7 @@ use crate::engine::Engine;
 use crate::query::{parse_line, Request};
 use crate::reader::{cpt_rows, CptRow, QueryReader};
 use crate::ServeError;
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -154,6 +155,7 @@ impl<E: QueryEndpoint> EndpointSession<E> {
                 return;
             }
         };
+        let mut budget = LineBudget::default();
         let mut run: Vec<Request> = Vec::new();
         for req in requests {
             match req {
@@ -163,7 +165,7 @@ impl<E: QueryEndpoint> EndpointSession<E> {
                 other => {
                     if !run.is_empty() {
                         let pending = std::mem::take(&mut run);
-                        self.answer_run(&pending, out);
+                        self.answer_run(&pending, &mut budget, out);
                     }
                     match other {
                         Request::Epoch => out.push(format!(
@@ -181,13 +183,13 @@ impl<E: QueryEndpoint> EndpointSession<E> {
         }
         if !run.is_empty() {
             let pending = std::mem::take(&mut run);
-            self.answer_run(&pending, out);
+            self.answer_run(&pending, &mut budget, out);
         }
     }
 
-    /// Scope a query request needs, validated against the schema, or the
-    /// per-request error to report instead.
-    fn scope_of(&self, req: &Request) -> Result<Vec<usize>, String> {
+    /// Scope a query request needs, validated against the schema, and its
+    /// cell count, or the per-request error to report instead.
+    fn scope_of(&self, req: &Request) -> Result<(Vec<usize>, u64), String> {
         let scope = match req {
             Request::Marginal(scope) => scope.clone(),
             Request::Mi { i, j, .. } => {
@@ -219,20 +221,27 @@ impl<E: QueryEndpoint> EndpointSession<E> {
                 cells.checked_mul(u64::from(self.schema.arity(v)))
             })
             .filter(|&cells| cells <= MAX_SCOPE_CELLS);
-        if cells.is_none() {
-            return Err(format!(
+        match cells {
+            Some(cells) => Ok((scope, cells)),
+            None => Err(format!(
                 "scope {} has more than {MAX_SCOPE_CELLS} cells",
                 join_usizes(&scope)
-            ));
+            )),
         }
-        Ok(scope)
     }
 
-    /// Answers a run of consecutive query requests as one fused batch.
-    fn answer_run(&mut self, run: &[Request], out: &mut Vec<String>) {
+    /// Answers a run of consecutive query requests as one fused batch,
+    /// charging each new scope to the line's `budget`.
+    fn answer_run(&mut self, run: &[Request], budget: &mut LineBudget, out: &mut Vec<String>) {
         // Per-request scope or error; only valid scopes enter the batch.
-        let scoped: Vec<Result<Vec<usize>, String>> =
-            run.iter().map(|req| self.scope_of(req)).collect();
+        let scoped: Vec<Result<Vec<usize>, String>> = run
+            .iter()
+            .map(|req| {
+                let (scope, cells) = self.scope_of(req)?;
+                budget.admit(&scope, cells)?;
+                Ok(scope)
+            })
+            .collect();
         let batch: Vec<&[usize]> = scoped
             .iter()
             .filter_map(|s| s.as_deref().ok())
@@ -353,8 +362,8 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
     }
 
     /// Answers a run of consecutive query requests as one fused batch.
-    fn answer_run(&mut self, run: &[Request], out: &mut Vec<String>) {
-        self.queries.answer_run(run, out);
+    fn answer_run(&mut self, run: &[Request], budget: &mut LineBudget, out: &mut Vec<String>) {
+        self.queries.answer_run(run, budget, out);
     }
 
     /// Handles one non-query request, appending its response line(s).
@@ -414,6 +423,7 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
                 return LoopControl::Eof;
             }
         };
+        let mut budget = LineBudget::default();
         let mut run: Vec<Request> = Vec::new();
         for req in requests {
             match req {
@@ -423,7 +433,7 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
                 other => {
                     if !run.is_empty() {
                         let pending = std::mem::take(&mut run);
-                        self.answer_run(&pending, out);
+                        self.answer_run(&pending, &mut budget, out);
                     }
                     let control = match other {
                         Request::Quit => LoopControl::Quit,
@@ -439,7 +449,7 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
         }
         if !run.is_empty() {
             let pending = std::mem::take(&mut run);
-            self.answer_run(&pending, out);
+            self.answer_run(&pending, &mut budget, out);
         }
         LoopControl::Eof
     }
@@ -478,6 +488,44 @@ pub const MAX_QUERY_CLAUSES: usize = 256;
 /// scope any workload in this repository queries is a 7-variable marginal
 /// of the hot-query scenario's ternary schema, 2 187 cells.
 pub const MAX_SCOPE_CELLS: u64 = 1 << 20;
+
+/// Most cells the distinct valid scopes of one line may total: 2²², 32 MiB
+/// of counts, four scopes of [`MAX_SCOPE_CELLS`]. A clause whose new scope
+/// would take the line past it is answered with one `ERR`, and the line's
+/// other clauses and the session keep being served. A scope the line has
+/// already admitted costs nothing again. The two per-clause bounds alone
+/// multiply: a line of [`MAX_QUERY_CLAUSES`] distinct scopes of 2²⁰ cells
+/// would hold 2 GiB of answers until the line is done. The most any
+/// workload in this repository asks of one line is one clause of 2 187
+/// cells.
+pub const MAX_LINE_CELLS: u64 = 1 << 22;
+
+/// The distinct scopes one line has admitted and their cells, against
+/// [`MAX_LINE_CELLS`].
+#[derive(Default)]
+struct LineBudget {
+    scopes: HashSet<Vec<usize>>,
+    cells: u64,
+}
+
+impl LineBudget {
+    /// Admits `scope` of `cells` cells, or refuses it if it is new and
+    /// would take the line past the budget.
+    fn admit(&mut self, scope: &[usize], cells: u64) -> Result<(), String> {
+        if self.scopes.contains(scope) {
+            return Ok(());
+        }
+        if self.cells + cells > MAX_LINE_CELLS {
+            return Err(format!(
+                "scope {} would take the line past {MAX_LINE_CELLS} cells",
+                join_usizes(scope)
+            ));
+        }
+        self.cells += cells;
+        self.scopes.insert(scope.to_vec());
+        Ok(())
+    }
+}
 
 /// Parses one protocol line, refusing one with more than
 /// [`MAX_QUERY_CLAUSES`] query clauses.
@@ -726,6 +774,56 @@ mod tests {
         assert!(out[3].starts_with("OK MARGINAL e=1 scope=2 total=1 "), "{}", out[3]);
         // Only the answered scopes were read: {0, 1} and {2}.
         assert_eq!(session.reader_mut().cache_len(), 2);
+    }
+
+    #[test]
+    fn clauses_past_the_line_cell_budget_are_refused_and_the_session_keeps_serving() {
+        // Each pair of the 1024-ary variables is 2²⁰ cells: four fit the
+        // line's budget exactly, and a fifth distinct one does not.
+        let schema = Schema::new(vec![1024; 6]).unwrap();
+        let (engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+        let mut session = Session::new(engine, readers.pop().unwrap(), schema.clone());
+        respond(&mut session, "INGEST 1,2,3,4,5,6; SYNC");
+        assert_eq!(4 * MAX_SCOPE_CELLS, MAX_LINE_CELLS);
+        let line = "MI 0 1; MI 2 3; MARGINAL 4 5; MI 1 0; EPOCH; CPT 1 0; MI 0 2; \
+                    MARGINAL 0 3; MI 3 2; MI 4 5; MARGINAL 5";
+        let out = respond(&mut session, line);
+        assert_eq!(out.len(), 11, "{out:?}");
+        let ok = |i: usize| assert!(out[i].starts_with("OK "), "clause {i}: {}", out[i]);
+        let refused = |i: usize, scope: &str| {
+            let want = format!("ERR scope {scope} would take the line past {MAX_LINE_CELLS} cells");
+            assert_eq!(out[i], want, "clause {i}");
+        };
+        // Three distinct scopes, then a repeat of the first: no charge.
+        (0..4).for_each(ok);
+        assert_eq!(out[4], "OK EPOCH published=1 pinned=1");
+        // The budget spans the whole line, across the EPOCH: {0, 1} again
+        // is free, the fourth scope {0, 2} fills the budget, and every new
+        // scope after it is refused, even a one-variable one.
+        ok(5);
+        ok(6);
+        refused(7, "0,3");
+        ok(8);
+        ok(9);
+        refused(10, "5");
+        // A fresh line has a fresh budget.
+        let out = respond(&mut session, "MARGINAL 0 3; MARGINAL 5");
+        assert!(out.iter().all(|l| l.starts_with("OK MARGINAL e=1")), "{out:?}");
+        // A reader endpoint keeps the same budget.
+        let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+        let row: &[u16] = &[0; 6];
+        engine.submit(Dataset::from_rows(schema.clone(), &[row]).unwrap()).unwrap();
+        engine.sync().unwrap();
+        let mut rs = ReaderSession::new(readers.pop().unwrap(), schema);
+        let mut out = Vec::new();
+        rs.handle_query_line("MI 0 1; MI 0 2; MI 0 3; MI 0 4; MI 0 5; MI 1 0", &mut out);
+        assert_eq!(out.len(), 6);
+        assert!(out[..4].iter().chain(&out[5..]).all(|l| l.starts_with("OK MI e=1")), "{out:?}");
+        assert_eq!(
+            out[4],
+            format!("ERR scope 0,5 would take the line past {MAX_LINE_CELLS} cells")
+        );
+        engine.finish().unwrap();
     }
 
     #[test]

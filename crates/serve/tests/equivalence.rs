@@ -5,14 +5,16 @@
 //! publishes after every absorbed batch, so the epoch number doubles as a
 //! prefix length; counts are exact integers, so "equivalent" means equal —
 //! no tolerance on tables, and 1e-12 on derived mutual information only to
-//! allow for the final floating-point reduction.
+//! allow for the final floating-point reduction. Every table compared here
+//! is the served one: the keys and counts unpacked from the epoch's packed
+//! snapshot, the only copy of the table an epoch holds.
 
 use std::sync::Arc;
 use wfbn_core::construct::sequential_build;
 use wfbn_core::entropy::mutual_information;
 use wfbn_core::marginalize;
 use wfbn_data::{CorrelatedChain, Dataset, Generator, Schema};
-use wfbn_serve::{Engine, EngineConfig, QueryEndpoint};
+use wfbn_serve::{Engine, EngineConfig, Epoch, QueryEndpoint};
 
 const VARS: usize = 6;
 const BATCHES: usize = 12;
@@ -61,7 +63,7 @@ fn every_epoch_equals_the_offline_prefix_build_for_each_p() {
 
             let offline = offline_prefix(&schema, &batches, k + 1);
             assert_eq!(
-                snap.to_sorted_vec(),
+                snap.packed().to_sorted_vec(),
                 offline.to_sorted_vec(),
                 "P={p}: epoch {epoch} table differs from the offline prefix"
             );
@@ -103,7 +105,7 @@ fn concurrent_reader_mid_absorb_observes_only_exact_prefixes() {
                 let closed = prober.is_closed();
                 if let Some((epoch, snap)) = prober.pin() {
                     if tables.last().map(|(e, _)| *e) != Some(epoch) {
-                        tables.push((epoch, snap.to_sorted_vec()));
+                        tables.push((epoch, snap.packed().to_sorted_vec()));
                         // The query API re-pins, so it may answer at an even
                         // newer epoch than the snapshot above — it reports
                         // which, and both must match their own prefix.
@@ -154,28 +156,28 @@ fn concurrent_reader_mid_absorb_observes_only_exact_prefixes() {
 #[test]
 fn snapshots_are_immutable_while_the_writer_moves_on() {
     // An Arc'd snapshot pinned at epoch 1 must not change as later batches
-    // are absorbed (copy-on-publish: the writer diverges shared partitions
-    // instead of mutating them).
+    // are absorbed in place (the epoch owns its packed copy; the writer's
+    // partitions are no longer shared once it is packed).
     let (schema, batches) = workload();
     let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
     engine.submit(batches[0].clone()).unwrap();
     engine.sync().unwrap();
     let (epoch, early) = readers[0].pin().expect("epoch 1");
     assert_eq!(epoch, 1);
-    let early: Arc<wfbn_core::PotentialTable> = early;
-    let frozen = early.to_sorted_vec();
+    let early: Arc<Epoch> = early;
+    let frozen = early.packed().to_sorted_vec();
 
     for batch in &batches[1..] {
         engine.submit(batch.clone()).unwrap();
     }
     engine.sync().unwrap();
     assert_eq!(
-        early.to_sorted_vec(),
+        early.packed().to_sorted_vec(),
         frozen,
         "epoch-1 snapshot mutated while the writer absorbed later batches"
     );
     let offline = offline_prefix(&schema, &batches, 1);
-    assert_eq!(early.to_sorted_vec(), offline.to_sorted_vec());
+    assert_eq!(early.packed().to_sorted_vec(), offline.to_sorted_vec());
     engine.finish().unwrap();
 }
 
@@ -244,7 +246,7 @@ fn adversarial_partition_soak_pins_only_exact_prefixes() {
             let closed = prober.is_closed();
             if let Some((epoch, snap)) = prober.pin() {
                 if seen.last().map(|(e, _)| *e) != Some(epoch) {
-                    seen.push((epoch, snap.to_sorted_vec()));
+                    seen.push((epoch, snap.packed().to_sorted_vec()));
                 }
             }
             if closed {

@@ -449,8 +449,8 @@ fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
     engine.submit(data).unwrap();
     engine.sync().unwrap();
     let reader = &mut readers[0];
-    let (_, table) = reader.pin().unwrap();
-    let n = table.num_entries() as u64;
+    let (_, epoch) = reader.pin().unwrap();
+    let n = epoch.packed().num_entries() as u64;
     let scanned = || rec.snapshot().cores[cfg.reader_core(0)].counter(Counter::EntriesScanned);
     let reader_marginal_ns = || rec.snapshot().cores[cfg.reader_core(0)].stage(Stage::Marginal);
     assert!(
