@@ -18,6 +18,7 @@
 //! packs on its query path.
 
 use crate::engine::Epoch;
+use crate::server::MAX_LINE_CELLS;
 use crate::ServeError;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -34,6 +35,8 @@ pub struct MarginalCache {
     epoch: u64,
     map: HashMap<Box<[usize]>, Arc<MarginalTable>>,
     capacity: usize,
+    /// Cells of every cached marginal.
+    cells: u64,
 }
 
 impl MarginalCache {
@@ -48,6 +51,7 @@ impl MarginalCache {
             epoch: 0,
             map: HashMap::new(),
             capacity: capacity.max(1),
+            cells: 0,
         }
     }
 
@@ -61,6 +65,11 @@ impl MarginalCache {
         self.map.len()
     }
 
+    /// Cells of every cached marginal together.
+    pub fn cells(&self) -> u64 {
+        self.cells
+    }
+
     /// `true` when no scope is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
@@ -69,7 +78,7 @@ impl MarginalCache {
     /// Rebinds the cache to `epoch`, flushing every entry if it moved.
     pub fn refresh(&mut self, epoch: u64) {
         if epoch != self.epoch {
-            self.map.clear();
+            self.clear();
             self.epoch = epoch;
         }
     }
@@ -81,14 +90,28 @@ impl MarginalCache {
 
     /// Caches `marginal` under `scope` for the current epoch.
     ///
-    /// At capacity the whole map is flushed first — the same wholesale
-    /// flush an epoch advance performs, chosen over per-entry eviction so
-    /// the cache never needs recency bookkeeping on the query hot path.
+    /// At capacity, or when its cells would take the cache past
+    /// [`MAX_LINE_CELLS`] (the most one protocol line's distinct scopes may
+    /// total), the whole map is flushed first — the same wholesale flush an
+    /// epoch advance performs, chosen over per-entry eviction so the cache
+    /// never needs recency bookkeeping on the query hot path. No server
+    /// scope is wider than that bound by itself
+    /// ([`MAX_SCOPE_CELLS`](crate::server::MAX_SCOPE_CELLS) is a quarter of
+    /// it), so the cache then holds at most [`MAX_LINE_CELLS`] cells.
     pub fn insert(&mut self, scope: &[usize], marginal: Arc<MarginalTable>) {
-        if self.map.len() >= self.capacity {
-            self.map.clear();
+        let cells = marginal.num_cells() as u64;
+        if self.map.len() >= self.capacity || self.cells + cells > MAX_LINE_CELLS {
+            self.clear();
         }
-        self.map.insert(scope.into(), marginal);
+        self.cells += cells;
+        if let Some(old) = self.map.insert(scope.into(), marginal) {
+            self.cells -= old.num_cells() as u64;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.cells = 0;
     }
 
     /// Answers a fused group of `scopes` at the cache's epoch, whose table

@@ -82,6 +82,8 @@ pub struct IngestRows {
     states: Vec<u16>,
     /// Where each row ends in `states`.
     ends: Vec<usize>,
+    /// The largest state in each column, over the rows that reach it.
+    col_max: Vec<u16>,
 }
 
 impl IngestRows {
@@ -101,62 +103,194 @@ impl IngestRows {
     /// The batch as a dataset over `schema`, refused exactly as
     /// [`Dataset::from_rows`] refuses it: at the first row whose width or
     /// states do not conform.
+    ///
+    /// Rows all `schema`-wide are checked once per column against the
+    /// maxima the parser kept; the rows are scanned only to name the first
+    /// refused one.
     pub(crate) fn into_dataset(self, schema: Schema) -> Result<Dataset, DatasetError> {
         let n = schema.num_vars();
-        if self
+        let conforms = self
             .ends
             .iter()
             .enumerate()
             .all(|(i, &end)| end == (i + 1) * n)
-        {
-            return Dataset::from_flat(schema, self.states);
+            && self
+                .col_max
+                .iter()
+                .zip(schema.arities())
+                .all(|(m, r)| m < r);
+        if !conforms {
+            if let Some(row) = self.rows().position(|row| !schema.validates_row(row)) {
+                return Err(DatasetError::InvalidRow { row });
+            }
         }
-        // Rows of differing widths: a flat buffer could still be a whole
-        // number of rows, so the rows are checked one by one.
-        let rows: Vec<&[u16]> = self.rows().collect();
-        Dataset::from_rows(schema, &rows)
+        Ok(Dataset::from_flat_unchecked(schema, self.states))
     }
 
-    /// Parses `v,v,...|v,v,...` in one pass: whitespace anywhere is skipped,
-    /// `|` ends a row and `,` a state, and each state is what `u16`'s
-    /// `FromStr` accepts (an optional `+`, then decimal digits).
+    /// Parses `v,v,...|v,v,...` in one pass over the bytes: whitespace
+    /// anywhere is skipped, `|` ends a row and `,` a state, and each state is
+    /// what `u16`'s `FromStr` accepts (an optional `+`, then decimal digits).
+    ///
+    /// Once the first row has set the width, each row of that many
+    /// single-digit states with no whitespace (`d,d,...,d|`, the common
+    /// case) is taken whole; any other row is stepped through byte by byte.
     fn parse(text: &str) -> Result<Self, String> {
+        let bytes = text.as_bytes();
+        // Each state takes at least a digit and a separator.
         let mut rows = IngestRows {
-            states: Vec::new(),
+            states: Vec::with_capacity(bytes.len() / 2 + 1),
             ends: Vec::new(),
+            col_max: Vec::new(),
         };
-        // The state being read: its value, and where its token began.
-        let (mut value, mut digits, mut plus, mut start) = (0u32, 0usize, false, 0usize);
-        for (at, c) in text.char_indices().chain([(text.len(), '|')]) {
-            match c {
-                '0'..='9' if value <= u32::from(u16::MAX) => {
-                    value = value * 10 + (c as u32 - '0' as u32);
+        let mut at = 0;
+        loop {
+            if let Some(&width) = rows.ends.first() {
+                while let Some(row) = bytes.get(at..at + 2 * width) {
+                    if !rows.take_single_digit_row(row) {
+                        break;
+                    }
+                    at += row.len();
+                }
+            }
+            match rows.step_row(text, at)? {
+                Some(next) => at = next,
+                None => return Ok(rows),
+            }
+        }
+    }
+
+    /// Takes `row` as `d,d,...,d|` of `row.len() / 2` single-digit states,
+    /// if it is one; otherwise changes nothing and returns `false`.
+    ///
+    /// Four `d,` pairs are checked and decoded at once: XOR with `"0,0,0,0,"`
+    /// leaves each pair as one little-endian `u16` that is the digit's value
+    /// when the pair is canonical, and at least 10 when it is not.
+    fn take_single_digit_row(&mut self, row: &[u8]) -> bool {
+        const PAIRS: u64 = u64::from_le_bytes(*b"0,0,0,0,");
+        const NOT_NIBBLE: u64 = 0xfff0_fff0_fff0_fff0;
+        const PLUS_SIX: u64 = 0x0006_0006_0006_0006;
+        const SIXTEEN: u64 = 0x0010_0010_0010_0010;
+        let lanes =
+            |word: &[u8]| u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ PAIRS;
+        let Some((body, &[last, bar])) = row.split_last_chunk::<2>() else {
+            return false;
+        };
+        let words = body.chunks_exact(8);
+        // A lane is below 10 iff it is below 16 and adding 6 keeps it so;
+        // below 16, no lane carries into the next.
+        let canonical = words.clone().all(|w| {
+            let t = lanes(w);
+            t & NOT_NIBBLE | (t + PLUS_SIX) & SIXTEEN == 0
+        }) && words
+            .remainder()
+            .chunks_exact(2)
+            .all(|pair| pair[0].is_ascii_digit() && pair[1] == b',')
+            && last.is_ascii_digit()
+            && bar == b'|';
+        if !canonical {
+            return false;
+        }
+        let base = self.states.len();
+        self.states.resize(base + row.len() / 2, 0);
+        let (head, tail) = self.states[base..].split_at_mut(4 * words.len());
+        for (w, out) in words.clone().zip(head.chunks_exact_mut(4)) {
+            let t = lanes(w);
+            out.copy_from_slice(&[
+                t as u16,
+                (t >> 16) as u16,
+                (t >> 32) as u16,
+                (t >> 48) as u16,
+            ]);
+        }
+        let digits = words.remainder().iter().step_by(2).chain([&last]);
+        for (out, &b) in tail.iter_mut().zip(digits) {
+            *out = u16::from(b - b'0');
+        }
+        for (max, &s) in self.col_max.iter_mut().zip(&self.states[base..]) {
+            *max = (*max).max(s);
+        }
+        self.ends.push(self.states.len());
+        true
+    }
+
+    /// Steps through one row from byte `at` of `text`. Returns where the next
+    /// row begins, or `None` when the end of the payload ended this row.
+    fn step_row(&mut self, text: &str, mut at: usize) -> Result<Option<usize>, String> {
+        let bytes = text.as_bytes();
+        // The state being read: its value, digits, sign, and first byte.
+        let (mut value, mut digits, mut plus, mut start) = (0u32, 0usize, false, at);
+        while let Some(&b) = bytes.get(at) {
+            match b {
+                b'0'..=b'9' if value <= u32::from(u16::MAX) => {
+                    value = value * 10 + u32::from(b - b'0');
                     digits += 1;
                 }
-                '+' if digits == 0 && !plus => plus = true,
-                ',' | '|' => {
-                    if digits == 0 || value > u32::from(u16::MAX) {
-                        return Err(bad_state(&text[start..at]));
+                b'+' if digits == 0 && !plus => plus = true,
+                b',' | b'|' => {
+                    if !self.push_state(value, digits) {
+                        return Err(bad_state(text, start));
                     }
-                    rows.states.push(value as u16);
-                    if c == '|' {
-                        rows.ends.push(rows.states.len());
+                    if b == b'|' {
+                        self.end_row(bytes.len());
+                        return Ok(Some(at + 1));
                     }
                     (value, digits, plus, start) = (0, 0, false, at + 1);
                 }
-                c if c.is_whitespace() => {}
+                _ if b.is_ascii() => {
+                    if !char::from(b).is_whitespace() {
+                        return Err(bad_state(text, start));
+                    }
+                }
                 _ => {
-                    let end = text[at..].find([',', '|']).map_or(text.len(), |k| at + k);
-                    return Err(bad_state(&text[start..end]));
+                    // A non-ASCII byte begins a `char`: only whitespace is
+                    // skipped.
+                    let c = text[at..].chars().next().expect("`at` is a char boundary");
+                    if !c.is_whitespace() {
+                        return Err(bad_state(text, start));
+                    }
+                    at += c.len_utf8();
+                    continue;
                 }
             }
+            at += 1;
         }
-        Ok(rows)
+        if !self.push_state(value, digits) {
+            return Err(bad_state(text, start));
+        }
+        self.end_row(bytes.len());
+        Ok(None)
+    }
+
+    /// Adds the state read as `digits` digits of `value` to the current row;
+    /// `false` if that is no `u16`.
+    fn push_state(&mut self, value: u32, digits: usize) -> bool {
+        let state = match u16::try_from(value) {
+            Ok(state) if digits > 0 => state,
+            _ => return false,
+        };
+        let col = self.states.len() - self.ends.last().copied().unwrap_or(0);
+        match self.col_max.get_mut(col) {
+            Some(max) => *max = (*max).max(state),
+            None => self.col_max.push(state),
+        }
+        self.states.push(state);
+        true
+    }
+
+    /// Ends the current row. After the first, room is made for as many
+    /// rows of its width as the payload could hold.
+    fn end_row(&mut self, payload_len: usize) {
+        self.ends.push(self.states.len());
+        if self.ends.len() == 1 {
+            self.ends.reserve(payload_len / (2 * self.states.len()));
+        }
     }
 }
 
-/// The error for one malformed state token, quoted without its whitespace.
-fn bad_state(token: &str) -> String {
+/// The error for the malformed state token starting at byte `start` of
+/// `text`, quoted up to its `,` or `|` and without its whitespace.
+fn bad_state(text: &str, start: usize) -> String {
+    let token = text[start..].split([',', '|']).next().unwrap_or_default();
     let token: String = token.chars().filter(|c| !c.is_whitespace()).collect();
     format!("INGEST: bad state {token:?}")
 }
@@ -280,7 +414,8 @@ mod tests {
             parse_line("INGEST 0,1,0|1,1,1").unwrap(),
             vec![Request::Ingest(IngestRows {
                 states: vec![0, 1, 0, 1, 1, 1],
-                ends: vec![3, 6]
+                ends: vec![3, 6],
+                col_max: vec![1, 1, 1],
             })]
         );
         assert_eq!(parse_line("QUIT").unwrap(), vec![Request::Quit]);
@@ -331,6 +466,11 @@ mod tests {
             Ok(vec![vec![12, 3], vec![65535]])
         );
         assert_eq!(ingest("INGEST 7"), Ok(vec![vec![7]]));
+        // Whitespace is Unicode's: a vertical tab and a no-break space too.
+        assert_eq!(
+            ingest("INGEST 0,1|1,\u{b}0|0\u{a0},1"),
+            Ok(vec![vec![0, 1], vec![1, 0], vec![0, 1]])
+        );
     }
 
     #[test]
@@ -370,5 +510,36 @@ mod tests {
         assert_eq!(err.unwrap_err(), DatasetError::InvalidRow { row: 1 });
         let data = parsed("INGEST 0,1|1,1").into_dataset(schema).unwrap();
         assert_eq!(data.flat(), [0, 1, 1, 1]);
+
+        // 1 200 single-digit rows refused at the first, a middle or the last
+        // row: one state too many or too few, or a last-column state equal
+        // to its arity. Each is refused where `Dataset::from_rows` refuses.
+        let schema = Schema::new(vec![2, 3, 10, 4]).unwrap();
+        let rows: Vec<Vec<u16>> = (0..1200u16)
+            .map(|i| vec![i % 2, i % 3, i % 10, i % 4])
+            .collect();
+        let line = |rows: &[Vec<u16>]| {
+            let rendered: Vec<String> = rows
+                .iter()
+                .map(|row| row.iter().map(u16::to_string).collect::<Vec<_>>().join(","))
+                .collect();
+            format!("INGEST {}", rendered.join("|"))
+        };
+        let spoilers: [fn(&mut Vec<u16>); 3] =
+            [|row| row.push(1), |row| row.truncate(3), |row| row[3] = 4];
+        for bad in [0, 600, 1199] {
+            for spoil in spoilers {
+                let mut spoiled = rows.clone();
+                spoil(&mut spoiled[bad]);
+                let err = parsed(&line(&spoiled))
+                    .into_dataset(schema.clone())
+                    .unwrap_err();
+                assert_eq!(err, DatasetError::InvalidRow { row: bad });
+                let refs: Vec<&[u16]> = spoiled.iter().map(Vec::as_slice).collect();
+                assert_eq!(Dataset::from_rows(schema.clone(), &refs), Err(err));
+            }
+        }
+        let data = parsed(&line(&rows)).into_dataset(schema).unwrap();
+        assert_eq!(data.flat(), rows.concat());
     }
 }

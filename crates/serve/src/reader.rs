@@ -76,6 +76,11 @@ impl<R: Recorder> QueryReader<R> {
         self.cache.len()
     }
 
+    /// Cells of every marginal this reader's cache holds.
+    pub fn cache_cells(&self) -> u64 {
+        self.cache.cells()
+    }
+
     /// Advances to the newest published epoch, flushing the marginal cache
     /// and counting an `epochs_pinned` event if the epoch moved. Returns
     /// `None` until the first publication reaches this reader.

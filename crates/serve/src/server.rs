@@ -495,9 +495,11 @@ pub const MAX_SCOPE_CELLS: u64 = 1 << 20;
 /// other clauses and the session keep being served. A scope the line has
 /// already admitted costs nothing again. The two per-clause bounds alone
 /// multiply: a line of [`MAX_QUERY_CLAUSES`] distinct scopes of 2²⁰ cells
-/// would hold 2 GiB of answers until the line is done. The most any
-/// workload in this repository asks of one line is one clause of 2 187
-/// cells.
+/// would hold 2 GiB of answers until the line is done. The same bound caps
+/// the cells a reader's marginal cache holds across lines
+/// ([`MarginalCache::insert`](crate::cache::MarginalCache::insert)), so it
+/// keeps one line's distinct scopes. The most any workload in this
+/// repository asks of one line is one clause of 2 187 cells.
 pub const MAX_LINE_CELLS: u64 = 1 << 22;
 
 /// The distinct scopes one line has admitted and their cells, against
@@ -550,9 +552,10 @@ fn parse_bounded_line(line: &str) -> Result<Vec<Request>, String> {
 
 /// Longest protocol line [`serve_lines`] accepts, newline excluded: 1 MiB.
 /// The longest line any workload or benchmark in this repository sends is
-/// a serve-mixed `INGEST` of 10 000 rows of 12 variables, 320 006 bytes. A longer line is
-/// answered with `ERR` and skipped through its newline, so no peer can make
-/// a session hold more than this much of one line.
+/// a serve-mixed `INGEST` of 10 000 rows of 16 binary variables, 320 006
+/// bytes. A longer line is answered with `ERR` and skipped through its
+/// newline, so no peer can make a session hold more than this much of one
+/// line.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Pumps protocol lines from `input` through `session`, writing response
@@ -824,6 +827,39 @@ mod tests {
             format!("ERR scope 0,5 would take the line past {MAX_LINE_CELLS} cells")
         );
         engine.finish().unwrap();
+    }
+
+    #[test]
+    fn the_reader_cache_holds_at_most_one_lines_cells_across_lines() {
+        // Each line asks four 2²⁰-cell scopes, a line's whole budget; some
+        // repeat across lines. Every line is also answered by a session
+        // with a cold cache, which must print the same bytes.
+        let schema = Schema::new(vec![1024; 6]).unwrap();
+        let start = || {
+            let (engine, mut readers) =
+                Engine::start(&schema, &EngineConfig::default()).unwrap();
+            let mut session = Session::new(engine, readers.pop().unwrap(), schema.clone());
+            respond(&mut session, "INGEST 1,2,3,4,5,6|1,2,1000,4,1023,0; SYNC");
+            session
+        };
+        let mut session = start();
+        let lines = [
+            "MI 0 1; MI 0 2; MI 0 3; MI 0 4",
+            "MI 0 5; MI 1 2; MI 0 1; MI 1 3",
+            "MI 0 1; MI 0 5; MI 2 3 bits; MI 4 5",
+            "MI 1 2; MI 0 2; MI 3 5; MI 2 4",
+            "MI 0 1; MI 0 1; MARGINAL 5; MI 1 5",
+        ];
+        let mut most = 0;
+        for line in lines {
+            let out = respond(&mut session, line);
+            assert!(out.iter().all(|l| l.starts_with("OK ")), "{out:?}");
+            assert_eq!(out, respond(&mut start(), line), "{line}");
+            let cells = session.reader_mut().cache_cells();
+            assert!(cells <= MAX_LINE_CELLS, "{line}: the cache holds {cells} cells");
+            most = most.max(cells);
+        }
+        assert_eq!(most, MAX_LINE_CELLS, "a line's four scopes stay cached");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * **INGEST round trip**: rows rendered as an `INGEST` line, with
 //!   whitespace sprinkled anywhere, parse back to exactly those rows; and on
 //!   arbitrary payloads the one-pass row parser accepts and refuses exactly
-//!   what a token-by-token reference parser does, with the same message.
+//!   what a token-by-token reference parser does, with the same message —
+//!   also on lines of hundreds of rows with at most one byte mutated, where
+//!   the parser hands over between whole rows and single bytes mid-line.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -58,6 +60,11 @@ const PIECES: [&str; 34] = [
 /// Characters of an adversarial `INGEST` payload.
 const PAYLOAD: [char; 16] = [
     '0', '1', '2', '5', '6', '9', ',', '|', '+', '-', ' ', '\t', 'x', 'é', '\u{a0}', '\u{3000}',
+];
+
+/// What one byte of a long `INGEST` payload may be mutated to.
+const MUTATIONS: [&str; 16] = [
+    ",", "|", "+", " ", "x", "\u{a0}", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9",
 ];
 
 /// The `INGEST` row parser as it was before the one-pass parser: strip all
@@ -169,5 +176,32 @@ proptest! {
             let line = format!("INGEST {payload}");
             prop_assert_eq!(ingest_rows(&line), reference_ingest(&payload), "{:?}", payload);
         }
+    }
+
+    #[test]
+    fn long_ingest_lines_match_the_reference_parser(
+        width in 1usize..18,
+        multi_digit in any::<bool>(),
+        seed in any::<u64>(),
+        rows in 100usize..400,
+        mutation in proptest::option::of((any::<usize>(), 0..MUTATIONS.len())),
+    ) {
+        // Rendered rows of single-digit states, or of states of any width.
+        let mut x = seed;
+        let mut state = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let high = (x >> 48) as u16;
+            if multi_digit { high } else { high % 10 }
+        };
+        let rendered: Vec<String> = (0..rows)
+            .map(|_| (0..width).map(|_| state().to_string()).collect::<Vec<_>>().join(","))
+            .collect();
+        let mut payload = rendered.join("|");
+        if let Some((place, k)) = mutation {
+            let at = place % payload.len();
+            payload.replace_range(at..at + 1, MUTATIONS[k]);
+        }
+        let line = format!("INGEST {payload}");
+        prop_assert_eq!(ingest_rows(&line), reference_ingest(&payload), "{:?}", mutation);
     }
 }
