@@ -506,7 +506,7 @@ pub fn gate_layout(inv: &Inventory, layout: &Layout, layout_path: &str) -> Vec<D
                 msg: format!(
                     "layout-declared struct `{}` must be `#[repr(C)]` so \
                      field order and offsets are language-defined, not \
-                     rustc-version-dependent (DESIGN §16)",
+                     rustc-version-dependent (DESIGN §15)",
                     site.name
                 ),
             });

@@ -16,9 +16,9 @@
 //!   DESIGN.md §8/§11), the atomics ratchet (`analysis/atomics.lock`), the
 //!   bounded-loop termination check (`analysis/progress.toml`, DESIGN.md
 //!   §13), the blocking-construct lint, the false-sharing layout check
-//!   (`analysis/layout.toml`, DESIGN.md §16, backed by the conservative
+//!   (`analysis/layout.toml`, DESIGN.md §15, backed by the conservative
 //!   size/offset estimator in [`layout`]), and the loom model-coverage
-//!   check (`analysis/coverage.toml`, DESIGN.md §16), plus the
+//!   check (`analysis/coverage.toml`, DESIGN.md §15), plus the
 //!   unsafe-coverage pass that replaced
 //!   `tools/check_safety_comments.sh`'s 6-line-window heuristic.
 //! * **Output** ([`sarif`]) — `check --format sarif` renders the same

@@ -15,7 +15,7 @@ pub struct HarnessArgs {
     /// scaled-down defaults.
     pub paper_scale: bool,
     /// Also run one instrumented pass and emit the per-stage/per-core
-    /// metrics report (JSON, schema `wfbn-metrics-v6`).
+    /// metrics report (JSON, schema `wfbn-metrics-v7`).
     pub metrics: bool,
     /// Optional directory to write CSV series into.
     pub out_dir: Option<String>,
@@ -114,7 +114,7 @@ Options:
   --seed         N      workload RNG seed (default 42)
   --paper-scale         use the paper's full sizes (0.1M/1M/10M samples)
   --metrics             run one instrumented pass and emit the per-stage
-                        per-core metrics report (JSON, wfbn-metrics-v6)
+                        per-core metrics report (JSON, wfbn-metrics-v7)
   --out          DIR    also write CSV series into DIR
   --help, -h            print this help";
 

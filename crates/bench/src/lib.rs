@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod cluster_bench;
 pub mod runner;
 pub mod series;
 pub mod serve_bench;

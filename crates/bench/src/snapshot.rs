@@ -12,9 +12,7 @@
 //! * serve — modeled cycles per pair-marginal query, and the P = 8
 //!   reader scaling;
 //! * matrix — each workload scenario's stream fingerprint and modeled
-//!   cycles per query;
-//! * cluster — fan-out cycles per query at each shard count S, and the
-//!   S = 8 scaling.
+//!   cycles per query.
 //!
 //! [`Snapshot::render`] writes them as `key value` lines and
 //! [`Snapshot::parse`] reads them back. [`check`] compares a fresh run with
@@ -27,7 +25,6 @@
 //! cargo run -p wfbn-bench --release --bin bench_snapshot -- --out crates/bench/sim_baseline.txt
 //! ```
 
-use crate::cluster_bench::sim_cluster_scaling;
 use crate::runner::uniform_workload;
 use crate::serve_bench::sim_serve_scaling;
 use std::collections::BTreeMap;
@@ -55,20 +52,9 @@ const FIG4_VARS: [usize; 3] = [30, 40, 50];
 const SERVE_VARS: usize = 12;
 /// Samples of the serve workload.
 const SERVE_SAMPLES: usize = 20_000;
-/// Variables of the cluster workload.
-pub const CLUSTER_VARS: usize = 20;
-/// Samples of the cluster workload: big enough that the shard scan
-/// dominates the hop and merge overhead.
-pub const CLUSTER_SAMPLES: usize = 30_000;
-/// Builder cores per shard in the cluster model.
-pub const CORES_PER_SHARD: usize = 2;
-/// Shard counts of the cluster series; the last entry, S = 8, is the
-/// scaling point.
-pub const SHARDS: [usize; 4] = [1, 2, 4, 8];
 /// Largest allowed ratio of a current `*cycles*` value to its baseline.
 const CYCLES_BOUND: f64 = 1.10;
-/// Least throughput at P = 8 (serve) or S = 8 (cluster) relative to one
-/// reader or shard.
+/// Least serve throughput at P = 8 readers relative to one reader.
 const SCALING_FLOOR: f64 = 3.0;
 
 /// One baseline value.
@@ -170,20 +156,6 @@ impl Snapshot {
                 scenario_cycles_per_query(&workload, &model),
             );
         }
-
-        let cluster = sim_cluster_scaling(
-            &uniform_workload(CLUSTER_VARS, CLUSTER_SAMPLES, SEED),
-            &SHARDS,
-            CORES_PER_SHARD,
-            &model,
-        );
-        for (s, cycles) in SHARDS.iter().zip(&cluster.cycles_per_query) {
-            snap.number(format!("cluster.cycles_per_query.s{s}"), *cycles);
-        }
-        snap.number(
-            "floor.cluster_s8_scaling".into(),
-            cluster.scaling[SHARDS.len() - 1],
-        );
         snap
     }
 
@@ -200,7 +172,7 @@ impl Snapshot {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        let (cores, shards) = (list(&CORES), list(&SHARDS));
+        let cores = list(&CORES);
         let mut out = format!(
             "# Simulated-cost baseline, checked by crates/bench/tests/sim_baseline.rs.\n\
              # Regenerate: cargo run -p wfbn-bench --release --bin bench_snapshot -- --out FILE\n\
@@ -209,8 +181,6 @@ impl Snapshot {
              #   fig4        n={fig4} m={BUILD_SAMPLES} P={P_MAX}\n\
              #   serve       n={SERVE_VARS} m={SERVE_SAMPLES} readers={cores}\n\
              #   matrix      each scenario at WorkloadSpec::matrix_default\n\
-             #   cluster     n={CLUSTER_VARS} m={CLUSTER_SAMPLES} S={shards}, \
-             {CORES_PER_SHARD} cores/shard\n\
              # Rules: *.fingerprint exact; *cycles* <= {CYCLES_BOUND:.2}x baseline; \
              floor.* >= {SCALING_FLOOR:.1} in baseline and current.\n",
             fig4 = list(&FIG4_VARS),
@@ -395,12 +365,12 @@ mod tests {
         current.values.remove("floor.serve_p8_scaling");
         current
             .values
-            .insert("cluster.cycles_per_query.s1".into(), Value::Number(1.0));
+            .insert("fig5.allpairs_cycles.p1".into(), Value::Number(1.0));
         let violations = check(&baseline(), &current);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations
             .iter()
-            .any(|v| v.contains("cluster.cycles_per_query.s1") && v.contains("missing")));
+            .any(|v| v.contains("fig5.allpairs_cycles.p1") && v.contains("missing")));
         assert!(violations
             .iter()
             .any(|v| v.contains("floor.serve_p8_scaling") && v.contains("extra")));
@@ -448,7 +418,7 @@ mod tests {
     fn rule_families_follow_the_key_shape() {
         assert_eq!(Rule::of("matrix.burst.fingerprint"), Some(Rule::Exact));
         assert_eq!(Rule::of("floor.serve_p8_scaling"), Some(Rule::Floor));
-        assert_eq!(Rule::of("cluster.cycles_per_query.s8"), Some(Rule::Cycles));
+        assert_eq!(Rule::of("fig5.allpairs_cycles.p8"), Some(Rule::Cycles));
         assert_eq!(Rule::of("serve.qps"), None);
     }
 }

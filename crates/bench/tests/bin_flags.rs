@@ -19,14 +19,13 @@ fn unknown_flags_exit_2() {
     for bin in [
         env!("CARGO_BIN_EXE_bench_snapshot"),
         env!("CARGO_BIN_EXE_scenario_matrix"),
-        env!("CARGO_BIN_EXE_cluster_bench"),
     ] {
         // Flags only the deleted regression script passed are gone.
         for flag in ["--samples", "--seed", "--sim-only", "--bogus"] {
             assert_rejected(bin, &[flag, "1"], "unknown flag");
         }
     }
-    // The figure binaries are sim-only and `cluster_bench` takes no flags.
+    // The figure binaries are sim-only.
     assert_rejected(
         env!("CARGO_BIN_EXE_fig3"),
         &["--mode", "wall"],
@@ -40,11 +39,6 @@ fn unknown_flags_exit_2() {
     assert_rejected(
         env!("CARGO_BIN_EXE_serve_bench"),
         &["--mode", "wall"],
-        "unknown flag",
-    );
-    assert_rejected(
-        env!("CARGO_BIN_EXE_cluster_bench"),
-        &["--queries", "10"],
         "unknown flag",
     );
 }

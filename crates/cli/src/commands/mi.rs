@@ -98,7 +98,7 @@ mod tests {
         let mut out = Vec::new();
         run(&args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": \"wfbn-metrics-v6\""), "{text}");
+        assert!(text.contains("\"schema\": \"wfbn-metrics-v7\""), "{text}");
         assert!(text.contains("\"pairs_scanned\""), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

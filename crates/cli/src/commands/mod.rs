@@ -1,7 +1,6 @@
 //! Subcommand implementations.
 
 pub mod build;
-pub mod cluster;
 pub mod gen;
 pub mod infer;
 pub mod learn;

@@ -181,7 +181,7 @@ mod tests {
             "--metrics",
         ])
         .unwrap();
-        assert!(out.contains("\"schema\": \"wfbn-metrics-v6\""), "{out}");
+        assert!(out.contains("\"schema\": \"wfbn-metrics-v7\""), "{out}");
         assert!(out.contains("\"queries_served\": 1"), "{out}");
         assert!(out.contains("\"epochs_published\": 1"), "{out}");
         std::fs::remove_dir_all(&dir).unwrap();

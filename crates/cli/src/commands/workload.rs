@@ -6,7 +6,6 @@
 //! wfbn workload --list
 //! wfbn workload --scenario zipf --emit --out queries.txt
 //! wfbn workload --scenario adversarial-partition --run --threads 4
-//! wfbn workload --scenario adversarial-partition --run --shards 4
 //! ```
 //!
 //! An emitted script feeds straight back into `wfbn serve --script` (the
@@ -18,8 +17,7 @@
 use crate::args::Flags;
 use std::io::Write;
 use wfbn_workload::{
-    check_fairness, generate, replay, replay_cluster, ReplayConfig, Scenario, WorkloadSpec,
-    FAIRNESS_BOUND,
+    check_fairness, generate, replay, ReplayConfig, Scenario, WorkloadSpec, FAIRNESS_BOUND,
 };
 
 /// Runs the subcommand.
@@ -27,7 +25,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let flags = Flags::parse(
         args,
         &[
-            "scenario", "rows", "batches", "queries", "readers", "seed", "out", "threads", "shards",
+            "scenario", "rows", "batches", "queries", "readers", "seed", "out", "threads",
         ],
         &["list", "emit", "run"],
     )?;
@@ -81,31 +79,15 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             partitions: flags.get_or("threads", 2)?,
             ..ReplayConfig::default()
         };
-        // --shards S > 1 replays through a consistent-hash cluster of S
-        // shard engines instead of one engine; the gates below apply to
-        // both paths unchanged.
-        let shards: usize = flags.get_or("shards", 1)?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        let report = if shards > 1 {
-            replay_cluster(&workload, &config, shards).map_err(|e| e.to_string())?
-        } else {
-            replay(&workload, &config).map_err(|e| e.to_string())?
-        };
+        let report = replay(&workload, &config).map_err(|e| e.to_string())?;
         writeln!(
             out,
-            "scenario {} (seed {}): {} queries over {} readers, {} epochs{}",
+            "scenario {} (seed {}): {} queries over {} readers, {} epochs",
             scenario.name(),
             spec.seed,
             report.total_queries,
             spec.readers,
             report.epochs_published,
-            if shards > 1 {
-                format!(" across {shards} shards")
-            } else {
-                String::new()
-            }
         )
         .map_err(w)?;
         writeln!(
@@ -192,17 +174,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("fairness gate: pass"), "{out}");
         assert!(out.contains("latency p50/p99/p999"), "{out}");
-    }
-
-    #[test]
-    fn run_with_shards_replays_through_the_cluster() {
-        let out = run_to_string(&[
-            "--scenario", "adversarial-partition", "--run", "--rows", "60", "--batches", "3",
-            "--queries", "24", "--readers", "2", "--threads", "1", "--shards", "2",
-        ])
-        .unwrap();
-        assert!(out.contains("across 2 shards"), "{out}");
-        assert!(out.contains("fairness gate: pass"), "{out}");
     }
 
     #[test]

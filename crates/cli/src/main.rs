@@ -41,7 +41,6 @@ pub(crate) fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), S
         "infer" => commands::infer::run(rest, out),
         "serve" => commands::serve::run(rest, out),
         "workload" => commands::workload::run(rest, out),
-        "cluster" => commands::cluster::run(rest, out),
         "--help" | "-h" | "help" => {
             writeln!(out, "{USAGE}").map_err(|e| e.to_string())?;
             Ok(())
@@ -71,15 +70,10 @@ Subcommands:
          [--script FILE | --listen ADDR]   (default: line protocol on stdin)
          protocol: MARGINAL/MI/CPT/EPOCH/SYNC/INGEST/STATS/QUIT, ';' fuses
   workload  deterministic serve workload scenarios with SLO gates
-         --list | --scenario NAME [--emit [--out FILE] | --run [--threads P]
-         [--shards S]] [--rows R] [--batches B] [--queries Q] [--readers N]
-         [--seed S]
+         --list | --scenario NAME [--emit [--out FILE] | --run [--threads P]]
+         [--rows R] [--batches B] [--queries Q] [--readers N] [--seed S]
          scenarios: uniform zipf burst adversarial-partition wide-sparse
                     hot-query starve-reader
-  cluster  the workload scenario matrix through a sharded cluster,
-         same SLO gates (fairness, skewed p99 vs uniform)
-         [--shards S] [--threads P] [--scenario NAME] [--negative-control]
-         [--rows R] [--batches B] [--queries Q] [--readers N] [--seed S]
 
 Repository networks: sprinkler, cancer, asia, alarm-like, insurance-like";
 
@@ -187,9 +181,7 @@ mod tests {
         // `--batched` was removed from `build`; it must not be accepted silently.
         let err = run_to_string(&["build", "--in", "x.csv", "--batched", "1"]).unwrap_err();
         assert!(err.starts_with("unknown flag --batched"), "{err}");
-        for cmd in [
-            "gen", "build", "mi", "learn", "infer", "serve", "workload", "cluster",
-        ] {
+        for cmd in ["gen", "build", "mi", "learn", "infer", "serve", "workload"] {
             let err = run_to_string(&[cmd, "--bogus", "1"]).unwrap_err();
             assert!(err.starts_with("unknown flag --bogus"), "{cmd}: {err}");
         }

@@ -163,23 +163,6 @@ impl<T> EpochReader<T> {
         self.pinned.as_ref().map(|snap| (self.pinned_epoch, snap))
     }
 
-    /// Consumes exactly one epoch from the lane — the *oldest* not yet
-    /// consumed — and pins it. `None` if the lane is currently empty.
-    ///
-    /// Where [`pin`](Self::pin) drains to the newest epoch (a reader that
-    /// only ever wants the latest snapshot), `next_epoch` walks the epoch
-    /// sequence 1, 2, 3, … without skipping: the cluster coordinator uses it
-    /// to obtain every shard's epoch-`e` snapshot even while shards run
-    /// ahead, which is what makes cross-shard cuts align epoch-for-epoch.
-    /// Wait-free: one `try_pop`, no loop.
-    pub fn next_epoch(&mut self) -> Option<(u64, Arc<T>)> {
-        let (epoch, snap) = self.lane.try_pop()?;
-        debug_assert!(epoch > self.pinned_epoch, "epochs arrive in order");
-        self.pinned_epoch = epoch;
-        self.pinned = Some(Arc::clone(&snap));
-        Some((epoch, snap))
-    }
-
     /// The epoch currently pinned (0 before the first successful
     /// [`pin`](Self::pin)).
     pub fn pinned_epoch(&self) -> u64 {

@@ -25,10 +25,6 @@
 //!   per-reader SPSC lanes: the serving layer's bridge from the wait-free
 //!   build (one absorbing writer) to lock-free readers, with the publication
 //!   ordering proven torn-read-free under loom.
-//! * [`cluster_epoch`] — the same discipline lifted one tier: a coordinator
-//!   assembles per-shard snapshots into a *cluster cut* and publishes the
-//!   cluster epoch with one Release store only once every shard has
-//!   delivered its local epoch (also loom-modeled).
 //!
 //! Everything here is dependency-free in normal builds; the only `unsafe`
 //! lives in the SPSC queue and is documented inline (each block carries a
@@ -49,7 +45,6 @@
 #[cfg(feature = "ownership-audit")]
 pub mod audit;
 pub mod barrier;
-pub mod cluster_epoch;
 pub mod epoch;
 pub mod hash;
 pub mod pad;
@@ -59,7 +54,6 @@ pub mod spsc;
 mod sync;
 
 pub use barrier::SpinBarrier;
-pub use cluster_epoch::{cluster_epoch_channel, ClusterCut, ClusterPublisher, ClusterReader};
 pub use epoch::{epoch_channel, EpochPublisher, EpochReader};
 pub use hash::{mix64, FxBuildHasher, FxHasher};
 pub use pad::CachePadded;

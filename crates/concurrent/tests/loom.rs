@@ -18,7 +18,7 @@ use loom::sync::Arc;
 // models exist to find. (The vendored explorer executes all orderings as
 // SeqCst anyway — DESIGN.md §8 — so the models prove the downgrade safe at
 // the interleaving level, and TSan covers the real memory model.)
-use wfbn_concurrent::{channel, cluster_epoch_channel, epoch_channel, SpinBarrier, SEG_CAP};
+use wfbn_concurrent::{channel, epoch_channel, SpinBarrier, SEG_CAP};
 
 /// The explorer silently degrades to a single std-thread execution if the
 /// code under test never hits a modeled scheduling point; every test calls
@@ -289,76 +289,6 @@ fn epoch_pins_are_monotone_under_every_schedule() {
         assert_eq!(**snap, second_epoch);
         t.join().unwrap();
         t1.join().unwrap();
-    });
-    assert_explored();
-}
-
-#[test]
-fn cluster_epoch_publishes_complete_cuts() {
-    // The cluster tier's publication invariant: a reader that observes
-    // cluster epoch `e` (Acquire on the cluster-epoch word) must be able to
-    // pin a cut of epoch >= e whose per-shard snapshots are all fully
-    // constructed. Each shard's epoch-`e` value is `e`, so a missing shard
-    // or a torn cut fails deterministically in some explored schedule.
-    loom::model(|| {
-        let (mut publisher, mut readers) = cluster_epoch_channel::<u64>(2, 1);
-        let mut reader = readers.pop().unwrap();
-        let t = loom::thread::spawn(move || {
-            assert_eq!(publisher.offer(0, 1u64.into()), None);
-            assert_eq!(publisher.offer(1, 1u64.into()), Some(1));
-            assert_eq!(publisher.offer(0, 2u64.into()), None);
-            assert_eq!(publisher.offer(1, 2u64.into()), Some(2));
-        });
-        let observed = reader.published();
-        match reader.pin() {
-            Some((epoch, cut)) => {
-                assert!(
-                    epoch >= observed,
-                    "pin returned epoch {epoch} after published() showed {observed}"
-                );
-                assert_eq!(cut.len(), 2, "cut missing a shard at epoch {epoch}");
-                for shard in cut.iter() {
-                    assert_eq!(**shard, epoch, "torn cut at epoch {epoch}");
-                }
-            }
-            None => assert_eq!(observed, 0, "epoch {observed} visible but not pinnable"),
-        }
-        t.join().unwrap();
-        // The coordinator is gone: the final pin must land on the last cut.
-        let (epoch, cut) = reader.pin().expect("both cuts published");
-        assert_eq!(epoch, 2);
-        assert_eq!((*cut[0], *cut[1]), (2, 2));
-    });
-    assert_explored();
-}
-
-#[test]
-fn next_epoch_walks_the_sequence_without_skipping() {
-    // The coordinator's consumption discipline: `next_epoch` must deliver a
-    // shard's local epochs 1, 2, … in order with none skipped, under every
-    // schedule of the publisher racing ahead.
-    loom::model(|| {
-        let (mut publisher, mut readers) = epoch_channel::<u64>(1);
-        let mut lane = readers.pop().unwrap();
-        let t = loom::thread::spawn(move || {
-            publisher.publish(1);
-            publisher.publish(2);
-        });
-        let mut expected = 1u64;
-        loop {
-            let closed = lane.is_closed();
-            while let Some((epoch, snap)) = lane.next_epoch() {
-                assert_eq!(epoch, expected, "next_epoch skipped an epoch");
-                assert_eq!(*snap, expected, "value does not match its epoch");
-                expected += 1;
-            }
-            if closed {
-                break;
-            }
-            loom::thread::yield_now();
-        }
-        t.join().unwrap();
-        assert_eq!(expected, 3, "an epoch was lost");
     });
     assert_explored();
 }

@@ -307,31 +307,6 @@ impl MarginalTable {
             *a += b;
         }
     }
-
-    /// Merges a partial marginal computed on a *different* source table —
-    /// the cross-shard form of Algorithm 3's merge step.
-    ///
-    /// The intra-node merge (`absorb`) sums partials that
-    /// scanned disjoint partitions of **one** potential table, so they share
-    /// a single total `m`. Shard partials instead come from disjoint
-    /// *observation sets* (each shard ingested its own key-space slice of
-    /// the rows), so both the cell counts **and** the totals add: the merged
-    /// marginal is exactly what a single-node build over the union of the
-    /// shards' rows would have produced, which is what makes cross-shard
-    /// query answers byte-identical to the offline build of the same ingest
-    /// prefix.
-    pub fn merge_shard(&mut self, other: &MarginalTable) -> Result<(), CoreError> {
-        if self.vars != other.vars || self.arities != other.arities {
-            return Err(CoreError::BadVariableSet {
-                reason: "cross-shard merge over mismatched variable sets",
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        Ok(())
-    }
 }
 
 /// Computes the marginal over `vars` from a potential table using `threads`
@@ -1011,45 +986,6 @@ mod tests {
         assert!(matches!(
             marginalize(&t, &[0], 0),
             Err(CoreError::ZeroThreads)
-        ));
-    }
-
-    #[test]
-    fn merge_shard_equals_marginal_of_the_union() {
-        // Split the rows by key across two "shards", marginalize each shard's
-        // table separately, merge — the result must equal the marginal of a
-        // single build over all rows, counts and total alike.
-        let schema = Schema::new(vec![2, 3, 2, 4]).unwrap();
-        let data = UniformIndependent::new(schema.clone()).generate(3_000, 17);
-        let rows: Vec<&[u16]> = data.rows().collect();
-        let (even, odd): (Vec<&[u16]>, Vec<&[u16]>) =
-            rows.into_iter().partition(|r| (r[0] + r[1]) % 2 == 0);
-        let shard0 = Dataset::from_rows(schema.clone(), &even).unwrap();
-        let shard1 = Dataset::from_rows(schema, &odd).unwrap();
-        let t0 = table(&shard0, 2);
-        let t1 = table(&shard1, 2);
-        let full = table(&data, 2);
-        for vars in [vec![0usize], vec![1, 3], vec![0, 2, 3]] {
-            let mut merged = marginalize(&t0, &vars, 1).unwrap();
-            merged
-                .merge_shard(&marginalize(&t1, &vars, 1).unwrap())
-                .unwrap();
-            let expected = marginalize(&full, &vars, 1).unwrap();
-            assert_eq!(merged, expected, "vars={vars:?}");
-            assert_eq!(merged.total(), 3_000);
-        }
-    }
-
-    #[test]
-    fn merge_shard_rejects_mismatched_scopes() {
-        let schema = Schema::uniform(3, 2).unwrap();
-        let data = UniformIndependent::new(schema).generate(100, 9);
-        let t = table(&data, 1);
-        let mut a = marginalize(&t, &[0, 1], 1).unwrap();
-        let b = marginalize(&t, &[0, 2], 1).unwrap();
-        assert!(matches!(
-            a.merge_shard(&b),
-            Err(CoreError::BadVariableSet { .. })
         ));
     }
 

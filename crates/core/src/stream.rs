@@ -166,12 +166,10 @@ impl StreamingBuilder {
     /// keys, zero total) instead of [`CoreError::EmptyDataset`].
     ///
     /// The serving layer publishes one epoch per admitted batch through
-    /// this: under the sharded tier a shard's slice of an ingest prefix may
-    /// legitimately be empty (every key of the batch belongs to other
-    /// shards), yet its local epoch must still advance for cluster epochs
-    /// to stay batch-aligned. Offline builds keep the strict
-    /// [`finish`](Self::finish) contract — an empty *stream* is still an
-    /// error there.
+    /// this: an admitted batch may hold zero rows, yet its epoch must still
+    /// advance so that epoch `e` stays the table of the first `e` batches.
+    /// Offline builds keep the strict [`finish`](Self::finish) contract — an
+    /// empty *stream* is still an error there.
     pub fn snapshot_or_empty(&self) -> PotentialTable {
         PotentialTable::from_shared_parts(self.codec.clone(), self.tables.clone())
     }
@@ -186,8 +184,8 @@ impl StreamingBuilder {
 
     /// [`finish`](Self::finish) without the non-empty guard — the terminal
     /// counterpart of [`snapshot_or_empty`](Self::snapshot_or_empty). A
-    /// shard engine that owned no key of the ingested stream finalizes into
-    /// the empty table; offline builds keep using the strict `finish`.
+    /// serve engine that finishes without having absorbed a row finalizes
+    /// into the empty table; offline builds keep using the strict `finish`.
     pub fn finish_or_empty(self) -> BuiltTable {
         BuiltTable {
             table: PotentialTable::from_shared_parts(self.codec, self.tables),
@@ -263,7 +261,7 @@ mod tests {
         b.absorb(&empty).unwrap();
         assert!(matches!(b.snapshot(), Err(CoreError::EmptyDataset)));
         // The serving tier's non-strict variants yield the empty table
-        // instead — a shard that owns no key of a stream is not an error.
+        // instead — an engine that absorbed no row is not an error.
         let snap = b.snapshot_or_empty();
         assert_eq!(snap.total_count(), 0);
         assert!(snap.to_sorted_vec().is_empty());

@@ -101,28 +101,10 @@ pub enum Counter {
     /// Epoch advances this core (a serving reader) pinned — distinct epochs
     /// observed, not query count.
     EpochsPinned = 15,
-    /// Cluster ingest batches this core (the cluster router) admitted and
-    /// split across shards.
-    BatchesRouted = 16,
-    /// Per-shard sub-batches this core (the cluster router) forwarded to
-    /// shard engines. One admitted batch fans out to exactly one sub-batch
-    /// per shard (empty sub-batches included — they keep shard epochs
-    /// aligned), so `shard_batches_routed = batches_routed × S`.
-    ShardBatchesRouted = 17,
-    /// Cross-shard query fan-outs this core (a cluster client) issued: one
-    /// per answered batch that missed the merged-marginal cache and had to
-    /// scan every shard of the pinned cluster cut.
-    QueryFanOuts = 18,
-    /// Per-shard partial marginals this core (a cluster client) merged into
-    /// cross-shard answers — `S` partials per scope per fan-out.
-    PartialMerges = 19,
-    /// Cluster cuts this core (the cluster coordinator) assembled and
-    /// published as cluster epochs.
-    ClusterEpochsPublished = 20,
 }
 
 /// Number of [`Counter`] variants (array dimension).
-pub const NUM_COUNTERS: usize = 21;
+pub const NUM_COUNTERS: usize = 16;
 
 impl Counter {
     /// All counters, in index order.
@@ -143,11 +125,6 @@ impl Counter {
         Counter::CacheMisses,
         Counter::EpochsPublished,
         Counter::EpochsPinned,
-        Counter::BatchesRouted,
-        Counter::ShardBatchesRouted,
-        Counter::QueryFanOuts,
-        Counter::PartialMerges,
-        Counter::ClusterEpochsPublished,
     ];
 
     /// Stable JSON/report key for the counter.
@@ -169,11 +146,6 @@ impl Counter {
             Counter::CacheMisses => "cache_misses",
             Counter::EpochsPublished => "epochs_published",
             Counter::EpochsPinned => "epochs_pinned",
-            Counter::BatchesRouted => "batches_routed",
-            Counter::ShardBatchesRouted => "shard_batches_routed",
-            Counter::QueryFanOuts => "query_fan_outs",
-            Counter::PartialMerges => "partial_merges",
-            Counter::ClusterEpochsPublished => "cluster_epochs_published",
         }
     }
 }

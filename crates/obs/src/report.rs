@@ -6,9 +6,8 @@
 //! A [`MetricsReport`] is plain data: once snapshotted it can be merged with
 //! reports from other runs (bench repetitions), validated against the routing
 //! and queue conservation laws of the two-stage primitive (plus the serving
-//! layer's query/epoch/latency laws and the cluster tier's routing/fan-out
-//! laws), and rendered as a stable `wfbn-metrics-v6` JSON document for the
-//! `--metrics` flags.
+//! layer's query/epoch/latency laws), and rendered as a stable
+//! `wfbn-metrics-v7` JSON document for the `--metrics` flags.
 
 use crate::recorder::{
     Counter, Stage, LAT_BUCKETS, LAT_BUCKET_LABELS, LAT_BUCKET_UPPER_NS, NUM_COUNTERS,
@@ -24,11 +23,12 @@ use crate::recorder::{
 /// latency histogram to 16 power-of-two buckets, adds the
 /// `latency_percentiles` and `fairness` summary blocks, and tightens the
 /// latency conservation law to per core (each reader's histogram mass must
-/// equal its own `queries_served`); v5 adds the cluster tier (router,
-/// fan-out, partial-merge, and cluster-epoch counters) and its conservation
-/// rules; v6 removes the §IV-C entry-move counter, so the probe-mass law
-/// holds unconditionally.
-pub const SCHEMA: &str = "wfbn-metrics-v6";
+/// equal its own `queries_served`); v5 added five routing, fan-out, merge
+/// and epoch counters for a multi-engine serving tier, with their
+/// conservation rules; v6 removes the §IV-C entry-move counter, so the
+/// probe-mass law holds unconditionally; v7 removes the v5 counters and
+/// their rules with the multi-engine tier itself.
+pub const SCHEMA: &str = "wfbn-metrics-v7";
 
 /// One core's telemetry, copied out of its [`CoreMetrics`](crate::CoreMetrics)
 /// slot.
@@ -254,24 +254,6 @@ impl MetricsReport {
     /// * per core, `epochs_pinned` must not exceed total `epochs_published`
     ///   (a reader cannot pin more distinct epochs than the writer ever
     ///   published).
-    ///
-    /// Cluster-tier laws (v5):
-    ///
-    /// * per core, fan-outs and partial merges are coupled: `query_fan_outs
-    ///   == 0` requires `partial_merges == 0` (merges only happen inside a
-    ///   fan-out), and each fan-out covers at least one scope on at least
-    ///   one shard, so `partial_merges >= query_fan_outs` otherwise;
-    /// * per core, a coordinator's `epochs_published` *is* its cluster
-    ///   publication count: `cluster_epochs_published > 0` requires
-    ///   `epochs_published == cluster_epochs_published` on that core;
-    /// * total `shard_batches_routed` must be a positive multiple of total
-    ///   `batches_routed` (every admitted batch fans out to exactly one
-    ///   sub-batch per shard, empty sub-batches included), and zero when no
-    ///   batch was admitted;
-    /// * total `cluster_epochs_published` must not exceed total
-    ///   `batches_routed` (a cluster epoch is a complete cut of shard
-    ///   epochs, and shards publish at most one local epoch per routed
-    ///   sub-batch).
     pub fn validate(&self) -> Result<(), String> {
         for (core, r) in self.cores.iter().enumerate() {
             let rows = r.counter(Counter::RowsEncoded);
@@ -368,51 +350,6 @@ impl MetricsReport {
                     "core {core}: epochs_pinned {pinned} > epochs_published {published}"
                 ));
             }
-        }
-        for (core, r) in self.cores.iter().enumerate() {
-            let fan_outs = r.counter(Counter::QueryFanOuts);
-            let merges = r.counter(Counter::PartialMerges);
-            if fan_outs == 0 && merges > 0 {
-                return Err(format!(
-                    "core {core}: partial_merges {merges} with query_fan_outs 0 \
-                     (merges outside a fan-out)"
-                ));
-            }
-            if fan_outs > 0 && merges < fan_outs {
-                return Err(format!(
-                    "core {core}: partial_merges {merges} < query_fan_outs {fan_outs} \
-                     (a fan-out merges at least one partial)"
-                ));
-            }
-            let cluster_pub = r.counter(Counter::ClusterEpochsPublished);
-            if cluster_pub > 0 && r.counter(Counter::EpochsPublished) != cluster_pub {
-                return Err(format!(
-                    "core {core}: cluster_epochs_published {cluster_pub} != \
-                     epochs_published {} (a coordinator publishes only cluster cuts)",
-                    r.counter(Counter::EpochsPublished)
-                ));
-            }
-        }
-        let batches = self.total(Counter::BatchesRouted);
-        let shard_batches = self.total(Counter::ShardBatchesRouted);
-        if batches == 0 && shard_batches != 0 {
-            return Err(format!(
-                "cluster routing: shard_batches_routed {shard_batches} with \
-                 batches_routed 0"
-            ));
-        }
-        if batches > 0 && (shard_batches < batches || shard_batches % batches != 0) {
-            return Err(format!(
-                "cluster routing: shard_batches_routed {shard_batches} is not a \
-                 positive multiple of batches_routed {batches}"
-            ));
-        }
-        let cluster_epochs = self.total(Counter::ClusterEpochsPublished);
-        if cluster_epochs > batches {
-            return Err(format!(
-                "cluster epochs: cluster_epochs_published {cluster_epochs} > \
-                 batches_routed {batches}"
-            ));
         }
         Ok(())
     }
@@ -749,86 +686,6 @@ mod tests {
         assert!(err.contains("epochs_pinned"), "{err}");
     }
 
-    /// A cluster run: core 0 routes batches, core 1 coordinates cuts,
-    /// cores 2-3 are cluster clients fanning out and merging.
-    fn cluster_like_report() -> MetricsReport {
-        let mut r = MetricsReport::empty(4);
-        r.cores[0].counters[Counter::BatchesRouted as usize] = 5;
-        r.cores[0].counters[Counter::ShardBatchesRouted as usize] = 10; // S=2
-        r.cores[1].counters[Counter::ClusterEpochsPublished as usize] = 5;
-        r.cores[1].counters[Counter::EpochsPublished as usize] = 5;
-        for client in 2..4 {
-            r.cores[client].counters[Counter::QueryFanOuts as usize] = 3;
-            r.cores[client].counters[Counter::PartialMerges as usize] = 6;
-            r.cores[client].counters[Counter::QueriesServed as usize] = 3;
-            r.cores[client].counters[Counter::EpochsPinned as usize] = 2;
-            r.cores[client].lat_hist[0] = 3;
-        }
-        r
-    }
-
-    #[test]
-    fn cluster_report_validates() {
-        cluster_like_report().validate().expect("cluster laws hold");
-    }
-
-    #[test]
-    fn merges_without_fan_outs_are_reported() {
-        let mut r = cluster_like_report();
-        r.cores[2].counters[Counter::QueryFanOuts as usize] = 0;
-        let err = r.validate().expect_err("merges outside a fan-out");
-        assert!(err.contains("partial_merges"), "{err}");
-        assert!(err.contains("query_fan_outs 0"), "{err}");
-    }
-
-    #[test]
-    fn fan_outs_exceeding_merges_are_reported() {
-        let mut r = cluster_like_report();
-        r.cores[3].counters[Counter::PartialMerges as usize] = 2; // < 3 fan-outs
-        let err = r.validate().expect_err("a fan-out merges >= 1 partial");
-        assert!(err.contains("partial_merges 2"), "{err}");
-    }
-
-    #[test]
-    fn coordinator_epoch_mirror_violation_is_reported() {
-        let mut r = cluster_like_report();
-        r.cores[1].counters[Counter::EpochsPublished as usize] = 7; // != 5 cluster
-        let err = r.validate().expect_err("coordinator publishes only cuts");
-        assert!(err.contains("cluster_epochs_published"), "{err}");
-    }
-
-    #[test]
-    fn shard_batch_multiple_violation_is_reported() {
-        let mut r = cluster_like_report();
-        r.cores[0].counters[Counter::ShardBatchesRouted as usize] = 7; // not k*5
-        let err = r.validate().expect_err("sub-batches fan out per shard");
-        assert!(err.contains("positive multiple"), "{err}");
-    }
-
-    #[test]
-    fn shard_batches_without_admitted_batches_are_reported() {
-        let mut r = cluster_like_report();
-        r.cores[0].counters[Counter::BatchesRouted as usize] = 0;
-        r.cores[1].counters[Counter::ClusterEpochsPublished as usize] = 0;
-        r.cores[1].counters[Counter::EpochsPublished as usize] = 0;
-        for client in 2..4 {
-            // Keep the older pins-vs-publishes law satisfied so the
-            // shard-batch law under test is the one that fires.
-            r.cores[client].counters[Counter::EpochsPinned as usize] = 0;
-        }
-        let err = r.validate().expect_err("sub-batches need an admitted batch");
-        assert!(err.contains("batches_routed 0"), "{err}");
-    }
-
-    #[test]
-    fn more_cluster_epochs_than_batches_is_reported() {
-        let mut r = cluster_like_report();
-        r.cores[1].counters[Counter::ClusterEpochsPublished as usize] = 9;
-        r.cores[1].counters[Counter::EpochsPublished as usize] = 9;
-        let err = r.validate().expect_err("a cut needs a routed batch");
-        assert!(err.contains("cluster_epochs_published 9"), "{err}");
-    }
-
     #[test]
     fn merge_adds_counters_and_maxes_hwm() {
         let mut a = build_like_report();
@@ -892,7 +749,7 @@ mod tests {
     #[test]
     fn json_contains_schema_and_all_keys() {
         let json = build_like_report().to_json();
-        assert!(json.contains("\"schema\": \"wfbn-metrics-v6\""));
+        assert!(json.contains("\"schema\": \"wfbn-metrics-v7\""));
         assert!(json.contains("\"latency_hist\""));
         assert!(json.contains("\"latency_percentiles\""));
         assert!(json.contains("\"p999_le_ns\""));

@@ -60,16 +60,6 @@ pub struct CostModel {
     /// One combiner routing step (buffer index, last-key compare, append or
     /// count bump) — paid per foreign occurrence on the batched paths.
     pub combine_hit: f64,
-    /// Fixed latency of one cross-shard network hop (request or response
-    /// between the cluster router/client and a shard engine). ~1 µs at the
-    /// model clock — loopback/IPC territory, far above any cache miss.
-    pub network_hop: f64,
-    /// Per-marginal-cell payload cost of shipping a partial table across a
-    /// shard link (serialize + copy + deserialize, amortized per cell).
-    pub hop_per_cell: f64,
-    /// Client-side per-shard dispatch cost of a fan-out: forming one
-    /// sub-request and posting it to a shard's lane.
-    pub shard_dispatch: f64,
     /// Clock frequency used to convert cycles to seconds.
     pub ghz: f64,
     /// Cores per NUMA socket. The paper's platform is a 2 × 16-core
@@ -102,9 +92,6 @@ impl Default for CostModel {
             queue_pop_block: 2.0,
             block_publish: 10.0,
             combine_hit: 2.0,
-            network_hop: 2400.0,
-            hop_per_cell: 0.5,
-            shard_dispatch: 150.0,
             ghz: 2.4,
             cores_per_socket: 16,
             cross_socket_multiplier: 2.5,
@@ -188,17 +175,6 @@ mod tests {
         // beat a multiply — sanity relations the curves depend on.
         assert!(m.line_transfer > 10.0 * m.probe);
         assert!(m.decode_var > m.encode_var);
-    }
-
-    #[test]
-    fn cluster_constants_sit_above_the_memory_hierarchy() {
-        // A network hop must dwarf a cross-socket line transfer (the whole
-        // point of the shard tier is that hops are paid per *query*, not per
-        // row), and shipping a cell must undercut recomputing it.
-        let m = CostModel::default();
-        assert!(m.network_hop > m.line_transfer * m.cross_socket_multiplier);
-        assert!(m.hop_per_cell < m.marginal_update);
-        assert!(m.shard_dispatch > 0.0 && m.shard_dispatch < m.network_hop);
     }
 
     #[test]

@@ -33,14 +33,12 @@
 pub mod contention;
 pub mod cost;
 pub mod report;
-pub mod sim_cluster;
 pub mod sim_locked;
 pub mod sim_marginal;
 pub mod sim_waitfree;
 
 pub use cost::CostModel;
 pub use report::{SimPoint, SimSeries};
-pub use sim_cluster::simulate_cluster_marginal;
 pub use sim_locked::simulate_striped_build;
 pub use sim_marginal::{simulate_all_pairs_mi, simulate_marginalization};
 pub use sim_waitfree::{

@@ -1,20 +1,19 @@
-//! Per-endpoint marginal cache, invalidated on epoch advance.
+//! Per-reader marginal cache, invalidated on epoch advance.
 //!
-//! Every cache is owned by exactly one query endpoint — a
-//! [`QueryReader`](crate::reader) or the cluster tier's fan-out client — so
+//! Every cache is owned by exactly one [`QueryReader`](crate::reader), so
 //! there is no sharing, no lock, and no invalidation protocol beyond "the
 //! epoch moved". Correctness is trivial by construction: a cached marginal
-//! is valid precisely for the epoch it was computed from, and the endpoint
+//! is valid precisely for the epoch it was computed from, and the reader
 //! flushes the map the moment it pins a newer epoch. Under a write-heavy
 //! feed the map degenerates to a no-op (every pin flushes); under a
 //! read-heavy feed it converts repeated scopes into O(1) lookups.
 //!
-//! A miss is answered from the packed snapshot of the pinned epoch, one per
-//! shard on a cluster ([`Epoch::packed`]), which the writer packed and
-//! bit-sliced once before publishing it; the epoch holds no other copy of
+//! A miss is answered from the packed snapshot of the pinned epoch
+//! ([`Epoch::packed`]), which the writer packed and bit-sliced once before
+//! publishing it; the epoch holds no other copy of
 //! the table. A scope of up to 32 cells — the 2–3 binary variables of a
 //! typical `MI` or `CPT` — costs a few ANDs and weighted popcounts per 64
-//! entries; a wider one a shift-and-mask scan of dense arrays. No endpoint
+//! entries; a wider one a shift-and-mask scan of dense arrays. No reader
 //! packs on its query path.
 
 use crate::engine::Epoch;
@@ -29,7 +28,7 @@ use wfbn_obs::{CoreRecorder, Counter, Recorder, Stage};
 /// Default bound on cached scopes per reader (see [`MarginalCache::insert`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Scope-keyed marginal cache for one endpoint; see the [module docs](self).
+/// Scope-keyed marginal cache for one reader; see the [module docs](self).
 pub struct MarginalCache {
     /// Epoch the cached entries were computed from.
     epoch: u64,
@@ -114,29 +113,26 @@ impl MarginalCache {
         self.cells = 0;
     }
 
-    /// Answers a fused group of `scopes` at the cache's epoch, whose table
-    /// is the sum of `epochs`' tables (one on a single node, one per shard
-    /// of a cluster cut). Returns the answers in request order and the
-    /// number of distinct scopes computed.
+    /// Answers a fused group of `scopes` at the cache's epoch, whose
+    /// snapshot is `epoch`. Returns the answers in request order.
     ///
     /// Scopes must be strictly increasing variable lists. Cached scopes are
-    /// hits; each distinct missing scope is marginalized on every epoch's
-    /// packed snapshot, the partials are summed with
-    /// [`MarginalTable::merge_shard`], and the result is cached. Finding the
-    /// distinct scopes and mapping them back is linear in the group. Core
+    /// hits; each distinct missing scope is marginalized on the epoch's
+    /// packed snapshot and the result is cached. Finding the distinct
+    /// scopes and mapping them back is linear in the group. Core
     /// `core` of `rec` records the scans under [`Stage::Marginal`], the
     /// entries they cover under [`Counter::EntriesScanned`] (every snapshot
     /// entry once per missing scope, whichever kernel counted it), and per
     /// query a latency sample, a `queries_served` and a cache hit or miss.
     pub fn answer<R: Recorder>(
         &mut self,
-        epochs: &[Arc<Epoch>],
+        epoch: &Epoch,
         scopes: &[&[usize]],
         rec: &R,
         core: usize,
-    ) -> Result<(Vec<Arc<MarginalTable>>, usize), ServeError> {
+    ) -> Result<Vec<Arc<MarginalTable>>, ServeError> {
         if scopes.is_empty() {
-            return Ok((Vec::new(), 0));
+            return Ok(Vec::new());
         }
         let mut cr = rec.core(core);
         let t0 = cr.now();
@@ -153,7 +149,7 @@ impl MarginalCache {
                 missing.push(scope);
             }
         }
-        let fresh = compute(epochs, &missing, &mut cr)?;
+        let fresh = compute(epoch, &missing, &mut cr)?;
         // Every answer is taken before the inserts, whose capacity flush
         // could otherwise drop a hit of this very group.
         let answers = scopes
@@ -174,34 +170,29 @@ impl MarginalCache {
         cr.add(Counter::QueriesServed, scopes.len() as u64);
         cr.add(Counter::CacheHits, hits);
         cr.add(Counter::CacheMisses, scopes.len() as u64 - hits);
-        Ok((answers, missing.len()))
+        Ok(answers)
     }
 }
 
-/// The marginal over each of `missing`, summed over `epochs`, from their
-/// packed snapshots.
+/// The marginal over each of `missing`, from `epoch`'s packed snapshot.
 fn compute<C: CoreRecorder>(
-    epochs: &[Arc<Epoch>],
+    epoch: &Epoch,
     missing: &[&[usize]],
     cr: &mut C,
 ) -> Result<Vec<Arc<MarginalTable>>, ServeError> {
     if missing.is_empty() {
         return Ok(Vec::new());
     }
-    let (first, rest) = epochs.split_first().ok_or(ServeError::NothingPublished)?;
+    let packed = epoch.packed();
     let t0 = cr.now();
-    let entries: usize = epochs.iter().map(|e| e.packed().num_entries()).sum();
     let mut scanned = 0u64;
     let fresh = missing
         .iter()
         .map(|&scope| {
-            first.packed().codec().validate_vars(scope)?;
-            let mut merged = first.packed().marginalize(scope)?;
-            for shard in rest {
-                merged.merge_shard(&shard.packed().marginalize(scope)?)?;
-            }
-            scanned += entries as u64;
-            Ok(Arc::new(merged))
+            packed.codec().validate_vars(scope)?;
+            let marginal = packed.marginalize(scope)?;
+            scanned += packed.num_entries() as u64;
+            Ok(Arc::new(marginal))
         })
         .collect::<Result<Vec<_>, CoreError>>();
     cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
@@ -267,22 +258,22 @@ mod tests {
         // The epoch keeps only its packed snapshot; the oracle is the table
         // the test built it from.
         let table = sequential_build(&data).unwrap().table;
-        let epochs = [Arc::new(Epoch::pack(&table, 1).unwrap())];
-        let rec = wfbn_obs::NoopRecorder;
+        let epoch = Epoch::pack(&table, 1).unwrap();
+        let rec = wfbn_obs::CoreMetrics::new(1);
         let mut cache = MarginalCache::with_capacity(2);
         cache.refresh(1);
         for scope in [&[0][..], &[1], &[2], &[0, 2]] {
-            let (answers, computed) = cache.answer(&epochs, &[scope], &rec, 0).unwrap();
-            assert_eq!(computed, 1);
+            let answers = cache.answer(&epoch, &[scope], &rec, 0).unwrap();
             assert_eq!(*answers[0], marginalize(&table, scope, 1).unwrap());
         }
+        assert_eq!(rec.snapshot().total(Counter::CacheMisses), 4);
         // The third scope flushed the map; later misses still read the epoch.
         assert_eq!(cache.len(), 2);
         cache.refresh(2);
         assert!(cache.is_empty(), "an epoch advance flushes the map");
         // Scopes are refused as the hash-table scan refused them.
-        assert!(cache.answer(&epochs, &[&[2, 0]], &rec, 0).is_err());
-        assert!(cache.answer(&epochs, &[&[3]], &rec, 0).is_err());
+        assert!(cache.answer(&epoch, &[&[2, 0]], &rec, 0).is_err());
+        assert!(cache.answer(&epoch, &[&[3]], &rec, 0).is_err());
         assert!(cache.is_empty());
     }
 
@@ -291,13 +282,17 @@ mod tests {
         let schema = Schema::uniform(3, 2).unwrap();
         let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1]]).unwrap();
         let table = sequential_build(&data).unwrap().table;
-        let epochs = [Arc::new(Epoch::pack(&table, 1).unwrap())];
-        let rec = wfbn_obs::NoopRecorder;
+        let epoch = Epoch::pack(&table, 1).unwrap();
+        let entries = epoch.packed().num_entries() as u64;
+        let rec = wfbn_obs::CoreMetrics::new(1);
+        let scanned = || rec.snapshot().total(Counter::EntriesScanned);
         let mut cache = MarginalCache::new();
         cache.refresh(1);
-        cache.answer(&epochs, &[&[1]], &rec, 0).unwrap();
+        cache.answer(&epoch, &[&[1]], &rec, 0).unwrap();
+        let before = scanned();
         let group: [&[usize]; 6] = [&[0, 1], &[1], &[0, 1], &[2], &[0, 1], &[1]];
-        let (answers, computed) = cache.answer(&epochs, &group, &rec, 0).unwrap();
+        let answers = cache.answer(&epoch, &group, &rec, 0).unwrap();
+        let computed = (scanned() - before) / entries;
         assert_eq!(computed, 2, "{{0,1}} and {{2}} miss; {{1}} is a hit");
         for (scope, answer) in group.iter().zip(&answers) {
             assert_eq!(answer.vars(), *scope);

@@ -8,8 +8,8 @@
 //! publishes it as one [`Epoch`], so **epoch `e` is exactly the snapshot of
 //! the table of the first `e` admitted batches** — the property the
 //! equivalence suite checks (on the keys and counts unpacked from it) and
-//! the protocol's `SYNC` relies on. Every reader and cluster client answers
-//! its cache misses from that one snapshot; none packs on its query path.
+//! the protocol's `SYNC` relies on. Every reader answers its cache misses
+//! from that one snapshot; none packs on its query path.
 //!
 //! An epoch keeps no handle on the builder's partitions, so a `SYNC` costs
 //! one absorb done in place and one pack: a table of fewer than 2¹⁵
@@ -49,7 +49,7 @@ use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
 /// One published epoch: the bit-sliced snapshot of the table of the first
 /// `e` admitted batches, packed once by the writer and shared by `Arc` with
-/// every reader and cluster client.
+/// every reader.
 ///
 /// The epoch holds no handle on the table itself, so once the writer has
 /// packed it no partition is shared, and the next absorb writes every
@@ -150,27 +150,6 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
         cfg: &EngineConfig,
         rec: Arc<R>,
     ) -> Result<(Self, Vec<QueryReader<R>>), ServeError> {
-        let (engine, readers, observers) = Self::start_with_observers(schema, cfg, rec, 0)?;
-        debug_assert!(observers.is_empty());
-        Ok((engine, readers))
-    }
-
-    /// [`start_recorded`](Self::start_recorded) plus `observers` raw epoch
-    /// lanes fed by the same publisher.
-    ///
-    /// An observer lane delivers every published `(epoch, snapshot)` pair
-    /// without the query/cache machinery of a [`QueryReader`] — the cluster
-    /// coordinator holds one per shard engine and consumes it *sequentially*
-    /// ([`EpochReader::next_epoch`]) to assemble epoch-aligned cross-shard
-    /// cuts. Observers do not count toward [`EngineConfig::readers`] or the
-    /// telemetry core layout.
-    #[allow(clippy::type_complexity)]
-    pub fn start_with_observers(
-        schema: &Schema,
-        cfg: &EngineConfig,
-        rec: Arc<R>,
-        observers: usize,
-    ) -> Result<(Self, Vec<QueryReader<R>>, Vec<EpochReader<Epoch>>), ServeError> {
         if cfg.readers == 0 {
             return Err(ServeError::Config("at least one reader required"));
         }
@@ -179,11 +158,9 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
         }
         let builder = StreamingBuilder::new(schema, cfg.builder_threads)?;
         let (lane, mut admission) = channel::<Dataset>();
-        // Lane 0 is the engine's own accounting endpoint; observer lanes
-        // come after the reader lanes.
-        let (mut publisher, mut ends) = epoch_channel::<Epoch>(cfg.readers + 1 + observers);
+        // Lane 0 is the engine's own accounting endpoint.
+        let (mut publisher, mut ends) = epoch_channel::<Epoch>(cfg.readers + 1);
         let watch = ends.remove(0);
-        let observer_lanes: Vec<EpochReader<Epoch>> = ends.split_off(cfg.readers);
         let readers: Vec<QueryReader<R>> = ends
             .into_iter()
             .enumerate()
@@ -207,9 +184,9 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
                             // the writer's alone until the next batch.
                             let mut c0 = wrec.core(0);
                             let t0 = c0.now();
-                            // `_or_empty`: a shard engine's slice of a batch
-                            // may hold zero rows, but its epoch must still
-                            // advance (cluster-epoch batch alignment). The
+                            // `_or_empty`: an admitted batch may hold zero
+                            // rows, but its epoch must still advance so that
+                            // epoch `e` stays the first `e` batches. The
                             // snapshot (O(P) Arc bumps) is dropped once
                             // packed, so the builder owns its partitions
                             // alone again before the next absorb.
@@ -223,8 +200,8 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
                         None => std::thread::yield_now(),
                     }
                 }
-                // `_or_empty` for the same reason as the snapshot above: a
-                // shard engine may legitimately finish having owned no keys.
+                // `_or_empty`: an engine may finish without having admitted
+                // a batch (or only empty ones); its table is then empty.
                 Ok(builder.finish_or_empty().table)
             })
             .expect("spawning the serve writer thread");
@@ -240,7 +217,6 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
                 rec,
             },
             readers,
-            observer_lanes,
         ))
     }
 
@@ -354,7 +330,6 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QueryEndpoint;
     use wfbn_core::construct::sequential_build;
 
     fn batch(schema: &Schema, rows: &[&[u16]]) -> Dataset {
@@ -408,31 +383,6 @@ mod tests {
         assert_eq!(epoch, 2);
         assert_eq!(snap.packed().total_count(), 3);
         drop(engine);
-    }
-
-    #[test]
-    fn observer_lanes_deliver_every_epoch_in_sequence() {
-        let schema = Schema::uniform(2, 2).unwrap();
-        let (mut engine, _readers, mut observers) = Engine::start_with_observers(
-            &schema,
-            &EngineConfig::default(),
-            Arc::new(NoopRecorder),
-            1,
-        )
-        .unwrap();
-        let lane = &mut observers[0];
-        assert!(lane.next_epoch().is_none());
-        engine.submit(batch(&schema, &[&[0, 1]])).unwrap();
-        engine.submit(batch(&schema, &[&[1, 0], &[1, 1]])).unwrap();
-        engine.sync().unwrap();
-        // Sequential consumption sees epoch 1 then epoch 2 — no skipping,
-        // unlike a pin-to-newest reader.
-        let (e1, snap1) = lane.next_epoch().unwrap();
-        assert_eq!((e1, snap1.packed().total_count()), (1, 1));
-        let (e2, snap2) = lane.next_epoch().unwrap();
-        assert_eq!((e2, snap2.packed().total_count()), (2, 3));
-        assert!(lane.next_epoch().is_none());
-        engine.finish().unwrap();
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   bounded in clauses, in cells per scope and in cells over its distinct
 //!   scopes ([`server::MAX_LINE_CELLS`]).
 //!
-//! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v6`): the writer
+//! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v7`): the writer
 //! records each epoch's pack under the `marginalize` stage,
 //! `epochs_published` and admission-queue depth on core 0, reader
 //! `i` records `queries_served` / `cache_hits` / `cache_misses` /
@@ -56,9 +56,7 @@ pub use cache::MarginalCache;
 pub use engine::{Engine, EngineConfig, Epoch};
 pub use query::{IngestRows, Request};
 pub use reader::{cpt_rows, CptRow, QueryReader};
-pub use server::{
-    serve_lines, serve_tcp, EndpointSession, LoopControl, QueryEndpoint, ReaderSession, Session,
-};
+pub use server::{serve_lines, serve_tcp, LoopControl, ReaderSession, Session};
 
 use wfbn_core::CoreError;
 
@@ -76,7 +74,7 @@ pub enum ServeError {
     Protocol(String),
     /// The engine was misconfigured (zero readers, zero queue capacity).
     Config(&'static str),
-    /// A query endpoint answered a batch with fewer marginals than scopes.
+    /// A reader answered a batch with fewer marginals than scopes.
     MissingAnswer,
 }
 

@@ -4,7 +4,7 @@
 //! which the server treats as a **fused batch**: every query clause on the
 //! line is answered against a single pinned epoch, and clauses needing the
 //! same marginal scope share one scan of the epoch's packed snapshot (see
-//! [`QueryEndpoint::answer_batch`](crate::QueryEndpoint::answer_batch)).
+//! [`QueryReader::answer_batch`](crate::QueryReader::answer_batch)).
 //!
 //! ```text
 //! MARGINAL 0 2           marginal counts over X0, X2

@@ -6,7 +6,7 @@
 //! (wait-free); answering a query reads the pinned immutable snapshot;
 //! nothing a reader does can block the writer or another reader.
 //!
-//! Request batching: [`QueryEndpoint::answer_batch`] deduplicates the scopes
+//! Request batching: [`QueryReader::answer_batch`] deduplicates the scopes
 //! of a fused request group and computes every cache-missing marginal from
 //! the pinned epoch's packed snapshot ([`MarginalCache::answer`]), which the
 //! writer packed before publishing the epoch. A batch of `k` same-scope
@@ -14,9 +14,10 @@
 
 use crate::cache::MarginalCache;
 use crate::engine::Epoch;
-use crate::{QueryEndpoint, ServeError};
+use crate::ServeError;
 use std::sync::Arc;
 use wfbn_concurrent::epoch::EpochReader;
+use wfbn_core::entropy::mutual_information;
 use wfbn_core::MarginalTable;
 use wfbn_obs::{CoreRecorder, Counter, Recorder};
 
@@ -95,25 +96,69 @@ impl<R: Recorder> QueryReader<R> {
         }
         pinned
     }
-}
 
-impl<R: Recorder> QueryEndpoint for QueryReader<R> {
-    fn answer_batch(
+    /// Answers a fused group of marginal queries against one pinned epoch.
+    ///
+    /// Returns the epoch served and one marginal per requested scope, in
+    /// request order. Scopes must be strictly increasing variable lists
+    /// (the potential-table codec's canonical form). Cache-missing scopes
+    /// are deduplicated and each is read from the epoch's packed snapshot.
+    pub fn answer_batch(
         &mut self,
         scopes: &[&[usize]],
     ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError> {
         let (epoch, pinned) = self.pin().ok_or(ServeError::NothingPublished)?;
-        let epochs = std::slice::from_ref(&pinned);
-        let (answers, _) = self.cache.answer(epochs, scopes, &*self.rec, self.core)?;
+        let answers = self.cache.answer(&pinned, scopes, &*self.rec, self.core)?;
         Ok((epoch, answers))
     }
 
-    fn published(&self) -> u64 {
-        QueryReader::published(self)
+    /// Marginal table over `scope` (strictly increasing variables) at the
+    /// newest published epoch.
+    pub fn marginal(&mut self, scope: &[usize]) -> Result<(u64, Arc<MarginalTable>), ServeError> {
+        let (epoch, mut answers) = self.answer_batch(&[scope])?;
+        Ok((epoch, answers.pop().ok_or(ServeError::MissingAnswer)?))
     }
 
-    fn pinned_epoch(&self) -> u64 {
-        QueryReader::pinned_epoch(self)
+    /// Mutual information `I(X_i; X_j)` in nats at the newest published
+    /// epoch. Computed exactly as the offline path (`wfbn mi`): pairwise
+    /// joint counts, then Eq. 1 — identical counts give an identical value.
+    pub fn mi(&mut self, i: usize, j: usize) -> Result<(u64, f64), ServeError> {
+        if i == j {
+            return Err(ServeError::Protocol(format!("MI of X{i} with itself")));
+        }
+        let (epoch, pair) = self.marginal(&[i.min(j), i.max(j)])?;
+        // The joint is symmetric in (i, j): I(X_i; X_j) needs no reorder.
+        Ok((epoch, mutual_information(&pair)))
+    }
+
+    /// Conditional probability table `P(X_x | parents)` at the newest
+    /// published epoch.
+    ///
+    /// Returns the epoch, the parent variables in sorted order (the order
+    /// of [`CptRow::parent_states`]), and one row per parent configuration
+    /// in mixed-radix order (first sorted parent varies fastest).
+    #[allow(clippy::type_complexity)]
+    pub fn cpt(
+        &mut self,
+        x: usize,
+        parents: &[usize],
+    ) -> Result<(u64, Vec<usize>, Vec<CptRow>), ServeError> {
+        if parents.contains(&x) {
+            return Err(ServeError::Protocol(format!(
+                "X{x} cannot be its own parent"
+            )));
+        }
+        let mut scope: Vec<usize> = parents.to_vec();
+        scope.sort_unstable();
+        scope.dedup();
+        if scope.len() != parents.len() {
+            return Err(ServeError::Protocol("duplicate parent variable".into()));
+        }
+        let sorted_parents = scope.clone();
+        scope.push(x);
+        scope.sort_unstable();
+        let (epoch, joint) = self.marginal(&scope)?;
+        Ok((epoch, sorted_parents, cpt_rows(&joint, x)))
     }
 }
 
@@ -122,14 +167,14 @@ impl<R: Recorder> QueryEndpoint for QueryReader<R> {
 /// `joint.vars()` must contain `x`; every other variable is treated as a
 /// parent. Rows come out in mixed-radix parent-configuration order (first
 /// sorted parent varies fastest), matching [`CptRow`]'s documentation.
-/// Public so the cluster tier can derive CPTs from *merged* cross-shard
-/// joints with the identical row layout.
+/// Public so an offline caller (the wall-clock benchmark's answer check)
+/// derives CPT rows with the identical layout the server prints.
 ///
 /// # Panics
 ///
 /// Panics if `x` is not a variable of `joint`. No server path can pass
-/// such a pair: [`QueryEndpoint::cpt`] and the protocol's `CPT` clause both
-/// build the scope from the parents plus `x`, and every endpoint answers a
+/// such a pair: [`QueryReader::cpt`] and the protocol's `CPT` clause both
+/// build the scope from the parents plus `x`, and the reader answers a
 /// scope with a marginal over exactly that scope.
 pub fn cpt_rows(joint: &MarginalTable, x: usize) -> Vec<CptRow> {
     let scope = joint.vars();

@@ -15,14 +15,13 @@
 
 use crate::engine::Engine;
 use crate::query::{parse_line, Request};
-use crate::reader::{cpt_rows, CptRow, QueryReader};
+use crate::reader::{cpt_rows, QueryReader};
 use crate::ServeError;
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use wfbn_core::entropy::{mutual_information, nats_to_bits};
-use wfbn_core::MarginalTable;
 use wfbn_data::Schema;
 use wfbn_obs::{CoreMetrics, Recorder};
 
@@ -37,103 +36,27 @@ pub enum LoopControl {
     Shutdown,
 }
 
-/// Anything that can answer a fused batch of marginal queries against one
-/// pinned epoch. [`QueryReader`] is the single-node endpoint; the cluster
-/// tier's fan-out client implements the same contract over merged
-/// cross-shard marginals, so both speak the identical wire protocol
-/// through [`EndpointSession`].
-pub trait QueryEndpoint {
-    /// Answers a fused group of marginal queries against one pinned epoch.
-    ///
-    /// Returns the epoch served and one marginal per requested scope, in
-    /// request order. Scopes must be strictly increasing variable lists
-    /// (the potential-table codec's canonical form). Cache-missing scopes
-    /// are deduplicated and each is read from the epoch's packed snapshot.
-    fn answer_batch(
-        &mut self,
-        scopes: &[&[usize]],
-    ) -> Result<(u64, Vec<Arc<MarginalTable>>), ServeError>;
-    /// The newest epoch the publisher has made visible.
-    fn published(&self) -> u64;
-    /// The epoch currently pinned (0 before the first publication).
-    fn pinned_epoch(&self) -> u64;
-
-    /// Marginal table over `scope` (strictly increasing variables) at the
-    /// newest published epoch.
-    fn marginal(&mut self, scope: &[usize]) -> Result<(u64, Arc<MarginalTable>), ServeError> {
-        let (epoch, mut answers) = self.answer_batch(&[scope])?;
-        Ok((epoch, answers.pop().ok_or(ServeError::MissingAnswer)?))
-    }
-
-    /// Mutual information `I(X_i; X_j)` in nats at the newest published
-    /// epoch. Computed exactly as the offline path (`wfbn mi`): pairwise
-    /// joint counts, then Eq. 1 — identical counts give an identical value.
-    fn mi(&mut self, i: usize, j: usize) -> Result<(u64, f64), ServeError> {
-        if i == j {
-            return Err(ServeError::Protocol(format!("MI of X{i} with itself")));
-        }
-        let (epoch, pair) = self.marginal(&[i.min(j), i.max(j)])?;
-        // The joint is symmetric in (i, j): I(X_i; X_j) needs no reorder.
-        Ok((epoch, mutual_information(&pair)))
-    }
-
-    /// Conditional probability table `P(X_x | parents)` at the newest
-    /// published epoch.
-    ///
-    /// Returns the epoch, the parent variables in sorted order (the order
-    /// of [`CptRow::parent_states`]), and one row per parent configuration
-    /// in mixed-radix order (first sorted parent varies fastest).
-    #[allow(clippy::type_complexity)]
-    fn cpt(
-        &mut self,
-        x: usize,
-        parents: &[usize],
-    ) -> Result<(u64, Vec<usize>, Vec<CptRow>), ServeError> {
-        if parents.contains(&x) {
-            return Err(ServeError::Protocol(format!("X{x} cannot be its own parent")));
-        }
-        let mut scope: Vec<usize> = parents.to_vec();
-        scope.sort_unstable();
-        scope.dedup();
-        if scope.len() != parents.len() {
-            return Err(ServeError::Protocol("duplicate parent variable".into()));
-        }
-        let sorted_parents = scope.clone();
-        scope.push(x);
-        scope.sort_unstable();
-        let (epoch, joint) = self.marginal(&scope)?;
-        Ok((epoch, sorted_parents, cpt_rows(&joint, x)))
-    }
-}
-
-/// The query half of a session: one [`QueryEndpoint`] plus the schema its
+/// The query half of a session: one [`QueryReader`] plus the schema its
 /// scopes are validated against.
 ///
 /// A [`Session`] owns one of these next to the engine front-end; workload
 /// drivers that fan protocol query streams across *several* concurrent
 /// readers own one session per reader thread instead — each parses and
 /// answers its own lines against its own pinned epochs, so the replay path
-/// is byte-for-byte the serving path. The cluster tier binds its fan-out
-/// client here too, which is what makes cluster responses byte-identical
-/// to single-node responses over the same counts.
-pub struct EndpointSession<E: QueryEndpoint> {
-    reader: E,
+/// is byte-for-byte the serving path.
+pub struct ReaderSession<R: Recorder> {
+    reader: QueryReader<R>,
     schema: Schema,
 }
 
-/// The single-node endpoint session: one [`QueryReader`] behind the
-/// protocol. (Historic name; new code answering through other endpoints
-/// should name [`EndpointSession`] directly.)
-pub type ReaderSession<R> = EndpointSession<QueryReader<R>>;
-
-impl<E: QueryEndpoint> EndpointSession<E> {
-    /// Binds a query endpoint to the schema it serves.
-    pub fn new(reader: E, schema: Schema) -> Self {
-        EndpointSession { reader, schema }
+impl<R: Recorder> ReaderSession<R> {
+    /// Binds a query reader to the schema it serves.
+    pub fn new(reader: QueryReader<R>, schema: Schema) -> Self {
+        ReaderSession { reader, schema }
     }
 
-    /// The underlying query endpoint.
-    pub fn reader_mut(&mut self) -> &mut E {
+    /// The underlying query reader.
+    pub fn reader_mut(&mut self) -> &mut QueryReader<R> {
         &mut self.reader
     }
 
@@ -323,7 +246,7 @@ impl<E: QueryEndpoint> EndpointSession<E> {
     }
 }
 
-/// One serving session: engine front-end + query endpoint + schema.
+/// One serving session: engine front-end + query reader + schema.
 pub struct Session<R: Recorder> {
     engine: Engine<R>,
     queries: ReaderSession<R>,
@@ -351,7 +274,7 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
         &mut self.engine
     }
 
-    /// The session's query endpoint.
+    /// The session's query reader.
     pub fn reader_mut(&mut self) -> &mut QueryReader<R> {
         self.queries.reader_mut()
     }

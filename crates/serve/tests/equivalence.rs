@@ -14,7 +14,7 @@ use wfbn_core::construct::sequential_build;
 use wfbn_core::entropy::mutual_information;
 use wfbn_core::marginalize;
 use wfbn_data::{CorrelatedChain, Dataset, Generator, Schema};
-use wfbn_serve::{Engine, EngineConfig, Epoch, QueryEndpoint};
+use wfbn_serve::{Engine, EngineConfig, Epoch};
 
 const VARS: usize = 6;
 const BATCHES: usize = 12;

@@ -67,7 +67,7 @@ pub struct ScenarioReport {
     pub refused: u64,
     /// Epochs the writer published.
     pub epochs_published: u64,
-    /// Full telemetry snapshot (schema `wfbn-metrics-v6`).
+    /// Full telemetry snapshot (schema `wfbn-metrics-v7`).
     pub metrics: MetricsReport,
 }
 

@@ -22,10 +22,7 @@
 //! and any partition count (the property suite proves it across
 //! `P ∈ {1, 2, 4, 8}`), witnessed by an FNV-1a [`fingerprint`] the bench
 //! baseline pins. The [`driver`] replays a workload against a live
-//! [`wfbn_serve::Engine`] with racing reader threads,
-//! [`driver_cluster`] replays the same streams through a sharded
-//! [`wfbn_cluster::Cluster`] (the `adversarial-partition` hot slice splits
-//! `S` ways before `key % P` ever sees it), and [`gates`] holds
+//! [`wfbn_serve::Engine`] with racing reader threads, and [`gates`] holds
 //! the two CI SLOs: bounded reader fairness and bounded skewed-scenario
 //! p99. The crate is pure harness — it adds no atomics and no locks, and
 //! the wait-free hot path it drives stays exactly as `wfbn-analyze`
@@ -37,12 +34,10 @@
 #![warn(missing_docs)]
 
 pub mod driver;
-pub mod driver_cluster;
 pub mod gates;
 pub mod scenario;
 
 pub use driver::{replay, ReplayConfig, ScenarioReport};
-pub use driver_cluster::replay_cluster;
 pub use gates::{
     check_fairness, check_skew_p99, FAIRNESS_BOUND, MIN_SKEW_SAMPLES, SKEW_P99_MULTIPLE,
 };

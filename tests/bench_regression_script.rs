@@ -4,10 +4,9 @@
 //! [`Snapshot::parse`] rejects a garbled file before any value is
 //! regenerated, and [`check`] names every key that is missing, extra or out
 //! of bounds. These tests break the committed baseline in the ways the
-//! scenario-matrix (`pr7_*`) and cluster shard-scaling (`pr9_*`) baselines
-//! used to be broken — emptied series, torn series, a missing acceptance
-//! value, stray workload parameters — and check that each one fails and
-//! names the offending key or line. The committed file stands in for a
+//! retired per-series JSON baselines used to be broken — emptied series,
+//! torn series, a missing acceptance value, stray workload parameters — and
+//! check that each one fails and names the offending key or line. The committed file stands in for a
 //! fresh measurement, so no simulation runs here;
 //! `crates/bench/tests/sim_baseline.rs` is the test that regenerates.
 
@@ -114,54 +113,54 @@ fn pr7_baseline_without_workload_params_is_rejected_before_regenerating() {
 }
 
 #[test]
-fn pr9_baseline_with_torn_shard_series_is_rejected_as_malformed() {
-    // Four shard counts measured, three cycle entries committed.
-    let (baseline, dropped) = without(|key| key == "cluster.cycles_per_query.s8");
+fn baseline_with_torn_core_series_is_rejected_as_malformed() {
+    // Four core counts measured, three cycle entries committed.
+    let (baseline, dropped) = without(|key| key == "fig5.allpairs_cycles.p8");
     let violations = check(&baseline, &committed());
     assert_violations_name(&violations, &dropped, "missing from the baseline");
 
-    // The other tear: the baseline holds a shard count no longer measured.
-    let text = format!("{COMMITTED}cluster.cycles_per_query.s16 61339.375\n");
+    // The other tear: the baseline holds a core count no longer measured.
+    let text = format!("{COMMITTED}fig5.allpairs_cycles.p16 173249835.000\n");
     let baseline = Snapshot::parse(&text).expect("an extra cycles key parses");
     let violations = check(&baseline, &committed());
     assert_violations_name(
         &violations,
-        &["cluster.cycles_per_query.s16".to_string()],
+        &["fig5.allpairs_cycles.p16".to_string()],
         "extra key",
     );
 }
 
 #[test]
 fn pr9_baseline_without_acceptance_value_is_rejected_as_malformed() {
-    let (baseline, dropped) = without(|key| key == "floor.cluster_s8_scaling");
+    let (baseline, dropped) = without(|key| key == "floor.serve_p8_scaling");
     let violations = check(&baseline, &committed());
     assert_violations_name(&violations, &dropped, "missing from the baseline");
 
     // A committed acceptance value below the floor fails as well, even
     // when the fresh run clears it.
-    let text = replace_line("floor.cluster_s8_scaling", "floor.cluster_s8_scaling 2.900");
+    let text = replace_line("floor.serve_p8_scaling", "floor.serve_p8_scaling 2.900");
     let baseline = Snapshot::parse(&text).expect("a low floor still parses");
     let violations = check(&baseline, &committed());
     assert_violations_name(
         &violations,
-        &["floor.cluster_s8_scaling".to_string()],
+        &["floor.serve_p8_scaling".to_string()],
         "baseline 2.900 is below the floor",
     );
 }
 
 #[test]
 fn pr9_baseline_without_workload_params_is_rejected_before_regenerating() {
-    // Cores per shard is a constant of the snapshot module; a baseline
-    // line that tries to set it has no rule and is refused by the parse.
-    let text = format!("{COMMITTED}cluster.cores_per_shard 2\n");
+    // The reader counts are a constant of the snapshot module; a baseline
+    // line that tries to set them has no rule and is refused by the parse.
+    let text = format!("{COMMITTED}serve.readers 8\n");
     let err = Snapshot::parse(&text).expect_err("a workload line must fail");
-    assert!(err.contains("cluster.cores_per_shard"), "{err}");
+    assert!(err.contains("serve.readers"), "{err}");
     assert!(err.contains("has no rule"), "{err}");
 
-    // A shard entry without its value is refused the same way, naming the
+    // A series entry without its value is refused the same way, naming the
     // line.
-    let text = replace_line("cluster.cycles_per_query.s8", "cluster.cycles_per_query.s8");
+    let text = replace_line("fig5.allpairs_cycles.p8", "fig5.allpairs_cycles.p8");
     let err = Snapshot::parse(&text).expect_err("a value-less line must fail");
-    assert!(err.contains("cluster.cycles_per_query.s8"), "{err}");
+    assert!(err.contains("fig5.allpairs_cycles.p8"), "{err}");
     assert!(err.contains("expected `key value`"), "{err}");
 }

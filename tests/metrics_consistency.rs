@@ -321,12 +321,12 @@ fn merged_reports_add_up() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 5 — wfbn-metrics-v6 serve laws, driven through a real engine.
+// Serve laws of wfbn-metrics-v7, driven through a real engine.
 // ---------------------------------------------------------------------------
 
 use std::sync::Arc;
 use wfbn_obs::{LAT_BUCKETS, LAT_BUCKET_UPPER_NS};
-use wfbn_serve::{Engine, EngineConfig, QueryEndpoint};
+use wfbn_serve::{Engine, EngineConfig};
 
 /// Runs a recorded engine with two readers issuing *different* query
 /// counts, so the per-reader laws are tested on asymmetric traffic.
@@ -415,7 +415,7 @@ fn v4_percentile_estimates_are_bucket_upper_edges_and_ordered() {
 fn v4_json_report_carries_the_new_sections() {
     let (_, report) = serve_replay([12, 8]);
     let json = report.to_json();
-    assert!(json.contains("\"schema\": \"wfbn-metrics-v6\""), "{json}");
+    assert!(json.contains("\"schema\": \"wfbn-metrics-v7\""), "{json}");
     for key in [
         "\"latency_percentiles\":",
         "\"fairness\":",
@@ -478,85 +478,4 @@ fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
     assert_eq!(reader_core.counter(Counter::CacheHits), 5);
     assert!(reader_core.stage(Stage::Marginal) > 0, "scans are timed");
     report.validate().expect("serve laws hold");
-}
-
-// ---------------------------------------------------------------------------
-// PR 9 — cluster conservation laws, driven through a real sharded cluster.
-// ---------------------------------------------------------------------------
-
-use wfbn_cluster::{Cluster, ClusterConfig};
-
-/// A recorded 2-shard cluster: the merged cluster + shard report must obey
-/// the cluster laws exactly (router batches fan to a whole multiple of
-/// shard sub-batches, cluster epochs never outrun routed batches, every
-/// fan-out merges at least one partial per shard), on top of every
-/// single-node law already asserted above.
-#[test]
-fn cluster_counters_obey_the_cluster_conservation_laws() {
-    let schema = Schema::uniform(6, 2).unwrap();
-    let data = UniformIndependent::new(schema.clone()).generate(600, 21);
-    let rows: Vec<Vec<u16>> = data.rows().map(<[u16]>::to_vec).collect();
-    let ecfg = EngineConfig {
-        builder_threads: 2,
-        readers: 1,
-        ..EngineConfig::default()
-    };
-    let ccfg = ClusterConfig {
-        shards: 2,
-        clients: 2,
-        engine: ecfg.clone(),
-        ..ClusterConfig::default()
-    };
-    let cluster_rec = Arc::new(CoreMetrics::new(ccfg.cluster_cores()));
-    let shard_recs: Vec<Arc<CoreMetrics>> =
-        (0..2).map(|_| Arc::new(CoreMetrics::new(ecfg.cores()))).collect();
-    let (mut cluster, mut clients) =
-        Cluster::start_recorded(&schema, &ccfg, Arc::clone(&cluster_rec), shard_recs.clone())
-            .unwrap();
-    for chunk in rows.chunks(150) {
-        cluster.submit_rows(chunk).unwrap();
-    }
-    cluster.sync().unwrap();
-    // Every shard's entries, read once per missing scope.
-    let cut_entries: u64 = clients[0]
-        .pin()
-        .unwrap()
-        .1
-        .iter()
-        .map(|shard| shard.packed().num_entries() as u64)
-        .sum();
-    // Asymmetric fan-out traffic, as in the serve replay above.
-    for (t, budget) in [(0usize, 9usize), (1, 5)] {
-        for q in 0..budget {
-            let (_, mi) = clients[t].mi(q % 5, 5).unwrap();
-            std::hint::black_box(mi);
-        }
-    }
-    cluster.finish().unwrap();
-
-    let mut merged = cluster_rec.snapshot();
-    for shard in &shard_recs {
-        merged.merge(&shard.snapshot());
-    }
-    // The exact ledger before the validator's inequalities: 4 cluster
-    // batches each fan to 2 shard sub-batches, 4 cluster epochs, and each
-    // client's merges count one partial per shard per fan-out.
-    assert_eq!(merged.total(Counter::BatchesRouted), 4);
-    assert_eq!(merged.total(Counter::ShardBatchesRouted), 8);
-    assert_eq!(merged.total(Counter::ClusterEpochsPublished), 4);
-    for (i, served) in [(0usize, 9u64), (1, 5)] {
-        let core = &merged.cores[ccfg.client_core(i)];
-        assert_eq!(core.counter(Counter::QueriesServed), served, "client {i}");
-        assert_eq!(
-            core.counter(Counter::PartialMerges),
-            2 * core.counter(Counter::QueryFanOuts),
-            "client {i}: one partial per shard per fan-out"
-        );
-        assert_eq!(
-            core.counter(Counter::EntriesScanned),
-            core.counter(Counter::QueryFanOuts) * cut_entries,
-            "client {i}: one scope per fan-out reads every shard's snapshot once"
-        );
-    }
-    merged.validate().expect("cluster laws hold on the merged report");
 }
