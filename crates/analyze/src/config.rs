@@ -38,6 +38,8 @@ pub struct NoblockWaiver {
     pub construct: String,
     /// One-line reviewed justification (required).
     pub why: String,
+    /// 1-based line of the `[[noblock_waiver]]` header in policy.toml.
+    pub line: u32,
 }
 
 /// One reviewed policy exception (e.g. the barrier's arrival RMW).
@@ -144,6 +146,7 @@ impl Policy {
                 file: field("file")?,
                 construct: field("construct")?,
                 why: field("why")?,
+                line: w.line,
             });
         }
         Ok(Policy {
@@ -164,13 +167,6 @@ impl Policy {
         self.waivers
             .iter()
             .find(|w| w.file == file && w.field == field && w.op == op)
-    }
-
-    /// The blocking-construct waiver covering `(file, construct)`, if any.
-    pub(crate) fn noblock_waiver_for(&self, file: &str, construct: &str) -> Option<&NoblockWaiver> {
-        self.noblock_waivers
-            .iter()
-            .find(|w| w.file == file && w.construct == construct)
     }
 }
 

@@ -399,17 +399,24 @@ pub(crate) fn gate_waitloop(
 /// Denies every recorded blocking construct (lock/condvar/channel types,
 /// `park`/`sleep`/`recv` calls, bare `.join()`, `spin_loop` outside any
 /// loop) in the `[noblock]` crates' shipped code, minus reviewed
-/// `[[noblock_waiver]]` entries.
-pub(crate) fn gate_noblock(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
+/// `[[noblock_waiver]]` entries — and, like a stale `[[loop]]`, fails a
+/// waiver that no such construct in its file still needs.
+pub(crate) fn gate_noblock(inv: &Inventory, policy: &Policy, policy_path: &str) -> Vec<Diag> {
     let mut out = Vec::new();
     if policy.noblock_crates.is_empty() {
         return out; // gate disabled (no [noblock] section)
     }
+    let mut used = vec![false; policy.noblock_waivers.len()];
     for b in &inv.blocking {
         if b.ctx != Ctx::Src || !policy.noblock_crates.iter().any(|c| c == &b.crate_name) {
             continue;
         }
-        if policy.noblock_waiver_for(&b.file, &b.construct).is_some() {
+        let waiver = policy
+            .noblock_waivers
+            .iter()
+            .position(|w| w.file == b.file && w.construct == b.construct);
+        if let Some(i) = waiver {
+            used[i] = true;
             continue;
         }
         out.push(Diag {
@@ -423,6 +430,18 @@ pub(crate) fn gate_noblock(inv: &Inventory, policy: &Policy) -> Vec<Diag> {
                  or add a reviewed [[noblock_waiver]] with its justification \
                  to analysis/policy.toml",
                 b.construct, b.crate_name
+            ),
+        });
+    }
+    for (w, _) in policy.noblock_waivers.iter().zip(used).filter(|(_, u)| !u) {
+        out.push(Diag {
+            gate: "noblock",
+            file: policy_path.to_owned(),
+            line: w.line,
+            msg: format!(
+                "stale [[noblock_waiver]]: {policy_path} waives `{}` in `{}` \
+                 but no such construct remains there — delete the waiver",
+                w.construct, w.file
             ),
         });
     }

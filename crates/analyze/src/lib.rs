@@ -123,7 +123,11 @@ pub fn check(analysis: &Analysis) -> Vec<Diag> {
         &analysis.progress,
         "analysis/progress.toml",
     ));
-    diags.extend(gates::gate_noblock(&analysis.inventory, &analysis.policy));
+    diags.extend(gates::gate_noblock(
+        &analysis.inventory,
+        &analysis.policy,
+        "analysis/policy.toml",
+    ));
     diags.extend(gates::gate_layout(
         &analysis.inventory,
         &analysis.layout,

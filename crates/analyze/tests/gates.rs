@@ -161,6 +161,59 @@ fn mutex_on_hot_path_fails_noblock_gate() {
     );
 }
 
+/// Copies `src` into `dst`, recursively.
+fn copy_tree(src: &std::path::Path, dst: &std::path::Path) {
+    std::fs::create_dir_all(dst).expect("create the copy's directory");
+    for entry in std::fs::read_dir(src).expect("read the fixture") {
+        let entry = entry.expect("fixture entry");
+        let to = dst.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_tree(&entry.path(), &to);
+        } else {
+            std::fs::copy(entry.path(), &to).expect("copy a fixture file");
+        }
+    }
+}
+
+#[test]
+fn waiver_without_construct_fails_noblock_gate_at_the_table_line() {
+    // The clean fixture plus one waiver for a `join` its demo crate never
+    // calls: the stale waiver is the only diagnostic.
+    let root =
+        std::env::temp_dir().join(format!("wfbn_analyze_stale_waiver_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    copy_tree(&fixture("clean"), &root);
+    let policy = root.join("analysis/policy.toml");
+    let mut text = std::fs::read_to_string(&policy).expect("read the policy");
+    let line = text.lines().count() as u32 + 2;
+    text.push_str(
+        "\n[[noblock_waiver]]\nfile = \"crates/demo/src/lib.rs\"\n\
+         construct = \"join\"\nwhy = \"nothing joins here\"\n",
+    );
+    std::fs::write(&policy, text).expect("write the policy");
+    let diags = check_root(&root).expect("the copy loads");
+    std::fs::remove_dir_all(&root).expect("remove the copy");
+
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    let d = &diags[0];
+    assert_eq!(d.gate, "noblock");
+    assert_eq!(
+        d.file, "analysis/policy.toml",
+        "a stale waiver is a *config* culprit"
+    );
+    assert_eq!(
+        d.line, line,
+        "culprit is the stale [[noblock_waiver]] header"
+    );
+    assert!(
+        d.msg.contains("stale")
+            && d.msg.contains("`join`")
+            && d.msg.contains("crates/demo/src/lib.rs"),
+        "msg names the waived construct and its file: {}",
+        d.msg
+    );
+}
+
 #[test]
 fn acquire_load_without_release_store_fails_hb_gate() {
     let d = sole_diag("orphan_acquire");

@@ -57,7 +57,6 @@ fn replay_scenario(scenario: Scenario, cfg: &Config) -> (u64, ScenarioReport) {
         .and_then(|workload| {
             let config = ReplayConfig {
                 partitions: cfg.threads,
-                ..ReplayConfig::default()
             };
             let report = replay(&workload, &config).map_err(|e| e.to_string())?;
             Ok((workload.fingerprint(), report))

@@ -38,7 +38,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let cfg = EngineConfig {
         builder_threads: threads,
         readers: 1,
-        ..EngineConfig::default()
     };
 
     if flags.has_switch("metrics") {
@@ -54,7 +53,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
 /// Feeds the CSV into the engine and runs the protocol loop.
 #[allow(clippy::too_many_arguments)]
-fn serve_session<R: Recorder + Send + Sync + 'static>(
+fn serve_session<R: Recorder>(
     mut engine: Engine<R>,
     mut readers: Vec<QueryReader<R>>,
     schema: Schema,
@@ -73,7 +72,7 @@ fn serve_session<R: Recorder + Send + Sync + 'static>(
         engine.submit(batch).map_err(|e| e.to_string())?;
         start = end;
     }
-    let epochs = engine.sync().map_err(|e| e.to_string())?;
+    let epochs = engine.published();
     writeln!(
         out,
         "serving: n={} m={m} epochs={epochs} threads={}",

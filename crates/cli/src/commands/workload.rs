@@ -77,7 +77,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     if flags.has_switch("run") {
         let config = ReplayConfig {
             partitions: flags.get_or("threads", 2)?,
-            ..ReplayConfig::default()
         };
         let report = replay(&workload, &config).map_err(|e| e.to_string())?;
         writeln!(

@@ -1,21 +1,22 @@
 //! Fork–join execution of one closure per thread index.
 //!
 //! The PRAM program model of the paper is "`for p = 0 to P−1 in parallel do`".
-//! [`run_on_threads`] is exactly that statement: it forks `p` scoped threads,
-//! passes each its index, joins them all, and returns the per-thread results
-//! in index order. Scoped threads let the closures borrow the training data
+//! [`run_on_threads`] is exactly that statement: the calling thread runs
+//! index 0 and forks `p − 1` scoped threads for the rest, passes each its
+//! index, joins them all, and returns the per-thread results in index order. Scoped threads let the closures borrow the training data
 //! and the shared queue matrix without `Arc`s or `'static` bounds.
 
 /// Runs `f(0), f(1), …, f(p-1)` on `p` parallel threads and returns their
 /// results in thread-index order.
 ///
-/// For `p == 1` the closure is invoked on the calling thread — no spawn —
-/// so single-threaded baselines measured through the same entry point pay no
-/// threading overhead (important for honest speedup denominators).
+/// The calling thread runs index 0 itself and spawns the other `p − 1`, so
+/// `p == 1` spawns nothing and single-threaded baselines measured through
+/// the same entry point pay no threading overhead (important for honest
+/// speedup denominators).
 ///
 /// # Panics
 ///
-/// Panics if `p == 0`, or propagates a panic from any worker thread.
+/// Panics if `p == 0`, or propagates a panic from any index.
 ///
 /// # Examples
 ///
@@ -42,8 +43,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `inputs` is empty, or propagates a panic from any worker
-/// thread.
+/// Panics if `inputs` is empty, or propagates a panic from any index.
 ///
 /// # Examples
 ///
@@ -60,26 +60,28 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    assert!(!inputs.is_empty(), "need at least one thread");
-    if inputs.len() == 1 {
-        return inputs.into_iter().map(|input| f(0, input)).collect();
-    }
+    let mut inputs = inputs.into_iter();
+    let first = inputs.next().expect("need at least one thread");
     std::thread::scope(|s| {
+        let f = &f;
         let handles: Vec<_> = inputs
-            .into_iter()
             .enumerate()
-            .map(|(t, input)| {
-                let f = &f;
+            .map(|(i, input)| {
+                let t = i + 1;
                 std::thread::Builder::new()
                     .name(format!("wfbn-worker-{t}"))
                     .spawn_scoped(s, move || f(t, input))
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(0, first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked")),
+        );
+        out
     })
 }
 
@@ -95,10 +97,16 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_runs_inline() {
+    fn index_zero_runs_on_the_caller_and_the_rest_on_their_own_threads() {
         let caller = std::thread::current().id();
-        let ids = run_on_threads(1, |_| std::thread::current().id());
-        assert_eq!(ids[0], caller);
+        for p in 1..=4 {
+            let ids = run_on_threads(p, |_| std::thread::current().id());
+            assert_eq!(ids[0], caller, "p={p}");
+            for (t, id) in ids.iter().enumerate().skip(1) {
+                assert_ne!(*id, caller, "p={p}: index {t} ran on the caller");
+                assert!(!ids[1..t].contains(id), "p={p}: index {t} shares a thread");
+            }
+        }
     }
 
     #[test]
@@ -118,6 +126,16 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
         let _ = run_on_threads(0, |_| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn caller_panic_propagates() {
+        let _ = run_on_threads(2, |t| {
+            if t == 0 {
+                panic!("boom");
+            }
+        });
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::error::CoreError;
 use crate::potential::PotentialTable;
 use crate::stats::{BuildStats, ThreadStats};
 use std::sync::Arc;
-use wfbn_concurrent::{channel, row_chunks, Consumer, Producer, SpinBarrier};
+use wfbn_concurrent::{channel, row_chunks, run_on_threads_with, Consumer, Producer, SpinBarrier};
 use wfbn_data::Dataset;
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
@@ -243,56 +243,6 @@ fn queue_matrix(p: usize) -> Vec<Endpoints> {
     endpoints
 }
 
-/// Runs `work(t, part, endpoints)` for every core `t` on its own scoped
-/// thread and returns each core's partition and counters in core order.
-///
-/// With one part there are no queues to wire and no one to race, so the
-/// calling thread runs the work directly.
-fn on_cores<T, F>(mut parts: Vec<T>, work: F) -> Vec<(T, ThreadStats)>
-where
-    T: Send,
-    F: Fn(usize, &mut T, Endpoints) -> ThreadStats + Sync,
-{
-    let p = parts.len();
-    let endpoints = queue_matrix(p);
-    if p == 1 {
-        let mut part = parts.pop().expect("one part");
-        let ep = endpoints.into_iter().next().expect("one core's endpoints");
-        let stats = work(0, &mut part, ep);
-        return vec![(part, stats)];
-    }
-    #[cfg(feature = "ownership-audit")]
-    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
-    std::thread::scope(|s| {
-        let work = &work;
-        #[cfg(feature = "ownership-audit")]
-        let build_audit = &build_audit;
-        let handles: Vec<_> = parts
-            .into_iter()
-            .zip(endpoints)
-            .enumerate()
-            .map(|(t, (mut part, ep))| {
-                std::thread::Builder::new()
-                    .name(format!("wfbn-build-{t}"))
-                    .spawn_scoped(s, move || {
-                        // Core `t` reports every table/queue write to the
-                        // shadow map; any word two cores write in one stage
-                        // aborts the build with the culprits named.
-                        #[cfg(feature = "ownership-audit")]
-                        let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let stats = work(t, &mut part, ep);
-                        (part, stats)
-                    })
-                    .expect("failed to spawn build thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("build thread panicked"))
-            .collect()
-    })
-}
-
 /// The two-stage primitive over `rows` (row-major, one state per variable
 /// of `codec`): core `t` encodes its contiguous chunk block by block and
 /// applies or routes every key (Algorithm 1), crosses the single barrier,
@@ -310,9 +260,18 @@ pub(crate) fn two_stage<T: Partition, R: Recorder>(
     let p = parts.len();
     let chunks = row_chunks(rows.len() / n, p);
     let barrier = SpinBarrier::new(p);
-    on_cores(parts, |t, part, ep| {
+    #[cfg(feature = "ownership-audit")]
+    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
+    let cores = parts.into_iter().zip(queue_matrix(p)).collect();
+    run_on_threads_with(cores, |t, (mut part, ep)| {
+        // Core `t` reports every table/queue write to the shadow map; any
+        // word two cores write in one stage aborts the build with the
+        // culprits named.
+        #[cfg(feature = "ownership-audit")]
+        let _audit = wfbn_concurrent::audit::enter(&build_audit, t);
         let chunk = &rows[chunks[t].start * n..chunks[t].end * n];
-        barrier_core(t, chunk, part, ep, &barrier, codec, rec)
+        let stats = barrier_core(t, chunk, &mut part, ep, &barrier, codec, rec);
+        (part, stats)
     })
 }
 

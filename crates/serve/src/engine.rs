@@ -1,47 +1,37 @@
-//! [`Engine`]: the writer side of the serving layer — streaming absorption,
-//! bounded admission, and epoch publication.
+//! [`Engine`]: the writer side of the serving layer — streaming absorption
+//! and epoch publication.
 //!
-//! One dedicated writer thread owns the [`StreamingBuilder`] and the
-//! [`EpochPublisher`](wfbn_concurrent::EpochPublisher). The front-end hands
-//! it row batches over a wait-free SPSC lane; after absorbing each batch the
-//! writer packs the new table into a bit-sliced [`PackedTable`] and
-//! publishes it as one [`Epoch`], so **epoch `e` is exactly the snapshot of
-//! the table of the first `e` admitted batches** — the property the
-//! equivalence suite checks (on the keys and counts unpacked from it) and
-//! the protocol's `SYNC` relies on. Every reader answers its cache misses
-//! from that one snapshot; none packs on its query path.
+//! The engine owns the [`StreamingBuilder`] and the
+//! [`EpochPublisher`], and the thread that
+//! calls [`Engine::submit`] is the writer: it runs core 0 of the batch's
+//! absorb itself (the builder spawns the other `P − 1`), packs the new table
+//! into a bit-sliced [`PackedTable`] and publishes it as one [`Epoch`]
+//! before `submit` returns. So **epoch `e` is exactly the snapshot of the
+//! table of the first `e` admitted batches** — the property the
+//! equivalence suite checks (on the keys and counts unpacked from it) — and
+//! the protocol's `SYNC` has nothing to wait for. Every reader answers its
+//! cache misses from that one snapshot; none packs on its query path.
 //!
-//! An epoch keeps no handle on the builder's partitions, so a `SYNC` costs
+//! An epoch keeps no handle on the builder's partitions, so a batch costs
 //! one absorb done in place and one pack: a table of fewer than 2¹⁵
-//! entries packs on the writer's own thread, a larger one on the builder's
+//! entries packs on the calling thread, a larger one on the builder's
 //! thread count.
 //!
-//! # Admission and backpressure
-//!
-//! The admission gate needs no read-modify-write atomic: the front-end is
-//! the only writer of the *submitted* count (a plain field) and the writer
-//! thread the only writer of the *published* count (the epoch word), so
-//! `submitted − published` is an always-consistent backlog bound.
-//! [`Engine::submit`] blocks (yielding) while the backlog is at capacity.
-//! Capacity refusals are tallied in a plain front-end field ([`Engine::refused`]) —
-//! like `submitted` it has exactly one writer (the front-end thread), so
-//! the admission counters stay free of atomics entirely.
+//! A batch the builder rejects (a schema other than the engine's) publishes
+//! nothing and counts one [`Engine::refused`]; the engine keeps serving.
 //!
 //! # Telemetry
 //!
 //! With a recording [`Recorder`], batch absorption lands on cores
 //! `0..builder_threads` exactly as offline builds do. Once the absorb
 //! threads have joined, the writer adds each epoch's pack under
-//! [`Stage::Marginal`], `epochs_published` and the admission-queue
-//! high-water mark on core 0. Reader cores start at `builder_threads` (see
-//! [`EngineConfig::reader_core`]).
+//! [`Stage::Marginal`] and `epochs_published` on core 0. Reader cores start
+//! at `builder_threads` (see [`EngineConfig::reader_core`]).
 
 use crate::reader::QueryReader;
 use crate::ServeError;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use wfbn_concurrent::epoch::{epoch_channel, EpochReader};
-use wfbn_concurrent::spsc::{channel, Producer};
+use wfbn_concurrent::epoch::{epoch_channel, EpochPublisher};
 use wfbn_core::stream::StreamingBuilder;
 use wfbn_core::{CoreError, PackedTable, PotentialTable};
 use wfbn_data::{Dataset, Schema};
@@ -77,12 +67,11 @@ impl Epoch {
 /// Construction parameters for [`Engine::start`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Threads the writer uses per batch absorption (the paper's `P`).
+    /// Threads per batch absorption (the paper's `P`), the calling thread
+    /// included.
     pub builder_threads: usize,
     /// Number of independent [`QueryReader`] endpoints to create.
     pub readers: usize,
-    /// Maximum admitted-but-unpublished batches before admission blocks.
-    pub queue_capacity: u64,
 }
 
 impl Default for EngineConfig {
@@ -90,7 +79,6 @@ impl Default for EngineConfig {
         EngineConfig {
             builder_threads: 1,
             readers: 1,
-            queue_capacity: 64,
         }
     }
 }
@@ -108,22 +96,11 @@ impl EngineConfig {
     }
 }
 
-/// Whether a batch may be admitted given the two single-writer counters.
-#[inline]
-pub(crate) fn admissible(submitted: u64, published: u64, capacity: u64) -> bool {
-    submitted.saturating_sub(published) < capacity
-}
-
-/// The front-end handle to a running serve engine; see the
-/// [module docs](self).
+/// The writer's handle to a serve engine; see the [module docs](self).
 pub struct Engine<R: Recorder> {
-    lane: Producer<Dataset>,
-    /// The engine's own epoch endpoint, used for backlog/sync accounting.
-    watch: EpochReader<Epoch>,
-    submitted: u64,
+    builder: StreamingBuilder,
+    publisher: EpochPublisher<Epoch>,
     refused: u64,
-    capacity: u64,
-    writer: JoinHandle<Result<PotentialTable, CoreError>>,
     rec: Arc<R>,
 }
 
@@ -138,9 +115,8 @@ impl Engine<NoopRecorder> {
     }
 }
 
-impl<R: Recorder + Send + Sync + 'static> Engine<R> {
-    /// Starts the writer thread and returns the front-end handle plus
-    /// `cfg.readers` query endpoints.
+impl<R: Recorder> Engine<R> {
+    /// Returns the writer's handle plus `cfg.readers` query endpoints.
     ///
     /// A recording `rec` must provide at least [`EngineConfig::cores`]
     /// telemetry cores.
@@ -153,177 +129,67 @@ impl<R: Recorder + Send + Sync + 'static> Engine<R> {
         if cfg.readers == 0 {
             return Err(ServeError::Config("at least one reader required"));
         }
-        if cfg.queue_capacity == 0 {
-            return Err(ServeError::Config("queue capacity must be positive"));
-        }
         let builder = StreamingBuilder::new(schema, cfg.builder_threads)?;
-        let (lane, mut admission) = channel::<Dataset>();
-        // Lane 0 is the engine's own accounting endpoint.
-        let (mut publisher, mut ends) = epoch_channel::<Epoch>(cfg.readers + 1);
-        let watch = ends.remove(0);
+        let (publisher, ends) = epoch_channel::<Epoch>(cfg.readers);
         let readers: Vec<QueryReader<R>> = ends
             .into_iter()
             .enumerate()
             .map(|(i, end)| QueryReader::new(end, Arc::clone(&rec), cfg.reader_core(i)))
             .collect();
-
-        let wrec = Arc::clone(&rec);
-        let threads = cfg.builder_threads;
-        let writer = std::thread::Builder::new()
-            .name("wfbn-serve-writer".into())
-            .spawn(move || {
-                let mut builder = builder;
-                // wf-bound: service(shutdown) — the writer's lifetime loop:
-                // each round absorbs one admitted batch or yields, and it
-                // exits once the admission lane is closed and drained.
-                loop {
-                    match admission.try_pop() {
-                        Some(batch) => {
-                            builder.absorb_recorded(&batch, &*wrec)?;
-                            // The absorb threads have joined, so core 0 is
-                            // the writer's alone until the next batch.
-                            let mut c0 = wrec.core(0);
-                            let t0 = c0.now();
-                            // `_or_empty`: an admitted batch may hold zero
-                            // rows, but its epoch must still advance so that
-                            // epoch `e` stays the first `e` batches. The
-                            // snapshot (O(P) Arc bumps) is dropped once
-                            // packed, so the builder owns its partitions
-                            // alone again before the next absorb.
-                            let epoch = Epoch::pack(&builder.snapshot_or_empty(), threads)?;
-                            c0.stage_ns(Stage::Marginal, c0.now().saturating_sub(t0));
-                            publisher.publish(epoch);
-                            c0.add(Counter::EpochsPublished, 1);
-                            c0.queue_depth(admission.visible_backlog());
-                        }
-                        None if admission.is_closed() => break,
-                        None => std::thread::yield_now(),
-                    }
-                }
-                // `_or_empty`: an engine may finish without having admitted
-                // a batch (or only empty ones); its table is then empty.
-                Ok(builder.finish_or_empty().table)
-            })
-            .expect("spawning the serve writer thread");
-
-        Ok((
-            Engine {
-                lane,
-                watch,
-                submitted: 0,
-                refused: 0,
-                capacity: cfg.queue_capacity,
-                writer,
-                rec,
-            },
-            readers,
-        ))
+        let engine = Engine {
+            builder,
+            publisher,
+            refused: 0,
+            rec,
+        };
+        Ok((engine, readers))
     }
 
-    /// Batches submitted so far (admitted, not necessarily yet absorbed).
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Capacity refusals the admission gate issued: one per
-    /// [`Engine::submit`] call that had to wait for backpressure to clear. Closed-engine refusals
-    /// are not counted — they are shutdown, not admission control.
+    /// Batches the builder rejected: one per [`Engine::submit`] that
+    /// returned an error.
     pub fn refused(&self) -> u64 {
         self.refused
     }
 
-    /// Newest epoch the writer has published (equals batches absorbed).
-    pub fn published(&mut self) -> u64 {
-        // Drain the accounting lane so skipped snapshots are reclaimed.
-        self.watch.pin();
-        self.watch.published()
+    /// Newest epoch published: the number of batches absorbed.
+    pub fn published(&self) -> u64 {
+        self.publisher.published()
     }
 
-    /// Admitted-but-unpublished batches.
-    pub fn backlog(&mut self) -> u64 {
-        self.submitted.saturating_sub(self.published())
-    }
-
-    /// `true` once the writer thread has exited (normally or with an
-    /// error); further submissions would never be absorbed.
-    pub fn is_closed(&self) -> bool {
-        self.watch.is_closed()
-    }
-
-    /// The recorder this engine reports into.
-    pub fn recorder(&self) -> &Arc<R> {
-        &self.rec
-    }
-
-    /// Admission without refusal accounting; `Err` hands the batch back
-    /// (closed engine or backlog at capacity).
-    fn admit(&mut self, batch: Dataset) -> Result<u64, Dataset> {
-        if self.is_closed() || !admissible(self.submitted, self.published(), self.capacity) {
-            return Err(batch);
-        }
-        self.submitted += 1;
-        self.lane.push(batch);
-        Ok(self.submitted)
-    }
-
-    /// Admits `batch`, blocking (spin + yield) while the backlog is at
-    /// capacity. Fails with [`ServeError::Closed`] if the writer exited.
-    pub fn submit(&mut self, mut batch: Dataset) -> Result<u64, ServeError> {
-        let mut counted = false;
-        // wf-bound: backpressure(capacity) — blocks only while the writer's
-        // backlog sits at capacity; the writer publishes each absorbed batch,
-        // so admission reopens (or `closed` surfaces) in finitely many of
-        // its steps.
-        loop {
-            match self.admit(batch) {
-                Ok(n) => return Ok(n),
-                Err(returned) => {
-                    if self.is_closed() {
-                        return Err(ServeError::Closed);
-                    }
-                    // One refusal per batch that met backpressure, not one
-                    // per spin iteration.
-                    if !counted {
-                        self.refused += 1;
-                        counted = true;
-                    }
-                    batch = returned;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Blocks until every submitted batch is published; returns the epoch.
+    /// Absorbs `batch` on the calling thread and `builder_threads − 1`
+    /// spawned ones, packs the new table and publishes it; returns the new
+    /// epoch, which every reader can pin at once.
     ///
-    /// Fails with [`ServeError::Closed`] if the writer exited before
-    /// catching up (an absorption error).
-    pub fn sync(&mut self) -> Result<u64, ServeError> {
-        // wf-bound: backpressure(backlog) — waits for the writer to absorb
-        // the finitely many already-submitted batches; each publication
-        // advances `published`, and a writer exit surfaces as `closed`.
-        loop {
-            let published = self.published();
-            if published >= self.submitted {
-                return Ok(published);
-            }
-            if self.is_closed() {
-                return Err(ServeError::Closed);
-            }
-            std::thread::yield_now();
+    /// A batch the builder rejects fails with [`ServeError::Core`], counts
+    /// one refusal and publishes nothing.
+    pub fn submit(&mut self, batch: Dataset) -> Result<u64, ServeError> {
+        if let Err(e) = self.builder.absorb_recorded(&batch, &*self.rec) {
+            self.refused += 1;
+            return Err(ServeError::Core(e));
         }
+        // The absorb's spawned threads have joined, so core 0's telemetry
+        // is this thread's alone until the next batch.
+        let mut c0 = self.rec.core(0);
+        let t0 = c0.now();
+        // `_or_empty`: a batch may hold zero rows, but its epoch must still
+        // advance so that epoch `e` stays the first `e` batches. The
+        // snapshot (O(P) Arc bumps) is dropped once packed, so the builder
+        // owns its partitions alone again before the next absorb. Packing
+        // fails only on zero threads, which `start` already refused.
+        let threads = self.builder.threads();
+        let epoch = Epoch::pack(&self.builder.snapshot_or_empty(), threads)?;
+        c0.stage_ns(Stage::Marginal, c0.now().saturating_sub(t0));
+        let e = self.publisher.publish(epoch);
+        c0.add(Counter::EpochsPublished, 1);
+        Ok(e)
     }
 
-    /// Closes admission, joins the writer, and returns the final table
-    /// (the build of every admitted batch).
-    pub fn finish(self) -> Result<PotentialTable, ServeError> {
-        let Engine { lane, writer, .. } = self;
-        drop(lane); // closes the admission queue; the writer drains and exits
-        match writer.join() {
-            Ok(Ok(table)) => Ok(table),
-            Ok(Err(e)) => Err(ServeError::Core(e)),
-            Err(_) => Err(ServeError::Closed),
-        }
+    /// Closes every reader's lane and returns the final table (the build of
+    /// every admitted batch).
+    pub fn finish(self) -> PotentialTable {
+        // `_or_empty`: an engine may finish without having admitted a batch
+        // (or only empty ones); its table is then empty.
+        self.builder.finish_or_empty().table
     }
 }
 
@@ -337,26 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn admission_gate_is_a_counter_difference() {
-        assert!(admissible(0, 0, 1));
-        assert!(!admissible(1, 0, 1));
-        assert!(admissible(1, 1, 1));
-        assert!(admissible(7, 4, 4));
-        assert!(!admissible(8, 4, 4));
-    }
-
-    #[test]
     fn absorbs_batches_and_finishes_with_the_offline_table() {
         let schema = Schema::uniform(3, 2).unwrap();
         let rows: Vec<&[u16]> = vec![&[0, 1, 0], &[1, 1, 1], &[0, 0, 1], &[1, 0, 0]];
         let (mut engine, _readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
-        engine.submit(batch(&schema, &rows[..2])).unwrap();
-        engine.submit(batch(&schema, &rows[2..])).unwrap();
-        assert_eq!(engine.submitted(), 2);
-        assert_eq!(engine.sync().unwrap(), 2);
-        assert_eq!(engine.backlog(), 0);
+        assert_eq!(engine.submit(batch(&schema, &rows[..2])).unwrap(), 1);
+        assert_eq!(engine.submit(batch(&schema, &rows[2..])).unwrap(), 2);
+        assert_eq!(engine.published(), 2);
 
-        let table = engine.finish().unwrap();
+        let table = engine.finish();
         let offline = sequential_build(&batch(&schema, &rows)).unwrap().table;
         assert_eq!(table.to_sorted_vec(), offline.to_sorted_vec());
     }
@@ -371,14 +226,12 @@ mod tests {
         let (mut engine, mut readers) = Engine::start(&schema, &cfg).unwrap();
         assert!(readers[0].pin().is_none());
         engine.submit(batch(&schema, &[&[0, 1]])).unwrap();
-        engine.sync().unwrap();
         for r in &mut readers {
             let (epoch, snap) = r.pin().unwrap();
             assert_eq!(epoch, 1);
             assert_eq!(snap.packed().total_count(), 1);
         }
         engine.submit(batch(&schema, &[&[1, 1], &[1, 0]])).unwrap();
-        engine.sync().unwrap();
         let (epoch, snap) = readers[1].pin().unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(snap.packed().total_count(), 3);
@@ -386,14 +239,43 @@ mod tests {
     }
 
     #[test]
-    fn absorption_error_closes_the_engine_and_surfaces_in_finish() {
+    fn a_reader_pins_each_epoch_as_its_submit_returns() {
+        let schema = Schema::uniform(3, 2).unwrap();
+        let cfg = EngineConfig {
+            builder_threads: 2,
+            ..EngineConfig::default()
+        };
+        let (mut engine, mut readers) = Engine::start(&schema, &cfg).unwrap();
+        for e in 1..=4u64 {
+            let rows: &[&[u16]] = &[&[0, 1, 1], &[1, 0, 1]];
+            assert_eq!(engine.submit(batch(&schema, rows)).unwrap(), e);
+            let (epoch, snap) = readers[0].pin().unwrap();
+            assert_eq!(epoch, e);
+            assert_eq!(snap.packed().total_count(), 2 * e);
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_is_refused_publishes_nothing_and_the_engine_keeps_serving() {
         let schema = Schema::uniform(3, 2).unwrap();
         let other = Schema::uniform(2, 4).unwrap();
-        let (mut engine, readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
-        engine.submit(batch(&other, &[&[0, 3]])).unwrap();
-        assert!(matches!(engine.sync(), Err(ServeError::Closed)));
+        let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
+        engine.submit(batch(&schema, &[&[0, 1, 0]])).unwrap();
+        assert!(matches!(
+            engine.submit(batch(&other, &[&[0, 3]])),
+            Err(ServeError::Core(_))
+        ));
+        assert_eq!(engine.refused(), 1);
+        assert_eq!(engine.published(), 1);
+        assert_eq!(readers[0].pin().unwrap().0, 1);
+
+        assert_eq!(engine.submit(batch(&schema, &[&[1, 1, 1]])).unwrap(), 2);
+        let (epoch, snap) = readers[0].pin().unwrap();
+        assert_eq!(epoch, 2);
+        assert_eq!(snap.packed().total_count(), 2);
+        assert!(!readers[0].is_closed());
+        assert_eq!(engine.finish().total_count(), 2);
         assert!(readers[0].is_closed());
-        assert!(matches!(engine.finish(), Err(ServeError::Core(_))));
     }
 
     #[test]
@@ -402,7 +284,6 @@ mod tests {
         let cfg = EngineConfig {
             builder_threads: 2,
             readers: 2,
-            ..EngineConfig::default()
         };
         let metrics = Arc::new(wfbn_obs::CoreMetrics::new(cfg.cores()));
         let (mut engine, mut readers) =
@@ -410,11 +291,10 @@ mod tests {
         let rows: Vec<&[u16]> = vec![&[0, 0, 1, 1], &[1, 1, 0, 0], &[0, 1, 0, 1], &[1, 0, 1, 0]];
         engine.submit(batch(&schema, &rows[..2])).unwrap();
         engine.submit(batch(&schema, &rows[2..])).unwrap();
-        engine.sync().unwrap();
         readers[0].mi(0, 1).unwrap();
         readers[0].mi(0, 1).unwrap(); // second hit is served from the cache
         readers[1].marginal(&[2, 3]).unwrap();
-        engine.finish().unwrap();
+        engine.finish();
 
         // Under --features metrics this snapshot self-validates (panics on
         // any violated law); assert the serve laws explicitly regardless.
@@ -437,39 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn each_waiting_submit_counts_one_refusal_and_closed_engines_none() {
-        let schema = Schema::uniform(2, 2).unwrap();
-        let cfg = EngineConfig {
-            queue_capacity: 1,
-            ..EngineConfig::default()
-        };
-        let (mut engine, _readers) = Engine::start(&schema, &cfg).unwrap();
-        // A submit that had to wait counts one refusal, however long it
-        // spun — regardless of how the race with the writer's publications
-        // lands.
-        let attempts = 50u64;
-        for _ in 0..attempts {
-            let refused_before = engine.refused();
-            engine.submit(batch(&schema, &[&[0, 1]])).unwrap();
-            assert!(engine.refused() - refused_before <= 1);
-        }
-        assert_eq!(engine.submitted(), attempts);
-        assert!(engine.refused() <= attempts);
-
-        // Closed-engine refusals are shutdown, not admission control.
-        let other = Schema::uniform(3, 3).unwrap();
-        engine.submit(batch(&other, &[&[0, 0, 0]])).unwrap();
-        assert!(matches!(engine.sync(), Err(ServeError::Closed)));
-        let refused_before = engine.refused();
-        assert!(matches!(
-            engine.submit(batch(&schema, &[&[0, 0]])),
-            Err(ServeError::Closed)
-        ));
-        assert_eq!(engine.refused(), refused_before);
-    }
-
-    #[test]
-    fn zero_readers_and_zero_capacity_are_rejected() {
+    fn zero_readers_are_rejected() {
         let schema = Schema::uniform(2, 2).unwrap();
         let no_readers = EngineConfig {
             readers: 0,
@@ -477,14 +325,6 @@ mod tests {
         };
         assert!(matches!(
             Engine::start(&schema, &no_readers),
-            Err(ServeError::Config(_))
-        ));
-        let no_queue = EngineConfig {
-            queue_capacity: 0,
-            ..EngineConfig::default()
-        };
-        assert!(matches!(
-            Engine::start(&schema, &no_queue),
             Err(ServeError::Config(_))
         ));
     }

@@ -2,11 +2,13 @@
 //! wait-free construction primitives.
 //!
 //! The paper's primitive builds a potential table once and hands it to one
-//! structure-learning run. This crate keeps the table *alive*: one writer
-//! thread absorbs row batches through [`wfbn_core::stream::StreamingBuilder`]
-//! and publishes an immutable, epoch-versioned snapshot after every batch,
-//! while `N` reader threads answer marginal / mutual-information / CPT
-//! queries lock-free against whichever epoch they last pinned.
+//! structure-learning run. This crate keeps the table *alive*: the writer —
+//! whichever thread calls [`Engine::submit`] — absorbs each row batch
+//! through [`wfbn_core::stream::StreamingBuilder`], running core 0 of the
+//! absorb itself, and publishes an immutable, epoch-versioned snapshot
+//! before `submit` returns, while `N` reader threads answer marginal /
+//! mutual-information / CPT queries lock-free against whichever epoch they
+//! last pinned.
 //!
 //! The ownership story extends the paper's exactly-one-owner discipline to
 //! serving:
@@ -18,11 +20,9 @@
 //!   the builder's thread count). The epoch holds nothing of the table
 //!   itself: the writer packs a snapshot of the builder's partitions
 //!   (`P` pointer bumps) and drops it, so the builder owns every partition
-//!   alone again and the next absorb writes them in place.
-//! * **Admission** is a bounded hand-off: the front-end counts batches it
-//!   submitted, the writer's published epoch counts batches absorbed, and
-//!   the difference is the backlog the admission gate blocks on. Both
-//!   counters are single-writer words — no read-modify-write anywhere.
+//!   alone again and the next absorb writes them in place. Epoch `e` is the
+//!   table of the first `e` admitted batches, so `SYNC` has nothing to wait
+//!   for.
 //! * **Queries** never lock and never block the writer: a reader pins the
 //!   newest published epoch (draining its private lane), then reads the
 //!   pinned snapshot. A per-reader scope-keyed [`cache::MarginalCache`]
@@ -33,8 +33,8 @@
 //!   scopes ([`server::MAX_LINE_CELLS`]).
 //!
 //! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v7`): the writer
-//! records each epoch's pack under the `marginalize` stage,
-//! `epochs_published` and admission-queue depth on core 0, reader
+//! records each epoch's pack under the `marginalize` stage and
+//! `epochs_published` on core 0, reader
 //! `i` records `queries_served` / `cache_hits` / `cache_misses` /
 //! `epochs_pinned` and a query-latency histogram on core
 //! `builder_threads + i`, and the report validator cross-checks the serve
@@ -65,14 +65,11 @@ use wfbn_core::CoreError;
 pub enum ServeError {
     /// A query arrived before the writer published any epoch.
     NothingPublished,
-    /// The writer thread exited (finished or failed); no further epochs
-    /// will be published.
-    Closed,
     /// The underlying table/marginal computation rejected the request.
     Core(CoreError),
     /// A malformed protocol request.
     Protocol(String),
-    /// The engine was misconfigured (zero readers, zero queue capacity).
+    /// The engine was misconfigured (zero readers).
     Config(&'static str),
     /// A reader answered a batch with fewer marginals than scopes.
     MissingAnswer,
@@ -82,7 +79,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::NothingPublished => write!(f, "no epoch published yet"),
-            ServeError::Closed => write!(f, "writer closed"),
             ServeError::Core(e) => write!(f, "{e}"),
             ServeError::Protocol(msg) => write!(f, "bad request: {msg}"),
             ServeError::Config(msg) => write!(f, "bad engine config: {msg}"),

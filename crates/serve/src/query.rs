@@ -11,8 +11,8 @@
 //! MI 0 1 [bits]          mutual information I(X0; X1)
 //! CPT 3 1 2              P(X3 | X1, X2); no parents = prior of X3
 //! EPOCH                  published and pinned epoch numbers
-//! SYNC                   block until every submitted batch is published
-//! INGEST 0,1,0|1,1,0     submit rows (|-separated) as one batch
+//! SYNC                   the epoch of every batch ingested so far
+//! INGEST 0,1,0|1,1,0     absorb rows (|-separated) as one batch and publish it
 //! STATS                  serving counters (and metrics JSON if recording)
 //! QUIT                   end this connection
 //! SHUTDOWN               end this connection and stop the server
@@ -47,11 +47,12 @@ pub enum Request {
     },
     /// Report the published and pinned epochs.
     Epoch,
-    /// Block until the writer has published every submitted batch.
+    /// Report the epoch of every batch ingested so far; `INGEST` has
+    /// already published it.
     Sync,
     /// Report serving counters.
     Stats,
-    /// Submit rows as one batch.
+    /// Absorb rows as one batch and publish its epoch.
     Ingest(IngestRows),
     /// Close this connection.
     Quit,

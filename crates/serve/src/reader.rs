@@ -66,8 +66,9 @@ impl<R: Recorder> QueryReader<R> {
         self.lane.published()
     }
 
-    /// `true` once the writer has exited; the currently pinned epoch (after
-    /// one final [`pin`](Self::pin)) is then the last there will ever be.
+    /// `true` once the engine has finished or been dropped; the currently
+    /// pinned epoch (after one final [`pin`](Self::pin)) is then the last
+    /// there will ever be.
     pub fn is_closed(&self) -> bool {
         self.lane.is_closed()
     }

@@ -1,6 +1,6 @@
 //! Line-protocol server loop: stdin/stdout scripts and `std::net` TCP.
 //!
-//! A [`Session`] binds one [`Engine`] front-end and one [`QueryReader`];
+//! A [`Session`] binds one [`Engine`] and one [`QueryReader`];
 //! [`serve_lines`] pumps a `BufRead` of protocol lines through it, writing
 //! one `OK`/`ERR` response line per request clause. Consecutive query
 //! clauses on one line are answered as a fused batch against a single
@@ -39,7 +39,7 @@ pub enum LoopControl {
 /// The query half of a session: one [`QueryReader`] plus the schema its
 /// scopes are validated against.
 ///
-/// A [`Session`] owns one of these next to the engine front-end; workload
+/// A [`Session`] owns one of these next to the engine; workload
 /// drivers that fan protocol query streams across *several* concurrent
 /// readers own one session per reader thread instead — each parses and
 /// answers its own lines against its own pinned epochs, so the replay path
@@ -69,7 +69,7 @@ impl<R: Recorder> ReaderSession<R> {
     /// Query clauses are fused exactly as [`Session::handle_line`] fuses
     /// them; `EPOCH` is answered locally; engine-side verbs (`INGEST`,
     /// `SYNC`, `STATS`, `QUIT`, `SHUTDOWN`) are refused — a reader endpoint
-    /// has no engine front-end to forward them to.
+    /// has no engine to forward them to.
     pub fn handle_query_line(&mut self, line: &str, out: &mut Vec<String>) {
         let requests = match parse_bounded_line(line) {
             Ok(requests) => requests,
@@ -246,14 +246,14 @@ impl<R: Recorder> ReaderSession<R> {
     }
 }
 
-/// One serving session: engine front-end + query reader + schema.
+/// One serving session: engine + query reader + schema.
 pub struct Session<R: Recorder> {
     engine: Engine<R>,
     queries: ReaderSession<R>,
     metrics: Option<Arc<CoreMetrics>>,
 }
 
-impl<R: Recorder + Send + Sync + 'static> Session<R> {
+impl<R: Recorder> Session<R> {
     /// Binds a session over a running engine.
     pub fn new(engine: Engine<R>, reader: QueryReader<R>, schema: Schema) -> Self {
         Session {
@@ -269,7 +269,7 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
         self
     }
 
-    /// The engine front-end (submission, sync, backlog).
+    /// The session's engine (submission and its counters).
     pub fn engine_mut(&mut self) -> &mut Engine<R> {
         &mut self.engine
     }
@@ -279,9 +279,9 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
         self.queries.reader_mut()
     }
 
-    /// Closes admission and returns the final table.
+    /// Closes the readers' lanes and returns the final table.
     pub fn finish(self) -> Result<wfbn_core::PotentialTable, ServeError> {
-        self.engine.finish()
+        Ok(self.engine.finish())
     }
 
     /// Answers a run of consecutive query requests as one fused batch.
@@ -299,17 +299,11 @@ impl<R: Recorder + Send + Sync + 'static> Session<R> {
                     self.queries.reader_mut().pinned_epoch()
                 ));
             }
-            Request::Sync => match self.engine.sync() {
-                Ok(epoch) => out.push(format!("OK SYNC e={epoch}")),
-                Err(e) => out.push(format!("ERR {e}")),
-            },
+            Request::Sync => out.push(format!("OK SYNC e={}", self.engine.published())),
             Request::Stats => {
                 out.push(format!(
-                    "OK STATS submitted={} published={} backlog={} refused={} \
-                     cache_scopes={}",
-                    self.engine.submitted(),
+                    "OK STATS published={} refused={} cache_scopes={}",
                     self.engine.published(),
-                    self.engine.backlog(),
                     self.engine.refused(),
                     self.queries.reader_mut().cache_len()
                 ));
@@ -492,7 +486,7 @@ pub fn serve_lines<R, I, O>(
     out: &mut O,
 ) -> std::io::Result<LoopControl>
 where
-    R: Recorder + Send + Sync + 'static,
+    R: Recorder,
     I: BufRead,
     O: Write + ?Sized,
 {
@@ -534,7 +528,7 @@ where
 /// until a `SHUTDOWN` request (or an accept error) ends the loop.
 pub fn serve_tcp<R>(session: &mut Session<R>, listener: TcpListener) -> std::io::Result<()>
 where
-    R: Recorder + Send + Sync + 'static,
+    R: Recorder,
 {
     for stream in listener.incoming() {
         let stream = stream?;
@@ -621,7 +615,7 @@ mod tests {
         // Ingest with the wrong width is refused, not absorbed.
         let out = respond(&mut session, "INGEST 0,1");
         assert!(out[0].starts_with("ERR "), "{out:?}");
-        assert_eq!(session.engine_mut().submitted(), 1);
+        assert_eq!(session.engine_mut().published(), 1);
     }
 
     #[test]
@@ -739,7 +733,6 @@ mod tests {
         let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
         let row: &[u16] = &[0; 6];
         engine.submit(Dataset::from_rows(schema.clone(), &[row]).unwrap()).unwrap();
-        engine.sync().unwrap();
         let mut rs = ReaderSession::new(readers.pop().unwrap(), schema);
         let mut out = Vec::new();
         rs.handle_query_line("MI 0 1; MI 0 2; MI 0 3; MI 0 4; MI 0 5; MI 1 0", &mut out);
@@ -749,7 +742,7 @@ mod tests {
             out[4],
             format!("ERR scope 0,5 would take the line past {MAX_LINE_CELLS} cells")
         );
-        engine.finish().unwrap();
+        engine.finish();
     }
 
     #[test]
@@ -813,7 +806,7 @@ mod tests {
         let out = respond(&mut session, "STATS");
         assert_eq!(
             out,
-            vec!["OK STATS submitted=1 published=1 backlog=0 refused=0 cache_scopes=0"]
+            vec!["OK STATS published=1 refused=0 cache_scopes=0"]
         );
     }
 
@@ -827,7 +820,6 @@ mod tests {
                 Dataset::from_rows(schema.clone(), &[&[0, 0, 0], &[1, 1, 1]]).unwrap(),
             )
             .unwrap();
-        engine.sync().unwrap();
         let mut rs = ReaderSession::new(readers.pop().unwrap(), schema);
 
         let mut out = Vec::new();
@@ -848,7 +840,7 @@ mod tests {
                 "ERR QUIT is not available on a reader endpoint",
             ]
         );
-        engine.finish().unwrap();
+        engine.finish();
     }
 
     #[test]

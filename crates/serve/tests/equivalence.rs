@@ -57,7 +57,6 @@ fn every_epoch_equals_the_offline_prefix_build_for_each_p() {
         let reader = &mut readers[0];
         for (k, batch) in batches.iter().enumerate() {
             engine.submit(batch.clone()).expect("submit");
-            engine.sync().expect("sync");
             let (epoch, snap) = reader.pin().expect("published");
             assert_eq!(epoch, k as u64 + 1, "P={p}");
 
@@ -78,7 +77,7 @@ fn every_epoch_equals_the_offline_prefix_build_for_each_p() {
                 "P={p}: served MI {served_mi} vs offline {offline_mi}"
             );
         }
-        let final_table = engine.finish().expect("finish");
+        let final_table = engine.finish();
         let offline = offline_prefix(&schema, &batches, BATCHES);
         assert_eq!(final_table.to_sorted_vec(), offline.to_sorted_vec());
     }
@@ -91,7 +90,6 @@ fn concurrent_reader_mid_absorb_observes_only_exact_prefixes() {
         let cfg = EngineConfig {
             builder_threads: p,
             readers: 2,
-            ..EngineConfig::default()
         };
         let (mut engine, mut readers) = Engine::start(&schema, &cfg).expect("engine");
         let mut prober = readers.pop().expect("reader");
@@ -123,8 +121,7 @@ fn concurrent_reader_mid_absorb_observes_only_exact_prefixes() {
         for batch in &batches {
             engine.submit(batch.clone()).expect("submit");
         }
-        engine.sync().expect("sync");
-        engine.finish().expect("finish");
+        engine.finish();
 
         let (tables, mis) = prober_thread.join().expect("prober");
         assert!(
@@ -161,7 +158,6 @@ fn snapshots_are_immutable_while_the_writer_moves_on() {
     let (schema, batches) = workload();
     let (mut engine, mut readers) = Engine::start(&schema, &EngineConfig::default()).unwrap();
     engine.submit(batches[0].clone()).unwrap();
-    engine.sync().unwrap();
     let (epoch, early) = readers[0].pin().expect("epoch 1");
     assert_eq!(epoch, 1);
     let early: Arc<Epoch> = early;
@@ -170,7 +166,6 @@ fn snapshots_are_immutable_while_the_writer_moves_on() {
     for batch in &batches[1..] {
         engine.submit(batch.clone()).unwrap();
     }
-    engine.sync().unwrap();
     assert_eq!(
         early.packed().to_sorted_vec(),
         frozen,
@@ -178,7 +173,7 @@ fn snapshots_are_immutable_while_the_writer_moves_on() {
     );
     let offline = offline_prefix(&schema, &batches, 1);
     assert_eq!(early.packed().to_sorted_vec(), offline.to_sorted_vec());
-    engine.finish().unwrap();
+    engine.finish();
 }
 
 /// Satellite 2 — adversarial-partition soak: `SOAK_BATCHES` single-row
@@ -235,7 +230,6 @@ fn adversarial_partition_soak_pins_only_exact_prefixes() {
     let cfg = EngineConfig {
         builder_threads: 2, // all rows forward to partition 0's owner
         readers: 2,
-        queue_capacity: 256,
     };
     let (mut engine, mut readers) = Engine::start(&schema, &cfg).expect("engine");
     let mut prober = readers.pop().expect("reader");
@@ -261,8 +255,7 @@ fn adversarial_partition_soak_pins_only_exact_prefixes() {
             Dataset::from_flat_unchecked(schema.clone(), universe[row_index(i)].clone());
         engine.submit(batch).expect("submit");
     }
-    engine.sync().expect("sync");
-    let final_table = engine.finish().expect("finish");
+    let final_table = engine.finish();
     let seen = prober_thread.join().expect("prober");
     assert!(!seen.is_empty(), "the prober never observed an epoch");
     assert_eq!(seen.last().expect("non-empty").0, total as u64);
@@ -330,7 +323,6 @@ fn a_scope_asked_again_after_an_epoch_advance_reads_the_new_epoch() {
     let scope = [1usize, 3, 4];
     for (k, batch) in batches.iter().take(3).enumerate() {
         engine.submit(batch.clone()).unwrap();
-        engine.sync().unwrap();
         // Twice per epoch: the first packs the epoch's snapshot, the second
         // is a cache hit; both must be this epoch's counts.
         for _ in 0..2 {
@@ -342,7 +334,7 @@ fn a_scope_asked_again_after_an_epoch_advance_reads_the_new_epoch() {
         let (_, pair) = reader.marginal(&[0, 5]).unwrap();
         assert_eq!(*pair, offline_marginal(&schema, &batches, k + 1, &[0, 5]));
     }
-    engine.finish().unwrap();
+    engine.finish();
 }
 
 #[test]
@@ -363,7 +355,6 @@ fn a_fused_group_answers_every_scope_as_the_offline_marginal() {
     ];
     for (k, batch) in batches.iter().take(2).enumerate() {
         engine.submit(batch.clone()).unwrap();
-        engine.sync().unwrap();
         // Warm one scope so the group mixes hits and misses.
         reader.marginal(&[0, 1]).unwrap();
         let (epoch, answers) = reader.answer_batch(&scopes).unwrap();
@@ -410,7 +401,7 @@ fn a_fused_group_answers_every_scope_as_the_offline_marginal() {
             counts(&[1, 2, 3])
         )
     );
-    engine.finish().unwrap();
+    engine.finish();
 }
 
 #[test]
@@ -444,7 +435,6 @@ fn a_capacity_flush_mid_epoch_keeps_answering_from_the_epoch() {
     let reader = &mut readers[0];
     for (k, batch) in batches.iter().enumerate() {
         engine.submit(batch.clone()).unwrap();
-        engine.sync().unwrap();
         let offline = offline_prefix(&schema, &batches, k + 1);
         let mut flushed = false;
         for scope in scopes.iter().chain(&scopes[..20]) {
@@ -460,5 +450,5 @@ fn a_capacity_flush_mid_epoch_keeps_answering_from_the_epoch() {
         }
         assert!(flushed, "epoch {}: the cache never reached capacity", k + 1);
     }
-    engine.finish().unwrap();
+    engine.finish();
 }

@@ -79,9 +79,10 @@ fn seeded_publisher_migration_is_caught() {
 
 #[test]
 fn full_serve_pipeline_runs_clean_under_the_audit_feature() {
-    // End-to-end smoke with the audit feature compiled in: the engine's
-    // internal threads are un-entered (they record nothing), and nothing on
-    // the ingest/publish/query path trips the auditor.
+    // End-to-end smoke with the audit feature compiled in: each submit runs
+    // core 0 of the absorb on this thread, so the thread enters and leaves
+    // core 0's audit context once per batch, and nothing on the
+    // ingest/publish/query path trips the auditor.
     let schema = Schema::uniform(4, 2).expect("schema");
     let (mut engine, mut readers) = Engine::start(
         &schema,
@@ -92,11 +93,12 @@ fn full_serve_pipeline_runs_clean_under_the_audit_feature() {
     )
     .expect("engine");
     let rows: Vec<&[u16]> = vec![&[0, 0, 1, 1], &[1, 1, 0, 0], &[0, 1, 0, 1]];
-    engine
-        .submit(Dataset::from_rows(schema, &rows).expect("batch"))
-        .expect("submit");
-    engine.sync().expect("sync");
-    let (_, mi) = readers[0].mi(0, 1).expect("mi");
-    assert!(mi.is_finite());
-    engine.finish().expect("finish");
+    for e in 1..=4u64 {
+        let batch = Dataset::from_rows(schema.clone(), &rows).expect("batch");
+        assert_eq!(engine.submit(batch).expect("submit"), e);
+        let (epoch, mi) = readers[0].mi(0, 1).expect("mi");
+        assert_eq!(epoch, e);
+        assert!(mi.is_finite());
+    }
+    assert_eq!(engine.finish().total_count(), 12);
 }

@@ -3,16 +3,16 @@
 //!
 //! The driver is the *harness* side of the workload story, so it is allowed
 //! what the serving hot path is not: it spawns threads, joins them, and
-//! takes wall-clock timestamps. The hot path it exercises — engine writer,
-//! epoch lanes, query readers — stays wait-free; nothing here adds an
-//! atomic or a lock to any serve/obs/core crate.
+//! takes wall-clock timestamps. The hot path it exercises — the engine's
+//! absorb and publish, epoch lanes, query readers — stays wait-free;
+//! nothing here adds an atomic or a lock to any serve/obs/core crate.
 //!
 //! Shape of a replay:
 //!
 //! 1. Start a recorded engine ([`wfbn_obs::CoreMetrics`], one telemetry
 //!    core per builder thread plus one per reader).
-//! 2. Submit the first batch and `sync`, so an epoch exists and no reader
-//!    can observe `NothingPublished`.
+//! 2. Submit the first batch, so an epoch exists and no reader can observe
+//!    `NothingPublished`.
 //! 3. Spawn one thread per reader; each replays its own query stream as
 //!    protocol lines through [`ReaderSession::handle_query_line`], timing
 //!    every line. Meanwhile the main thread replays the remaining INGEST
@@ -34,16 +34,11 @@ use wfbn_serve::{Engine, EngineConfig, ReaderSession, ServeError};
 pub struct ReplayConfig {
     /// Builder threads — the paper's `P`; the `key % P` partition count.
     pub partitions: usize,
-    /// Admission-queue capacity (batches admitted but unpublished).
-    pub queue_capacity: u64,
 }
 
 impl Default for ReplayConfig {
     fn default() -> Self {
-        ReplayConfig {
-            partitions: 2,
-            queue_capacity: 8,
-        }
+        ReplayConfig { partitions: 2 }
     }
 }
 
@@ -63,7 +58,7 @@ pub struct ScenarioReport {
     pub p99_ns: u64,
     /// 99.9th percentile per-query wall latency.
     pub p999_ns: u64,
-    /// Admission refusals the engine's gate issued during the replay.
+    /// Batches the engine refused during the replay.
     pub refused: u64,
     /// Epochs the writer published.
     pub epochs_published: u64,
@@ -108,7 +103,6 @@ pub fn replay(
     let cfg = EngineConfig {
         builder_threads: config.partitions,
         readers: readers_n,
-        queue_capacity: config.queue_capacity,
     };
     let metrics = Arc::new(CoreMetrics::new(cfg.cores()));
     let (mut engine, readers) =
@@ -129,7 +123,6 @@ pub fn replay(
         .ok_or(ServeError::Config("workload has no batches"))?
         .map_err(|_| ServeError::Config("scenario generated an invalid row"))?;
     engine.submit(first)?;
-    engine.sync()?;
 
     let sessions: Vec<ReaderSession<CoreMetrics>> = readers
         .into_iter()
@@ -188,7 +181,6 @@ pub fn replay(
                     }
                 }
             }
-            engine.sync()?;
             Ok(())
         };
         if let Err(e) = ingest() {
@@ -211,7 +203,7 @@ pub fn replay(
         return Err(ServeError::Protocol(msg));
     }
     let refused = engine.refused();
-    engine.finish()?;
+    engine.finish();
 
     latencies.sort_unstable();
     let snapshot = metrics.snapshot();
@@ -275,7 +267,6 @@ mod tests {
             &w,
             &ReplayConfig {
                 partitions: 4,
-                ..ReplayConfig::default()
             },
         )
         .unwrap();

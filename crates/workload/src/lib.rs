@@ -11,7 +11,7 @@
 //! |---|---|
 //! | `uniform` | nothing — the baseline the gates compare against |
 //! | `zipf` | partition balance, via Zipf(1.2)-skewed states |
-//! | `burst` | admission control, via flash-crowd INGEST with idle gaps |
+//! | `burst` | reader latency while the writer absorbs, via flash-crowd INGEST with idle gaps |
 //! | `adversarial-partition` | one core's `key % P` slice owns every row |
 //! | `wide-sparse` | sparse tables at `n = 48` variables |
 //! | `hot-query` | reader latency, via high-arity marginals and CPTs |

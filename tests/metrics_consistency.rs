@@ -336,12 +336,10 @@ fn serve_replay(queries: [usize; 2]) -> (EngineConfig, MetricsReport) {
     let cfg = EngineConfig {
         builder_threads: 2,
         readers: 2,
-        ..EngineConfig::default()
     };
     let rec = Arc::new(CoreMetrics::new(cfg.cores()));
     let (mut engine, readers) = Engine::start_recorded(&schema, &cfg, Arc::clone(&rec)).unwrap();
     engine.submit(data).unwrap();
-    engine.sync().unwrap();
     std::thread::scope(|scope| {
         for (t, mut reader) in readers.into_iter().enumerate() {
             let budget = queries[t];
@@ -354,7 +352,7 @@ fn serve_replay(queries: [usize; 2]) -> (EngineConfig, MetricsReport) {
             });
         }
     });
-    engine.finish().unwrap();
+    engine.finish();
     (cfg, rec.snapshot())
 }
 
@@ -447,7 +445,6 @@ fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
     let (mut engine, mut readers) =
         Engine::start_recorded(&schema, &cfg, Arc::clone(&rec)).unwrap();
     engine.submit(data).unwrap();
-    engine.sync().unwrap();
     let reader = &mut readers[0];
     let (_, epoch) = reader.pin().unwrap();
     let n = epoch.packed().num_entries() as u64;
@@ -469,7 +466,7 @@ fn reader_scans_count_every_packed_entry_once_per_missing_scope() {
     reader.marginal(&[4]).unwrap();
     reader.mi(6, 7).unwrap();
     assert_eq!(scanned(), 6 * n);
-    engine.finish().unwrap();
+    engine.finish();
 
     let report = rec.snapshot();
     let reader_core = &report.cores[cfg.reader_core(0)];
