@@ -30,6 +30,7 @@ pub use orient::orient;
 pub use thicken::thicken;
 pub use thin::thin;
 
+use separate::Searches;
 use thicken::thicken_packed;
 use thin::thin_packed;
 
@@ -82,12 +83,17 @@ pub struct PhaseStats {
     pub thickening_added: usize,
     /// Edges removed by thinning.
     pub thinning_removed: usize,
-    /// Conditional-independence tests executed in phases 2–3.
+    /// Conditional-independence tests asked in phases 2–3, counting again
+    /// the tests of a separation search answered from the memo.
     pub ci_tests: usize,
-    /// Passes over the packed table that those tests made: one per
-    /// separation search whose tests collapse from the joint over its cut,
-    /// one per test otherwise.
+    /// Real passes over the packed table that those tests made: one per
+    /// distinct (pair, cut) separation search whose tests collapse from the
+    /// joint over its cut, one per test of such a search otherwise. A search
+    /// answered from the memo makes none.
     pub ci_scans: usize,
+    /// Separation searches answered from the learn's memo of earlier
+    /// searches of the same pair over the same cut, without running a test.
+    pub ci_memo_hits: usize,
 }
 
 /// Everything the learner produces.
@@ -114,10 +120,11 @@ pub struct ChengLearner {
     pub ci_test: CiTest,
     /// Worker threads for table construction, packing the one snapshot
     /// every phase of a learn reads, and all-pairs MI, which counts the
-    /// snapshot's blocks. The CI tests run on the
-    /// calling thread: each separation search scans the snapshot once, for
-    /// the joint over its pair and candidate cut, and its tests collapse
-    /// their joints from that one.
+    /// snapshot's blocks. The CI tests run on the calling thread: the
+    /// snapshot is scanned once per distinct (pair, cut) separation search,
+    /// for the joint over the pair and the cut, and the search's tests
+    /// collapse their joints from that one; a repeated search answers from
+    /// the learn's memo.
     pub threads: usize,
     /// Largest conditioning-set size tried during separation search.
     pub max_condition_size: usize,
@@ -143,6 +150,16 @@ impl ChengLearner {
 
     /// Runs the learner on an already-built potential table.
     pub fn learn_from_table(&self, table: &PotentialTable) -> Result<LearnResult, LearnError> {
+        self.learn_with(table, Searches::default())
+    }
+
+    /// [`learn_from_table`](Self::learn_from_table) with `searches` as the
+    /// memo that thickening and thinning share.
+    pub(crate) fn learn_with(
+        &self,
+        table: &PotentialTable,
+        mut searches: Searches,
+    ) -> Result<LearnResult, LearnError> {
         if self.threads == 0 {
             return Err(CoreError::ZeroThreads.into());
         }
@@ -165,13 +182,14 @@ impl ChengLearner {
             }
         }
 
-        // ---- Phases 2–3: CI tests. ----
+        // ---- Phases 2–3: CI tests, sharing one memo of searches. ----
         stats.thickening_added = thicken_packed(
             &mut graph,
             &deferred,
             &packed,
             self.ci_test,
             self.max_condition_size,
+            &mut searches,
             &mut sepsets,
             &mut stats,
         );
@@ -180,6 +198,7 @@ impl ChengLearner {
             &packed,
             self.ci_test,
             self.max_condition_size,
+            &mut searches,
             &mut sepsets,
             &mut stats,
         );

@@ -18,12 +18,36 @@
 //! joint with more cells than the snapshot has entries would cost more to
 //! collapse than to rescan (or cannot be materialized at all); such a
 //! search scans once per test instead.
+//!
+//! For one snapshot, test and `max_condition_size`, a search is a pure
+//! function of `(x, y, cut)`, and a learn meets some pairs again over an
+//! unchanged cut (32–34 of about 243 searches on alarm-like data). The
+//! searches of one learn share a [`Searches`] memo: a search runs once per
+//! distinct `(x, y, cut)`, and a repeat answers from the memo and counts
+//! the tests the first run asked.
 
 use crate::cheng::{PhaseStats, SepSets};
 use crate::ci::CiTest;
 use crate::graph::Ug;
+use std::collections::HashMap;
 use wfbn_core::marginal::{MarginalTable, PackedTable};
 use wfbn_core::potential::PotentialTable;
+
+/// What one separation search found: the separating set (`None` if the
+/// pair stayed dependent) and the number of tests the search asked.
+type Found = (Option<Vec<usize>>, usize);
+
+/// The memo of one learn's separation searches. Valid for one snapshot,
+/// test and `max_condition_size`.
+#[derive(Debug, Default)]
+pub(crate) struct Searches {
+    /// What each search found, keyed by `(x, y, cut)`.
+    found: HashMap<(usize, usize, Vec<usize>), Found>,
+    /// Empties `found` before every search, for the learn without a memo
+    /// that tests compare against.
+    #[cfg(test)]
+    forget: bool,
+}
 
 /// The snapshot a public phase entry point packs for its own call.
 pub(crate) fn pack(table: &PotentialTable, threads: usize) -> PackedTable {
@@ -37,7 +61,9 @@ pub(crate) fn pack(table: &PotentialTable, threads: usize) -> PackedTable {
 /// Returns `Some(z)` with the first set found that makes the pair
 /// independent under `test`, or `None` if every tried set leaves them
 /// dependent. Counts its tests and scans into `stats.ci_tests` and
-/// `stats.ci_scans`.
+/// `stats.ci_scans`. A search `searches` already holds is not run again:
+/// it counts the stored tests and one `stats.ci_memo_hits`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn separate(
     graph: &Ug,
     table: &PackedTable,
@@ -45,6 +71,7 @@ pub(crate) fn separate(
     y: usize,
     test: CiTest,
     max_condition_size: usize,
+    searches: &mut Searches,
     stats: &mut PhaseStats,
 ) -> Option<Vec<usize>> {
     // Candidate cut: path-neighbors of the endpoint with the smaller set
@@ -56,7 +83,35 @@ pub(crate) fn separate(
     } else {
         cand_y
     };
-    let probe = Probe::new(table, x, y, test, &cand, stats);
+    #[cfg(test)]
+    if searches.forget {
+        searches.found.clear();
+    }
+    let key = (x, y, cand);
+    if let Some((sep, tests)) = searches.found.get(&key) {
+        stats.ci_tests += tests;
+        stats.ci_memo_hits += 1;
+        return sep.clone();
+    }
+    let before = stats.ci_tests;
+    let sep = search(table, x, y, test, max_condition_size, &key.2, stats);
+    searches
+        .found
+        .insert(key, (sep.clone(), stats.ci_tests - before));
+    sep
+}
+
+/// The search [`separate`] runs for `(x, y)` over the candidate cut `cand`.
+fn search(
+    table: &PackedTable,
+    x: usize,
+    y: usize,
+    test: CiTest,
+    max_condition_size: usize,
+    cand: &[usize],
+    stats: &mut PhaseStats,
+) -> Option<Vec<usize>> {
+    let probe = Probe::new(table, x, y, test, cand, stats);
 
     // Subset search, smallest first (size 0 = marginal re-test, which
     // matters when the draft used a different decision rule than `test`).
@@ -71,7 +126,7 @@ pub(crate) fn separate(
     if cand.len() > max_condition_size {
         let all: Vec<usize> = (0..cand.len()).collect();
         if probe.independent_given(&all, stats) {
-            return Some(cand);
+            return Some(cand.to_vec());
         }
     }
     None
@@ -201,7 +256,17 @@ mod tests {
     ) -> Option<Vec<usize>> {
         let packed = pack(table, threads);
         let mut stats = PhaseStats::default();
-        let sep = separate(graph, &packed, x, y, test, max_condition_size, &mut stats);
+        let mut searches = Searches::default();
+        let sep = separate(
+            graph,
+            &packed,
+            x,
+            y,
+            test,
+            max_condition_size,
+            &mut searches,
+            &mut stats,
+        );
         *ci_tests += stats.ci_tests;
         sep
     }
@@ -353,30 +418,52 @@ mod tests {
         for (rows, seed, max_condition_size) in cases {
             let table = waitfree_build(&net.sample(rows, seed), 2).unwrap().table;
             let packed = pack(&table, 2);
-            for x in 0..n {
-                for y in x + 1..n {
-                    if !graph.has_path(x, y) {
-                        continue;
-                    }
-                    let test = CiTest::GTest { alpha: 0.01 };
-                    let mut stats = PhaseStats::default();
-                    let got = separate(&graph, &packed, x, y, test, max_condition_size, &mut stats);
-                    let mut want_tests = 0;
-                    let want = per_test_reference(
-                        &graph,
-                        &packed,
-                        x,
-                        y,
-                        test,
-                        max_condition_size,
-                        &mut want_tests,
-                    );
-                    assert_eq!((got, stats.ci_tests), (want, want_tests), "pair ({x}, {y})");
-                    // A grouped search scans once; the per-test fallback
-                    // once per test.
-                    if stats.ci_tests > 1 {
-                        grouped += usize::from(stats.ci_scans == 1);
-                        fallbacks += usize::from(stats.ci_scans == stats.ci_tests);
+            let mut searches = Searches::default();
+            // Every pair twice through one memo: the second search of a
+            // pair answers from the memo, without a scan, and still counts
+            // the tests the first one asked.
+            for round in 0..2 {
+                for x in 0..n {
+                    for y in x + 1..n {
+                        if !graph.has_path(x, y) {
+                            continue;
+                        }
+                        let test = CiTest::GTest { alpha: 0.01 };
+                        let mut stats = PhaseStats::default();
+                        let got = separate(
+                            &graph,
+                            &packed,
+                            x,
+                            y,
+                            test,
+                            max_condition_size,
+                            &mut searches,
+                            &mut stats,
+                        );
+                        let mut want_tests = 0;
+                        let want = per_test_reference(
+                            &graph,
+                            &packed,
+                            x,
+                            y,
+                            test,
+                            max_condition_size,
+                            &mut want_tests,
+                        );
+                        assert_eq!(
+                            (got, stats.ci_tests),
+                            (want, want_tests),
+                            "round {round}, pair ({x}, {y})"
+                        );
+                        assert_eq!(stats.ci_memo_hits, round, "pair ({x}, {y})");
+                        if round == 1 {
+                            assert_eq!(stats.ci_scans, 0, "pair ({x}, {y})");
+                        } else if stats.ci_tests > 1 {
+                            // A grouped search scans once; the per-test
+                            // fallback once per test.
+                            grouped += usize::from(stats.ci_scans == 1);
+                            fallbacks += usize::from(stats.ci_scans == stats.ci_tests);
+                        }
                     }
                 }
             }
@@ -386,6 +473,33 @@ mod tests {
             grouped > 0 && fallbacks > 0,
             "grouped {grouped}, fallbacks {fallbacks}"
         );
+    }
+
+    #[test]
+    fn a_learn_with_the_memo_equals_one_that_empties_it_before_every_search() {
+        use crate::cheng::ChengLearner;
+        use crate::repository;
+        let net = repository::alarm_like();
+        let table = waitfree_build(&net.sample(5_000, 4), 2).unwrap().table;
+        let learner = ChengLearner {
+            threads: 2,
+            ..ChengLearner::default()
+        };
+        let memo = learner.learn_with(&table, Searches::default()).unwrap();
+        let forgetful = Searches {
+            forget: true,
+            ..Searches::default()
+        };
+        let bare = learner.learn_with(&table, forgetful).unwrap();
+        // A removal in thinning's first round makes it run a second.
+        assert!(memo.stats.thinning_removed > 0, "{:?}", memo.stats);
+        assert!(memo.stats.ci_memo_hits > 0, "{:?}", memo.stats);
+        assert_eq!(bare.stats.ci_memo_hits, 0);
+        assert!(memo.stats.ci_scans < bare.stats.ci_scans);
+        assert_eq!(memo.skeleton, bare.skeleton);
+        assert_eq!(memo.cpdag, bare.cpdag);
+        assert_eq!(memo.sepsets, bare.sepsets);
+        assert_eq!(memo.stats.ci_tests, bare.stats.ci_tests);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! current graph and the edge is added. Pairs that *can* be separated stay
 //! edgeless, and their separating set is recorded for orientation.
 
-use crate::cheng::separate::{pack, record_sepset, separate};
+use crate::cheng::separate::{pack, record_sepset, separate, Searches};
 use crate::cheng::{PhaseStats, SepSets};
 use crate::ci::CiTest;
 use crate::graph::Ug;
@@ -18,7 +18,8 @@ use wfbn_core::potential::PotentialTable;
 /// Packs `table` once, on `threads` workers. Each deferred pair's
 /// separation search then scans that snapshot once on the calling thread,
 /// for the joint over the pair and its candidate cut, and every CI test of
-/// the search collapses its joint from that one.
+/// the search collapses its joint from that one. The call keeps its own
+/// memo of searches, so a repeated (pair, cut) search is not run again.
 ///
 /// # Panics
 ///
@@ -42,6 +43,7 @@ pub fn thicken(
         &packed,
         test,
         max_condition_size,
+        &mut Searches::default(),
         sepsets,
         &mut stats,
     );
@@ -49,20 +51,31 @@ pub fn thicken(
     added
 }
 
-/// [`thicken`] on a snapshot the caller packed; counts its tests and scans
-/// into `stats`.
+/// [`thicken`] on a snapshot the caller packed, with the caller's memo of
+/// searches; counts its tests, scans and memo hits into `stats`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn thicken_packed(
     graph: &mut Ug,
     deferred: &[(usize, usize)],
     packed: &PackedTable,
     test: CiTest,
     max_condition_size: usize,
+    searches: &mut Searches,
     sepsets: &mut SepSets,
     stats: &mut PhaseStats,
 ) -> usize {
     let mut added = 0;
     for &(x, y) in deferred {
-        match separate(graph, packed, x, y, test, max_condition_size, stats) {
+        match separate(
+            graph,
+            packed,
+            x,
+            y,
+            test,
+            max_condition_size,
+            searches,
+            stats,
+        ) {
             Some(z) => record_sepset(sepsets, x, y, z),
             None => {
                 graph

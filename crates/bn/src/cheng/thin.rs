@@ -9,7 +9,7 @@
 //! The scan iterates to a fixpoint: removing one redundant edge can expose
 //! another (Cheng et al. run a comparable re-examination).
 
-use crate::cheng::separate::{pack, record_sepset, separate};
+use crate::cheng::separate::{pack, record_sepset, separate, Searches};
 use crate::cheng::{PhaseStats, SepSets};
 use crate::ci::CiTest;
 use crate::graph::Ug;
@@ -21,7 +21,9 @@ use wfbn_core::potential::PotentialTable;
 /// Packs `table` once, on `threads` workers. Each edge's separation search
 /// then scans that snapshot once on the calling thread, for the joint over
 /// the pair and its candidate cut, and every CI test of the search
-/// collapses its joint from that one.
+/// collapses its joint from that one. The call keeps its own memo of
+/// searches, so a (pair, cut) search repeated by a later round is not run
+/// again.
 ///
 /// # Panics
 ///
@@ -43,6 +45,7 @@ pub fn thin(
         &packed,
         test,
         max_condition_size,
+        &mut Searches::default(),
         sepsets,
         &mut stats,
     );
@@ -50,13 +53,14 @@ pub fn thin(
     removed
 }
 
-/// [`thin`] on a snapshot the caller packed; counts its tests and scans
-/// into `stats`.
+/// [`thin`] on a snapshot the caller packed, with the caller's memo of
+/// searches; counts its tests, scans and memo hits into `stats`.
 pub(crate) fn thin_packed(
     graph: &mut Ug,
     packed: &PackedTable,
     test: CiTest,
     max_condition_size: usize,
+    searches: &mut Searches,
     sepsets: &mut SepSets,
     stats: &mut PhaseStats,
 ) -> usize {
@@ -70,7 +74,16 @@ pub(crate) fn thin_packed(
                 graph.add_edge(x, y).expect("restoring a removed edge");
                 continue;
             }
-            match separate(graph, packed, x, y, test, max_condition_size, stats) {
+            match separate(
+                graph,
+                packed,
+                x,
+                y,
+                test,
+                max_condition_size,
+                searches,
+                stats,
+            ) {
                 Some(z) => {
                     record_sepset(sepsets, x, y, z);
                     removed_this_round += 1;

@@ -5,9 +5,10 @@
 //! over `(X, Y, Z…)` ([`CiTest::decide`]). [`CiTest::run`] takes that joint
 //! from a [`PackedTable`] snapshot of the potential table ([`cmi`] is the
 //! bare measurement). The learner packs the table once per learn and scans
-//! it once per separation search, for the joint over the pair and its whole
-//! candidate cut; each test of the search collapses its own joint from that
-//! one ([`MarginalTable::collapse`]) and decides on it.
+//! it once per distinct (pair, cut) separation search, for the joint over
+//! the pair and its whole candidate cut; each test of the search collapses
+//! its own joint from that one ([`MarginalTable::collapse`]) and decides on
+//! it, and a repeated search answers from the learn's memo.
 //!
 //! * [`CiTest::MiThreshold`] — Cheng et al.'s rule: dependent iff
 //!   `I > ε` (the paper's "pre-defined threshold").

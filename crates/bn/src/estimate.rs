@@ -3,8 +3,10 @@
 //!
 //! Once a structure is learned, each variable's conditional distribution
 //! `P(X | parents(X))` is estimated from the family counts
-//! `N(x, parents)` — which is exactly one parallel marginalization of the
-//! potential table over the family `{X} ∪ parents(X)` (Algorithm 3 again).
+//! `N(x, parents)` — which is exactly one marginalization of the potential
+//! table over the family `{X} ∪ parents(X)` (Algorithm 3 again). A fit packs
+//! the table once ([`PackedTable`]) and counts every family from that
+//! snapshot.
 //! Laplace smoothing `α` keeps unseen configurations strictly positive so
 //! downstream inference and likelihoods never divide by zero.
 
@@ -13,7 +15,7 @@ use crate::graph::Dag;
 use crate::network::{BayesNet, NetworkError};
 use wfbn_core::construct::waitfree_build;
 use wfbn_core::error::CoreError;
-use wfbn_core::marginal::marginalize;
+use wfbn_core::marginal::PackedTable;
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::{Dataset, Schema};
 
@@ -50,25 +52,22 @@ impl From<NetworkError> for FitError {
     }
 }
 
-/// Fits the CPT of one variable by marginalizing the potential table over
-/// its family and normalizing with Laplace smoothing `alpha`.
+/// Fits the CPT of one variable by marginalizing the packed potential table
+/// over its family and normalizing with Laplace smoothing `alpha`.
 pub(crate) fn fit_cpt(
-    table: &PotentialTable,
+    table: &PackedTable,
     schema: &Schema,
     var: usize,
     parents: &[usize],
     alpha: f64,
-    threads: usize,
 ) -> Result<Cpt, FitError> {
     assert!(alpha >= 0.0, "smoothing must be non-negative");
-    // Family marginal over sorted vars, then arranged child-first so the
-    // flat index is `state + arity · config` — the Cpt layout.
+    // Family marginal arranged child-first, so the flat index is
+    // `state + arity · config` — the Cpt layout.
     let mut family: Vec<usize> = Vec::with_capacity(parents.len() + 1);
     family.push(var);
     family.extend_from_slice(parents);
-    let mut sorted = family.clone();
-    sorted.sort_unstable();
-    let counts = marginalize(table, &sorted, threads)?.reorder(&family);
+    let counts = table.marginalize(&family)?;
 
     let arity = schema.arity(var) as usize;
     let parent_arities: Vec<u16> = parents.iter().map(|&p| schema.arity(p)).collect();
@@ -97,7 +96,8 @@ pub(crate) fn fit_cpt(
     )
 }
 
-/// Fits every CPT of `dag` from an existing potential table.
+/// Fits every CPT of `dag` from an existing potential table, packed once
+/// on `threads` workers.
 pub(crate) fn fit_cpts(
     table: &PotentialTable,
     schema: &Schema,
@@ -105,8 +105,9 @@ pub(crate) fn fit_cpts(
     alpha: f64,
     threads: usize,
 ) -> Result<Vec<Cpt>, FitError> {
+    let packed = PackedTable::pack(table, threads)?;
     (0..schema.num_vars())
-        .map(|v| fit_cpt(table, schema, v, dag.parents(v), alpha, threads))
+        .map(|v| fit_cpt(&packed, schema, v, dag.parents(v), alpha))
         .collect()
 }
 
@@ -245,7 +246,8 @@ mod tests {
         let net = repository::sprinkler();
         let data = net.sample(200_000, 21);
         let table = waitfree_build(&data, 2).unwrap().table;
-        let cpt = fit_cpt(&table, data.schema(), 0, &[], 0.0, 2).unwrap();
+        let packed = PackedTable::pack(&table, 2).unwrap();
+        let cpt = fit_cpt(&packed, data.schema(), 0, &[], 0.0).unwrap();
         // Root marginal must equal empirical frequency exactly.
         let emp = data.empirical_frequency(0, 1);
         assert!((cpt.prob(&[], 1) - emp).abs() < 1e-12);

@@ -13,13 +13,14 @@
 //! ```
 //!
 //! with memoized family scores (hill climbing re-evaluates the same family
-//! constantly).
+//! constantly), each counted from one packed snapshot of the table
+//! ([`PackedTable`]) that the scorer takes once.
 
 use crate::graph::Dag;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use wfbn_core::error::CoreError;
-use wfbn_core::marginal::marginalize;
+use wfbn_core::marginal::PackedTable;
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::Schema;
 
@@ -39,17 +40,17 @@ use wfbn_data::Schema;
 /// assert!(scorer.total_score(net.dag()) > scorer.total_score(&Dag::new(4)));
 /// ```
 pub struct BicScorer<'a> {
-    table: &'a PotentialTable,
+    table: PackedTable,
     schema: &'a Schema,
-    threads: usize,
     /// Cache of family scores keyed by `(var, sorted parents)`.
     cache: RefCell<HashMap<(usize, Vec<usize>), f64>>,
 }
 
 impl<'a> BicScorer<'a> {
-    /// Creates a scorer; the table must be non-empty.
+    /// Creates a scorer, packing `table` on `threads` workers; the table
+    /// must be non-empty.
     pub fn new(
-        table: &'a PotentialTable,
+        table: &PotentialTable,
         schema: &'a Schema,
         threads: usize,
     ) -> Result<Self, CoreError> {
@@ -60,9 +61,8 @@ impl<'a> BicScorer<'a> {
             return Err(CoreError::EmptyDataset);
         }
         Ok(Self {
-            table,
+            table: PackedTable::pack(table, threads)?,
             schema,
-            threads,
             cache: RefCell::new(HashMap::new()),
         })
     }
@@ -82,11 +82,10 @@ impl<'a> BicScorer<'a> {
         // Family marginal, child-first layout.
         let mut family = vec![var];
         family.extend_from_slice(&sorted_parents);
-        let mut sorted_family = family.clone();
-        sorted_family.sort_unstable();
-        let counts = marginalize(self.table, &sorted_family, self.threads)
-            .expect("family vars validated by the DAG")
-            .reorder(&family);
+        let counts = self
+            .table
+            .marginalize(&family)
+            .expect("family vars validated by the DAG");
 
         let configs = counts.num_cells() / r_v;
         let mut loglik = 0.0;

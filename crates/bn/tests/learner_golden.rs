@@ -93,8 +93,8 @@ fn learner_output_matches_the_golden_file_at_every_thread_count() {
 
 #[test]
 fn separation_searches_share_one_scan_across_their_tests() {
-    // Not in the golden render: the scan count is how the tests are
-    // computed, not what the learner answers.
+    // Not in the golden render: the scan and memo-hit counts are how the
+    // tests are computed, not what the learner answers.
     let (_, net, rows, seed) = cases()
         .into_iter()
         .find(|c| c.0 == "alarm_like")
@@ -106,4 +106,6 @@ fn separation_searches_share_one_scan_across_their_tests() {
         s.ci_scans,
         s.ci_tests
     );
+    // Thinning repeats some of the learn's (pair, cut) searches.
+    assert!(s.ci_memo_hits > 0, "{s:?}");
 }

@@ -69,13 +69,15 @@ fn learn_cheng(
     let result = learner.learn(data).map_err(|e| e.to_string())?;
     writeln!(
         out,
-        "phases: {} drafted, {} deferred, {} thickened, {} thinned ({} CI tests, {} table scans)",
+        "phases: {} drafted, {} deferred, {} thickened, {} thinned \
+         ({} CI tests, {} table scans, {} searches from memo)",
         result.stats.draft_edges,
         result.stats.deferred_pairs,
         result.stats.thickening_added,
         result.stats.thinning_removed,
         result.stats.ci_tests,
-        result.stats.ci_scans
+        result.stats.ci_scans,
+        result.stats.ci_memo_hits
     )
     .map_err(|e| e.to_string())?;
     for (u, v) in result.cpdag.directed_edges() {
@@ -164,6 +166,7 @@ mod tests {
 
         let cheng = run_args(&["--in", &path, "--fit"]).unwrap();
         assert!(cheng.contains("phases:"), "{cheng}");
+        assert!(cheng.contains("searches from memo)"), "{cheng}");
         assert!(cheng.contains("log-likelihood"), "{cheng}");
 
         let hc = run_args(&["--in", &path, "--method", "hillclimb"]).unwrap();

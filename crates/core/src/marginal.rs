@@ -513,24 +513,52 @@ impl PackLayout {
 /// A sliced scope pays, per 64 entries, one AND and one weighted popcount
 /// for each of its cells that no single or total gives, and each popcount
 /// costs one more per non-zero plane word of `count − 1`; the fold pays a
-/// shift, a mask and a multiply-add per variable and entry, and a scatter
-/// per entry, whatever the scope. Measured on 200 000 uniform rows (seed
-/// 42) packed on one thread, µs per scope over 200 random scopes, best of
-/// three, on a 2-thread Xeon host, release build for baseline x86-64 (so
-/// `count_ones` is not one `popcnt` instruction):
+/// shift, a mask and an OR per variable and entry, and a scatter per entry,
+/// whatever the scope. Measured with the `popcnt` instruction (see
+/// `slice::BitCount`) and the padded fold, µs per scope over 100 random
+/// scopes, best of five, two runs, on a 2-thread Xeon host, release build;
+/// the uniform tables hold 200 000 rows (seed 42), alarm-like 20 000 (seed
+/// 11), all packed on one thread:
 ///
 /// | schema · entries | cells | bit-sliced | fold |
 /// |---|---|---|---|
-/// | 16 binary · 62 473 (serve-mixed's final epoch) | 4 / 8 / 16 | 10 / 36 / 102 | 177 / 229 / 263 |
-/// | 16 binary · 62 473 | 32 / 64 | 222 / 532 | 311 / 385 |
-/// | 12 ternary · 166 672 | 9 / 27 / 81 | 59 / 280 / 1 056 | 461 / 609 / 701 |
+/// | 16 binary · 62 473 (serve-mixed's final epoch) | 4 / 8 / 16 | 5–8 / 15–26 / 40–68 | 180–236 / 195–273 / 213–293 |
+/// | 16 binary · 62 473 | 32 / 64 / 128 | 97–167 / 214–355 / 500–743 | 252–354 / 271–326 / 293–395 |
+/// | 12 ternary · 166 672 | 9 / 27 / 81 | 27–49 / 130–217 / 423–745 | 317–517 / 369–650 / 444–727 |
+/// | alarm-like · 17 708, the learner's 3-variable cut joints | 39 on average, 64 at most | 21–34 | 48–69 |
+/// | alarm-like · 17 708, the learner's 4-variable cut joints | 127–134 on average | 78–127 | 50–77 |
 ///
-/// Slicing wins up to 32 cells and loses from 64, so the limit sits at 32.
-/// The table was measured with the software popcount. The kernels now run
-/// the `popcnt` instruction where the CPU has it (see `slice::BitCount`),
-/// which makes slicing cheaper still; the limit is kept at 32 until the
-/// table is measured again.
-pub(crate) const SLICED_CELLS: u64 = 32;
+/// Slicing wins up to 32 cells, ties at 64 on binary data and wins on the
+/// learner's joints of up to 64 cells, and loses from about 81, so the
+/// limit sits at 64.
+pub(crate) const SLICED_CELLS: u64 = 64;
+
+/// Largest padded space `∏ 2^width` over a scope's fields that
+/// [`PackedTable::marginalize`] folds through a padded histogram, 512 KiB
+/// of counts; a wider scope folds straight into the mixed radix.
+///
+/// The padded fold builds each entry's index with a shift, a mask and an
+/// OR, which vectorize on baseline x86-64; the mixed fold needs a 64-bit
+/// multiply per variable and entry, which does not (SSE2 has none), but it
+/// scatters into only `∏ r_v` cells. Measured as the `SLICED_CELLS` table
+/// (bitmaps off), µs per scope over 100 random scopes of `k` variables,
+/// best of five, two runs:
+///
+/// | schema · entries | padded space | padded fold | mixed fold |
+/// |---|---|---|---|
+/// | 16 binary · 62 473 | 2⁷ / 2⁹ / 2¹¹ | 373–438 / 429–547 / 597 | 483–501 / 560–731 / 880 |
+/// | 12 ternary · 166 672 | 2¹⁴ / 2¹⁶ / 2¹⁸ | 753–965 / 899–1 192 / 1 066–1 148 | 1 252–1 425 / 1 209–1 847 / 1 572–2 047 |
+/// | 12 ternary · 166 672 | 2²⁰ / 2²² | 1 677 / 3 784 | 1 859 / 2 072 |
+/// | alarm-like · 17 708 | about 2¹³ / 2¹⁴ / 2¹⁶ | 83–85 / 107–160 / 212–216 | 126–165 / 145–189 / 176–213 |
+/// | alarm-like · 17 708 | about 2¹⁸ / 2²⁰ | 419 / 1 399 | 236 / 333 |
+///
+/// The padded fold wins up to 2¹⁶ on every schema and loses beyond it on
+/// the learner's table, whose cut joints it exists for. Four interleaved
+/// sub-histograms (entry `e` adding into lane `e % 4`) were also measured:
+/// on the learner's cut joints they gained nothing, on random alarm-like
+/// scopes of 2⁷–2¹⁴ padded cells they ran up to 50% slower, and on the
+/// uniform tables they stayed within the runs' spread.
+pub(crate) const PADDED_CELLS: u64 = 1 << 16;
 
 /// Entries below which [`PackedTable::pack`] runs on the calling thread
 /// rather than on one worker per partition.
@@ -556,13 +584,12 @@ pub(crate) const SLICED_CELLS: u64 = 32;
 /// data) pack on its calling thread.
 pub(crate) const SERIAL_PACK: usize = 1 << 15;
 
-/// Largest arity a snapshot keeps bitmaps for. A variable of a bit-sliced
-/// pair of all-pairs MI has arity at most `SLICE_CELLS + 1` = 17, and a
-/// variable of a sliced scope of two or more variables at most
-/// `SLICED_CELLS / 2` = 16. A one-variable scope of a wider variable folds.
+/// Largest arity a snapshot keeps bitmaps for: a variable of a bit-sliced
+/// pair of all-pairs MI has arity at most `SLICE_CELLS + 1` = 17.
+/// [`PackedTable::marginalize`] slices a scope only when every variable in
+/// it has bitmaps, so a scope of at most [`SLICED_CELLS`] cells that holds a
+/// wider variable (arity 18 alone, or 32 beside a binary one) folds.
 const SLICED_ARITY: u64 = crate::allpairs::SLICE_CELLS + 1;
-
-const _: () = assert!(SLICED_CELLS / 2 <= SLICED_ARITY);
 
 /// A read-only snapshot of a [`PotentialTable`] for repeated
 /// marginalization: every entry decoded once into bit fields, then
@@ -576,15 +603,17 @@ const _: () = assert!(SLICED_CELLS / 2 <= SLICED_ARITY);
 /// are the only copy of the counts; the snapshot keeps each such state's
 /// count (its *single*) and the total.
 ///
-/// [`marginalize`](Self::marginalize) counts a scope of at most 32 cells
-/// from the bitmaps: each cell whose states are all below `r − 1` is a
-/// `k`-way AND and a popcount weighted by the count planes per 64 entries,
-/// and every other cell follows by exact subtraction from the lower-order
-/// marginals, down to the singles and the total. A wider scope, or a
-/// single variable of arity above 17, folds each tile of entries one variable at a time with a shift, a mask and a
-/// multiply-add over a dense column. Either way the per-entry divide and
-/// modulo of [`marginalize`] and the hash table's empty slots are paid once,
-/// at packing.
+/// [`marginalize`](Self::marginalize) counts a scope of at most 64 cells
+/// whose variables all have bitmaps from the bitmaps: each cell whose
+/// states are all below `r − 1` is a `k`-way AND and a popcount weighted by
+/// the count planes per 64 entries, and every other cell follows by exact
+/// subtraction from the lower-order marginals, down to the singles and the
+/// total. Any other scope folds each tile of entries one variable at a time
+/// over a dense column, with a shift, a mask and an OR into a power-of-two
+/// padded index (or, past 2¹⁶ padded cells, a multiply-add into the
+/// mixed-radix one). Either way the per-entry divide and modulo of
+/// [`marginalize`] and the hash table's empty slots are paid once, at
+/// packing.
 ///
 /// # Examples
 ///
@@ -731,8 +760,8 @@ impl PackedTable {
     /// same [`CoreError`] where that would.
     ///
     /// `order` is any arrangement of distinct in-range variables. A scope of
-    /// at most 32 cells is counted by bit-slices, a wider one, or a single
-    /// variable of arity above 17, by the decode fold (see the
+    /// at most 64 cells whose variables all have arity 17 or less is counted
+    /// by bit-slices, any other by the decode fold (see the
     /// [type docs](Self)). The scan runs on the calling thread.
     pub fn marginalize(&self, order: &[usize]) -> Result<MarginalTable, CoreError> {
         let mut out = MarginalTable::zeroed_in_order(&self.codec, order, self.total)?;
@@ -751,6 +780,7 @@ impl PackedTable {
     /// variable's "any" turned into "state `r_v − 1`" by subtracting its
     /// other states.
     fn count_sliced(&self, order: &[usize], cells: &mut [u64]) {
+        debug_assert!(order.iter().all(|&v| self.sliced.first[v] != usize::MAX));
         let mut stride = 1;
         let terms: Vec<Term> = order
             .iter()
@@ -789,8 +819,76 @@ impl PackedTable {
     }
 
     /// Counts the marginal over `order` into `cells` by decoding every
-    /// entry's fields, a tile of entries at a time.
+    /// entry's fields, a tile of entries at a time: into a padded histogram
+    /// (see [`PADDED_CELLS`]) when it is small enough, else straight into
+    /// the mixed radix.
     fn fold(&self, order: &[usize], cells: &mut [u64]) {
+        let bits: u32 = order.iter().map(|&v| self.layout.fields[v].width).sum();
+        if bits <= PADDED_CELLS.ilog2() {
+            self.fold_padded(order, bits, cells);
+        } else {
+            self.fold_mixed(order, cells);
+        }
+    }
+
+    /// [`fold`](Self::fold) through a power-of-two padded space: an entry's
+    /// index there is its scope's fields side by side, `Σ state << offset`
+    /// with `offset` the sum of the widths before the field, so a tile's
+    /// indices cost a shift, a mask and an OR per variable and entry, which
+    /// vectorize where a 64-bit multiply does not. The padded histogram
+    /// folds into the mixed-radix cells once, at the end of the scan.
+    fn fold_padded(&self, order: &[usize], bits: u32, cells: &mut [u64]) {
+        let mut offset = 0;
+        let terms: Vec<(Field, u32)> = order
+            .iter()
+            .map(|&v| {
+                let f = self.layout.fields[v];
+                let term = (f, offset);
+                offset += f.width;
+                term
+            })
+            .collect();
+        let mut hist = vec![0u64; 1 << bits];
+        let (mut tile, mut counts) = ([0u64; TILE], [0u64; TILE]);
+        for block in &self.blocks {
+            let len = block.len();
+            for start in (0..len).step_by(TILE) {
+                let end = len.min(start + TILE);
+                let tile = &mut tile[..end - start];
+                tile.fill(0);
+                for (f, offset) in &terms {
+                    let column = &block.column(f.word)[start..end];
+                    for (index, &w) in tile.iter_mut().zip(column) {
+                        *index |= ((w >> f.shift) & f.mask) << offset;
+                    }
+                }
+                block.tile_counts(start..end, &mut counts);
+                for (&index, &count) in tile.iter().zip(&counts) {
+                    hist[index as usize] += count;
+                }
+            }
+        }
+        // The cells in mixed-radix order, with an odometer over their
+        // digits: a digit step moves the padded index by `1 << offset`.
+        let mut digits = vec![0u64; terms.len()];
+        let mut index = 0;
+        for cell in cells.iter_mut() {
+            *cell = hist[index];
+            for (d, (f, offset)) in digits.iter_mut().zip(&terms) {
+                *d += 1;
+                index += 1 << offset;
+                if *d < f.arity {
+                    break;
+                }
+                *d = 0;
+                index -= (f.arity as usize) << offset;
+            }
+        }
+    }
+
+    /// [`fold`](Self::fold) straight into the mixed radix: an entry's cell
+    /// is `Σ state · stride`, a multiply-add per variable and entry.
+    fn fold_mixed(&self, order: &[usize], cells: &mut [u64]) {
         // Each variable's field and its stride in the output's mixed radix.
         let mut stride = 1;
         let terms: Vec<(Field, u64)> = order
@@ -1104,14 +1202,20 @@ mod tests {
         orders.dedup();
         assert_eq!(orders.len(), 7 + 42 + 210);
         let (mut sliced, mut folded) = (0, 0);
+        // Scopes of 33–64 cells, the widest sliced, and of 65–128, the
+        // narrowest folded.
+        let (mut below_limit, mut above_limit) = (0, 0);
         for order in &orders {
             let mut sorted = order.clone();
             sorted.sort_unstable();
             let expected = marginalize(&t, &sorted, 1).unwrap().reorder(order);
-            if expected.num_cells() as u64 <= SLICED_CELLS {
+            let cells = expected.num_cells() as u64;
+            if cells <= SLICED_CELLS {
                 sliced += 1;
+                below_limit += usize::from(cells > SLICED_CELLS / 2);
             } else {
                 folded += 1;
+                above_limit += usize::from(cells <= 2 * SLICED_CELLS);
             }
             assert_eq!(packed.marginalize(order).unwrap(), expected, "{order:?}");
         }
@@ -1119,19 +1223,33 @@ mod tests {
             sliced > 40 && folded > 40,
             "{sliced} sliced, {folded} folded"
         );
+        assert!(
+            below_limit > 20 && above_limit > 20,
+            "{below_limit} of 33-64 cells, {above_limit} of 65-128"
+        );
     }
 
     #[test]
     fn a_variable_too_wide_to_slice_folds_even_alone() {
         // Arity 17 is the widest with bitmaps; 18 and 32 have none, and a
-        // scope of either alone (18 and 32 cells) folds.
+        // scope of either alone (18 and 32 cells) folds, as does one of 32
+        // beside a binary variable (64 cells, within the slicing limit).
         let schema = Schema::new(vec![17, 18, 32, 2]).unwrap();
         let data = UniformIndependent::new(schema).generate(20_000, 4);
         let t = table(&data, 2);
         let packed = PackedTable::pack(&t, 2).unwrap();
         assert_eq!(packed.sliced.first, [0, usize::MAX, usize::MAX, 16]);
         assert_eq!(packed.sliced.bitmaps, 16 + 1);
-        for order in [&[0][..], &[1], &[2], &[3], &[3, 0], &[1, 3], &[3, 2, 1]] {
+        for order in [
+            &[0][..],
+            &[1],
+            &[2],
+            &[3],
+            &[3, 0],
+            &[1, 3],
+            &[2, 3],
+            &[3, 2, 1],
+        ] {
             let mut sorted = order.to_vec();
             sorted.sort_unstable();
             let expected = marginalize(&t, &sorted, 1).unwrap().reorder(order);
@@ -1140,8 +1258,14 @@ mod tests {
     }
 
     /// A table over `arities` holding `n` distinct pseudo-random keys (from
-    /// `seed`) with counts from 1 to 2¹², in `p` partitions.
-    fn random_table(arities: &[u16], n: usize, p: usize, seed: u64) -> PotentialTable {
+    /// `seed`) with counts from 1 to 2^`count_bits`, in `p` partitions.
+    fn random_table(
+        arities: &[u16],
+        n: usize,
+        p: usize,
+        count_bits: u32,
+        seed: u64,
+    ) -> PotentialTable {
         let codec = KeyCodec::new(&Schema::new(arities.to_vec()).unwrap());
         let space = codec.state_space();
         assert!(n as u64 <= space);
@@ -1152,7 +1276,7 @@ mod tests {
             let key = x % space;
             let part = &mut parts[(key % p as u64) as usize];
             if !part.contains(key) {
-                part.increment(key, 1 + (x >> 52));
+                part.increment(key, 1 + (x >> (64 - count_bits)));
                 len += 1;
             }
         }
@@ -1171,7 +1295,7 @@ mod tests {
             2
         );
         for n in [SERIAL_PACK - 1, SERIAL_PACK, SERIAL_PACK + 1] {
-            let t = random_table(&arities, n, 3, n as u64);
+            let t = random_table(&arities, n, 3, 12, n as u64);
             let want = t.to_sorted_vec();
             for threads in [1, 2, 3] {
                 let packed = PackedTable::pack(&t, threads).unwrap();
@@ -1254,11 +1378,73 @@ mod tests {
                 }
             }
             let n = entries.min(space as usize);
-            let t = random_table(&arities, n, partitions, seed);
+            let t = random_table(&arities, n, partitions, 12, seed);
             let want = t.to_sorted_vec();
             for threads in [1, 2, 3] {
                 let packed = PackedTable::pack(&t, threads).unwrap();
                 proptest::prop_assert_eq!(packed.to_sorted_vec(), want.clone());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // Each case packs up to 40 000 entries three times and scans them
+        // for a dozen scopes, so fewer cases than the block above.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        #[cfg_attr(miri, ignore = "Miri interprets the packs and scans of 10⁵ entries slowly")]
+        fn both_folds_equal_the_hash_table_scan(
+            drawn in proptest::collection::vec(2u16..=40, 1..=40),
+            entries in 1usize..=40_000,
+            partitions in 1usize..=3,
+            count_bits in 1u32..=20,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Keep the drawn arities while the state space fits a key; a
+            // dozen or more of them usually take two or three words.
+            let mut arities = Vec::new();
+            let mut space = 1u64;
+            for r in drawn {
+                match space.checked_mul(u64::from(r)) {
+                    Some(next) if next < 1 << 62 => {
+                        space = next;
+                        arities.push(r);
+                    }
+                    _ => break,
+                }
+            }
+            let n = entries.min(space as usize);
+            let t = random_table(&arities, n, partitions, count_bits, seed);
+            // Every prefix of a seeded arrangement of the variables, up to
+            // 2²⁰ cells: from one variable to past the padded-space bound.
+            let mut order: Vec<usize> = (0..arities.len()).collect();
+            let mut x = seed;
+            for i in (1..order.len()).rev() {
+                x = wfbn_concurrent::mix64(x);
+                order.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            let mut cells = 1u64;
+            let scopes: Vec<&[usize]> = (1..=order.len())
+                .take_while(|&k| {
+                    cells *= u64::from(arities[order[k - 1]]);
+                    cells <= 1 << 20
+                })
+                .map(|k| &order[..k])
+                .collect();
+            for threads in 1..=3 {
+                let packed = PackedTable::pack(&t, threads).unwrap();
+                for &scope in &scopes {
+                    let mut sorted = scope.to_vec();
+                    sorted.sort_unstable();
+                    let want = marginalize(&t, &sorted, 1).unwrap().reorder(scope);
+                    let mut got = MarginalTable::zeroed_in_order(&packed.codec, scope, packed.total).unwrap();
+                    packed.fold(scope, &mut got.counts);
+                    proptest::prop_assert_eq!(&got, &want, "fold over {:?}", scope);
+                    got.counts.fill(0);
+                    packed.fold_mixed(scope, &mut got.counts);
+                    proptest::prop_assert_eq!(&got, &want, "mixed fold over {:?}", scope);
+                }
             }
         }
     }
