@@ -115,11 +115,8 @@ pub fn format_stage_breakdown(report: &MetricsReport) -> String {
         report.queue_hwm_max(),
     ));
     let blocks = report.total(Counter::BlocksFlushed);
-    let coalesced = report.total(Counter::KeysCoalesced);
-    if blocks > 0 || coalesced > 0 {
-        out.push_str(&format!(
-            "- batching: {blocks} blocks flushed, {coalesced} keys coalesced\n"
-        ));
+    if blocks > 0 {
+        out.push_str(&format!("- batching: {blocks} blocks flushed\n"));
     }
     out
 }

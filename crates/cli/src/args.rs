@@ -2,6 +2,12 @@
 
 use std::collections::HashMap;
 
+/// The most threads (`--threads`) or readers (`--readers`) a command
+/// accepts. A build of `P` threads makes `P·(P−1)` queues before any thread
+/// starts, each with a 4 KiB first segment: 4 032 queues, about 16 MiB, at
+/// 64. The paper's platform has 32 cores.
+pub const MAX_THREADS: usize = 64;
+
 /// Parsed `--flag value` pairs plus bare `--switch`es.
 pub struct Flags {
     values: HashMap<String, String>,
@@ -61,6 +67,19 @@ impl Flags {
         }
     }
 
+    /// A thread or reader count: `default` when the flag is absent, else
+    /// its value, which must lie in `1..=MAX_THREADS`.
+    pub fn threads_or(&self, name: &str, default: usize) -> Result<usize, String> {
+        let n = self.get_or(name, default)?;
+        if (1..=MAX_THREADS).contains(&n) {
+            Ok(n)
+        } else {
+            Err(format!(
+                "--{name} must be between 1 and {MAX_THREADS}, got {n}"
+            ))
+        }
+    }
+
     /// A required parsed value.
     pub fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
         let raw = self
@@ -116,6 +135,24 @@ mod tests {
         let f = parse("--threads x", &[]).unwrap();
         assert!(f.get_or::<usize>("threads", 1).is_err());
         assert!(f.require::<usize>("absent").is_err());
+    }
+
+    #[test]
+    fn thread_counts_are_bounded() {
+        let threads = |v: &str| {
+            parse(&format!("--threads {v}"), &[])
+                .unwrap()
+                .threads_or("threads", 4)
+        };
+        assert_eq!(threads("1"), Ok(1));
+        assert_eq!(threads("64"), Ok(MAX_THREADS));
+        for bad in ["0", "65", &usize::MAX.to_string()] {
+            let err = threads(bad).unwrap_err();
+            assert!(err.contains("between 1 and 64"), "{bad}: {err}");
+        }
+        assert!(threads("-1").unwrap_err().contains("invalid value"));
+        // An absent flag takes the default.
+        assert_eq!(parse("", &[]).unwrap().threads_or("threads", 4), Ok(4));
     }
 
     /// Pieces an adversarial argument is glued from.

@@ -11,7 +11,7 @@ use wfbn_core::CoreMetrics;
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let flags = Flags::parse(args, &["in", "threads"], &["metrics"])?;
     let path: String = flags.require("in")?;
-    let threads: usize = flags.get_or("threads", 4)?;
+    let threads = flags.threads_or("threads", 4)?;
     let with_metrics = flags.has_switch("metrics");
     let data = load_csv(&path)?;
 
@@ -59,9 +59,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     .and_then(|()| {
         writeln!(
             w,
-            "batching: {} blocks flushed, {} keys coalesced",
-            built.stats.total_blocks_flushed(),
-            built.stats.total_keys_coalesced()
+            "batching: {} blocks flushed",
+            built.stats.total_blocks_flushed()
         )
     })
     .and_then(|()| {
@@ -94,6 +93,23 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("4 samples × 2 variables"), "{text}");
         assert!(text.contains("3 distinct state strings"), "{text}");
+        assert!(text.contains("batching: "), "{text}");
+        assert!(!text.contains("coalesced"), "{text}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn thread_counts_past_the_bound_are_refused() {
+        let dir = std::env::temp_dir().join("wfbn_cli_build_threads_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("d.csv");
+        std::fs::write(&path, "0,1\n1,0\n").unwrap();
+        let args: Vec<String> = ["--in", path.to_str().unwrap(), "--threads", "65"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = run(&args, &mut Vec::new()).unwrap_err();
+        assert!(err.contains("--threads must be between 1 and 64"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -110,7 +126,7 @@ mod tests {
         let mut out = Vec::new();
         run(&args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": \"wfbn-metrics-v7\""), "{text}");
+        assert!(text.contains("\"schema\": \"wfbn-metrics-v8\""), "{text}");
         assert!(text.contains("\"rows_encoded\""), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -22,7 +22,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         &["fit"],
     )?;
     let path: String = flags.require("in")?;
-    let threads: usize = flags.get_or("threads", 4)?;
+    let threads = flags.threads_or("threads", 4)?;
     let epsilon: f64 = flags.get_or("epsilon", 0.005)?;
     let alpha: f64 = flags.get_or("alpha", 1.0)?;
     let method: String = flags.get_or("method", "cheng".to_string())?;

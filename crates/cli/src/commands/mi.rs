@@ -12,7 +12,7 @@ use wfbn_core::CoreMetrics;
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let flags = Flags::parse(args, &["in", "threads", "top"], &["bits", "metrics"])?;
     let path: String = flags.require("in")?;
-    let threads: usize = flags.get_or("threads", 4)?;
+    let threads = flags.threads_or("threads", 4)?;
     let top: usize = flags.get_or("top", 20)?;
     let in_bits = flags.has_switch("bits");
     let with_metrics = flags.has_switch("metrics");
@@ -98,7 +98,7 @@ mod tests {
         let mut out = Vec::new();
         run(&args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"schema\": \"wfbn-metrics-v7\""), "{text}");
+        assert!(text.contains("\"schema\": \"wfbn-metrics-v8\""), "{text}");
         assert!(text.contains("\"pairs_scanned\""), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -27,7 +27,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         &["metrics"],
     )?;
     let path: String = flags.require("in")?;
-    let threads: usize = flags.get_or("threads", 1)?;
+    let threads = flags.threads_or("threads", 1)?;
     let batch_rows: usize = flags.get_or("batch", 4096)?;
     if batch_rows == 0 {
         return Err("--batch must be positive".into());
@@ -77,7 +77,7 @@ fn serve_session<R: Recorder>(
         out,
         "serving: n={} m={m} epochs={epochs} threads={}",
         schema.num_vars(),
-        flags.get_or("threads", 1usize)?,
+        flags.threads_or("threads", 1)?,
     )
     .map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
@@ -180,7 +180,7 @@ mod tests {
             "--metrics",
         ])
         .unwrap();
-        assert!(out.contains("\"schema\": \"wfbn-metrics-v7\""), "{out}");
+        assert!(out.contains("\"schema\": \"wfbn-metrics-v8\""), "{out}");
         assert!(out.contains("\"queries_served\": 1"), "{out}");
         assert!(out.contains("\"epochs_published\": 1"), "{out}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -51,7 +51,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     spec.rows = flags.get_or("rows", spec.rows)?;
     spec.batches = flags.get_or("batches", spec.batches)?;
     spec.queries = flags.get_or("queries", spec.queries)?;
-    spec.readers = flags.get_or("readers", spec.readers)?;
+    spec.readers = flags.threads_or("readers", spec.readers)?;
     spec.seed = flags.get_or("seed", spec.seed)?;
     let workload = generate(&spec).map_err(|e| e.to_string())?;
 
@@ -76,7 +76,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
     if flags.has_switch("run") {
         let config = ReplayConfig {
-            partitions: flags.get_or("threads", 2)?,
+            partitions: flags.threads_or("threads", 2)?,
         };
         let report = replay(&workload, &config).map_err(|e| e.to_string())?;
         writeln!(

@@ -74,6 +74,7 @@ Subcommands:
          [--rows R] [--batches B] [--queries Q] [--readers N] [--seed S]
          scenarios: uniform zipf burst adversarial-partition wide-sparse
                     hot-query starve-reader
+  --threads P and --readers N take 1 to 64.
 
 Repository networks: sprinkler, cancer, asia, alarm-like, insurance-like";
 

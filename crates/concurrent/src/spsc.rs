@@ -245,14 +245,14 @@ impl<T> Producer<T> {
 impl<T: Copy> Producer<T> {
     /// Appends every element of `block` in order, amortizing the release
     /// store of the segment's committed length to **once per segment chunk**
-    /// instead of once per element (the write-combining fast path of the
-    /// batched builders).
+    /// instead of once per element (how the builders ship each block's
+    /// foreign keys).
     ///
     /// Equivalent to `for &v in block { self.push(v) }` — same FIFO order,
     /// same segment-linking protocol, same wait-freedom (the number of steps
     /// is bounded by `block.len()` plus the number of segments crossed,
     /// independent of the consumer). Restricted to `T: Copy` so a caller's
-    /// write-combining buffer can be re-flushed from a slice without moves.
+    /// buffer can be flushed from a slice and reused without moves.
     pub fn push_block(&mut self, block: &[T]) {
         let mut rest = block;
         while !rest.is_empty() {

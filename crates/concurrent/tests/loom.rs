@@ -296,7 +296,7 @@ fn epoch_pins_are_monotone_under_every_schedule() {
 #[test]
 fn block_to_block_transfer_is_complete_under_every_schedule() {
     // Both endpoints block-granular — the exact shape of the build's
-    // stage-1 → stage-2 handoff: write-combining flush on one side, a
+    // stage-1 → stage-2 handoff: a block's flush on one side, a
     // segment-at-a-time block drain on the other.
     loom::model(|| {
         let (mut tx, mut rx) = channel::<usize>();

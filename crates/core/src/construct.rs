@@ -26,16 +26,16 @@
 //!
 //! Both parallel builders — one-shot ([`waitfree_build`]) and streaming
 //! ([`crate::stream`]) — run `two_stage`, whose per-core `Worker` moves
-//! data a block at a time: rows are encoded `ENC_BLOCK` at a time with
-//! [`KeyCodec::encode_rows`], owned keys are applied with the pre-hashed
-//! `CountTable::increment_keys_probed`, foreign keys cross the queues as
-//! `(key, count)` runs through the write-combining [`Combiner`]
-//! (`push_block`), and stage 2 drains one queue segment per `pop_block` into
-//! [`CountTable::increment_block`]. None of this reorders arithmetic, so the
-//! table is identical to [`sequential_build`]'s, which stays a plain
-//! row-at-a-time loop to serve as the equivalence oracle.
+//! data a block at a time: rows are encoded [`ENC_BLOCK`] at a time with
+//! [`KeyCodec::encode_rows`] and the keys are split by owner. The core's own
+//! keys are applied with the pre-hashed `CountTable::increment_keys_probed`;
+//! each other owner's keys cross its queue as bare `u64` keys in one
+//! `push_block`, as the paper's queues carry keys. Stage 2 drains one queue
+//! segment per `pop_block` into the same `increment_keys_probed`. None of
+//! this reorders arithmetic, so the table is identical to
+//! [`sequential_build`]'s, which stays a plain row-at-a-time loop to serve
+//! as the equivalence oracle.
 
-use crate::batch::Combiner;
 use crate::codec::KeyCodec;
 use crate::count_table::{CountTable, Key};
 use crate::error::CoreError;
@@ -63,10 +63,11 @@ pub struct BuiltTable {
 /// build of a large CSV pay O(log m) growth storms per core.
 const MAX_PREALLOC_ENTRIES: u64 = 1 << 22;
 
-/// Rows per encode block: 256 rows × 30 binary variables ≈ 15 KiB of input
-/// and 2 KiB of keys per block — L1-resident, while amortizing the
-/// per-block loop overhead to noise.
-const ENC_BLOCK: usize = 256;
+/// Rows per encode block, and so the unit a core flushes its foreign keys
+/// in: 256 rows × 30 binary variables ≈ 15 KiB of input and 2 KiB of keys
+/// per block — L1-resident, while amortizing the per-block loop overhead
+/// and each queue's publication to noise.
+pub const ENC_BLOCK: usize = 256;
 
 pub(crate) fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
     let per_core_rows = (m / p.max(1)) as u64 + 1;
@@ -141,7 +142,7 @@ pub fn waitfree_build(data: &Dataset, p: usize) -> Result<BuiltTable, CoreError>
 /// Worker `t` obtains the exclusive per-core handle `rec.core(t)` and
 /// reports through it only, preserving the build's single-writer-per-word
 /// discipline for the telemetry words. Per-stage wall time (encode/route,
-/// barrier wait, drain), routing and write-combining counters, the
+/// barrier wait, drain), routing and block-flush counters, the
 /// probe-length histogram, queue backlog high-water marks, segment links,
 /// and table growth events are all attributed to the core that incurred
 /// them.
@@ -216,10 +217,10 @@ impl Partition for Arc<CountTable> {
 
 /// The queue endpoints one core owns: its producers toward every other core
 /// and the consumers of the queues addressed to it (`None` at its own
-/// index). Queues carry `(key, count)` runs from the write-combining router.
+/// index). Queues carry bare keys.
 struct Endpoints {
-    producers: Vec<Option<Producer<(u64, u64)>>>,
-    consumers: Vec<Option<Consumer<(u64, u64)>>>,
+    producers: Vec<Option<Producer<u64>>>,
+    consumers: Vec<Option<Consumer<u64>>>,
 }
 
 /// Builds the queue matrix `Q` of Algorithm 1: one SPSC channel per ordered
@@ -314,16 +315,17 @@ fn barrier_core<R: Recorder>(
     w.finish()
 }
 
-/// One core's private side of a build: its table, write-combining router,
-/// block buffers, counters and telemetry handle. Every method writes only
-/// state this core owns, plus the slots of its own outgoing queues.
+/// One core's private side of a build: its table, block buffers, counters
+/// and telemetry handle. Every method writes only state this core owns,
+/// plus the slots of its own outgoing queues.
 struct Worker<'a, C: CoreRecorder> {
     t: usize,
     table: &'a mut CountTable,
-    combiner: Combiner,
     keys: Vec<u64>,
-    local: Vec<u64>,
-    block: Vec<(u64, u64)>,
+    /// One block's keys split by owner; the buffer at `t` holds this
+    /// core's own keys.
+    routed: Vec<Vec<u64>>,
+    block: Vec<u64>,
     stats: ThreadStats,
     segments_linked: u64,
     grows_before: u64,
@@ -340,9 +342,8 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
         Worker {
             t,
             table,
-            combiner: Combiner::new(p),
             keys: Vec::with_capacity(ENC_BLOCK),
-            local: Vec::with_capacity(ENC_BLOCK),
+            routed: (0..p).map(|_| Vec::with_capacity(ENC_BLOCK)).collect(),
             block: Vec::new(),
             stats: ThreadStats::default(),
             segments_linked: 0,
@@ -365,36 +366,53 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
     }
 
     /// Algorithm 1 on one block of whole rows: encode it, apply the keys
-    /// this core owns, and route the rest toward their owners.
+    /// this core owns, and ship each other owner's keys to it in one
+    /// `push_block`.
     fn route_block(
         &mut self,
         rows: &[u16],
         codec: &KeyCodec,
-        producers: &mut [Option<Producer<(u64, u64)>>],
+        producers: &mut [Option<Producer<u64>>],
     ) {
         codec.encode_rows(rows, &mut self.keys);
-        self.local.clear();
-        let p = producers.len();
-        for &key in &self.keys {
-            let to = key.owner(p);
-            if to == self.t {
-                self.local.push(key);
-            } else {
-                self.combiner.route(to, key, producers);
-            }
-        }
-        let cr = &mut self.cr;
-        self.table
-            .increment_keys_probed(&self.local, |probes| cr.probe_len(probes));
         self.stats.rows_encoded += self.keys.len() as u64;
-        self.stats.local_updates += self.local.len() as u64;
-        self.stats.forwarded += (self.keys.len() - self.local.len()) as u64;
+        let p = producers.len();
+        if p == 1 {
+            // A lone core owns every key: splitting the block would only
+            // copy it and divide each key by one.
+            let cr = &mut self.cr;
+            self.table
+                .increment_keys_probed(&self.keys, |probes| cr.probe_len(probes));
+            self.stats.local_updates += self.keys.len() as u64;
+            return;
+        }
+        for &key in &self.keys {
+            self.routed[key.owner(p)].push(key);
+        }
+        for (to, keys) in self.routed.iter_mut().enumerate() {
+            if keys.is_empty() {
+                continue;
+            }
+            if to == self.t {
+                let cr = &mut self.cr;
+                self.table
+                    .increment_keys_probed(keys, |probes| cr.probe_len(probes));
+                self.stats.local_updates += keys.len() as u64;
+            } else {
+                producers[to]
+                    .as_mut()
+                    .expect("producer to every foreign destination")
+                    .push_block(keys);
+                self.stats.forwarded += keys.len() as u64;
+                self.stats.blocks_flushed += 1;
+            }
+            keys.clear();
+        }
     }
 
-    /// Ends this core's production: ships the router's residue, then
-    /// closes the outgoing queues (nothing may follow a close).
-    fn close(&mut self, producers: &mut Vec<Option<Producer<(u64, u64)>>>) {
-        self.combiner.flush_all(producers);
+    /// Ends this core's production: closes the outgoing queues (nothing may
+    /// follow a close). Every block was shipped as it was routed.
+    fn close(&mut self, producers: &mut Vec<Option<Producer<u64>>>) {
         self.segments_linked = producers
             .iter()
             .flatten()
@@ -403,9 +421,9 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
         producers.clear();
     }
 
-    /// Algorithm 2 on one queue: applies every `(key, count)` run visible
-    /// in it, one segment per `pop_block`.
-    fn drain(&mut self, consumer: &mut Consumer<(u64, u64)>) {
+    /// Algorithm 2 on one queue: applies every key visible in it, one
+    /// segment per `pop_block`.
+    fn drain(&mut self, consumer: &mut Consumer<u64>) {
         if self.sample_depth {
             self.cr.queue_depth(consumer.visible_backlog());
         }
@@ -419,16 +437,14 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
             }
             let cr = &mut self.cr;
             self.table
-                .increment_block_probed(&self.block, |probes| cr.probe_len(probes));
-            self.stats.drained += self.block.iter().map(|&(_, count)| count).sum::<u64>();
+                .increment_keys_probed(&self.block, |probes| cr.probe_len(probes));
+            self.stats.drained += self.block.len() as u64;
         }
     }
 
     /// Reports this core's counters and returns them.
     fn finish(mut self) -> ThreadStats {
         let s = &mut self.stats;
-        s.blocks_flushed = self.combiner.blocks_flushed();
-        s.keys_coalesced = self.combiner.keys_coalesced();
         s.probes = self.table.probes();
         let cr = &mut self.cr;
         cr.add(Counter::RowsEncoded, s.rows_encoded);
@@ -438,7 +454,6 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
         cr.add(Counter::SegmentsLinked, self.segments_linked);
         cr.add(Counter::TableGrows, self.table.grows() - self.grows_before);
         cr.add(Counter::BlocksFlushed, s.blocks_flushed);
-        cr.add(Counter::KeysCoalesced, s.keys_coalesced);
         self.stats
     }
 }
@@ -448,23 +463,23 @@ mod loom_tests {
     use super::*;
 
     /// Model-checks the stage-1 → barrier → stage-2 handoff of the block
-    /// protocol: Combiner → `push_block` → barrier → `pop_block` →
-    /// `increment_block`.
+    /// protocol: per-owner split → `push_block` → barrier → `pop_block` →
+    /// `increment_keys_probed`.
     ///
     /// `two_stage` spawns scoped std threads, which the model checker cannot
     /// schedule, so this test runs the real per-core body, [`barrier_core`],
     /// over the real [`queue_matrix`] and [`SpinBarrier`] on loom-owned
     /// threads. Under loom a queue segment holds two elements, so core 1's
-    /// three runs toward core 0 span two segments and take two `pop_block`
-    /// calls. Every schedule within the preemption bound must yield the same
-    /// per-partition counts.
+    /// four bare keys toward core 0 span two segments and take two
+    /// `pop_block` calls. Every schedule within the preemption bound must
+    /// yield the same per-partition counts.
     #[test]
     fn two_stage_handoff_produces_exact_counts_under_every_schedule() {
         loom::model(|| {
             const P: usize = 2;
             // One arity-6 variable, so a row's state is its key; ownership
-            // is key % 2. Core 0 forwards two runs; core 1 forwards four
-            // keys in three runs (the two 0s coalesce into one).
+            // is key % 2. Core 0 forwards two keys; core 1 forwards four
+            // keys, the repeated 0 as two keys of its own.
             let inputs: [Vec<u16>; P] = [vec![1, 2, 5], vec![3, 0, 0, 2, 4]];
             let codec = Arc::new(KeyCodec::new(&wfbn_data::Schema::new(vec![6]).unwrap()));
             let barrier = Arc::new(SpinBarrier::new(P));
@@ -640,44 +655,29 @@ mod tests {
     #[test]
     fn batched_builds_match_scalar_builds_exactly() {
         // The block path against the row-at-a-time oracle, with the queue
-        // conservation law: every forwarded occurrence is drained once.
+        // conservation law (every forwarded key is drained once) and the
+        // flush law (every flush ships at least one key).
         let data = uniform_data(8, 3, 5000, 11);
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
         for p in [1usize, 2, 3, 4, 7, 8] {
             let built = waitfree_build(&data, p).unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "mismatch at p={p}");
-            assert_eq!(built.stats.total_rows(), 5000);
-            assert_eq!(built.stats.total_forwarded(), built.stats.total_drained());
+            let s = &built.stats;
+            assert_eq!(s.total_rows(), 5000);
+            assert_eq!(s.total_forwarded(), s.total_drained());
+            for core in &s.per_thread {
+                assert!(core.blocks_flushed <= core.forwarded, "p={p}");
+            }
+            assert_eq!(s.total_blocks_flushed() > 0, p > 1, "p={p}");
         }
     }
 
     #[test]
-    fn batched_build_on_skewed_data_coalesces_and_stays_exact() {
-        let schema = Schema::new(vec![2, 3, 2]).unwrap(); // tiny state space: many runs
-        let data = ZipfIndependent::new(schema, 1.5).unwrap().generate(8000, 4);
-        let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        let built = waitfree_build(&data, 4).unwrap();
-        assert_eq!(built.table.to_sorted_vec(), reference);
-        let s = &built.stats;
-        assert!(
-            s.total_keys_coalesced() > 0,
-            "skewed keys over a 12-state space must produce duplicate runs"
-        );
-        assert!(s.total_keys_coalesced() <= s.total_forwarded());
-        assert!(s.total_blocks_flushed() > 0);
-        assert!(
-            s.total_blocks_flushed() <= s.total_forwarded() - s.total_keys_coalesced(),
-            "every flush must carry at least one element"
-        );
-    }
-
-    #[test]
     fn scalar_build_reports_no_batch_counters() {
-        // The oracle moves no block: it neither flushes nor coalesces.
+        // The oracle moves no block: it flushes nothing.
         let data = uniform_data(8, 2, 1000, 5);
         let s = sequential_build(&data).unwrap().stats;
         assert_eq!(s.total_blocks_flushed(), 0);
-        assert_eq!(s.total_keys_coalesced(), 0);
     }
 
     #[test]

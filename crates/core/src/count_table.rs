@@ -420,7 +420,7 @@ impl CountTable {
     }
 
     /// Grows until `additional` more *distinct* keys fit under the load
-    /// limit. Called once per block by the block paths so the slot mask is
+    /// limit. Called once per block by the block path so the slot mask is
     /// stable across the whole block (no mid-block rehash), and usable as
     /// the rows-based capacity hint for streaming tables.
     pub fn reserve(&mut self, additional: usize) {
@@ -429,73 +429,47 @@ impl CountTable {
         }
     }
 
-    /// Applies a block of `(key, by)` pairs, equivalent to calling
-    /// [`increment`](Self::increment) for each pair in order.
-    ///
-    /// The stage-2 fast path: capacity for the whole block is
-    /// reserved up front (one load check per block instead of one per key,
-    /// and a stable mask), then each 16-pair tile is **pre-hashed** — slot
-    /// indices computed and each slot's cache line prefetched — before any
-    /// probing starts, so the table's random-access misses overlap instead
-    /// of serializing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key is the all-ones sentinel.
-    pub fn increment_block(&mut self, block: &[(u64, u64)]) {
-        self.increment_block_probed(block, |_| {});
-    }
-
-    /// Like [`increment_block`](Self::increment_block), but calls `probe`
-    /// with the slot-inspection count of every applied pair — exactly one
-    /// call per pair, so the observability layer's probe histogram keeps its
-    /// one-entry-per-increment mass invariant on the block path.
-    pub(crate) fn increment_block_probed(&mut self, block: &[(u64, u64)], probe: impl FnMut(u64)) {
-        self.apply_block_probed(block, probe);
-    }
-
     /// Applies a block of keys, each incrementing its count by 1 —
-    /// `increment_block` without materializing `(key, 1)` pairs — with one
-    /// `probe` callback per key, mirroring
-    /// [`increment_block_probed`](Self::increment_block_probed). Stage 1 of
-    /// the build feeds each block's locally owned keys straight in.
+    /// equivalent to calling [`increment`](Self::increment)`(key, 1)` for
+    /// each key in order — with one `probe` callback per key carrying its
+    /// slot-inspection count, so the observability layer's probe histogram
+    /// keeps its one-entry-per-increment mass invariant.
+    ///
+    /// The build's block path, in both stages: capacity for the whole block
+    /// is reserved up front (one load check per block instead of one per
+    /// key, and a stable mask), then each 16-key tile is **pre-hashed** —
+    /// slot indices computed and each slot's cache line prefetched — before
+    /// any probing starts, so the table's random-access misses overlap
+    /// instead of serializing.
     ///
     /// # Panics
     ///
     /// Panics if any key is the all-ones sentinel.
-    pub(crate) fn increment_keys_probed(&mut self, keys: &[u64], probe: impl FnMut(u64)) {
-        self.apply_block_probed(keys, probe);
-    }
-
-    /// Shared reserve → pre-hash → probe engine behind the block entry
-    /// points; monomorphized per item shape ( bare key or `(key, by)` pair).
-    fn apply_block_probed<I: BlockItem>(&mut self, block: &[I], mut probe: impl FnMut(u64)) {
+    pub(crate) fn increment_keys_probed(&mut self, keys: &[u64], mut probe: impl FnMut(u64)) {
         /// Pre-hash tile width: long enough to cover the prefetch latency,
         /// short enough that the tile's slots stay in the L1 miss queue.
         const TILE: usize = 16;
-        self.reserve(block.len());
+        self.reserve(keys.len());
         let mut slots = [0usize; TILE];
-        for chunk in block.chunks(TILE) {
-            for (i, item) in chunk.iter().enumerate() {
-                let key = item.key();
+        for chunk in keys.chunks(TILE) {
+            for (i, &key) in chunk.iter().enumerate() {
                 assert!(key != u64::EMPTY, "the all-ones key is reserved");
                 let slot = self.slot_of(key);
                 slots[i] = slot;
                 prefetch_slot(&self.slots[slot]);
             }
-            for (i, item) in chunk.iter().enumerate() {
-                let (key, by) = (item.key(), item.by());
+            for (i, &key) in chunk.iter().enumerate() {
                 let before = self.probes;
                 let mut slot = slots[i];
                 loop {
                     self.probes += 1;
                     let s = &mut self.slots[slot];
                     if s.key == key {
-                        s.count += by;
+                        s.count += 1;
                         break;
                     }
                     if s.key == u64::EMPTY {
-                        *s = Slot { key, count: by };
+                        *s = Slot { key, count: 1 };
                         self.len += 1;
                         break;
                     }
@@ -635,38 +609,6 @@ impl<'a, I: Iterator<Item = &'a CountTable>> SlotWalk<'a, I> {
             self.slots = rest;
         }
         n
-    }
-}
-
-/// Item shape accepted by the block engine: a bare key (count 1) or an
-/// explicit `(key, count)` pair. Private — the public surface stays the
-/// concrete `increment_keys_probed` / `increment_block*` methods.
-trait BlockItem: Copy {
-    /// The table key.
-    fn key(&self) -> u64;
-    /// The count delta.
-    fn by(&self) -> u64;
-}
-
-impl BlockItem for u64 {
-    #[inline(always)]
-    fn key(&self) -> u64 {
-        *self
-    }
-    #[inline(always)]
-    fn by(&self) -> u64 {
-        1
-    }
-}
-
-impl BlockItem for (u64, u64) {
-    #[inline(always)]
-    fn key(&self) -> u64 {
-        self.0
-    }
-    #[inline(always)]
-    fn by(&self) -> u64 {
-        self.1
     }
 }
 
@@ -871,22 +813,34 @@ mod tests {
     }
 
     #[test]
-    fn increment_block_matches_scalar_increments() {
-        // Random workload with duplicates, block sizes straddling the
-        // pre-hash tile and forcing growth from the default capacity.
+    fn increment_keys_matches_scalar_increments_at_every_block_length() {
+        // Random workload with duplicates, block lengths straddling the
+        // pre-hash tile and the queue segment (a drained block is at most
+        // one segment), and forcing growth from the default capacity.
+        use wfbn_concurrent::spsc::SEG_CAP;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut pairs = Vec::new();
+        let mut keys = Vec::new();
         for _ in 0..5_000 {
             x = wfbn_concurrent::mix64(x);
-            pairs.push((x % 1024, 1 + (x >> 61)));
+            keys.push(x % 1024);
         }
-        for block_len in [1usize, 15, 16, 17, 255, 5_000] {
+        for block_len in [
+            1usize,
+            15,
+            16,
+            17,
+            255,
+            SEG_CAP - 1,
+            SEG_CAP,
+            SEG_CAP + 1,
+            5_000,
+        ] {
             let mut scalar = CountTable::new();
             let mut batched = CountTable::new();
-            for block in pairs.chunks(block_len) {
-                batched.increment_block(block);
-                for &(k, by) in block {
-                    scalar.increment(k, by);
+            for block in keys.chunks(block_len) {
+                batched.increment_keys_probed(block, |_| {});
+                for &k in block {
+                    scalar.increment(k, 1);
                 }
             }
             assert_eq!(
@@ -898,12 +852,12 @@ mod tests {
     }
 
     #[test]
-    fn increment_block_probed_reports_one_delta_per_pair() {
+    fn increment_keys_probed_reports_one_delta_per_key() {
         let mut t = CountTable::with_capacity(64);
-        let block: Vec<(u64, u64)> = (0..40u64).map(|i| (i % 20, 1)).collect();
+        let keys: Vec<u64> = (0..40u64).map(|i| i % 20).collect();
         let mut deltas = Vec::new();
-        t.increment_block_probed(&block, |d| deltas.push(d));
-        assert_eq!(deltas.len(), block.len());
+        t.increment_keys_probed(&keys, |d| deltas.push(d));
+        assert_eq!(deltas.len(), keys.len());
         assert!(deltas.iter().all(|&d| d >= 1));
         assert_eq!(deltas.iter().sum::<u64>(), t.probes());
     }
@@ -927,17 +881,17 @@ mod tests {
         let mut t = CountTable::new();
         t.reserve(10_000);
         let grows_after_reserve = t.grows();
-        let block: Vec<(u64, u64)> = (0..10_000u64).map(|k| (k, 1)).collect();
-        t.increment_block(&block);
+        let keys: Vec<u64> = (0..10_000u64).collect();
+        t.increment_keys_probed(&keys, |_| {});
         assert_eq!(t.grows(), grows_after_reserve, "block must not rehash");
         assert_eq!(t.len(), 10_000);
     }
 
     #[test]
     #[should_panic(expected = "reserved")]
-    fn increment_block_rejects_sentinel_key() {
+    fn increment_keys_rejects_sentinel_key() {
         let mut t = CountTable::new();
-        t.increment_block(&[(3, 1), (u64::MAX, 1)]);
+        t.increment_keys_probed(&[3, u64::MAX], |_| {});
     }
 
     /// Distinct keys past which a table's slot array exceeds 2 MiB (and so
@@ -989,37 +943,24 @@ mod tests {
         ignore = "Miri compiles the huge-page advice out, and interprets 10⁶ increments slowly"
     )]
     fn block_paths_match_scalar_increments_on_an_advised_table() {
-        let pairs = advised_workload();
-        let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
+        let keys: Vec<u64> = advised_workload().iter().map(|&(k, _)| k).collect();
         let entries = 2 * ADVISED_KEYS as usize;
-        // Equal capacity and no growth on any side: the probe sequence of
-        // every key is then the same on each path.
-        let mut scalar_pairs = CountTable::with_capacity(entries);
-        let mut scalar_keys = CountTable::with_capacity(entries);
-        let (mut want_pairs, mut want_keys) = (Vec::new(), Vec::new());
-        for (&(k, by), &key) in pairs.iter().zip(&keys) {
-            want_pairs.push(scalar_pairs.increment_probed(k, by));
-            want_keys.push(scalar_keys.increment_probed(key, 1));
-        }
+        // Equal capacity and no growth on either side: the probe sequence of
+        // every key is then the same on both paths.
+        let mut scalar = CountTable::with_capacity(entries);
+        let want: Vec<u64> = keys
+            .iter()
+            .map(|&k| scalar.increment_probed(k, 1))
+            .collect();
         let mut block = CountTable::with_capacity(entries);
-        let mut got_pairs = Vec::new();
-        for chunk in pairs.chunks(1000) {
-            block.increment_block_probed(chunk, |d| got_pairs.push(d));
-        }
-        let mut bare = CountTable::with_capacity(entries);
-        let mut got_keys = Vec::new();
+        let mut got = Vec::new();
         for chunk in keys.chunks(1000) {
-            bare.increment_keys_probed(chunk, |d| got_keys.push(d));
+            block.increment_keys_probed(chunk, |d| got.push(d));
         }
-        for t in [&scalar_pairs, &scalar_keys, &block, &bare] {
-            assert_eq!(t.grows(), 0);
-        }
-        assert_eq!(block.to_sorted_vec(), scalar_pairs.to_sorted_vec());
-        assert_eq!(got_pairs, want_pairs);
-        assert_eq!(block.probes(), scalar_pairs.probes());
-        assert_eq!(bare.to_sorted_vec(), scalar_keys.to_sorted_vec());
-        assert_eq!(got_keys, want_keys);
-        assert_eq!(bare.probes(), scalar_keys.probes());
+        assert_eq!((scalar.grows(), block.grows()), (0, 0));
+        assert_eq!(block.to_sorted_vec(), scalar.to_sorted_vec());
+        assert_eq!(got, want);
+        assert_eq!(block.probes(), scalar.probes());
     }
 
     /// Every entry `SlotWalk` copies out of `tables` in chunks of `room`,

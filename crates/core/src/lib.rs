@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod allpairs;
-pub mod batch;
 pub mod codec;
 pub mod construct;
 pub mod count_table;
@@ -57,7 +56,6 @@ pub mod stream;
 
 pub use allpairs::{all_pairs_mi, all_pairs_mi_recorded, MiMatrix};
 pub use codec::KeyCodec;
-pub use batch::Combiner;
 pub use construct::{
     sequential_build, sequential_build_recorded, waitfree_build, waitfree_build_recorded,
     BuiltTable,

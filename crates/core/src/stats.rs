@@ -19,14 +19,9 @@ pub struct ThreadStats {
     pub drained: u64,
     /// Hash-table slot probes performed by this thread (stages 1+2).
     pub probes: u64,
-    /// Write-combining buffer flushes (`push_block` calls) performed by this
-    /// thread's router; 0 for the sequential oracle.
+    /// Blocks of foreign keys shipped (`push_block` calls): one per
+    /// destination with keys per encode block; 0 for the sequential oracle.
     pub blocks_flushed: u64,
-    /// Forwarded occurrences the router coalesced into an open
-    /// `(key, count)` run instead of shipping as their own element; 0 for
-    /// the sequential oracle. Counted inside `forwarded`, so elements
-    /// actually enqueued = `forwarded − keys_coalesced`.
-    pub keys_coalesced: u64,
 }
 
 impl ThreadStats {
@@ -39,7 +34,6 @@ impl ThreadStats {
         self.forwarded += batch.forwarded;
         self.drained += batch.drained;
         self.blocks_flushed += batch.blocks_flushed;
-        self.keys_coalesced += batch.keys_coalesced;
         self.probes = batch.probes;
     }
 }
@@ -77,14 +71,10 @@ impl BuildStats {
         self.per_thread.iter().map(|t| t.drained).sum()
     }
 
-    /// Total write-combining flushes across threads (0 for the oracle).
+    /// Total blocks of foreign keys shipped across threads (0 for the
+    /// oracle).
     pub fn total_blocks_flushed(&self) -> u64 {
         self.per_thread.iter().map(|t| t.blocks_flushed).sum()
-    }
-
-    /// Total coalesced occurrences across threads (0 for the oracle).
-    pub fn total_keys_coalesced(&self) -> u64 {
-        self.per_thread.iter().map(|t| t.keys_coalesced).sum()
     }
 
     /// Fraction of keys that crossed threads, in `[0, 1]`.
@@ -127,7 +117,6 @@ mod tests {
                         drained,
                         probes: 0,
                         blocks_flushed: 0,
-                        keys_coalesced: 0,
                     },
                 )
                 .collect(),

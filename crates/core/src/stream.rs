@@ -303,7 +303,7 @@ mod tests {
             let built = b.finish().unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "threads={threads}");
             assert_eq!(built.stats.total_forwarded(), built.stats.total_drained());
-            assert!(built.stats.total_keys_coalesced() <= built.stats.total_forwarded());
+            assert!(built.stats.total_blocks_flushed() <= built.stats.total_forwarded());
         }
     }
 

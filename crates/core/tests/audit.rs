@@ -36,11 +36,11 @@ fn skewed_build_passes_the_audit() {
     );
 }
 
-/// Every builder moves data in `push_block` chunks through the
-/// write-combining buffers: every word of a flushed block must still have
-/// exactly one writer per stage. Skew maximizes coalescing, and 20k rows
-/// force multi-segment blocks, so a flush that strayed onto a foreign
-/// segment or a combiner buffer shared between cores would panic here. The
+/// Every builder ships foreign keys in `push_block` chunks from per-owner
+/// buffers: every word of a flushed block must still have exactly one
+/// writer per stage. Skew repeats a few keys many times, and 20k rows
+/// force multi-segment queues, so a flush that strayed onto a foreign
+/// segment or a routing buffer shared between cores would panic here. The
 /// streaming builder runs the same workers over persistent tables, with a
 /// snapshot held across absorbs so each core diverges its shared partition.
 #[test]

@@ -19,7 +19,7 @@
 //! * [`MetricsReport`] — owned snapshot with cross-core aggregation
 //!   (totals, per-stage critical path, probe histograms, queue high-water
 //!   marks), report merging across repetitions, conservation-law
-//!   validation, and stable `wfbn-metrics-v7` JSON for the `--metrics`
+//!   validation, and stable `wfbn-metrics-v8` JSON for the `--metrics`
 //!   flags on the CLI and bench binaries.
 //!
 //! Feature flags: `metrics` makes every [`CoreMetrics::snapshot`]

@@ -80,31 +80,27 @@ pub enum Counter {
     /// cache-missing scope, whether the bit-sliced kernel or the decode fold
     /// counted that scope, so the count stays comparable across kernels.
     EntriesScanned = 8,
-    /// Write-combining buffer flushes: `push_block` calls made by this
-    /// core's stage-1 router (zero for the sequential oracle).
+    /// Blocks of foreign keys this core shipped in stage 1: `push_block`
+    /// calls, one per destination with keys per encode block (zero for the
+    /// sequential oracle).
     BlocksFlushed = 9,
-    /// Foreign key occurrences absorbed into an open `(key, count)` run by
-    /// the per-destination combiner instead of being shipped as their own
-    /// queue element. `Forwarded` still counts these occurrences, so
-    /// elements actually enqueued = `forwarded − keys_coalesced`.
-    KeysCoalesced = 10,
     /// Queries this core (a serving reader) answered.
-    QueriesServed = 11,
+    QueriesServed = 10,
     /// Serving-cache lookups answered from the reader's scope-keyed
     /// marginal cache.
-    CacheHits = 12,
+    CacheHits = 11,
     /// Serving-cache lookups that missed and required a scan of the
     /// epoch's packed snapshot.
-    CacheMisses = 13,
+    CacheMisses = 12,
     /// Table snapshots this core (the serving writer) published as epochs.
-    EpochsPublished = 14,
+    EpochsPublished = 13,
     /// Epoch advances this core (a serving reader) pinned — distinct epochs
     /// observed, not query count.
-    EpochsPinned = 15,
+    EpochsPinned = 14,
 }
 
 /// Number of [`Counter`] variants (array dimension).
-pub const NUM_COUNTERS: usize = 16;
+pub const NUM_COUNTERS: usize = 15;
 
 impl Counter {
     /// All counters, in index order.
@@ -119,7 +115,6 @@ impl Counter {
         Counter::PairsScanned,
         Counter::EntriesScanned,
         Counter::BlocksFlushed,
-        Counter::KeysCoalesced,
         Counter::QueriesServed,
         Counter::CacheHits,
         Counter::CacheMisses,
@@ -140,7 +135,6 @@ impl Counter {
             Counter::PairsScanned => "pairs_scanned",
             Counter::EntriesScanned => "entries_scanned",
             Counter::BlocksFlushed => "blocks_flushed",
-            Counter::KeysCoalesced => "keys_coalesced",
             Counter::QueriesServed => "queries_served",
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",

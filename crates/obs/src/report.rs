@@ -7,7 +7,7 @@
 //! reports from other runs (bench repetitions), validated against the routing
 //! and queue conservation laws of the two-stage primitive (plus the serving
 //! layer's query/epoch/latency laws), and rendered as a stable
-//! `wfbn-metrics-v7` JSON document for the `--metrics` flags.
+//! `wfbn-metrics-v8` JSON document for the `--metrics` flags.
 
 use crate::recorder::{
     Counter, Stage, LAT_BUCKETS, LAT_BUCKET_LABELS, LAT_BUCKET_UPPER_NS, NUM_COUNTERS,
@@ -16,8 +16,8 @@ use crate::recorder::{
 
 /// Identifier embedded in every emitted JSON document; bump on any
 /// key/shape change so downstream tooling can detect incompatibility.
-/// v2 added the write-combining counters (`blocks_flushed`,
-/// `keys_coalesced`) and their conservation rules; v3 added the serving
+/// v2 added the write-combining counters (`blocks_flushed` and a count of
+/// coalesced keys) and their conservation rules; v3 added the serving
 /// layer (`query_serve` stage, query/cache/epoch counters, the
 /// `latency_hist` histogram) and its conservation rules; v4 refines the
 /// latency histogram to 16 power-of-two buckets, adds the
@@ -27,8 +27,11 @@ use crate::recorder::{
 /// and epoch counters for a multi-engine serving tier, with their
 /// conservation rules; v6 removes the §IV-C entry-move counter, so the
 /// probe-mass law holds unconditionally; v7 removes the v5 counters and
-/// their rules with the multi-engine tier itself.
-pub const SCHEMA: &str = "wfbn-metrics-v7";
+/// their rules with the multi-engine tier itself; v8 removes the
+/// coalesced-key counter and its two rules, as the queues now carry bare
+/// keys, so the probe mass is `local_updates + drained` and every flush
+/// ships at least one forwarded key.
+pub const SCHEMA: &str = "wfbn-metrics-v8";
 
 /// One core's telemetry, copied out of its [`CoreMetrics`](crate::CoreMetrics)
 /// slot.
@@ -227,20 +230,12 @@ impl MetricsReport {
     /// * total `forwarded` must equal total `drained` (queues conserve keys);
     /// * a single-core report must show no queue traffic at all
     ///   (`forwarded`, `drained`, `segments_linked`, `queue_hwm` all zero);
-    /// * probe-histogram mass must equal
-    ///   `local_updates + drained − keys_coalesced` (one histogram entry per
-    ///   table increment; a coalesced occurrence rides an existing
-    ///   `(key, count)` element and triggers no probe of its own) — enforced
-    ///   when both sides are non-zero, so reports from partial
-    ///   instrumentation or direct recorder use stay valid;
-    /// * per core, `keys_coalesced` must not exceed `forwarded`
-    ///   (coalesced-count mass: every coalesced occurrence is a forwarded
-    ///   occurrence);
-    /// * coalescing only happens inside the write-combining path, so
-    ///   `keys_coalesced > 0` requires `blocks_flushed > 0`;
-    /// * per core, when blocks were flushed, every flush carried at least
-    ///   one element: `blocks_flushed ≤ forwarded − keys_coalesced`
-    ///   (blocks × flush accounting).
+    /// * probe-histogram mass must equal `local_updates + drained` (one
+    ///   histogram entry per table increment, and every key is one
+    ///   increment) — enforced when both sides are non-zero, so reports
+    ///   from partial instrumentation or direct recorder use stay valid;
+    /// * per core, every flush carried at least one key:
+    ///   `blocks_flushed ≤ forwarded`.
     ///
     /// Serving-layer laws (v3, tightened per core in v4):
     ///
@@ -287,34 +282,19 @@ impl MetricsReport {
         }
         for (core, r) in self.cores.iter().enumerate() {
             let fwd = r.counter(Counter::Forwarded);
-            let coalesced = r.counter(Counter::KeysCoalesced);
             let blocks = r.counter(Counter::BlocksFlushed);
-            if coalesced > fwd {
+            if blocks > fwd {
                 return Err(format!(
-                    "core {core}: keys_coalesced {coalesced} > forwarded {fwd}"
-                ));
-            }
-            if coalesced > 0 && blocks == 0 {
-                return Err(format!(
-                    "core {core}: keys_coalesced {coalesced} with blocks_flushed 0 \
-                     (coalescing outside the write-combining path)"
-                ));
-            }
-            if blocks > 0 && blocks > fwd - coalesced {
-                return Err(format!(
-                    "core {core}: blocks_flushed {blocks} > enqueued elements {} \
-                     (some flush carried no element)",
-                    fwd - coalesced
+                    "core {core}: blocks_flushed {blocks} > forwarded {fwd} \
+                     (some flush carried no key)"
                 ));
             }
         }
         let mass = self.probe_hist_mass();
-        let increments = (self.total(Counter::LocalUpdates) + drained)
-            .saturating_sub(self.total(Counter::KeysCoalesced));
+        let increments = self.total(Counter::LocalUpdates) + drained;
         if mass != 0 && increments != 0 && mass != increments {
             return Err(format!(
-                "probe-histogram mass {mass} != local_updates + drained - keys_coalesced \
-                 {increments}"
+                "probe-histogram mass {mass} != local_updates + drained {increments}"
             ));
         }
         let lat_mass = self.lat_hist_mass();
@@ -600,34 +580,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_report_with_coalescing_validates() {
-        // Core 0 forwards 2 occurrences of which 1 coalesces into an open
-        // run, so 1 element is enqueued in 1 flushed block; drains apply one
-        // table increment per element, so histogram mass drops by the
-        // coalesced occurrence.
+    fn batched_report_with_flushes_validates() {
+        // Core 0 forwards 2 keys in 1 flushed block; the histogram mass
+        // stays local + drained.
         let mut r = build_like_report();
         r.cores[0].counters[Counter::BlocksFlushed as usize] = 1;
-        r.cores[0].counters[Counter::KeysCoalesced as usize] = 1;
-        r.cores[0].probe_hist[0] = 5; // unchanged: stage-1 local + drained
-        r.cores[1].probe_hist[1] = 4; // one fewer drain-side increment
-        r.validate().expect("coalesced batched report conserves");
-    }
-
-    #[test]
-    fn coalesced_mass_violation_is_reported() {
-        let mut r = build_like_report();
-        r.cores[0].counters[Counter::BlocksFlushed as usize] = 1;
-        r.cores[0].counters[Counter::KeysCoalesced as usize] = 3; // > forwarded (2)
-        let err = r.validate().expect_err("coalesced > forwarded");
-        assert!(err.contains("keys_coalesced"), "{err}");
-    }
-
-    #[test]
-    fn coalescing_without_flushes_is_reported() {
-        let mut r = build_like_report();
-        r.cores[0].counters[Counter::KeysCoalesced as usize] = 1;
-        let err = r.validate().expect_err("coalescing needs a flush path");
-        assert!(err.contains("blocks_flushed 0"), "{err}");
+        r.validate().expect("batched report conserves");
+        r.cores[0].counters[Counter::BlocksFlushed as usize] = 2;
+        r.validate().expect("one key a flush is the most flushes");
     }
 
     #[test]
@@ -749,7 +709,7 @@ mod tests {
     #[test]
     fn json_contains_schema_and_all_keys() {
         let json = build_like_report().to_json();
-        assert!(json.contains("\"schema\": \"wfbn-metrics-v7\""));
+        assert!(json.contains("\"schema\": \"wfbn-metrics-v8\""));
         assert!(json.contains("\"latency_hist\""));
         assert!(json.contains("\"latency_percentiles\""));
         assert!(json.contains("\"p999_le_ns\""));

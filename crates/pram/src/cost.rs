@@ -53,13 +53,10 @@ pub struct CostModel {
     /// One element consumed inside `pop_block`: the acquire load and the
     /// `consumed` store are amortized across the block's elements.
     pub queue_pop_block: f64,
-    /// Fixed cost of publishing one write-combining flush: the release
+    /// Fixed cost of publishing one block's keys to one owner: the release
     /// store of `len`, the branch structure, and the occasional segment
     /// link, per `push_block` call.
     pub block_publish: f64,
-    /// One combiner routing step (buffer index, last-key compare, append or
-    /// count bump) — paid per foreign occurrence on the batched paths.
-    pub combine_hit: f64,
     /// Clock frequency used to convert cycles to seconds.
     pub ghz: f64,
     /// Cores per NUMA socket. The paper's platform is a 2 × 16-core
@@ -91,7 +88,6 @@ impl Default for CostModel {
             queue_push_block: 3.0,
             queue_pop_block: 2.0,
             block_publish: 10.0,
-            combine_hit: 2.0,
             ghz: 2.4,
             cores_per_socket: 16,
             cross_socket_multiplier: 2.5,
@@ -123,12 +119,6 @@ impl CostModel {
     /// (ILP tile + amortized loop overhead).
     pub(crate) fn encode_row_block(&self, n: usize) -> f64 {
         self.encode_var_block * n as f64 + self.block_row_overhead
-    }
-
-    /// Queue elements per transferred cache line on the batched paths: the
-    /// combined `(key, count)` element is 16 bytes, twice the scalar key.
-    pub(crate) fn pairs_per_line(&self) -> f64 {
-        (self.keys_per_line / 2.0).max(1.0)
     }
 
     /// Expected cost of fetching a line last written by a *random other*
@@ -185,8 +175,7 @@ mod tests {
         assert!(m.queue_push_block < m.queue_push);
         assert!(m.queue_pop_block < m.queue_pop);
         assert!(m.encode_row_block(30) < m.encode_row(30));
-        assert!((m.pairs_per_line() - m.keys_per_line / 2.0).abs() < 1e-12);
-        assert!(m.block_publish > 0.0 && m.combine_hit > 0.0);
+        assert!(m.block_publish > 0.0);
     }
 
     #[test]

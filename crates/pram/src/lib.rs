@@ -18,7 +18,7 @@
 //!
 //! * wait-free build: `max_p(stage1_p) + barrier(P) + max_p(stage2_p)`;
 //! * striped-lock (TBB-analog) build: per-update lock and coherence costs,
-//!   with queueing delay from an M/D/1 fixed point ([`contention`]);
+//!   with queueing delay from an M/D/1 fixed point (see [`sim_locked`]);
 //! * marginalization / all-pairs MI: `max` over per-core scan costs plus the
 //!   merge.
 //!
@@ -30,7 +30,7 @@
 
 #![warn(missing_docs)]
 
-pub mod contention;
+mod contention;
 pub mod cost;
 pub mod report;
 pub mod sim_locked;

@@ -8,7 +8,7 @@
 //! 2. a coherence transfer for the stripe's data line — with probability
 //!    `(P−1)/P` the last writer was another core, so the line is remote;
 //! 3. queueing delay when stripes saturate, via the M/D/1 fixed point of
-//!    [`crate::contention`].
+//!    the private `contention` module.
 //!
 //! The stripe count is **fixed** (default 16) rather than scaled with `P`:
 //! although TBB's `concurrent_hash_map` has a lock per bucket, an insertion

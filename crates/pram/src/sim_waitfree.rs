@@ -11,6 +11,7 @@ use crate::cost::CostModel;
 use crate::report::SimPoint;
 use wfbn_concurrent::row_chunks;
 use wfbn_core::codec::KeyCodec;
+use wfbn_core::construct::ENC_BLOCK;
 use wfbn_core::count_table::{CountTable, Key};
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::Dataset;
@@ -139,20 +140,20 @@ pub(crate) fn simulate_sequential_build_batched(
     (point, table)
 }
 
-/// Simulates the batched wait-free build (`waitfree_build_batched`) on `p`
-/// cores: block encoding, write-combining routing with last-key coalescing
-/// (the real combiner decisions are executed, so flush and coalesce counts
-/// are exact), block queue transfer, and weighted stage-2 application.
+/// Simulates the block-granular wait-free build that `waitfree_build` runs,
+/// on `p` cores: block encoding, a per-owner split of each [`ENC_BLOCK`]-row block
+/// with one flush per non-empty foreign buffer (the real routing decisions
+/// are executed, so flush counts are exact), block queue transfer of bare
+/// keys, and stage-2 unit application.
 ///
 /// Cost deltas against [`simulate_waitfree_build`]:
 /// * encode: `CostModel::encode_row_block` per row instead of
 ///   `CostModel::encode_row`;
-/// * forward: one [`CostModel::combine_hit`] per occurrence, plus — only for
-///   occurrences that become queue elements — [`CostModel::queue_push_block`]
-///   each and [`CostModel::block_publish`] per flush;
-/// * drain: [`CostModel::queue_pop_block`] per element, line transfers
-///   amortized over `CostModel::pairs_per_line` (16-byte elements), one
-///   weighted table update per element.
+/// * forward: [`CostModel::queue_push_block`] per key and
+///   [`CostModel::block_publish`] per flush;
+/// * drain: [`CostModel::queue_pop_block`] per key, line transfers
+///   amortized over [`CostModel::keys_per_line`] (8-byte keys), one table
+///   update per key.
 pub fn simulate_waitfree_build_batched(
     data: &Dataset,
     p: usize,
@@ -169,67 +170,48 @@ pub fn simulate_waitfree_build_batched(
     let hint = (m / p + 1).min(1 << 16);
 
     let mut tables: Vec<CountTable> = (0..p).map(|_| CountTable::with_capacity(hint)).collect();
-    // queues[owner] holds the combined (key, count) elements destined for
-    // `owner`, in flush order.
-    let mut queues: Vec<Vec<(u64, u64)>> = (0..p).map(|_| Vec::new()).collect();
+    // queues[owner] holds the keys destined for `owner`, in flush order.
+    let mut queues: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
     let mut stage1 = vec![0.0f64; p];
     let mut stage2 = vec![0.0f64; p];
 
     // ---- Stage 1 on each simulated core. ----
     for (t, chunk) in chunks.iter().enumerate() {
         let mut cycles = 0.0;
-        // The real write-combining buffers, one per destination (the
-        // simulated core's private state — re-created per core).
-        let mut bufs: Vec<Vec<(u64, u64)>> = (0..p).map(|_| Vec::new()).collect();
-        for row in data.row_range(chunk.start, chunk.end).chunks_exact(n) {
-            let key = codec.encode(row);
-            cycles += model.encode_row_block(n);
-            let owner = key.owner(p);
-            if owner == t {
-                let before = tables[t].probes();
-                tables[t].increment(key, 1);
-                cycles += (tables[t].probes() - before) as f64 * model.probe + model.update;
-            } else {
-                // The combiner's routing decision, executed for real.
-                cycles += model.combine_hit;
-                let buf = &mut bufs[owner];
-                if let Some(last) = buf.last_mut() {
-                    if last.0 == key {
-                        last.1 += 1;
-                        continue;
-                    }
+        // Which owners the current block sent keys to: one flush each.
+        let mut sent = vec![false; p];
+        for block in data.row_range(chunk.start, chunk.end).chunks(ENC_BLOCK * n) {
+            sent.fill(false);
+            for row in block.chunks_exact(n) {
+                let key = codec.encode(row);
+                cycles += model.encode_row_block(n);
+                let owner = key.owner(p);
+                if owner == t {
+                    let before = tables[t].probes();
+                    tables[t].increment(key, 1);
+                    cycles += (tables[t].probes() - before) as f64 * model.probe + model.update;
+                } else {
+                    queues[owner].push(key);
+                    sent[owner] = true;
+                    cycles += model.queue_push_block;
                 }
-                if buf.len() == wfbn_core::batch::WC_CAP {
-                    cycles +=
-                        model.block_publish + buf.len() as f64 * model.queue_push_block;
-                    queues[owner].append(buf);
-                }
-                buf.push((key, 1));
             }
-        }
-        // flush_all: ship every non-empty residue.
-        for (owner, buf) in bufs.into_iter().enumerate() {
-            if !buf.is_empty() {
-                cycles += model.block_publish + buf.len() as f64 * model.queue_push_block;
-                queues[owner].extend(buf);
-            }
+            cycles += sent.iter().filter(|&&s| s).count() as f64 * model.block_publish;
         }
         stage1[t] = cycles;
     }
 
     // ---- Stage 2 on each simulated core. ----
-    for (t, elements) in queues.iter().enumerate() {
+    for (t, keys) in queues.iter().enumerate() {
         let mut cycles = 0.0;
-        for &(key, count) in elements {
+        for &key in keys {
             debug_assert_eq!(key.owner(p), t);
             let before = tables[t].probes();
-            tables[t].increment(key, count);
+            tables[t].increment(key, 1);
             cycles += (tables[t].probes() - before) as f64 * model.probe
                 + model.update
                 + model.queue_pop_block
-                // 16-byte elements: half as many fit per transferred line as
-                // scalar keys, but coalesced runs never cross at all.
-                + model.remote_transfer_cost(p) / model.pairs_per_line();
+                + model.remote_transfer_cost(p) / model.keys_per_line;
         }
         stage2[t] = cycles;
     }

@@ -32,7 +32,7 @@
 //!   bounded in clauses, in cells per scope and in cells over its distinct
 //!   scopes ([`server::MAX_LINE_CELLS`]).
 //!
-//! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v7`): the writer
+//! Telemetry flows into [`wfbn_obs`] (schema `wfbn-metrics-v8`): the writer
 //! records each epoch's pack under the `marginalize` stage and
 //! `epochs_published` on core 0, reader
 //! `i` records `queries_served` / `cache_hits` / `cache_misses` /

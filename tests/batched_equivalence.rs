@@ -1,6 +1,6 @@
 //! Block-path equivalence: every builder runs the block-granular path
-//! (write-combining routing, `push_block`/`pop_block` transfer, combiner
-//! pre-aggregation, block table application), which is a pure performance
+//! (per-owner split of each encode block, `push_block`/`pop_block` transfer
+//! of bare keys, block table application), which is a pure performance
 //! transformation — on every input, at every thread count, it must produce
 //! tables *byte-identical* to the row-at-a-time `sequential_build` oracle
 //! and MI surfaces indistinguishable from the oracle's to 1e-12.
@@ -14,9 +14,8 @@
 use proptest::prelude::*;
 use wfbn_concurrent::spsc::{channel, SEG_CAP};
 use wfbn_core::allpairs::all_pairs_mi;
-use wfbn_core::construct::{sequential_build, waitfree_build};
+use wfbn_core::construct::{sequential_build, waitfree_build, ENC_BLOCK};
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::CountTable;
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent, ZipfIndependent};
 
 /// The thread counts every builder must agree with the oracle at.
@@ -134,46 +133,27 @@ fn block_and_scalar_endpoints_interoperate() {
     }
 }
 
-/// `CountTable::increment_block` (prefetch + pre-hash tiles) must count
-/// exactly like a loop of scalar increments at block sizes around the
-/// segment capacity and around its internal tile width.
-#[test]
-fn count_table_block_application_matches_scalar_increments() {
-    for len in [1, 15, 16, 17, SEG_CAP - 1, SEG_CAP, SEG_CAP + 1] {
-        let pairs: Vec<(u64, u64)> = (0..len as u64)
-            .map(|i| (i % 97, 1 + (i % 3)))
-            .collect();
-        let mut blocked = CountTable::new();
-        blocked.increment_block(&pairs);
-        let mut scalar = CountTable::new();
-        for &(k, c) in &pairs {
-            scalar.increment(k, c);
-        }
-        assert_eq!(
-            blocked.to_sorted_vec(),
-            scalar.to_sorted_vec(),
-            "len={len}"
-        );
-    }
-}
-
 /// Full builds whose per-queue traffic lands around the segment boundary:
-/// with two threads and distinct keys, each foreign queue carries ≈ m/2
-/// un-coalescible elements, so m near 2·SEG_CAP exercises flushes that
-/// split across fresh segments inside the real pipeline.
+/// with two threads, each foreign queue carries ≈ m/2 keys, so m near
+/// 2·SEG_CAP exercises flushes that split across fresh segments inside the
+/// real pipeline. Per-core row counts of `ENC_BLOCK − 1`, `ENC_BLOCK` and
+/// `ENC_BLOCK + 1` end each core's chunk just short of, on, and just past a
+/// block boundary, so a partial last block is flushed at every P.
 #[test]
 fn builds_agree_at_row_counts_straddling_seg_cap() {
     let schema = Schema::uniform(16, 2).unwrap();
-    for m in [
+    let seg_cap_rows = [
         SEG_CAP - 1,
         SEG_CAP,
         SEG_CAP + 1,
         2 * SEG_CAP,
         2 * SEG_CAP + 1,
-    ] {
-        let data = UniformIndependent::new(schema.clone()).generate(m, 7);
-        let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        for p in CORES {
+    ];
+    for p in CORES {
+        let block_rows = [ENC_BLOCK - 1, ENC_BLOCK, ENC_BLOCK + 1].map(|per_core| p * per_core);
+        for m in seg_cap_rows.into_iter().chain(block_rows) {
+            let data = UniformIndependent::new(schema.clone()).generate(m, 7);
+            let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
             assert_eq!(
                 waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
                 reference,
@@ -183,9 +163,8 @@ fn builds_agree_at_row_counts_straddling_seg_cap() {
     }
 }
 
-/// Skew is the combiner's best case (long duplicate runs coalesce into few
-/// weighted pairs) and therefore the most likely place to lose or double
-/// count mass.
+/// Heavy skew sends long runs of one key through the queues: each repeat
+/// must arrive and count once.
 #[test]
 fn batched_builds_survive_heavy_skew() {
     let schema = Schema::uniform(14, 2).unwrap();

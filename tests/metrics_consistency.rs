@@ -77,12 +77,11 @@ fn routed_plus_local_equals_table_inserts() {
         report.total(Counter::LocalUpdates) + report.total(Counter::Drained),
         built.table.total_count()
     );
-    // The probe histogram records one sample per increment; a coalesced
-    // run is one increment carrying several occurrences.
+    // The probe histogram records one sample per increment, and every key
+    // is one increment.
     assert_eq!(
         report.probe_hist_mass(),
         report.total(Counter::LocalUpdates) + report.total(Counter::Drained)
-            - report.total(Counter::KeysCoalesced)
     );
 }
 
@@ -197,46 +196,29 @@ fn probe_histogram_buckets_cover_all_mass() {
     assert!(report.total(Counter::Probes) >= report.probe_hist_mass());
 }
 
-/// The extra laws the write-combining router must satisfy on top of
+/// The extra laws the block-granular routing must satisfy on top of
 /// [`assert_build_conservation`].
 fn assert_batch_accounting(report: &MetricsReport, label: &str) {
     let forwarded = report.total(Counter::Forwarded);
-    let coalesced = report.total(Counter::KeysCoalesced);
     let blocks = report.total(Counter::BlocksFlushed);
-    assert!(
-        coalesced <= forwarded,
-        "{label}: coalesced occurrences are a subset of forwarded ones"
-    );
     if forwarded > 0 {
         assert!(
             blocks > 0,
             "{label}: routed keys can only cross inside a flushed block"
         );
-        assert!(
-            blocks <= forwarded - coalesced,
-            "{label}: every flush ships ≥ 1 element ({blocks} blocks, \
-             {} elements)",
-            forwarded - coalesced
-        );
     }
-    // Per-core ledgers, not just totals: flushes and coalesces happen on the
-    // producing core.
+    // Per-core ledgers, not just totals: flushes happen on the producing
+    // core, and each ships at least one key.
     for (i, core) in report.cores.iter().enumerate() {
         let fwd = core.counter(Counter::Forwarded);
-        let coal = core.counter(Counter::KeysCoalesced);
         let blk = core.counter(Counter::BlocksFlushed);
-        assert!(coal <= fwd, "{label}: core {i} coalesced ≤ forwarded");
-        assert!(
-            blk <= fwd.saturating_sub(coal),
-            "{label}: core {i} blocks ≤ shipped elements"
-        );
+        assert!(blk <= fwd, "{label}: core {i} blocks ≤ forwarded keys");
     }
-    // The probe histogram saw one sample per *table increment*: locals plus
-    // drained elements (a coalesced pair is one increment of weight > 1).
+    // The probe histogram saw one sample per key: locals plus drained.
     assert_eq!(
         report.probe_hist_mass(),
-        report.total(Counter::LocalUpdates) + report.total(Counter::Drained) - coalesced,
-        "{label}: probe mass = local + drained − coalesced"
+        report.total(Counter::LocalUpdates) + report.total(Counter::Drained),
+        "{label}: probe mass = local + drained"
     );
     report.validate().expect("batched report passes the validator");
 }
@@ -256,37 +238,32 @@ fn batched_builders_balance_with_block_accounting() {
 }
 
 #[test]
-fn batched_coalescing_on_skew_preserves_count_mass() {
-    // Zipf(1.8) over a small state space produces long duplicate runs: the
-    // combiner must coalesce aggressively, yet drained *mass* (Σ counts)
-    // still equals forwarded occurrences exactly.
+fn batched_build_on_skew_preserves_count_mass() {
+    // Zipf(1.8) over a small state space repeats a few keys many times:
+    // every repeat crosses the queue as a key of its own, so drained keys
+    // equal forwarded keys exactly.
     let schema = Schema::new(vec![3, 3, 3, 3]).unwrap();
     let data = ZipfIndependent::new(schema, 1.8).unwrap().generate(8_000, 29);
     let rec = CoreMetrics::new(4);
     let built = waitfree_build_recorded(&data, 4, &rec).unwrap();
     assert_eq!(built.table.total_count(), 8_000);
     let report = rec.snapshot();
-    assert!(
-        report.total(Counter::KeysCoalesced) > 0,
-        "skewed keys must coalesce"
-    );
     assert_eq!(
         report.total(Counter::Forwarded),
         report.total(Counter::Drained),
-        "coalescing must not create or destroy occurrence mass"
+        "routing must not create or destroy keys"
     );
     assert_batch_accounting(&report, "zipf batched");
 }
 
 #[test]
 fn scalar_paths_report_zero_batch_counters() {
-    // The row-at-a-time oracle neither flushes nor coalesces.
+    // The row-at-a-time oracle flushes nothing.
     let data = workload(12, 3_000, 19);
     let rec = CoreMetrics::new(1);
     sequential_build_recorded(&data, &rec).unwrap();
     let report = rec.snapshot();
     assert_eq!(report.total(Counter::BlocksFlushed), 0);
-    assert_eq!(report.total(Counter::KeysCoalesced), 0);
 }
 
 #[test]
@@ -321,7 +298,7 @@ fn merged_reports_add_up() {
 }
 
 // ---------------------------------------------------------------------------
-// Serve laws of wfbn-metrics-v7, driven through a real engine.
+// Serve laws of wfbn-metrics-v8, driven through a real engine.
 // ---------------------------------------------------------------------------
 
 use std::sync::Arc;
@@ -413,7 +390,7 @@ fn v4_percentile_estimates_are_bucket_upper_edges_and_ordered() {
 fn v4_json_report_carries_the_new_sections() {
     let (_, report) = serve_replay([12, 8]);
     let json = report.to_json();
-    assert!(json.contains("\"schema\": \"wfbn-metrics-v7\""), "{json}");
+    assert!(json.contains("\"schema\": \"wfbn-metrics-v8\""), "{json}");
     for key in [
         "\"latency_percentiles\":",
         "\"fairness\":",
