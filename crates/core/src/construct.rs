@@ -40,19 +40,18 @@ use crate::codec::KeyCodec;
 use crate::count_table::{CountTable, Key};
 use crate::error::CoreError;
 use crate::potential::PotentialTable;
-use crate::stats::{BuildStats, ThreadStats};
 use std::sync::Arc;
 use wfbn_concurrent::{channel, row_chunks, run_on_threads_with, Consumer, Producer, SpinBarrier};
 use wfbn_data::Dataset;
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
-/// Result of a construction run: the table plus instrumentation.
+/// Result of a construction run. Its counters go to the run's
+/// [`Recorder`]: pass a [`CoreMetrics`](wfbn_obs::CoreMetrics) to a
+/// `*_recorded` builder and read its snapshot.
 #[derive(Debug)]
 pub struct BuiltTable {
     /// The distributed potential table.
     pub table: PotentialTable,
-    /// Per-thread counters.
-    pub stats: BuildStats,
 }
 
 /// Cap on the per-partition capacity hint, to keep pre-allocation bounded
@@ -69,7 +68,7 @@ const MAX_PREALLOC_ENTRIES: u64 = 1 << 22;
 /// and each queue's publication to noise.
 pub const ENC_BLOCK: usize = 256;
 
-pub(crate) fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
+fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
     let per_core_rows = (m / p.max(1)) as u64 + 1;
     let per_core_keys = space.div_ceil(p as u64);
     per_core_rows.min(per_core_keys).min(MAX_PREALLOC_ENTRIES) as usize
@@ -97,25 +96,19 @@ pub fn sequential_build_recorded<R: Recorder>(
     let codec = KeyCodec::new(data.schema());
     let mut table =
         CountTable::with_capacity(capacity_hint(data.num_samples(), codec.state_space(), 1));
-    let mut stats = ThreadStats::default();
     let mut cr = rec.core(0);
     let t0 = cr.now();
     for row in data.rows() {
         let probes = table.increment_probed(codec.encode(row), 1);
         cr.probe_len(probes);
-        stats.rows_encoded += 1;
-        stats.local_updates += 1;
     }
     cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-    cr.add(Counter::RowsEncoded, stats.rows_encoded);
-    cr.add(Counter::LocalUpdates, stats.local_updates);
+    let rows = data.num_samples() as u64;
+    cr.add(Counter::RowsEncoded, rows);
+    cr.add(Counter::LocalUpdates, rows);
     cr.add(Counter::TableGrows, table.grows());
-    stats.probes = table.probes();
     Ok(BuiltTable {
         table: PotentialTable::from_parts(codec, vec![table]),
-        stats: BuildStats {
-            per_thread: vec![stats],
-        },
     })
 }
 
@@ -159,14 +152,10 @@ pub fn waitfree_build_recorded<R: Recorder>(
     }
     let codec = KeyCodec::new(data.schema());
     let hint = capacity_hint(data.num_samples(), codec.state_space(), p);
-    let cores = two_stage(data.flat(), Fresh::parts(p, hint), &codec, rec);
-    let (partitions, per_thread) = cores
-        .into_iter()
-        .map(|(part, stats)| (part.into_table(), stats))
-        .unzip();
+    let parts = two_stage(data.flat(), Fresh::parts(p, hint), &codec, rec);
+    let partitions = parts.into_iter().map(Fresh::into_table).collect();
     Ok(BuiltTable {
         table: PotentialTable::from_parts(codec, partitions),
-        stats: BuildStats { per_thread },
     })
 }
 
@@ -249,14 +238,15 @@ fn queue_matrix(p: usize) -> Vec<Endpoints> {
 /// applies or routes every key (Algorithm 1), crosses the single barrier,
 /// then drains the queues addressed to it (Algorithm 2).
 ///
-/// Core [`Key::owner`] applies each key; `parts[t]` is opened by core `t`.
-/// Returns each core's partition and counters for this run.
+/// Core [`Key::owner`] applies each key; `parts[t]` is opened by core `t`,
+/// which reports its counters through `rec.core(t)`. Returns the
+/// partitions.
 pub(crate) fn two_stage<T: Partition, R: Recorder>(
     rows: &[u16],
     parts: Vec<T>,
     codec: &KeyCodec,
     rec: &R,
-) -> Vec<(T, ThreadStats)> {
+) -> Vec<T> {
     let n = codec.num_vars();
     let p = parts.len();
     let chunks = row_chunks(rows.len() / n, p);
@@ -271,8 +261,8 @@ pub(crate) fn two_stage<T: Partition, R: Recorder>(
         #[cfg(feature = "ownership-audit")]
         let _audit = wfbn_concurrent::audit::enter(&build_audit, t);
         let chunk = &rows[chunks[t].start * n..chunks[t].end * n];
-        let stats = barrier_core(t, chunk, &mut part, ep, &barrier, codec, rec);
-        (part, stats)
+        barrier_core(t, chunk, &mut part, ep, &barrier, codec, rec);
+        part
     })
 }
 
@@ -285,7 +275,7 @@ fn barrier_core<R: Recorder>(
     barrier: &SpinBarrier,
     codec: &KeyCodec,
     rec: &R,
-) -> ThreadStats {
+) {
     let p = ep.producers.len();
     let mut w = Worker::new(t, p, part.open(), rec.core(t), R::ENABLED);
     let t0 = w.now();
@@ -317,7 +307,9 @@ fn barrier_core<R: Recorder>(
 
 /// One core's private side of a build: its table, block buffers, counters
 /// and telemetry handle. Every method writes only state this core owns,
-/// plus the slots of its own outgoing queues.
+/// plus the slots of its own outgoing queues. The counters are plain local
+/// tallies that [`finish`](Self::finish) adds to the recorder once, so a
+/// [`NoopRecorder`] build compiles them away.
 struct Worker<'a, C: CoreRecorder> {
     t: usize,
     table: &'a mut CountTable,
@@ -326,7 +318,11 @@ struct Worker<'a, C: CoreRecorder> {
     /// core's own keys.
     routed: Vec<Vec<u64>>,
     block: Vec<u64>,
-    stats: ThreadStats,
+    rows_encoded: u64,
+    local_updates: u64,
+    forwarded: u64,
+    drained: u64,
+    blocks_flushed: u64,
     segments_linked: u64,
     grows_before: u64,
     cr: C,
@@ -345,7 +341,11 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
             keys: Vec::with_capacity(ENC_BLOCK),
             routed: (0..p).map(|_| Vec::with_capacity(ENC_BLOCK)).collect(),
             block: Vec::new(),
-            stats: ThreadStats::default(),
+            rows_encoded: 0,
+            local_updates: 0,
+            forwarded: 0,
+            drained: 0,
+            blocks_flushed: 0,
             segments_linked: 0,
             grows_before,
             cr,
@@ -375,7 +375,7 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
         producers: &mut [Option<Producer<u64>>],
     ) {
         codec.encode_rows(rows, &mut self.keys);
-        self.stats.rows_encoded += self.keys.len() as u64;
+        self.rows_encoded += self.keys.len() as u64;
         let p = producers.len();
         if p == 1 {
             // A lone core owns every key: splitting the block would only
@@ -383,7 +383,7 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
             let cr = &mut self.cr;
             self.table
                 .increment_keys_probed(&self.keys, |probes| cr.probe_len(probes));
-            self.stats.local_updates += self.keys.len() as u64;
+            self.local_updates += self.keys.len() as u64;
             return;
         }
         for &key in &self.keys {
@@ -397,14 +397,14 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
                 let cr = &mut self.cr;
                 self.table
                     .increment_keys_probed(keys, |probes| cr.probe_len(probes));
-                self.stats.local_updates += keys.len() as u64;
+                self.local_updates += keys.len() as u64;
             } else {
                 producers[to]
                     .as_mut()
                     .expect("producer to every foreign destination")
                     .push_block(keys);
-                self.stats.forwarded += keys.len() as u64;
-                self.stats.blocks_flushed += 1;
+                self.forwarded += keys.len() as u64;
+                self.blocks_flushed += 1;
             }
             keys.clear();
         }
@@ -438,23 +438,20 @@ impl<'a, C: CoreRecorder> Worker<'a, C> {
             let cr = &mut self.cr;
             self.table
                 .increment_keys_probed(&self.block, |probes| cr.probe_len(probes));
-            self.stats.drained += self.block.len() as u64;
+            self.drained += self.block.len() as u64;
         }
     }
 
-    /// Reports this core's counters and returns them.
-    fn finish(mut self) -> ThreadStats {
-        let s = &mut self.stats;
-        s.probes = self.table.probes();
+    /// Reports this core's counters.
+    fn finish(mut self) {
         let cr = &mut self.cr;
-        cr.add(Counter::RowsEncoded, s.rows_encoded);
-        cr.add(Counter::LocalUpdates, s.local_updates);
-        cr.add(Counter::Forwarded, s.forwarded);
-        cr.add(Counter::Drained, s.drained);
+        cr.add(Counter::RowsEncoded, self.rows_encoded);
+        cr.add(Counter::LocalUpdates, self.local_updates);
+        cr.add(Counter::Forwarded, self.forwarded);
+        cr.add(Counter::Drained, self.drained);
         cr.add(Counter::SegmentsLinked, self.segments_linked);
         cr.add(Counter::TableGrows, self.table.grows() - self.grows_before);
-        cr.add(Counter::BlocksFlushed, s.blocks_flushed);
-        self.stats
+        cr.add(Counter::BlocksFlushed, self.blocks_flushed);
     }
 }
 
@@ -492,24 +489,18 @@ mod loom_tests {
                     let codec = Arc::clone(&codec);
                     loom::thread::spawn(move || {
                         let mut part = Fresh::parts(1, 4).pop().unwrap();
-                        let stats =
-                            barrier_core(t, &rows, &mut part, ep, &barrier, &codec, &NoopRecorder);
+                        barrier_core(t, &rows, &mut part, ep, &barrier, &codec, &NoopRecorder);
                         let table = part.into_table();
                         for (key, _) in table.iter() {
                             assert_eq!(key.owner(P), t, "drained a key we do not own");
                         }
-                        (table, stats)
+                        table
                     })
                 })
                 .collect();
             let mut merged = Vec::new();
-            let mut forwarded = 0;
-            let mut drained = 0;
             for h in handles {
-                let (table, stats) = h.join().unwrap();
-                merged.extend(table.iter());
-                forwarded += stats.forwarded;
-                drained += stats.drained;
+                merged.extend(h.join().unwrap().iter());
             }
             merged.sort_unstable();
             assert_eq!(
@@ -517,7 +508,6 @@ mod loom_tests {
                 vec![(0, 2), (1, 1), (2, 2), (3, 1), (4, 1), (5, 1)],
                 "handoff lost, duplicated, or misrouted a key"
             );
-            assert_eq!((forwarded, drained), (6, 6));
         });
         assert!(
             loom::explored_interleavings() >= 2,
@@ -531,18 +521,33 @@ mod loom_tests {
 mod tests {
     use super::*;
     use wfbn_data::{CorrelatedChain, Generator, Schema, UniformIndependent, ZipfIndependent};
+    use wfbn_obs::{CoreMetrics, MetricsReport};
 
     fn uniform_data(n: usize, r: u16, m: usize, seed: u64) -> Dataset {
         UniformIndependent::new(Schema::uniform(n, r).unwrap()).generate(m, seed)
     }
 
+    /// A `p`-core wait-free build and its counters.
+    fn recorded_build(data: &Dataset, p: usize) -> (BuiltTable, MetricsReport) {
+        let rec = CoreMetrics::new(p);
+        let built = waitfree_build_recorded(data, p, &rec).unwrap();
+        (built, rec.snapshot())
+    }
+
+    /// The oracle build and its counters.
+    fn recorded_sequential(data: &Dataset) -> (BuiltTable, MetricsReport) {
+        let rec = CoreMetrics::new(1);
+        let built = sequential_build_recorded(data, &rec).unwrap();
+        (built, rec.snapshot())
+    }
+
     #[test]
     fn sequential_counts_every_row() {
         let data = uniform_data(6, 2, 2000, 3);
-        let built = sequential_build(&data).unwrap();
+        let (built, report) = recorded_sequential(&data);
         assert_eq!(built.table.total_count(), 2000);
-        assert_eq!(built.stats.total_rows(), 2000);
-        assert_eq!(built.stats.total_forwarded(), 0);
+        assert_eq!(report.total(Counter::RowsEncoded), 2000);
+        assert_eq!(report.total(Counter::Forwarded), 0);
     }
 
     #[test]
@@ -580,23 +585,24 @@ mod tests {
         // With uniform keys and modulo(P), a key is foreign w.p. (P−1)/P.
         let data = uniform_data(12, 2, 20_000, 7);
         for p in [2usize, 4, 8] {
-            let built = waitfree_build(&data, p).unwrap();
+            let (_, report) = recorded_build(&data, p);
             let expected = (p as f64 - 1.0) / p as f64;
-            let got = built.stats.forward_fraction();
+            let forwarded = report.total(Counter::Forwarded);
+            let got = forwarded as f64 / report.total(Counter::RowsEncoded) as f64;
             assert!(
                 (got - expected).abs() < 0.02,
                 "p={p}: got {got}, expected {expected}"
             );
-            assert_eq!(built.stats.total_forwarded(), built.stats.total_drained());
+            assert_eq!(forwarded, report.total(Counter::Drained));
         }
     }
 
     #[test]
     fn more_threads_than_rows() {
         let data = uniform_data(4, 2, 3, 9);
-        let built = waitfree_build(&data, 8).unwrap();
+        let (built, report) = recorded_build(&data, 8);
         assert_eq!(built.table.total_count(), 3);
-        assert_eq!(built.stats.total_rows(), 3);
+        assert_eq!(report.total(Counter::RowsEncoded), 3);
     }
 
     #[test]
@@ -660,15 +666,20 @@ mod tests {
         let data = uniform_data(8, 3, 5000, 11);
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
         for p in [1usize, 2, 3, 4, 7, 8] {
-            let built = waitfree_build(&data, p).unwrap();
+            let (built, report) = recorded_build(&data, p);
             assert_eq!(built.table.to_sorted_vec(), reference, "mismatch at p={p}");
-            let s = &built.stats;
-            assert_eq!(s.total_rows(), 5000);
-            assert_eq!(s.total_forwarded(), s.total_drained());
-            for core in &s.per_thread {
-                assert!(core.blocks_flushed <= core.forwarded, "p={p}");
+            assert_eq!(report.total(Counter::RowsEncoded), 5000);
+            assert_eq!(
+                report.total(Counter::Forwarded),
+                report.total(Counter::Drained)
+            );
+            for core in &report.cores {
+                assert!(
+                    core.counter(Counter::BlocksFlushed) <= core.counter(Counter::Forwarded),
+                    "p={p}"
+                );
             }
-            assert_eq!(s.total_blocks_flushed() > 0, p > 1, "p={p}");
+            assert_eq!(report.total(Counter::BlocksFlushed) > 0, p > 1, "p={p}");
         }
     }
 
@@ -676,8 +687,8 @@ mod tests {
     fn scalar_build_reports_no_batch_counters() {
         // The oracle moves no block: it flushes nothing.
         let data = uniform_data(8, 2, 1000, 5);
-        let s = sequential_build(&data).unwrap().stats;
-        assert_eq!(s.total_blocks_flushed(), 0);
+        let (_, report) = recorded_sequential(&data);
+        assert_eq!(report.total(Counter::BlocksFlushed), 0);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!
 //! The table counts *probes* (slot inspections) as it works — a single local
 //! `u64` increment, cheap enough to leave always-on. The PRAM simulator
-//! charges cycle costs from these counters, and the stats surface in
-//! [`BuildStats`](crate::stats::BuildStats).
+//! charges cycle costs from these counters.
 
 use core::ptr::NonNull;
 use wfbn_concurrent::mix64;

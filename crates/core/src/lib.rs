@@ -51,7 +51,6 @@ pub mod error;
 pub mod marginal;
 pub mod potential;
 mod slice;
-pub mod stats;
 pub mod stream;
 
 pub use allpairs::{all_pairs_mi, all_pairs_mi_recorded, MiMatrix};
@@ -64,7 +63,6 @@ pub use count_table::{CountTable, Key};
 pub use error::CoreError;
 pub use marginal::{marginalize, marginalize_recorded, MarginalTable, PackedTable};
 pub use potential::PotentialTable;
-pub use stats::BuildStats;
 
 // The observability layer the `*_recorded` entry points are generic over;
 // re-exported so downstream crates need not depend on `wfbn-obs` directly.

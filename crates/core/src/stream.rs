@@ -10,11 +10,10 @@
 //! the whole stream, so no locking is ever needed between batches either.
 
 use crate::codec::KeyCodec;
-use crate::construct::{capacity_hint, two_stage, BuiltTable};
+use crate::construct::{two_stage, BuiltTable};
 use crate::count_table::CountTable;
 use crate::error::CoreError;
 use crate::potential::PotentialTable;
-use crate::stats::{BuildStats, ThreadStats};
 use std::sync::Arc;
 use wfbn_data::{Dataset, Schema};
 use wfbn_obs::{NoopRecorder, Recorder};
@@ -50,7 +49,6 @@ pub struct StreamingBuilder {
     /// snapshot briefly (the serve writer packs it and drops it) keeps the
     /// next absorb in place.
     tables: Vec<Arc<CountTable>>,
-    stats: BuildStats,
     rows_absorbed: u64,
 }
 
@@ -65,33 +63,8 @@ impl StreamingBuilder {
             schema: schema.clone(),
             codec: KeyCodec::new(schema),
             tables: (0..threads).map(|_| Arc::new(CountTable::new())).collect(),
-            stats: BuildStats {
-                per_thread: vec![ThreadStats::default(); threads],
-            },
             rows_absorbed: 0,
         })
-    }
-
-    /// [`new`](Self::new) with the per-core tables pre-sized for an expected
-    /// total stream length of `expected_rows`.
-    ///
-    /// The default constructor starts every partition at the minimum table
-    /// size, so a long stream pays O(log m) rehash storms per core as counts
-    /// accumulate. Pre-sizing from the expected row count (clamped by the
-    /// schema's state space, exactly like the one-shot builders) removes
-    /// those entirely when the estimate is right and still grows gracefully
-    /// when it is low.
-    pub fn with_capacity_hint(
-        schema: &Schema,
-        threads: usize,
-        expected_rows: usize,
-    ) -> Result<Self, CoreError> {
-        let mut builder = Self::new(schema, threads)?;
-        let hint = capacity_hint(expected_rows, builder.codec.state_space(), threads);
-        builder.tables = (0..threads)
-            .map(|_| Arc::new(CountTable::with_capacity(hint)))
-            .collect();
-        Ok(builder)
     }
 
     /// Number of worker threads / partitions.
@@ -136,16 +109,12 @@ impl StreamingBuilder {
         if m == 0 {
             return Ok(());
         }
-        let cores = two_stage(
+        self.tables = two_stage(
             batch.flat(),
             std::mem::take(&mut self.tables),
             &self.codec,
             rec,
         );
-        for ((table, st), agg) in cores.into_iter().zip(&mut self.stats.per_thread) {
-            agg.accumulate(&st);
-            self.tables.push(table);
-        }
         self.rows_absorbed += m as u64;
         Ok(())
     }
@@ -174,7 +143,7 @@ impl StreamingBuilder {
         PotentialTable::from_shared_parts(self.codec.clone(), self.tables.clone())
     }
 
-    /// Finalizes the stream into a table + accumulated statistics.
+    /// Finalizes the stream into its table.
     pub fn finish(self) -> Result<BuiltTable, CoreError> {
         if self.rows_absorbed == 0 {
             return Err(CoreError::EmptyDataset);
@@ -189,7 +158,6 @@ impl StreamingBuilder {
     pub fn finish_or_empty(self) -> BuiltTable {
         BuiltTable {
             table: PotentialTable::from_shared_parts(self.codec, self.tables),
-            stats: self.stats,
         }
     }
 }
@@ -199,6 +167,7 @@ mod tests {
     use super::*;
     use crate::construct::sequential_build;
     use wfbn_data::{Generator, UniformIndependent, ZipfIndependent};
+    use wfbn_obs::{CoreMetrics, Counter};
 
     fn concat(parts: &[&Dataset]) -> Dataset {
         let schema = parts[0].schema().clone();
@@ -220,14 +189,15 @@ mod tests {
             .table
             .to_sorted_vec();
         for threads in [1usize, 3, 4] {
+            let rec = CoreMetrics::new(threads);
             let mut b = StreamingBuilder::new(&schema, threads).unwrap();
             for batch in &batches {
-                b.absorb(batch).unwrap();
+                b.absorb_recorded(batch, &rec).unwrap();
             }
             let built = b.finish().unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "threads={threads}");
             assert_eq!(
-                built.stats.total_rows(),
+                rec.snapshot().total(Counter::RowsEncoded),
                 reference.iter().map(|&(_, c)| c).sum()
             );
         }
@@ -296,14 +266,17 @@ mod tests {
             .table
             .to_sorted_vec();
         for threads in [1usize, 2, 4, 8] {
+            let rec = CoreMetrics::new(threads);
             let mut b = StreamingBuilder::new(&schema, threads).unwrap();
             for batch in &batches {
-                b.absorb(batch).unwrap();
+                b.absorb_recorded(batch, &rec).unwrap();
             }
             let built = b.finish().unwrap();
             assert_eq!(built.table.to_sorted_vec(), reference, "threads={threads}");
-            assert_eq!(built.stats.total_forwarded(), built.stats.total_drained());
-            assert!(built.stats.total_blocks_flushed() <= built.stats.total_forwarded());
+            let report = rec.snapshot();
+            let forwarded = report.total(Counter::Forwarded);
+            assert_eq!(forwarded, report.total(Counter::Drained));
+            assert!(report.total(Counter::BlocksFlushed) <= forwarded);
         }
     }
 
@@ -322,12 +295,13 @@ mod tests {
             .unwrap()
             .table
             .to_sorted_vec();
+        let rec = CoreMetrics::new(4);
         let mut builder = StreamingBuilder::new(&schema, 4).unwrap();
-        builder.absorb(&a).unwrap();
+        builder.absorb_recorded(&a, &rec).unwrap();
         let first = builder.snapshot().unwrap();
-        builder.absorb(&b).unwrap();
+        builder.absorb_recorded(&b, &rec).unwrap();
         let second = builder.snapshot().unwrap();
-        builder.absorb(&c).unwrap();
+        builder.absorb_recorded(&c, &rec).unwrap();
         let built = builder.finish().unwrap();
         assert_eq!(built.table.to_sorted_vec(), reference);
         assert_eq!(
@@ -341,25 +315,7 @@ mod tests {
                 .table
                 .to_sorted_vec()
         );
-        assert_eq!(built.stats.total_rows(), 4_500);
-    }
-
-    #[test]
-    fn capacity_hint_constructor_eliminates_growth() {
-        let schema = Schema::uniform(12, 2).unwrap();
-        let gen = UniformIndependent::new(schema.clone());
-        let batch = gen.generate(4_096, 7);
-        let mut hinted = StreamingBuilder::with_capacity_hint(&schema, 2, 4_096).unwrap();
-        hinted.absorb(&batch).unwrap();
-        let snap = hinted.snapshot().unwrap();
-        assert_eq!(snap.total_count(), 4_096);
-        assert_eq!(
-            snap.to_sorted_vec(),
-            sequential_build(&batch).unwrap().table.to_sorted_vec()
-        );
-        // Pre-sized partitions never rehash on a stream no longer than the
-        // estimate.
-        assert!(!hinted.finish().unwrap().table.to_sorted_vec().is_empty());
+        assert_eq!(rec.snapshot().total(Counter::RowsEncoded), 4_500);
     }
 
     #[test]

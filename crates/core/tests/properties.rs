@@ -7,11 +7,12 @@
 
 use proptest::prelude::*;
 use wfbn_core::allpairs::all_pairs_mi;
-use wfbn_core::construct::{sequential_build, waitfree_build};
+use wfbn_core::construct::{sequential_build, waitfree_build, waitfree_build_recorded};
 use wfbn_core::entropy::{conditional_mutual_information, entropy, mutual_information};
 use wfbn_core::marginal::{marginalize, PackedTable};
+use wfbn_core::obs::Counter;
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::KeyCodec;
+use wfbn_core::{CoreMetrics, KeyCodec};
 use wfbn_data::{Dataset, Schema};
 
 /// A random schema of 1–6 variables with arities 2–5.
@@ -172,21 +173,21 @@ proptest! {
     #[test]
     fn all_build_schedules_agree(data in dataset_strategy(), p in 1usize..=6) {
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
-        let two_stage = waitfree_build(&data, p).unwrap();
+        let (two_stage_rec, stream_rec) = (CoreMetrics::new(p), CoreMetrics::new(p));
+        let two_stage = waitfree_build_recorded(&data, p, &two_stage_rec).unwrap();
         let mut stream = StreamingBuilder::new(data.schema(), p).unwrap();
-        stream.absorb(&data).unwrap();
+        stream.absorb_recorded(&data, &stream_rec).unwrap();
         let streamed = stream.finish().unwrap();
         prop_assert_eq!(two_stage.table.to_sorted_vec(), reference.clone());
         prop_assert_eq!(streamed.table.to_sorted_vec(), reference);
         // Conservation: every row was either applied locally or forwarded
         // and drained, never both, never lost.
-        for stats in [&two_stage.stats, &streamed.stats] {
-            prop_assert_eq!(stats.total_rows() as usize, data.num_samples());
-            prop_assert_eq!(stats.total_forwarded(), stats.total_drained());
-            prop_assert_eq!(
-                stats.total_local() + stats.total_forwarded(),
-                stats.total_rows()
-            );
+        for report in [two_stage_rec.snapshot(), stream_rec.snapshot()] {
+            let rows = report.total(Counter::RowsEncoded);
+            let forwarded = report.total(Counter::Forwarded);
+            prop_assert_eq!(rows as usize, data.num_samples());
+            prop_assert_eq!(forwarded, report.total(Counter::Drained));
+            prop_assert_eq!(report.total(Counter::LocalUpdates) + forwarded, rows);
         }
     }
 

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use wfbn_core::{CoreError, MarginalTable};
 use wfbn_obs::{CoreRecorder, Counter, Recorder, Stage};
 
-/// Default bound on cached scopes per reader (see [`MarginalCache::insert`]).
+/// Bound on cached scopes per reader (see [`MarginalCache::insert`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Scope-keyed marginal cache for one reader; see the [module docs](self).
@@ -33,7 +33,6 @@ pub struct MarginalCache {
     /// Epoch the cached entries were computed from.
     epoch: u64,
     map: HashMap<Box<[usize]>, Arc<MarginalTable>>,
-    capacity: usize,
     /// Cells of every cached marginal.
     cells: u64,
 }
@@ -41,15 +40,9 @@ pub struct MarginalCache {
 impl MarginalCache {
     /// Creates an empty cache bound to epoch 0 (nothing published).
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Creates an empty cache holding at most `capacity` scopes.
-    pub fn with_capacity(capacity: usize) -> Self {
         MarginalCache {
             epoch: 0,
             map: HashMap::new(),
-            capacity: capacity.max(1),
             cells: 0,
         }
     }
@@ -89,7 +82,7 @@ impl MarginalCache {
 
     /// Caches `marginal` under `scope` for the current epoch.
     ///
-    /// At capacity, or when its cells would take the cache past
+    /// At [`DEFAULT_CACHE_CAPACITY`] scopes, or when its cells would take the cache past
     /// [`MAX_LINE_CELLS`] (the most one protocol line's distinct scopes may
     /// total), the whole map is flushed first — the same wholesale flush an
     /// epoch advance performs, chosen over per-entry eviction so the cache
@@ -99,7 +92,7 @@ impl MarginalCache {
     /// it), so the cache then holds at most [`MAX_LINE_CELLS`] cells.
     pub fn insert(&mut self, scope: &[usize], marginal: Arc<MarginalTable>) {
         let cells = marginal.num_cells() as u64;
-        if self.map.len() >= self.capacity || self.cells + cells > MAX_LINE_CELLS {
+        if self.map.len() >= DEFAULT_CACHE_CAPACITY || self.cells + cells > MAX_LINE_CELLS {
             self.clear();
         }
         self.cells += cells;
@@ -240,40 +233,55 @@ mod tests {
 
     #[test]
     fn capacity_bound_flushes_wholesale() {
-        let mut cache = MarginalCache::with_capacity(2);
-        cache.insert(&[0], marginal_of(&[0]));
-        cache.insert(&[1], marginal_of(&[1]));
-        assert_eq!(cache.len(), 2);
-        cache.insert(&[2], marginal_of(&[2]));
-        // The third insert flushed the first two.
+        let mut cache = MarginalCache::new();
+        let marginal = marginal_of(&[0]);
+        for var in 0..DEFAULT_CACHE_CAPACITY {
+            cache.insert(&[var], Arc::clone(&marginal));
+        }
+        assert_eq!(cache.len(), DEFAULT_CACHE_CAPACITY);
+        cache.insert(&[DEFAULT_CACHE_CAPACITY], marginal);
+        // The insert past capacity flushed every earlier scope.
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(&[2]).is_some());
+        assert!(cache.get(&[DEFAULT_CACHE_CAPACITY]).is_some());
         assert!(cache.get(&[0]).is_none());
     }
 
     #[test]
     fn misses_read_the_epoch_snapshot_through_a_capacity_flush() {
-        let schema = Schema::uniform(3, 2).unwrap();
-        let data = Dataset::from_rows(schema, &[&[0, 1, 0], &[1, 1, 1], &[1, 0, 1]]).unwrap();
+        const N: usize = 9;
+        let schema = Schema::uniform(N, 2).unwrap();
+        let rows: [&[u16]; 3] = [
+            &[0, 1, 0, 1, 1, 0, 0, 1, 0],
+            &[1, 1, 1, 0, 0, 0, 1, 1, 1],
+            &[1, 0, 1, 1, 0, 1, 0, 0, 1],
+        ];
+        let data = Dataset::from_rows(schema, &rows).unwrap();
         // The epoch keeps only its packed snapshot; the oracle is the table
         // the test built it from.
         let table = sequential_build(&data).unwrap().table;
         let epoch = Epoch::pack(&table, 1).unwrap();
         let rec = wfbn_obs::CoreMetrics::new(1);
-        let mut cache = MarginalCache::with_capacity(2);
+        let mut cache = MarginalCache::new();
         cache.refresh(1);
-        for scope in [&[0][..], &[1], &[2], &[0, 2]] {
-            let answers = cache.answer(&epoch, &[scope], &rec, 0).unwrap();
+        // One past capacity: the variable sets of the bit masks 1..=257.
+        let scopes: Vec<Vec<usize>> = (1..=DEFAULT_CACHE_CAPACITY + 1)
+            .map(|mask| (0..N).filter(|v| mask >> v & 1 == 1).collect())
+            .collect();
+        for scope in &scopes {
+            let answers = cache.answer(&epoch, &[scope.as_slice()], &rec, 0).unwrap();
             assert_eq!(*answers[0], marginalize(&table, scope, 1).unwrap());
         }
-        assert_eq!(rec.snapshot().total(Counter::CacheMisses), 4);
-        // The third scope flushed the map; later misses still read the epoch.
-        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            rec.snapshot().total(Counter::CacheMisses),
+            scopes.len() as u64
+        );
+        // The last scope flushed the map; it still read the epoch.
+        assert_eq!(cache.len(), 1);
         cache.refresh(2);
         assert!(cache.is_empty(), "an epoch advance flushes the map");
         // Scopes are refused as the hash-table scan refused them.
         assert!(cache.answer(&epoch, &[&[2, 0]], &rec, 0).is_err());
-        assert!(cache.answer(&epoch, &[&[3]], &rec, 0).is_err());
+        assert!(cache.answer(&epoch, &[&[N]], &rec, 0).is_err());
         assert!(cache.is_empty());
     }
 

@@ -11,9 +11,11 @@
 //! 4. Print the strongest candidate edges.
 
 use wfbn_core::allpairs::all_pairs_mi;
-use wfbn_core::construct::waitfree_build;
+use wfbn_core::construct::waitfree_build_recorded;
 use wfbn_core::entropy::nats_to_bits;
 use wfbn_core::marginal::marginalize;
+use wfbn_core::obs::Counter;
+use wfbn_core::CoreMetrics;
 use wfbn_data::{CorrelatedChain, Generator, Schema};
 
 fn main() {
@@ -28,15 +30,26 @@ fn main() {
         .generate(m, 2024);
     println!("generated {m} samples over {n} binary variables (chain, ρ = 0.75)\n");
 
-    // Wait-free table construction (Algorithms 1 + 2).
-    let built = waitfree_build(&data, threads).expect("non-empty dataset");
-    let table = built.table;
+    // Wait-free table construction (Algorithms 1 + 2), counting into a
+    // per-core recorder.
+    let metrics = CoreMetrics::new(threads);
+    let table = waitfree_build_recorded(&data, threads, &metrics)
+        .expect("non-empty dataset")
+        .table;
+    let report = metrics.snapshot();
+    let forwarded = report.total(Counter::Forwarded);
+    let max_drained = report
+        .cores
+        .iter()
+        .map(|c| c.counter(Counter::Drained))
+        .max()
+        .unwrap_or(0);
     println!(
         "wait-free build on {threads} threads: {} distinct state strings, \
          {:.1}% of keys forwarded between cores, stage-2 drain balance {:.2}",
         table.num_entries(),
-        100.0 * built.stats.forward_fraction(),
-        built.stats.drain_imbalance(),
+        100.0 * forwarded as f64 / report.total(Counter::RowsEncoded) as f64,
+        max_drained as f64 / (forwarded as f64 / threads as f64),
     );
 
     // Parallel marginalization (Algorithm 3).

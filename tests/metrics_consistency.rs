@@ -110,8 +110,6 @@ fn noop_recorder_build_is_identical_to_the_uninstrumented_path() {
         };
         assert_eq!(plain.table.to_sorted_vec(), noop.table.to_sorted_vec());
         assert_eq!(plain.table.to_sorted_vec(), metered.table.to_sorted_vec());
-        assert_eq!(plain.stats.total_rows(), noop.stats.total_rows());
-        assert_eq!(plain.stats.total_forwarded(), noop.stats.total_forwarded());
     }
 }
 
@@ -273,7 +271,7 @@ fn batched_streaming_absorbs_accumulate_into_one_balanced_report() {
         .map(|seed| UniformIndependent::new(schema.clone()).generate(1_500, seed))
         .collect();
     let rec = CoreMetrics::new(3);
-    let mut builder = StreamingBuilder::with_capacity_hint(&schema, 3, 4_500).unwrap();
+    let mut builder = StreamingBuilder::new(&schema, 3).unwrap();
     for batch in &batches {
         builder.absorb_recorded(batch, &rec).unwrap();
     }
